@@ -2,7 +2,8 @@
 
 Both methods search the affine Krylov space x_0 + K_k(A; r_0), with
 A = I - T applied as an operator and r_0 = d - A x_0.  The basis of
-K_k is built by an Arnoldi process using modified Gram-Schmidt under
+K_k is built by one Arnoldi process, which deflates each new direction
+through the modified Gram-Schmidt kernel of :mod:`wextrap.qr` under
 the weighted inner product, so the basis satisfies <v_i, v_j> =
 delta_ij and the projected problem is a small Hessenberg system:
 
@@ -22,22 +23,27 @@ The absolute value of the k-th Givens cosine doubles as the FOM
 existence test: it vanishes exactly when H_k is singular, and it is
 scale-free, so one relative threshold covers all problems.
 
+The process runs once, to the last stage asked for, and one Givens
+sweep over its Hessenberg matrix serves every stage 0..k.
+
 Applied to the iterates x_{m+1} = T x_m + d, the two extrapolation
 methods of :mod:`wextrap.extrapolate` produce the same vectors as FOM
 and GMR stage by stage; :func:`equivalence_check` runs both pipelines
-and measures the difference, together with the exact-residual
+once each and measures the difference, together with the exact-residual
 identities that hold in the linear case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import Breakdown, DimensionMismatch
+from .errors import Breakdown, DimensionMismatch, InsufficientVectors
 from .extrapolate import run
+from .qr import _deflate
 from .weights import WeightOperator, validate
 
 __all__ = [
@@ -66,12 +72,7 @@ FOM_TOL = 1e-12
 def _as_operator(t):
     if callable(t):
         return t
-    t = np.asarray(t, dtype=complex)
-
-    def apply(z):
-        return t @ z
-
-    return apply
+    return partial(np.matmul, np.asarray(t, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,22 @@ def initial_state(t, d, x0, weight) -> KrylovState:
                        np.zeros((1, 0), dtype=complex))
 
 
+def _step(weight, apply_a, basis, breakdown_tol):
+    """One Arnoldi step on the weighted-orthonormal columns of ``basis``.
+
+    Returns (h, v): the Hessenberg column (projections of A v_j, then
+    the deflated norm) and the next basis vector, or None in place of
+    v on breakdown.
+    """
+    w = apply_a(basis[:, -1])
+    scale = weight.norm(w)
+    coeffs, w, hnorm = _deflate(weight, basis, w)
+    h = np.append(coeffs, hnorm)
+    if hnorm <= breakdown_tol * scale:
+        return h, None
+    return h, w / hnorm
+
+
 def arnoldi_step(state: KrylovState, breakdown_tol: float = BREAKDOWN_TOL
                  ) -> KrylovState:
     """Extend the basis by one direction.
@@ -132,65 +149,15 @@ def arnoldi_step(state: KrylovState, breakdown_tol: float = BREAKDOWN_TOL
     j = state.basis.shape[1]
     if j == 0:
         raise Breakdown(0, "zero initial residual; nothing to extend")
-    weight = state.weight
-    w = state.operator(state.basis[:, j - 1])
-    scale = weight.norm(w)
-    h = np.zeros(j + 1, dtype=complex)
-    for i in range(j):
-        h[i] = weight.inner(state.basis[:, i], w)
-        w = w - h[i] * state.basis[:, i]
-    hnorm = weight.norm(w)
-    h[j] = hnorm
-    if hnorm <= breakdown_tol * scale:
+    h, v = _step(state.weight, state.operator, state.basis, breakdown_tol)
+    if v is None:
         raise Breakdown(j)
-    basis = np.column_stack([state.basis, w / hnorm])
+    basis = np.column_stack([state.basis, v])
     hess = np.zeros((j + 1, j), dtype=complex)
     hess[:j, : j - 1] = state.hessenberg
     hess[:, j - 1] = h
     return KrylovState(state.weight, state.operator, state.x0, state.r0,
                        state.beta, basis, hess)
-
-
-def _arnoldi(t, d, x0, weight, k):
-    """Hessenberg data through k steps, stopping early on breakdown.
-
-    Returns (state-like tuple) basis, hess, beta, x0, invariant flag.
-    On breakdown at step j the j-th Hessenberg column is kept (its
-    subdiagonal entry is the tiny deflated norm), so stage-j solves
-    remain available and are exact.
-    """
-    weight = validate(weight)
-    apply_t = _as_operator(t)
-    d = np.asarray(d, dtype=complex)
-    x0 = np.asarray(x0, dtype=complex)
-    r0 = apply_t(x0) + d - x0
-    beta = weight.norm(r0)
-    n = weight.dimension
-    if beta == 0.0:
-        return np.zeros((n, 0), complex), np.zeros((1, 0), complex), 0.0, x0, True
-    vs = [r0 / beta]
-    hcols = []
-    invariant = False
-    for j in range(1, k + 1):
-        w = apply_t(vs[j - 1])
-        w = vs[j - 1] - w  # A v = (I - T) v
-        scale = weight.norm(w)
-        h = np.zeros(k + 1, dtype=complex)
-        for i in range(j):
-            h[i] = weight.inner(vs[i], w)
-            w = w - h[i] * vs[i]
-        hnorm = weight.norm(w)
-        h[j] = hnorm
-        hcols.append(h)
-        if hnorm <= BREAKDOWN_TOL * scale:
-            invariant = True
-            break
-        vs.append(w / hnorm)
-    m = len(hcols)
-    hess = np.zeros((m + 1, m), dtype=complex)
-    for j, h in enumerate(hcols):
-        hess[: j + 2, j] = h[: j + 2]
-    return np.column_stack(vs), hess, beta, x0, invariant
 
 
 def _givens(a, b):
@@ -206,16 +173,19 @@ def _givens(a, b):
 def _triangularize(hess, beta):
     """Apply Givens rotations column by column.
 
-    Returns (R, g, cosines): R the m x m triangular factor, g the
-    rotated right-hand side of length m+1 (|g[m]| is the least-squares
-    residual), cosines the per-column |c_j|.
+    Returns (R, g, cosines, residuals): R the m x m triangular factor,
+    g the rotated right-hand side of length m+1, cosines the
+    per-column |c_j| and residuals[j] the stage-j least-squares
+    residual (beta at stage 0).  Rotation j touches only column j and
+    g[j:j+2], so stage j reads R[:j, :j] and g[:j] from the same sweep.
     """
     m = hess.shape[1]
-    r = hess.astype(complex).copy()
+    r = hess.copy()
     g = np.zeros(m + 1, dtype=complex)
     g[0] = beta
     rots = []
     cosines = []
+    residuals = [float(beta)]
     for j in range(m):
         for i, rot in enumerate(rots):
             r[i:i + 2, j] = rot @ r[i:i + 2, j]
@@ -225,7 +195,64 @@ def _triangularize(hess, beta):
         g[j:j + 2] = rot @ g[j:j + 2]
         rots.append(rot)
         cosines.append(cos)
-    return r[:m, :m], g, cosines
+        residuals.append(float(abs(g[j + 1])))
+    return r[:m, :m], g, cosines, residuals
+
+
+def _check_stage(k, name):
+    if k < 0:
+        raise InsufficientVectors(f"{name} must be nonnegative")
+
+
+class _Stages:
+    """The Krylov process run once to k steps; every stage 0..k reads
+    its FOM and GMR solutions from the one basis and Givens sweep.
+
+    On breakdown at step j the j-th Hessenberg column is kept (its
+    subdiagonal entry is the tiny deflated norm), so stage-j solves
+    remain available and exact, and later stages read them too.
+    """
+
+    def __init__(self, t, d, x0, weight, k: int):
+        _check_stage(k, "k")
+        state = initial_state(t, d, x0, weight)
+        self.x0, self.beta = state.x0, state.beta
+        # rows keep each basis vector contiguous while the process grows
+        rows = np.zeros((k + 1, state.weight.dimension), dtype=complex)
+        hess = np.zeros((k + 1, k), dtype=complex)
+        steps = 0
+        if state.beta != 0.0:
+            rows[0] = state.basis[:, 0]
+            for steps in range(1, k + 1):
+                h, v = _step(state.weight, state.operator, rows[:steps].T,
+                             BREAKDOWN_TOL)
+                hess[: steps + 1, steps - 1] = h
+                if v is None:
+                    break
+                rows[steps] = v
+        self.basis = np.ascontiguousarray(rows.T)
+        self.hess = hess[: steps + 1, :steps]
+        self.r, self.g, self.cosines, self.residuals = _triangularize(
+            self.hess, state.beta)
+
+    def fom(self, k: int, fom_tol: float = FOM_TOL):
+        m = min(k, self.hess.shape[1])
+        if m == 0:
+            return self.x0.copy()
+        if self.cosines[m - 1] <= fom_tol:
+            return None
+        rhs = np.zeros(m, dtype=complex)
+        rhs[0] = self.beta
+        y = np.linalg.solve(self.hess[:m, :m], rhs)
+        return self.x0 + self.basis[:, :m] @ y
+
+    def gmr(self, k: int):
+        """(solution, estimated weighted residual norm) at stage k."""
+        m = min(k, self.hess.shape[1])
+        if m == 0:
+            return self.x0.copy(), self.residuals[0]
+        y = solve_triangular(self.r[:m, :m], self.g[:m], lower=False)
+        return self.x0 + self.basis[:, :m] @ y, self.residuals[m]
 
 
 def fom_solve(t, d, x0, weight, k: int, fom_tol: float = FOM_TOL):
@@ -236,19 +263,7 @@ def fom_solve(t, d, x0, weight, k: int, fom_tol: float = FOM_TOL):
     failure.  k = 0 returns x0.  Past a happy breakdown the invariant-
     space (exact) solution is returned.
     """
-    if k == 0:
-        return np.asarray(x0, dtype=complex).copy()
-    basis, hess, beta, x0, invariant = _arnoldi(t, d, x0, weight, k)
-    if beta == 0.0:
-        return x0.copy()
-    m = hess.shape[1]
-    _, _, cosines = _triangularize(hess, beta)
-    if cosines[m - 1] <= fom_tol:
-        return None
-    rhs = np.zeros(m, dtype=complex)
-    rhs[0] = beta
-    y = np.linalg.solve(hess[:m, :m], rhs)
-    return x0 + basis[:, :m] @ y
+    return _Stages(t, d, x0, weight, k).fom(k, fom_tol)
 
 
 def gmr_solve(t, d, x0, weight, k: int, with_residual: bool = False):
@@ -257,25 +272,8 @@ def gmr_solve(t, d, x0, weight, k: int, with_residual: bool = False):
     With ``with_residual`` the estimated weighted residual norm
     (the rotated right-hand side's last entry) is returned alongside.
     """
-    x0 = np.asarray(x0, dtype=complex)
-    if k == 0:
-        w = x0.copy()
-        if with_residual:
-            apply_t = _as_operator(t)
-            d = np.asarray(d, dtype=complex)
-            weight = validate(weight)
-            return w, weight.norm(apply_t(x0) + d - x0)
-        return w
-    basis, hess, beta, x0, invariant = _arnoldi(t, d, x0, weight, k)
-    if beta == 0.0:
-        return (x0.copy(), 0.0) if with_residual else x0.copy()
-    m = hess.shape[1]
-    r, g, _ = _triangularize(hess, beta)
-    y = solve_triangular(r, g[:m], lower=False)
-    w = x0 + basis[:, :m] @ y
-    if with_residual:
-        return w, float(abs(g[m]))
-    return w
+    w, res = _Stages(t, d, x0, weight, k).gmr(k)
+    return (w, res) if with_residual else w
 
 
 @dataclass(frozen=True)
@@ -309,6 +307,7 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     The iterate sequence x_{m+1} = T x_m + d is generated internally
     from the same x0.  All residuals here are exact: r(x) = Tx + d - x.
     """
+    _check_stage(k_max, "k_max")
     weight = validate(weight)
     apply_t = _as_operator(t)
     d = np.asarray(d, dtype=complex)
@@ -321,26 +320,21 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     for _ in range(k_max + 1):
         iters.append(apply_t(iters[-1]) + d)
     hist = run(np.array(iters), weight, k_max=k_max)
+    stages = _Stages(apply_t, d, x0, weight, hist.records[-1].k)
 
-    r0_norm = weight.norm(res(x0))
-    rres = {}  # stage -> exact rre residual vector
+    rres, rnorms = {}, {}  # stage -> exact rre residual and its norm
 
     def rel(defect, scale):
         return float(defect / scale) if scale > 0 else float(defect)
 
     def resid_scale(rnorm):
-        return max(rnorm, 1e-14 * r0_norm)
+        return max(rnorm, 1e-14 * stages.beta)
 
-    out = {name: [] for name in ("ks", "fom_defined", "mpe_exists",
-                                 "definedness_consistent", "fom_mpe_defect",
-                                 "gmr_rre_defect", "residual_match_mpe",
-                                 "residual_match_rre", "gmr_estimate_defect",
-                                 "coupling_222", "coupling_223",
-                                 "coupling_224", "monotone_225")}
+    out = {f.name: [] for f in fields(KrylovComparison)}
     for idx, rec in enumerate(hist.records):
         k = rec.k
-        w_fom = fom_solve(t, d, x0, weight, k)
-        w_gmr, gmr_res = gmr_solve(t, d, x0, weight, k, with_residual=True)
+        w_fom = stages.fom(k)
+        w_gmr, gmr_res = stages.gmr(k)
         fom_def = w_fom is not None
         out["ks"].append(k)
         out["fom_defined"].append(fom_def)
@@ -355,21 +349,19 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         u_k = hist.differences.block(k)
         if rec.mpe.exists:
             r_mpe = res(rec.mpe.s)
+            nr_m = weight.norm(r_mpe)
             out["residual_match_mpe"].append(rel(
-                weight.norm(u_k @ rec.mpe.gamma - r_mpe),
-                resid_scale(weight.norm(r_mpe))))
+                weight.norm(u_k @ rec.mpe.gamma - r_mpe), resid_scale(nr_m)))
         else:
             r_mpe = None
             out["residual_match_mpe"].append(None)
         if rec.rre.s is not None:
-            r_rre = res(rec.rre.s)
-            rres[idx] = r_rre
+            r_rre = rres[idx] = res(rec.rre.s)
+            nr_k = rnorms[idx] = weight.norm(r_rre)
             out["residual_match_rre"].append(rel(
-                weight.norm(u_k @ rec.rre.gamma - r_rre),
-                resid_scale(weight.norm(r_rre))))
+                weight.norm(u_k @ rec.rre.gamma - r_rre), resid_scale(nr_k)))
             out["gmr_estimate_defect"].append(rel(
-                abs(gmr_res - weight.norm(r_rre)),
-                resid_scale(weight.norm(r_rre))))
+                abs(gmr_res - nr_k), resid_scale(nr_k)))
         else:
             out["residual_match_rre"].append(None)
             out["gmr_estimate_defect"].append(None)
@@ -377,16 +369,14 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         applicable = (idx > 0 and not rec.terminal and rec.mpe.exists
                       and idx - 1 in rres)
         if applicable:
-            nr_k = weight.norm(rres[idx])
-            nr_prev = weight.norm(rres[idx - 1])
-            nr_m = weight.norm(r_mpe)
+            nr_k, nr_prev = rnorms[idx], rnorms[idx - 1]
             out["coupling_222"].append(rel(
                 abs(1 / nr_k ** 2 - 1 / nr_prev ** 2 - 1 / nr_m ** 2),
                 1 / nr_k ** 2))
             v = rres[idx] / nr_k ** 2 - rres[idx - 1] / nr_prev ** 2 \
                 - r_mpe / nr_m ** 2
             out["coupling_223"].append(rel(
-                weight.norm(v), weight.norm(rres[idx]) / nr_k ** 2))
+                weight.norm(v), nr_k / nr_k ** 2))
             sv = rec.rre.s / nr_k ** 2 \
                 - hist.records[idx - 1].rre.s / nr_prev ** 2 \
                 - rec.mpe.s / nr_m ** 2

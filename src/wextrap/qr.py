@@ -104,18 +104,20 @@ def orthogonalize_column(factors: WQRFactors, a, reorthogonalize: bool = False):
         raise DimensionMismatch(
             f"column of shape {a.shape}, expected ({weight.dimension},)"
         )
-    k = factors.k
+    return _deflate(weight, factors.q, a, reorthogonalize)
+
+
+def _deflate(weight: WeightOperator, q, a, reorthogonalize: bool = False):
+    # modified Gram-Schmidt kernel: deflate a against the columns of q,
+    # which must be weighted-orthonormal; shared with the Arnoldi process
+    k = q.shape[1]
     coeffs = np.zeros(k, dtype=complex)
     w = a.copy()
-    for i in range(k):
-        c = weight.inner(factors.q[:, i], w)
-        coeffs[i] = c
-        w = w - c * factors.q[:, i]
-    if reorthogonalize:
+    for sweep in range(2 if reorthogonalize else 1):
         for i in range(k):
-            c = weight.inner(factors.q[:, i], w)
-            coeffs[i] += c
-            w = w - c * factors.q[:, i]
+            c = weight.inner(q[:, i], w)
+            coeffs[i] = coeffs[i] + c if sweep else c
+            w = w - c * q[:, i]
     return coeffs, w, weight.norm(w)
 
 

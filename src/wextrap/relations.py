@@ -197,7 +197,10 @@ def check_coupling(history: RunHistory, use_recorded_phi: bool = False
     """Defects of identities 3-16/3-17/3-18 and the 3-55 flag per
     stage; None where the minimal-polynomial vector is absent, at
     stage 0, and at terminal stages."""
-    phi_m, phi_r = _phi_tables(history, use_recorded_phi)
+    return _coupling(history, *_phi_tables(history, use_recorded_phi))
+
+
+def _coupling(history: RunHistory, phi_m: list, phi_r: list) -> list:
     weight = history.weight
     out = []
     for idx, rec in enumerate(history.records):
@@ -229,7 +232,10 @@ def check_corollaries(history: RunHistory, use_recorded_phi: bool = False):
     non-terminal); 92 at every non-terminal stage, accumulating over
     the existence set S_k.
     """
-    phi_m, phi_r = _phi_tables(history, use_recorded_phi)
+    return _corollaries(history, *_phi_tables(history, use_recorded_phi))
+
+
+def _corollaries(history: RunHistory, phi_m: list, phi_r: list):
     eq91, eq92, s_sets = [], [], []
     s_set: tuple[int, ...] = ()
     inv_sum = 0.0
@@ -404,9 +410,9 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
         thr.update(thresholds)
     master = check_master_identity(history)
     stagn = check_stagnation(history, stag_tol, raise_on_violation=False)
-    coupling = check_coupling(history, use_recorded_phi)
-    eq91, eq92, s_sets = check_corollaries(history, use_recorded_phi)
     phi_m, phi_r = _phi_tables(history, use_recorded_phi)
+    coupling = _coupling(history, phi_m, phi_r)
+    eq91, eq92, s_sets = _corollaries(history, phi_m, phi_r)
 
     stages = []
     failures = []  # (ratio, label, k, defect)

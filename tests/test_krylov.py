@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from wextrap import (
     Breakdown,
+    FixedPointProblem,
+    InsufficientVectors,
     WeightOperator,
     arnoldi_step,
     equivalence_check,
@@ -195,3 +197,94 @@ def test_weighted_residual_identity_on_linear(demo_problem):
     for solve in (rec.mpe, rec.rre):
         r_true = residual(demo_problem, solve.s)
         assert np.linalg.norm(u1 @ solve.gamma - r_true) < 1e-10
+
+
+@pytest.mark.parametrize("solve", [
+    lambda w: fom_solve(DEMO_T, DEMO_D, DEMO_X0, w, -1),
+    lambda w: gmr_solve(DEMO_T, DEMO_D, DEMO_X0, w, -1, with_residual=True),
+    lambda w: equivalence_check(DEMO_T, DEMO_D, DEMO_X0, w, -1),
+], ids=["fom_solve", "gmr_solve", "equivalence_check"])
+def test_negative_stage_rejected(solve):
+    with pytest.raises(InsufficientVectors, match="must be nonnegative"):
+        solve(WeightOperator.identity(2))
+
+
+def _single_pass_problem(case):
+    rng = np.random.default_rng(250)
+    if case == "breakdown":
+        # T = 0: A = I, so the Krylov space is invariant after one step
+        n = 6
+        return (np.zeros((n, n)), rng.standard_normal(n),
+                rng.standard_normal(n), WeightOperator.identity(n), 4)
+    if case == "mpe_failure":
+        problem = make_mpe_failure_problem(6)
+        return (problem.t, problem.d, problem.x0,
+                WeightOperator.identity(6), 3)
+    n = 14
+    t = random_contraction(rng, n)
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return t, d, rng.standard_normal(n), random_weight(rng, n, case), 8
+
+
+@pytest.mark.parametrize("case", ["identity", "diag", "dense", "breakdown",
+                                  "mpe_failure"])
+def test_single_pass_matches_fresh_solves(case):
+    """Every stage equivalence_check reads from its one Krylov process
+    agrees with a standalone k-step solve."""
+    t, d, x0, w, k_max = _single_pass_problem(case)
+    cmp = equivalence_check(t, d, x0, w, k_max)
+    hist = run(np.asarray(iterate(FixedPointProblem.linear(t, d, x0),
+                                  k_max + 1)), w, k_max=k_max)
+    assert cmp.ks == [rec.k for rec in hist.records]
+    for idx, k in enumerate(cmp.ks):
+        rec = hist.records[idx]
+        w_fom = fom_solve(t, d, x0, w, k)
+        w_gmr, est = gmr_solve(t, d, x0, w, k, with_residual=True)
+        assert cmp.fom_defined[idx] is (w_fom is not None)
+        # |defect(single pass) - defect(fresh)| is at most the weighted
+        # distance between the two stage vectors
+        if cmp.fom_mpe_defect[idx] is not None:
+            assert abs(cmp.fom_mpe_defect[idx] - w.norm(w_fom - rec.mpe.s)) \
+                <= 1e-12 * w.norm(w_fom)
+        if cmp.gmr_rre_defect[idx] is not None:
+            assert abs(cmp.gmr_rre_defect[idx] - w.norm(w_gmr - rec.rre.s)) \
+                <= 1e-12 * w.norm(w_gmr)
+        if cmp.gmr_estimate_defect[idx] is not None:
+            r_true = w.norm(t @ rec.rre.s + d - rec.rre.s)
+            scale = max(r_true, 1e-14 * w.norm(t @ x0 + d - x0))
+            assert abs(cmp.gmr_estimate_defect[idx]
+                       - abs(est - r_true) / scale) <= 1e-12 * est / scale
+    if case == "breakdown":
+        x_star = np.linalg.solve(np.eye(len(d)) - t, d)
+        for k in range(1, k_max + 1):
+            w_gmr, est = gmr_solve(t, d, x0, w, k, with_residual=True)
+            assert_allclose(fom_solve(t, d, x0, w, k), x_star, rtol=1e-12)
+            assert_allclose(w_gmr, x_star, rtol=1e-12)
+            assert est <= 1e-12 * w.norm(x_star)
+    if case == "mpe_failure":
+        assert cmp.fom_defined[1] is False
+
+
+def test_equivalence_check_applies_t_linearly_often():
+    """A callable T gives the matrix path's answer, and the check applies
+    it O(k) times: once per iterate, per residual and per Arnoldi step."""
+    rng = np.random.default_rng(260)
+    n, k = 100, 20
+    t = np.asarray(random_contraction(rng, n), dtype=complex)
+    d = rng.standard_normal(n)
+    x0 = np.zeros(n)
+    w = WeightOperator.identity(n)
+    calls = []
+
+    def counting_t(z):
+        calls.append(1)
+        return t @ z
+
+    cmp = equivalence_check(counting_t, d, x0, w, k)
+    assert cmp.ks[-1] == k
+    assert len(calls) <= 4 * k + 5
+    assert cmp == equivalence_check(t, d, x0, w, k)
+    for solve in (fom_solve, gmr_solve):
+        calls.clear()
+        solve(counting_t, d, x0, w, k)
+        assert len(calls) <= k + 1
