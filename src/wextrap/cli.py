@@ -37,6 +37,7 @@ from .krylov import equivalence_check
 from .problems import BUILTIN_MAPS, FixedPointProblem, iterate
 from .qr import RANK_TOL, gs_factorize, mgs_factorize
 from .relations import (
+    CATALOG,
     DEFAULT_THRESHOLDS,
     PLATEAU_TOL,
     STAG_TOL,
@@ -190,15 +191,10 @@ def cmd_verify(args):
                             plateau_tol=args.plateau_tol)
     for st in report.stages:
         cells = [f"k={st.k}", f"mpe={'yes' if st.mpe_exists else 'no'}"]
-        for label, value in (("3-8", st.identity_38_residual),
-                             ("3-15", st.identity_315_residual),
-                             ("3-16", st.identity_316_residual),
-                             ("3-17", st.identity_317_residual),
-                             ("3-18", st.identity_318_residual),
-                             ("91", st.eq91_defect),
-                             ("92", st.eq92_defect)):
-            cells.append(f"{label}: " + ("n/a" if value is None
-                                         else f"{value:.2e}"))
+        for row in CATALOG:
+            value = getattr(st, row.field)
+            cells.append(f"{row.label}: " + ("n/a" if value is None
+                                             else f"{value:.2e}"))
         if st.stagnation_detected is not None:
             cells.append("stagnated" if st.stagnation_detected else "progress")
         print("  ".join(cells))
@@ -218,30 +214,19 @@ def cmd_verify(args):
     return 0
 
 
-_STAGE_FIELDS = (
-    ("3-8", "identity_38_residual"),
-    ("3-15", "identity_315_residual"),
-    ("3-16", "identity_316_residual"),
-    ("3-17", "identity_317_residual"),
-    ("3-18", "identity_318_residual"),
-    ("91", "eq91_defect"),
-    ("92", "eq92_defect"),
-)
-
-
 def _print_failures(report):
     """One FAIL line per identity with a defect above threshold."""
-    for label, attr in _STAGE_FIELDS:
+    for row in CATALOG:
+        limit = report.thresholds[row.label]
         worst_k = worst = None
         for st in report.stages:
-            value = getattr(st, attr)
-            if value is not None and value > report.thresholds[label] \
+            value = getattr(st, row.field)
+            if value is not None and value > limit \
                     and (worst is None or value > worst):
                 worst_k, worst = st.k, value
         if worst is not None:
-            print(f"FAIL: identity ({label}) at k={worst_k}: defect "
-                  f"{worst:.3e} exceeds threshold "
-                  f"{report.thresholds[label]:g}", file=sys.stderr)
+            print(f"FAIL: identity ({row.label}) at k={worst_k}: defect "
+                  f"{worst:.3e} exceeds threshold {limit:g}", file=sys.stderr)
     for st in report.stages:
         if st.stagnation_consistent is False:
             print(f"FAIL: stagnation/existence mismatch (3-1) at k={st.k}",

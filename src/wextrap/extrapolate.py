@@ -67,7 +67,6 @@ __all__ = [
     "mpe_coefficients",
     "rre_coefficients",
     "assemble",
-    "residual_estimate",
     "run",
     "history_to_dict",
     "history_rows",
@@ -241,22 +240,6 @@ def assemble(x0, factors: WQRFactors, gamma) -> np.ndarray:
     xi = 1.0 - np.cumsum(gamma)[:k]
     eta = factors.r[:k, :k] @ xi
     return x0 + factors.q[:, :k] @ eta
-
-
-def residual_estimate(solve: CoefficientSolve, rdiag: float | None = None
-                      ) -> float:
-    """phi = ||| U_k gamma ||| read off the triangular factors.
-
-    For ``mpe`` this is r_kk |gamma_k| and ``rdiag`` must be supplied;
-    for ``rre`` it is sqrt(lam).
-    """
-    if solve.method == "mpe":
-        if not solve.exists:
-            raise MpeNonexistent("no residual estimate: alpha is numerically zero")
-        if rdiag is None:
-            raise ValueError("mpe residual estimate needs the diagonal entry r_kk")
-        return float(rdiag) * abs(solve.gamma[-1])
-    return float(np.sqrt(solve.lam))
 
 
 def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k, exist_tol,

@@ -44,6 +44,7 @@ from scipy.linalg import solve_triangular
 from .errors import Breakdown, DimensionMismatch, InsufficientVectors
 from .extrapolate import run
 from .qr import _deflate
+from .relations import _coupling_defects, _rel
 from .weights import WeightOperator, validate
 
 __all__ = [
@@ -283,7 +284,10 @@ class KrylovComparison:
 
     Lists are indexed by stage; None marks stages where a quantity
     does not apply (undefined method, stage 0 for the two-stage
-    identities, terminal stage).
+    identities, terminal stage).  ``coupling_222/223/224`` are the
+    coupling defects of :mod:`wextrap.relations`, computed by the same
+    function on exact residuals and their norms in place of U_k gamma
+    and phi.
     """
 
     ks: list
@@ -322,10 +326,7 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     hist = run(np.array(iters), weight, k_max=k_max)
     stages = _Stages(apply_t, d, x0, weight, hist.records[-1].k)
 
-    rres, rnorms = {}, {}  # stage -> exact rre residual and its norm
-
-    def rel(defect, scale):
-        return float(defect / scale) if scale > 0 else float(defect)
+    rre_parts = {}  # stage -> (exact rre residual norm, residual, s)
 
     def resid_scale(rnorm):
         return max(rnorm, 1e-14 * stages.beta)
@@ -350,42 +351,32 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         if rec.mpe.exists:
             r_mpe = res(rec.mpe.s)
             nr_m = weight.norm(r_mpe)
-            out["residual_match_mpe"].append(rel(
+            out["residual_match_mpe"].append(_rel(
                 weight.norm(u_k @ rec.mpe.gamma - r_mpe), resid_scale(nr_m)))
         else:
-            r_mpe = None
             out["residual_match_mpe"].append(None)
         if rec.rre.s is not None:
-            r_rre = rres[idx] = res(rec.rre.s)
-            nr_k = rnorms[idx] = weight.norm(r_rre)
-            out["residual_match_rre"].append(rel(
+            r_rre = res(rec.rre.s)
+            nr_k = weight.norm(r_rre)
+            rre_parts[idx] = (nr_k, r_rre, rec.rre.s)
+            out["residual_match_rre"].append(_rel(
                 weight.norm(u_k @ rec.rre.gamma - r_rre), resid_scale(nr_k)))
-            out["gmr_estimate_defect"].append(rel(
+            out["gmr_estimate_defect"].append(_rel(
                 abs(gmr_res - nr_k), resid_scale(nr_k)))
         else:
             out["residual_match_rre"].append(None)
             out["gmr_estimate_defect"].append(None)
 
-        applicable = (idx > 0 and not rec.terminal and rec.mpe.exists
-                      and idx - 1 in rres)
-        if applicable:
-            nr_k, nr_prev = rnorms[idx], rnorms[idx - 1]
-            out["coupling_222"].append(rel(
-                abs(1 / nr_k ** 2 - 1 / nr_prev ** 2 - 1 / nr_m ** 2),
-                1 / nr_k ** 2))
-            v = rres[idx] / nr_k ** 2 - rres[idx - 1] / nr_prev ** 2 \
-                - r_mpe / nr_m ** 2
-            out["coupling_223"].append(rel(
-                weight.norm(v), nr_k / nr_k ** 2))
-            sv = rec.rre.s / nr_k ** 2 \
-                - hist.records[idx - 1].rre.s / nr_prev ** 2 \
-                - rec.mpe.s / nr_m ** 2
-            out["coupling_224"].append(rel(
-                weight.norm(sv), weight.norm(rec.rre.s) / nr_k ** 2))
-            out["monotone_225"].append(bool(nr_k < nr_prev))
-        else:
-            out["coupling_222"].append(None)
-            out["coupling_223"].append(None)
-            out["coupling_224"].append(None)
-            out["monotone_225"].append(None)
+        # the extrapolation coupling identities, on exact residuals
+        coupling, monotone = (None, None, None), None
+        if idx > 0 and not rec.terminal and rec.mpe.exists \
+                and idx - 1 in rre_parts:
+            coupling = _coupling_defects(weight, rre_parts[idx],
+                                         rre_parts[idx - 1],
+                                         (nr_m, r_mpe, rec.mpe.s))
+            monotone = bool(rre_parts[idx][0] < rre_parts[idx - 1][0])
+        for name, value in zip(("coupling_222", "coupling_223",
+                                "coupling_224"), coupling):
+            out[name].append(value)
+        out["monotone_225"].append(monotone)
     return KrylovComparison(**out)

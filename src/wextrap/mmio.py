@@ -363,8 +363,10 @@ def load_history(path) -> RunHistory:
             f"dimension {weight.dimension}")
     appended = len(records) - (1 if records and records[-1].terminal else 0)
     if appended > 0:
+        # the run already accepted these columns under its own rank_tol,
+        # which the file does not record: regrow them without a rank test
         factors = mgs_factorize(columns[:, :appended], weight,
-                                reorthogonalize=reorth)
+                                reorthogonalize=reorth, rank_tol=0.0)
     else:
         factors = empty_factors(weight)
     return RunHistory(

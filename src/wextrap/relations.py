@@ -28,12 +28,16 @@ carries a short catalog label used in reports and CLI output:
     estimates, and 1/phi_rre(k)^2 as the sum of 1/phi_mpe(i)^2 over
     the stages i <= k where the minimal-polynomial vector exists.
 
-Checks return per-stage defects (relative residuals of the two sides),
-with ``None`` marking stages where an identity does not apply (stage
-0, terminal stage, or nonexistent minimal-polynomial vector as the
-case requires).  Defects are reported as numbers and judged against
-thresholds only in :func:`verify_history`, so callers can inspect the
-raw measurements.
+The identities measured by a relative defect form :data:`CATALOG`, one
+row per label: the :class:`StageRelations` field that holds the
+defect, the default threshold, and the per-stage defect function,
+which returns None where the identity does not apply (stage 0,
+terminal stage, or nonexistent minimal-polynomial vector as the case
+requires).  The 3-1 and 3-55 flags are boolean and sit beside the
+table.  One pass over the records fills every :class:`StageRelations`;
+:func:`verify_history` judges the defects against thresholds, and the
+``check_*`` functions are views of the same pass, so callers can
+inspect the raw measurements.
 
 By default every check recomputes the quantities it relates directly
 from the difference columns and triangular factors, so the two sides
@@ -45,7 +49,7 @@ reloaded history file instead uses the recorded values
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -57,6 +61,8 @@ __all__ = [
     "STAG_TOL",
     "PLATEAU_TOL",
     "MONOTONE_SLACK",
+    "Identity",
+    "CATALOG",
     "DEFAULT_THRESHOLDS",
     "StagnationEntry",
     "CouplingEntry",
@@ -80,67 +86,197 @@ PLATEAU_TOL = 1e-6
 #: slack allowed on the nonincreasing phi_rre comparison
 MONOTONE_SLACK = 1e-12
 
-#: per-identity defect thresholds used by verify_history; editorial
-#: choices (the identities are exact, floating point is not), surfaced
-#: in the report and overridable
-DEFAULT_THRESHOLDS = {
-    "3-8": 1e-9,
-    "3-15": 1e-9,
-    "3-16": 1e-9,
-    "3-17": 1e-9,
-    "3-18": 1e-9,
-    "91": 1e-9,
-    "92": 1e-9,
-}
-
-
-def _phi_tables(history: RunHistory, use_recorded: bool):
-    """Per-stage (phi_mpe, phi_rre), recomputed from raw columns unless
-    told to trust the records."""
-    phi_m, phi_r = [], []
-    for rec in history.records:
-        if use_recorded:
-            phi_m.append(rec.mpe.phi)
-            phi_r.append(rec.rre.phi)
-            continue
-        u = history.differences.block(rec.k)
-        phi_m.append(None if rec.mpe.gamma is None
-                     else history.weight.norm(u @ rec.mpe.gamma))
-        phi_r.append(None if rec.rre.gamma is None
-                     else history.weight.norm(u @ rec.rre.gamma))
-    return phi_m, phi_r
-
 
 def _rel(defect: float, scale: float) -> float:
     return float(defect / scale) if scale > 0 else float(defect)
 
 
+def _coupling_defects(weight, rre, prev, mpe):
+    """Relative defects of identities 3-16, 3-17 and 3-18.
+
+    ``rre``, ``prev`` and ``mpe`` are (phi, residual, s) triples for
+    the stage-k reduced-rank, stage-(k-1) reduced-rank and stage-k
+    minimal-polynomial results.  The residual is U_k gamma for the
+    extrapolation history and the exact residual of s in the linear
+    case, where phi is its weighted norm.
+    """
+    (fr, r, s), (fp, rp, sp), (fm, rm, sm) = rre, prev, mpe
+    d316 = _rel(abs(1.0 / fr ** 2 - 1.0 / fp ** 2 - 1.0 / fm ** 2),
+                1.0 / fr ** 2)
+    v = r / fr ** 2
+    d317 = _rel(weight.norm(v - rp / fp ** 2 - rm / fm ** 2), weight.norm(v))
+    lhs = s / fr ** 2
+    d318 = _rel(weight.norm(lhs - (sp / fp ** 2 + sm / fm ** 2)),
+                weight.norm(lhs))
+    return d316, d317, d318
+
+
+class _Stage:
+    """One record as the catalog's defect functions see it.
+
+    The residual vectors U_k gamma are formed once and serve both the
+    phi estimates and identity 3-17.  ``checked`` is false at stage 0
+    and at the terminal stage, where no two-stage identity applies;
+    ``coupled`` adds that the minimal-polynomial vector exists, which
+    is where the coupling identities apply.
+    """
+
+    def __init__(self, history: RunHistory, rec, prev: "_Stage | None",
+                 use_recorded_phi: bool, stag_tol: float):
+        self.history, self.rec, self.prev = history, rec, prev
+        weight = history.weight
+        u = history.differences.block(rec.k)
+        self.u_mpe = None if rec.mpe.gamma is None else u @ rec.mpe.gamma
+        self.u_rre = None if rec.rre.gamma is None else u @ rec.rre.gamma
+        if use_recorded_phi:
+            self.phi_mpe, self.phi_rre = rec.mpe.phi, rec.rre.phi
+        else:
+            self.phi_mpe = None if self.u_mpe is None \
+                else weight.norm(self.u_mpe)
+            self.phi_rre = None if self.u_rre is None \
+                else weight.norm(self.u_rre)
+        self.checked = prev is not None and not rec.terminal
+        self.coupled = self.checked and rec.mpe.exists
+        # S_k and the running sum of 1/phi_mpe^2 over it (identity 92)
+        self.s_set, self.inv_sum = ((), 0.0) if prev is None \
+            else (prev.s_set, prev.inv_sum)
+        if rec.mpe.exists and not rec.terminal:
+            self.s_set += (rec.k,)
+            self.inv_sum += 1.0 / self.phi_mpe ** 2
+        self.stagnates = None
+        if self.checked:
+            dist = weight.norm(rec.rre.s - prev.rec.rre.s)
+            self.stagnates = bool(
+                dist <= stag_tol * (1.0 + weight.norm(rec.rre.s)))
+        self.coupling = None, None, None  # 3-16, 3-17, 3-18
+        if self.coupled:
+            self.coupling = _coupling_defects(
+                weight, (self.phi_rre, self.u_rre, rec.rre.s),
+                (prev.phi_rre, prev.u_rre, prev.rec.rre.s),
+                (self.phi_mpe, self.u_mpe, rec.mpe.s))
+
+
+def _master(st: _Stage) -> float | None:
+    """3-8.  Both sides live in the triangular frame.  The left side
+    uses the stage-k reduced-rank coefficients; the right side uses the
+    stage-(k-1) ones plus a fresh back-substitution for the
+    minimal-polynomial coefficient sum, so no cached scalar enters."""
+    if not st.checked:
+        return None
+    k = st.rec.k
+    r = st.history.factors_at(k).r
+    lhs_vec = r @ st.rec.rre.gamma
+    lhs = lhs_vec / (np.linalg.norm(lhs_vec) ** 2)
+    prev_vec = r[:k, :k] @ st.prev.rec.rre.gamma
+    cprime = solve_triangular(r[:k, :k], -r[:k, k], lower=False)
+    alpha = 1.0 + complex(cprime.sum())
+    rhs = np.empty(k + 1, dtype=complex)
+    rhs[:k] = prev_vec / (np.linalg.norm(prev_vec) ** 2)
+    rhs[k] = np.conj(alpha) / r[k, k].real
+    return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs))
+
+
+def _embedding(st: _Stage) -> float | None:
+    """3-15, on stagnating stages only."""
+    if not st.stagnates:
+        return None
+    gamma = st.rec.rre.gamma
+    padded = np.append(st.prev.rec.rre.gamma, 0.0)
+    return _rel(np.linalg.norm(gamma - padded), np.linalg.norm(gamma))
+
+
+def _eq91(st: _Stage) -> float | None:
+    if not st.coupled:
+        return None
+    ratio = st.phi_rre / st.prev.phi_rre
+    if ratio >= 1.0:
+        return float("inf")
+    recovered = st.phi_rre / np.sqrt(1.0 - ratio ** 2)
+    return _rel(abs(st.phi_mpe - recovered), st.phi_mpe)
+
+
+def _eq92(st: _Stage) -> float | None:
+    if st.rec.terminal:
+        return None
+    return _rel(abs(1.0 / st.phi_rre ** 2 - st.inv_sum),
+                1.0 / st.phi_rre ** 2)
+
+
+class Identity(NamedTuple):
+    """One thresholded row of the identity catalog."""
+
+    label: str
+    field: str  # the StageRelations attribute holding the defect
+    threshold: float
+    defect: Callable  # _Stage -> relative defect, None where inapplicable
+
+
+#: the thresholded identities, in report order; the thresholds are
+#: editorial choices (the identities are exact, floating point is not),
+#: surfaced in the report and overridable
+CATALOG = (
+    Identity("3-8", "identity_38_residual", 1e-9, _master),
+    Identity("3-15", "identity_315_residual", 1e-9, _embedding),
+    Identity("3-16", "identity_316_residual", 1e-9, lambda st: st.coupling[0]),
+    Identity("3-17", "identity_317_residual", 1e-9, lambda st: st.coupling[1]),
+    Identity("3-18", "identity_318_residual", 1e-9, lambda st: st.coupling[2]),
+    Identity("91", "eq91_defect", 1e-9, _eq91),
+    Identity("92", "eq92_defect", 1e-9, _eq92),
+)
+
+#: per-identity defect thresholds used by verify_history
+DEFAULT_THRESHOLDS = {row.label: row.threshold for row in CATALOG}
+
+
+@dataclass(frozen=True)
+class StageRelations:
+    """All measurements for one stage; None marks not-applicable."""
+
+    k: int
+    mpe_exists: bool
+    terminal: bool
+    stagnation_detected: bool | None
+    stagnation_consistent: bool | None
+    identity_38_residual: float | None
+    identity_315_residual: float | None
+    identity_316_residual: float | None
+    identity_317_residual: float | None
+    identity_318_residual: float | None
+    eq91_defect: float | None
+    eq92_defect: float | None
+    monotone_355: bool | None
+    nonincreasing: bool | None
+    s_set: tuple
+
+
+def _measure(history: RunHistory, use_recorded_phi: bool = False,
+             stag_tol: float = STAG_TOL) -> list:
+    """The one pass: a :class:`StageRelations` per record."""
+    out, prev = [], None
+    for rec in history.records:
+        st = _Stage(history, rec, prev, use_recorded_phi, stag_tol)
+        consistent = noninc = monotone = None
+        if st.checked:
+            consistent = st.stagnates != rec.mpe.exists
+            if st.phi_rre is not None and prev.phi_rre is not None:
+                noninc = bool(
+                    st.phi_rre <= prev.phi_rre * (1.0 + MONOTONE_SLACK))
+        if st.coupled:
+            monotone = bool(st.phi_rre < prev.phi_rre * (1.0 + MONOTONE_SLACK))
+        out.append(StageRelations(
+            k=rec.k, mpe_exists=rec.mpe.exists, terminal=rec.terminal,
+            stagnation_detected=st.stagnates,
+            stagnation_consistent=consistent,
+            monotone_355=monotone, nonincreasing=noninc, s_set=st.s_set,
+            **{row.field: row.defect(st) for row in CATALOG}))
+        prev = st
+    return out
+
+
 def check_master_identity(history: RunHistory) -> list:
     """Per-stage relative defect of identity 3-8, None where k = 0 or
-    the stage is terminal.
-
-    Both sides live in the triangular frame.  The left side uses the
-    stage-k reduced-rank coefficients; the right side uses the
-    stage-(k-1) ones plus a fresh back-substitution for the
-    minimal-polynomial coefficient sum, so no cached scalar enters.
-    """
-    out = []
-    for idx, rec in enumerate(history.records):
-        if idx == 0 or rec.terminal:
-            out.append(None)
-            continue
-        k = rec.k
-        r = history.factors_at(k).r
-        lhs_vec = r @ rec.rre.gamma
-        lhs = lhs_vec / (np.linalg.norm(lhs_vec) ** 2)
-        prev_vec = r[:k, :k] @ history.records[idx - 1].rre.gamma
-        cprime = solve_triangular(r[:k, :k], -r[:k, k], lower=False)
-        alpha = 1.0 + complex(cprime.sum())
-        rhs = np.empty(k + 1, dtype=complex)
-        rhs[:k] = prev_vec / (np.linalg.norm(prev_vec) ** 2)
-        rhs[k] = np.conj(alpha) / r[k, k].real
-        out.append(_rel(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs)))
-    return out
+    the stage is terminal."""
+    return [st.identity_38_residual for st in _measure(history)]
 
 
 class StagnationEntry(NamedTuple):
@@ -160,27 +296,19 @@ def check_stagnation(history: RunHistory, stag_tol: float = STAG_TOL,
     raises :class:`TheoremViolation`, which indicates a library bug
     (or a tampered history), never a property of the input sequence.
     """
-    weight = history.weight
     out = []
-    for idx, rec in enumerate(history.records):
-        if idx == 0 or rec.terminal:
+    for st in _measure(history, stag_tol=stag_tol):
+        if st.stagnation_detected is None:
             out.append(None)
             continue
-        prev = history.records[idx - 1]
-        dist = weight.norm(rec.rre.s - prev.rre.s)
-        stagnates = bool(dist <= stag_tol * (1.0 + weight.norm(rec.rre.s)))
-        if stagnates == rec.mpe.exists and raise_on_violation:
+        if not st.stagnation_consistent and raise_on_violation:
             raise TheoremViolation(
-                f"stage {rec.k}: stagnation={stagnates} but minimal-polynomial "
-                f"existence={rec.mpe.exists}; the two are required to be "
-                "opposite (identity 3-1)"
+                f"stage {st.k}: stagnation={st.stagnation_detected} but "
+                f"minimal-polynomial existence={st.mpe_exists}; the two are "
+                "required to be opposite (identity 3-1)"
             )
-        embed = None
-        if stagnates:
-            padded = np.append(prev.rre.gamma, 0.0)
-            embed = _rel(np.linalg.norm(rec.rre.gamma - padded),
-                         np.linalg.norm(rec.rre.gamma))
-        out.append(StagnationEntry(stagnates, rec.mpe.exists, embed))
+        out.append(StagnationEntry(st.stagnation_detected, st.mpe_exists,
+                                   st.identity_315_residual))
     return out
 
 
@@ -197,32 +325,10 @@ def check_coupling(history: RunHistory, use_recorded_phi: bool = False
     """Defects of identities 3-16/3-17/3-18 and the 3-55 flag per
     stage; None where the minimal-polynomial vector is absent, at
     stage 0, and at terminal stages."""
-    return _coupling(history, *_phi_tables(history, use_recorded_phi))
-
-
-def _coupling(history: RunHistory, phi_m: list, phi_r: list) -> list:
-    weight = history.weight
-    out = []
-    for idx, rec in enumerate(history.records):
-        if idx == 0 or rec.terminal or not rec.mpe.exists:
-            out.append(None)
-            continue
-        k = rec.k
-        prev = history.records[idx - 1]
-        fr, fr_prev, fm = phi_r[idx], phi_r[idx - 1], phi_m[idx]
-        d316 = _rel(abs(1.0 / fr ** 2 - 1.0 / fr_prev ** 2 - 1.0 / fm ** 2),
-                    1.0 / fr ** 2)
-        u_k = history.differences.block(k)
-        v_rre = (u_k @ rec.rre.gamma) / fr ** 2
-        v_prev = (history.differences.block(k - 1) @ prev.rre.gamma) / fr_prev ** 2
-        v_mpe = (u_k @ rec.mpe.gamma) / fm ** 2
-        d317 = _rel(weight.norm(v_rre - v_prev - v_mpe), weight.norm(v_rre))
-        lhs_s = rec.rre.s / fr ** 2
-        rhs_s = prev.rre.s / fr_prev ** 2 + rec.mpe.s / fm ** 2
-        d318 = _rel(weight.norm(lhs_s - rhs_s), weight.norm(lhs_s))
-        monotone = bool(fr < fr_prev * (1.0 + MONOTONE_SLACK))
-        out.append(CouplingEntry(d316, d317, d318, monotone))
-    return out
+    return [None if st.monotone_355 is None else CouplingEntry(
+        st.identity_316_residual, st.identity_317_residual,
+        st.identity_318_residual, st.monotone_355)
+        for st in _measure(history, use_recorded_phi)]
 
 
 def check_corollaries(history: RunHistory, use_recorded_phi: bool = False):
@@ -232,35 +338,10 @@ def check_corollaries(history: RunHistory, use_recorded_phi: bool = False):
     non-terminal); 92 at every non-terminal stage, accumulating over
     the existence set S_k.
     """
-    return _corollaries(history, *_phi_tables(history, use_recorded_phi))
-
-
-def _corollaries(history: RunHistory, phi_m: list, phi_r: list):
-    eq91, eq92, s_sets = [], [], []
-    s_set: tuple[int, ...] = ()
-    inv_sum = 0.0
-    for idx, rec in enumerate(history.records):
-        if rec.terminal:
-            eq91.append(None)
-            eq92.append(None)
-            s_sets.append(s_set)
-            continue
-        if rec.mpe.exists:
-            s_set = s_set + (rec.k,)
-            inv_sum += 1.0 / phi_m[idx] ** 2
-        s_sets.append(s_set)
-        if idx == 0 or not rec.mpe.exists:
-            eq91.append(None)
-        else:
-            ratio = phi_r[idx] / phi_r[idx - 1]
-            if ratio < 1.0:
-                recovered = phi_r[idx] / np.sqrt(1.0 - ratio ** 2)
-                eq91.append(_rel(abs(phi_m[idx] - recovered), phi_m[idx]))
-            else:
-                eq91.append(float("inf"))
-        eq92.append(_rel(abs(1.0 / phi_r[idx] ** 2 - inv_sum),
-                         1.0 / phi_r[idx] ** 2))
-    return eq91, eq92, s_sets
+    stages = _measure(history, use_recorded_phi)
+    return ([st.eq91_defect for st in stages],
+            [st.eq92_defect for st in stages],
+            [st.s_set for st in stages])
 
 
 @dataclass(frozen=True)
@@ -332,27 +413,6 @@ def peak_plateau_report(history: RunHistory,
 
 
 @dataclass(frozen=True)
-class StageRelations:
-    """All measurements for one stage; None marks not-applicable."""
-
-    k: int
-    mpe_exists: bool
-    terminal: bool
-    stagnation_detected: bool | None
-    stagnation_consistent: bool | None
-    identity_38_residual: float | None
-    identity_315_residual: float | None
-    identity_316_residual: float | None
-    identity_317_residual: float | None
-    identity_318_residual: float | None
-    eq91_defect: float | None
-    eq92_defect: float | None
-    monotone_355: bool | None
-    nonincreasing: bool | None
-    s_set: tuple
-
-
-@dataclass(frozen=True)
 class RelationReport:
     stages: list
     peaks: list
@@ -379,13 +439,8 @@ class RelationReport:
                     "terminal": st.terminal,
                     "stagnation_detected": st.stagnation_detected,
                     "stagnation_consistent": st.stagnation_consistent,
-                    "defect_3_8": st.identity_38_residual,
-                    "defect_3_15": st.identity_315_residual,
-                    "defect_3_16": st.identity_316_residual,
-                    "defect_3_17": st.identity_317_residual,
-                    "defect_3_18": st.identity_318_residual,
-                    "defect_91": st.eq91_defect,
-                    "defect_92": st.eq92_defect,
+                    **{"defect_" + row.label.replace("-", "_"):
+                       getattr(st, row.field) for row in CATALOG},
                     "monotone_3_55": st.monotone_355,
                     "nonincreasing": st.nonincreasing,
                     "s_set": list(st.s_set),
@@ -408,75 +463,26 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
     thr = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         thr.update(thresholds)
-    master = check_master_identity(history)
-    stagn = check_stagnation(history, stag_tol, raise_on_violation=False)
-    phi_m, phi_r = _phi_tables(history, use_recorded_phi)
-    coupling = _coupling(history, phi_m, phi_r)
-    eq91, eq92, s_sets = _corollaries(history, phi_m, phi_r)
+    stages = _measure(history, use_recorded_phi, stag_tol)
 
-    stages = []
-    failures = []  # (ratio, label, k, defect)
-
-    def judge(label, k, defect):
-        if defect is None:
-            return
-        limit = thr[label]
-        failures.append((defect / limit, label, k, defect))
-
-    for idx, rec in enumerate(history.records):
-        st_entry = stagn[idx]
-        stag_flag = None if st_entry is None else st_entry.stagnates
-        consistent = None
-        embed = None
-        if st_entry is not None:
-            consistent = st_entry.stagnates != st_entry.mpe_exists
-            embed = st_entry.embedding_defect
-            if not consistent:
-                failures.append((float("inf"), "3-1", rec.k, float("inf")))
-        cpl = coupling[idx]
-        noninc = None
-        if idx > 0 and not rec.terminal and phi_r[idx] is not None \
-                and phi_r[idx - 1] is not None:
-            noninc = bool(phi_r[idx] <= phi_r[idx - 1] * (1.0 + MONOTONE_SLACK))
-            if not noninc:
-                failures.append((float("inf"), "3-55", rec.k, float("inf")))
-        if cpl is not None and not cpl.monotone_355:
-            failures.append((float("inf"), "3-55", rec.k, float("inf")))
-
-        judge("3-8", rec.k, master[idx])
-        judge("3-15", rec.k, embed)
-        if cpl is not None:
-            judge("3-16", rec.k, cpl.identity_316_residual)
-            judge("3-17", rec.k, cpl.identity_317_residual)
-            judge("3-18", rec.k, cpl.identity_318_residual)
-        judge("91", rec.k, eq91[idx])
-        judge("92", rec.k, eq92[idx])
-
-        stages.append(StageRelations(
-            k=rec.k,
-            mpe_exists=rec.mpe.exists,
-            terminal=rec.terminal,
-            stagnation_detected=stag_flag,
-            stagnation_consistent=consistent,
-            identity_38_residual=master[idx],
-            identity_315_residual=embed,
-            identity_316_residual=None if cpl is None
-            else cpl.identity_316_residual,
-            identity_317_residual=None if cpl is None
-            else cpl.identity_317_residual,
-            identity_318_residual=None if cpl is None
-            else cpl.identity_318_residual,
-            eq91_defect=eq91[idx],
-            eq92_defect=eq92[idx],
-            monotone_355=None if cpl is None else cpl.monotone_355,
-            nonincreasing=noninc,
-            s_set=s_sets[idx],
-        ))
+    inf = float("inf")
+    failures = []  # (threshold-relative defect, label, k, defect)
+    for st in stages:
+        if st.stagnation_consistent is False:
+            failures.append((inf, "3-1", st.k, inf))
+        if st.nonincreasing is False:
+            failures.append((inf, "3-55", st.k, inf))
+        if st.monotone_355 is False:
+            failures.append((inf, "3-55", st.k, inf))
+        for row in CATALOG:
+            defect = getattr(st, row.field)
+            if defect is not None:
+                failures.append((defect / thr[row.label], row.label, st.k,
+                                 defect))
 
     pp = peak_plateau_report(history, plateau_tol) if len(history.records) > 1 \
         else PeakPlateau([], [], [], plateau_tol)
-    over_threshold = [f for f in failures if f[0] > 1.0]
-    ok = not over_threshold
+    ok = not any(f[0] > 1.0 for f in failures)
     worst = None
     if failures:
         ratio, label, k, defect = max(failures, key=lambda f: f[0])

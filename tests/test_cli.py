@@ -22,7 +22,11 @@ from numpy.testing import assert_allclose
 import wextrap
 from wextrap import cli
 from wextrap.mmio import read_matrix, write_matrix, write_sequence, write_vector
-from wextrap.problems import make_mpe_failure_sequence
+from wextrap.problems import (
+    make_mpe_failure_sequence,
+    make_near_stagnation_problem,
+)
+from wextrap.relations import CATALOG
 
 from conftest import random_contraction
 
@@ -167,6 +171,36 @@ def test_verify_tight_threshold_fails(tmp_path, capsys):
                    "--k-max", "4", "--threshold", "1e-30"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().err
+
+
+def near_stagnation_files(tmp_path):
+    problem = make_near_stagnation_problem(6)
+    t_path = tmp_path / "Tns.mtx"
+    d_path = tmp_path / "dns.vec"
+    write_matrix(t_path, problem.t)
+    write_vector(d_path, problem.d)
+    return str(t_path), str(d_path)
+
+
+@pytest.mark.parametrize("row", CATALOG, ids=[row.label for row in CATALOG])
+def test_verify_reports_every_catalog_identity(tmp_path, capsys, row):
+    if row.label == "3-15":
+        # 3-15 applies on stagnating stages only; a loose stagnation
+        # tolerance makes the near-stagnating stage 1 count, leaving a
+        # genuine embedding defect of about 1e-3
+        args = ["--linear", *near_stagnation_files(tmp_path),
+                "--k-max", "3", "--stag-tol", "1e-3"]
+    else:
+        args = ["--linear", *big_files(tmp_path), "--k-max", "4"]
+    report = tmp_path / "rep.json"
+    rc = cli.main(["verify-relations", *args, "--threshold", "1e-30",
+                   "--report", str(report)])
+    assert rc == 1
+    assert f"FAIL: identity ({row.label})" in capsys.readouterr().err
+    stages = json.loads(report.read_text())["stages"]
+    key = "defect_" + row.label.replace("-", "_")
+    assert all(key in st for st in stages)
+    assert any(st[key] is not None for st in stages)
 
 
 # -- krylov-compare ---------------------------------------------------

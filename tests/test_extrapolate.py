@@ -17,7 +17,6 @@ from wextrap import (
     mgs_factorize,
     mpe_coefficients,
     residual,
-    residual_estimate,
     rre_coefficients,
     run,
 )
@@ -107,8 +106,6 @@ def test_mpe_nonexistence_forced():
     assert solve.gamma is None and solve.phi is None and solve.s is None
     with pytest.raises(MpeNonexistent):
         assemble(np.zeros(3), factors, solve.gamma)
-    with pytest.raises(MpeNonexistent):
-        residual_estimate(solve, rdiag=1.0)
 
 
 def test_rre_stagnation_pattern():
@@ -145,7 +142,6 @@ def test_residual_estimate_equals_direct_norm():
         x = random_sequence(rng, n, count, complex_=bool(trial % 2))
         w = random_weight(rng, n)
         u = np.diff(x, axis=0).T
-        k = u.shape[1] - 1
         factors = mgs_factorize(u, w)
         m = mpe_coefficients(factors)
         r = rre_coefficients(factors)
@@ -154,8 +150,7 @@ def test_residual_estimate_equals_direct_norm():
         assert abs(r.gamma.sum() - 1.0) <= 1e-12
         if m.exists:
             phi_direct_m = w.norm(u @ m.gamma)
-            assert_allclose(residual_estimate(m, factors.r[k, k].real),
-                            phi_direct_m, rtol=1e-10)
+            assert_allclose(m.phi, phi_direct_m, rtol=1e-10)
             assert abs(m.gamma.sum() - 1.0) <= 1e-12
 
 

@@ -4,7 +4,9 @@ import scipy.io
 from numpy.testing import assert_allclose, assert_array_equal
 
 from wextrap import (
+    FixedPointProblem,
     ParseError,
+    WeightOperator,
     iterate,
     load_history,
     read_matrix,
@@ -203,6 +205,23 @@ def test_history_round_trip(tmp_path):
 
     report = verify_history(back)
     assert report.ok
+
+
+def test_history_round_trip_below_default_rank_tol(tmp_path):
+    # a run may accept columns under a rank_tol below the default; the
+    # file does not record it, and loading must not reject them
+    rng = np.random.default_rng(0)
+    n = 50
+    t = np.diag(0.95 * rng.uniform(0.1, 1.0, n))
+    d = rng.standard_normal(n)
+    xs = np.asarray(iterate(FixedPointProblem.linear(t, d, np.zeros(n)), 31))
+    hist = run(xs, WeightOperator.identity(n), k_max=30, rank_tol=1e-16)
+    assert hist.stages == 31
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    back = load_history(path)
+    assert np.array_equal(back.factors.q, hist.factors.q)
+    assert np.array_equal(back.factors.r, hist.factors.r)
 
 
 def test_history_rejects_foreign_json(tmp_path):

@@ -19,7 +19,7 @@ from wextrap import (
     run,
     verify_history,
 )
-from wextrap.relations import DEFAULT_THRESHOLDS
+from wextrap.relations import DEFAULT_THRESHOLDS, CouplingEntry
 
 import rational_oracle as ro
 from conftest import random_linear_problem, random_sequence, random_weight
@@ -234,6 +234,49 @@ def test_verify_history_random_linear_problems():
         hist = run(np.asarray(xs), random_weight(rng, n), k_max=6)
         report = verify_history(hist)
         assert report.ok, report.worst
+
+
+def _seeded_runs():
+    # the seeded runs of the master-identity, verify_history and
+    # weighted failure-sequence tests
+    rng = np.random.default_rng(110)
+    for trial in range(15):
+        x = random_sequence(rng, 20, 9, complex_=bool(trial % 2))
+        yield run(x, random_weight(rng, 20))
+    rng = np.random.default_rng(140)
+    for trial in range(10):
+        problem = random_linear_problem(rng, 12)
+        xs = iterate(problem, 9)
+        yield run(np.asarray(xs), random_weight(rng, 12), k_max=6)
+    rng = np.random.default_rng(150)  # stagnating stages, where 3-15 applies
+    for trial in range(8):
+        n = int(rng.integers(3, 9))
+        w = random_weight(rng, n)
+        yield run(np.asarray(make_mpe_failure_sequence(n, w)), w)
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+def test_check_views_match_verify_history(recorded):
+    for hist in _seeded_runs():
+        stages = verify_history(hist, use_recorded_phi=recorded).stages
+        assert check_master_identity(hist) == [
+            st.identity_38_residual for st in stages]
+        assert check_stagnation(hist) == [
+            None if st.stagnation_detected is None
+            else (st.stagnation_detected, st.mpe_exists,
+                  st.identity_315_residual)
+            for st in stages]
+        assert check_coupling(hist, use_recorded_phi=recorded) == [
+            None if st.identity_316_residual is None
+            else CouplingEntry(st.identity_316_residual,
+                               st.identity_317_residual,
+                               st.identity_318_residual, st.monotone_355)
+            for st in stages]
+        eq91, eq92, s_sets = check_corollaries(hist,
+                                               use_recorded_phi=recorded)
+        assert eq91 == [st.eq91_defect for st in stages]
+        assert eq92 == [st.eq92_defect for st in stages]
+        assert s_sets == [st.s_set for st in stages]
 
 
 def test_report_to_dict_keys(demo_history):
