@@ -8,7 +8,6 @@ of the iterate differences.
 """
 
 from .errors import (
-    Breakdown,
     DimensionMismatch,
     InsufficientVectors,
     LambdaNotPositive,
@@ -37,12 +36,9 @@ from .extrapolate import (
 )
 from .krylov import (
     KrylovComparison,
-    KrylovState,
-    arnoldi_step,
     equivalence_check,
     fom_solve,
     gmr_solve,
-    initial_state,
 )
 from .mmio import (
     load_history,
@@ -56,7 +52,6 @@ from .mmio import (
 )
 from .problems import (
     FixedPointProblem,
-    VectorSequence,
     cosine_problem,
     iterate,
     make_mpe_failure_problem,
@@ -66,11 +61,9 @@ from .problems import (
     residual,
 )
 from .qr import (
-    DifferenceMatrix,
     WQRFactors,
     append_column,
     empty_factors,
-    gs_factorize,
     mgs_factorize,
     orthogonalize_column,
 )
@@ -87,15 +80,12 @@ from .relations import (
 from .weights import WeightOperator, validate
 
 __all__ = [
-    "Breakdown",
     "CoefficientSolve",
-    "DifferenceMatrix",
     "DimensionMismatch",
     "ExtrapolationRecord",
     "FixedPointProblem",
     "InsufficientVectors",
     "KrylovComparison",
-    "KrylovState",
     "LambdaNotPositive",
     "MpeNonexistent",
     "NegativeQuadraticForm",
@@ -110,12 +100,10 @@ __all__ = [
     "RunStatus",
     "StageRelations",
     "TheoremViolation",
-    "VectorSequence",
     "WQRFactors",
     "WeightOperator",
     "WextrapError",
     "append_column",
-    "arnoldi_step",
     "assemble",
     "check_corollaries",
     "check_coupling",
@@ -126,10 +114,8 @@ __all__ = [
     "equivalence_check",
     "fom_solve",
     "gmr_solve",
-    "gs_factorize",
     "history_rows",
     "history_to_dict",
-    "initial_state",
     "iterate",
     "load_history",
     "make_mpe_failure_problem",

@@ -35,7 +35,7 @@ from .extrapolate import (
 )
 from .krylov import equivalence_check
 from .problems import BUILTIN_MAPS, FixedPointProblem, iterate
-from .qr import RANK_TOL, gs_factorize, mgs_factorize
+from .qr import RANK_TOL, mgs_factorize
 from .relations import (
     CATALOG,
     DEFAULT_THRESHOLDS,
@@ -77,7 +77,7 @@ def _load_weight(spec, dimension):
             values = np.diag(data) if min(data.shape) > 1 else data.ravel()
         else:
             values = mmio.read_vector(path)
-        return WeightOperator.diagonal(values.real)
+        return WeightOperator.diagonal(values)
     if kind == "dense":
         return WeightOperator.dense(mmio.read_matrix(path))
     raise ParseError(f"unknown weight kind {kind!r}; use identity, "
@@ -111,8 +111,7 @@ def _resolve_problem(args):
     iters = args.iters
     if iters is None:
         iters = args.k_max + 1 if args.k_max is not None else 10
-    x = iterate(problem, iters)
-    return problem, np.asarray(x), problem.dimension
+    return problem, iterate(problem, iters), problem.dimension
 
 
 def _fmt(value, width=13):
@@ -273,10 +272,9 @@ def cmd_krylov_compare(args):
 def cmd_qr(args):
     a = mmio.read_matrix(args.matrix)
     weight = _load_weight(args.weight, a.shape[0])
-    factorize = gs_factorize if args.gs else mgs_factorize
     try:
-        factors = factorize(a, weight, reorthogonalize=args.reorth,
-                            rank_tol=args.rank_tol)
+        factors = mgs_factorize(a, weight, reorthogonalize=args.reorth,
+                                rank_tol=args.rank_tol)
     except RankDeficient as exc:
         print(f"rank deficiency: column {exc.index} is dependent "
               f"(residual {exc.residual_norm:.3e}, threshold "
@@ -360,8 +358,6 @@ def build_parser():
     qr = subs.add_parser("qr", help="weighted QR factorization of a matrix")
     qr.add_argument("matrix", help="MatrixMarket file to factor")
     qr.add_argument("--weight", default=None)
-    qr.add_argument("--gs", action="store_true",
-                    help="classical Gram-Schmidt instead of modified")
     qr.add_argument("--reorth", action="store_true")
     qr.add_argument("--rank-tol", dest="rank_tol", type=_positive,
                     default=RANK_TOL)

@@ -63,16 +63,6 @@ class InsufficientVectors(WextrapError):
     """Raised when a sequence is too short for the requested stage bound."""
 
 
-class Breakdown(WextrapError):
-    """Raised when the Arnoldi process finds the new direction already in
-    the span of the basis (happy breakdown; the Krylov space is complete).
-    """
-
-    def __init__(self, index, msg=None):
-        self.index = index
-        super().__init__(msg or f"Krylov basis complete at dimension {index}")
-
-
 class NonFiniteIterate(WextrapError):
     """Raised when fixed-point iteration produces an overflow or NaN."""
 

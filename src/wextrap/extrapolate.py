@@ -53,7 +53,7 @@ from .errors import (
     MpeNonexistent,
     NonFiniteIterate,
 )
-from .qr import RANK_TOL, DifferenceMatrix, WQRFactors, _extend, empty_factors, \
+from .qr import RANK_TOL, WQRFactors, _extend, empty_factors, \
     orthogonalize_column
 from .weights import validate
 
@@ -130,6 +130,8 @@ class RunStatus(enum.Enum):
 class RunHistory:
     """Everything :func:`run` saw and produced.
 
+    ``differences`` is the N x m array of first differences, column j
+    being u_j = x_{j+1} - x_j, so U_k is ``differences[:, :k + 1]``.
     ``factors`` is the factorization of all difference columns that
     were actually appended; stage k's factors are its leading
     (k+1)-column block, so nothing is stored twice.
@@ -137,7 +139,7 @@ class RunHistory:
 
     weight: object
     x0: np.ndarray
-    differences: DifferenceMatrix
+    differences: np.ndarray
     records: list[ExtrapolationRecord] = field(default_factory=list)
     factors: WQRFactors | None = None
     status: RunStatus = RunStatus.COMPLETED
@@ -315,9 +317,13 @@ def run(iterates, weight, k_max: int | None = None,
             f"iterates of dimension {x.shape[1]}, weight of dimension "
             f"{weight.dimension}"
         )
-    diffs = DifferenceMatrix.from_iterates(x)
+    if x.shape[0] < 2:
+        raise InsufficientVectors(
+            f"need at least 2 iterates to difference, got {x.shape[0]}"
+        )
+    diffs = np.ascontiguousarray((x[1:] - x[:-1]).T)
     n = weight.dimension
-    available = diffs.count - 1  # stage k consumes differences u_0..u_k
+    available = diffs.shape[1] - 1  # stage k consumes differences u_0..u_k
     if k_max is None:
         k_max = min(available, n)
     else:
@@ -335,7 +341,7 @@ def run(iterates, weight, k_max: int | None = None,
     factors = empty_factors(weight)
 
     for k in range(k_max + 1):
-        u = diffs.column(k)
+        u = diffs[:, k]
         u_norm = weight.norm(u)
         coeffs, w, rnorm = orthogonalize_column(factors, u, reorthogonalize)
         previous = history.records[-1] if history.records else None
@@ -412,8 +418,7 @@ def history_to_dict(history: RunHistory) -> dict:
         "detected_k0": history.detected_k0,
         "weight": weight_spec,
         "x0": _pairs(history.x0),
-        "differences": [_pairs(history.differences.column(j))
-                        for j in range(history.differences.count)],
+        "differences": [_pairs(u) for u in history.differences.T],
         "records": [
             {
                 "k": rec.k,

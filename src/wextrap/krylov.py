@@ -24,7 +24,9 @@ existence test: it vanishes exactly when H_k is singular, and it is
 scale-free, so one relative threshold covers all problems.
 
 The process runs once, to the last stage asked for, and one Givens
-sweep over its Hessenberg matrix serves every stage 0..k.
+sweep over its Hessenberg matrix serves every stage 0..k.  It has no
+step-by-step entry point: :func:`fom_solve`, :func:`gmr_solve` and
+:func:`equivalence_check` all run it through one driver.
 
 Applied to the iterates x_{m+1} = T x_m + d, the two extrapolation
 methods of :mod:`wextrap.extrapolate` produce the same vectors as FOM
@@ -41,18 +43,15 @@ from functools import partial
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import Breakdown, DimensionMismatch, InsufficientVectors
+from .errors import DimensionMismatch, InsufficientVectors
 from .extrapolate import run
 from .qr import _deflate
 from .relations import _coupling_defects, _rel
-from .weights import WeightOperator, validate
+from .weights import validate
 
 __all__ = [
     "BREAKDOWN_TOL",
     "FOM_TOL",
-    "KrylovState",
-    "initial_state",
-    "arnoldi_step",
     "fom_solve",
     "gmr_solve",
     "KrylovComparison",
@@ -76,53 +75,6 @@ def _as_operator(t):
     return partial(np.matmul, np.asarray(t, dtype=complex))
 
 
-@dataclass(frozen=True)
-class KrylovState:
-    """Arnoldi data after j steps.
-
-    ``basis`` holds j+1 weighted-orthonormal columns spanning
-    K_{j+1}(A; r0); ``hessenberg`` is the (j+1) x j projection of A
-    (column i carries <v_1..v_{i+1}, A v_i> plus the deflated norm).
-    """
-
-    weight: WeightOperator
-    operator: object
-    x0: np.ndarray
-    r0: np.ndarray
-    beta: float
-    basis: np.ndarray
-    hessenberg: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return self.hessenberg.shape[1]
-
-
-def initial_state(t, d, x0, weight) -> KrylovState:
-    """State with the single normalized residual direction."""
-    weight = validate(weight)
-    apply_t = _as_operator(t)
-    d = np.asarray(d, dtype=complex)
-    x0 = np.asarray(x0, dtype=complex)
-    if d.shape != (weight.dimension,) or x0.shape != (weight.dimension,):
-        raise DimensionMismatch(
-            f"d and x0 must have dimension {weight.dimension}"
-        )
-    r0 = apply_t(x0) + d - x0
-    beta = weight.norm(r0)
-    n = weight.dimension
-    if beta == 0.0:
-        basis = np.zeros((n, 0), dtype=complex)
-    else:
-        basis = (r0 / beta).reshape(n, 1)
-
-    def apply_a(z):
-        return z - apply_t(z)
-
-    return KrylovState(weight, apply_a, x0, r0, beta, basis,
-                       np.zeros((1, 0), dtype=complex))
-
-
 def _step(weight, apply_a, basis, breakdown_tol):
     """One Arnoldi step on the weighted-orthonormal columns of ``basis``.
 
@@ -137,28 +89,6 @@ def _step(weight, apply_a, basis, breakdown_tol):
     if hnorm <= breakdown_tol * scale:
         return h, None
     return h, w / hnorm
-
-
-def arnoldi_step(state: KrylovState, breakdown_tol: float = BREAKDOWN_TOL
-                 ) -> KrylovState:
-    """Extend the basis by one direction.
-
-    Raises :class:`Breakdown` with the 1-based step index when the new
-    direction lies numerically in the current space; the Krylov space
-    is then invariant and stage-``steps`` solutions are exact.
-    """
-    j = state.basis.shape[1]
-    if j == 0:
-        raise Breakdown(0, "zero initial residual; nothing to extend")
-    h, v = _step(state.weight, state.operator, state.basis, breakdown_tol)
-    if v is None:
-        raise Breakdown(j)
-    basis = np.column_stack([state.basis, v])
-    hess = np.zeros((j + 1, j), dtype=complex)
-    hess[:j, : j - 1] = state.hessenberg
-    hess[:, j - 1] = h
-    return KrylovState(state.weight, state.operator, state.x0, state.r0,
-                       state.beta, basis, hess)
 
 
 def _givens(a, b):
@@ -209,24 +139,40 @@ class _Stages:
     """The Krylov process run once to k steps; every stage 0..k reads
     its FOM and GMR solutions from the one basis and Givens sweep.
 
-    On breakdown at step j the j-th Hessenberg column is kept (its
-    subdiagonal entry is the tiny deflated norm), so stage-j solves
-    remain available and exact, and later stages read them too.
+    ``beta`` is |||r_0|||, ``basis`` the N x (k+1) weighted-orthonormal
+    basis and ``hess`` the (j+1) x j Hessenberg matrix of the j steps
+    taken.  On breakdown at step j the j-th Hessenberg column is kept
+    (its subdiagonal entry is the tiny deflated norm), so stage-j solves
+    remain available and exact, and later stages read them too; the
+    basis columns past j stay zero.  A zero initial residual takes no
+    step.
     """
 
     def __init__(self, t, d, x0, weight, k: int):
         _check_stage(k, "k")
-        state = initial_state(t, d, x0, weight)
-        self.x0, self.beta = state.x0, state.beta
+        weight = validate(weight)
+        apply_t = _as_operator(t)
+        d = np.asarray(d, dtype=complex)
+        x0 = np.asarray(x0, dtype=complex)
+        if d.shape != (weight.dimension,) or x0.shape != (weight.dimension,):
+            raise DimensionMismatch(
+                f"d and x0 must have dimension {weight.dimension}"
+            )
+        self.x0 = x0
+        r0 = apply_t(x0) + d - x0
+        self.beta = beta = weight.norm(r0)
+
+        def apply_a(z):
+            return z - apply_t(z)
+
         # rows keep each basis vector contiguous while the process grows
-        rows = np.zeros((k + 1, state.weight.dimension), dtype=complex)
+        rows = np.zeros((k + 1, weight.dimension), dtype=complex)
         hess = np.zeros((k + 1, k), dtype=complex)
         steps = 0
-        if state.beta != 0.0:
-            rows[0] = state.basis[:, 0]
+        if beta != 0.0:
+            rows[0] = r0 / beta
             for steps in range(1, k + 1):
-                h, v = _step(state.weight, state.operator, rows[:steps].T,
-                             BREAKDOWN_TOL)
+                h, v = _step(weight, apply_a, rows[:steps].T, BREAKDOWN_TOL)
                 hess[: steps + 1, steps - 1] = h
                 if v is None:
                     break
@@ -234,7 +180,7 @@ class _Stages:
         self.basis = np.ascontiguousarray(rows.T)
         self.hess = hess[: steps + 1, :steps]
         self.r, self.g, self.cosines, self.residuals = _triangularize(
-            self.hess, state.beta)
+            self.hess, beta)
 
     def fom(self, k: int, fom_tol: float = FOM_TOL):
         m = min(k, self.hess.shape[1])
@@ -347,7 +293,7 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         out["gmr_rre_defect"].append(
             None if rec.rre.s is None else weight.norm(w_gmr - rec.rre.s))
 
-        u_k = hist.differences.block(k)
+        u_k = hist.differences[:, :k + 1]
         if rec.mpe.exists:
             r_mpe = res(rec.mpe.s)
             nr_m = weight.norm(r_mpe)

@@ -33,7 +33,7 @@ from .extrapolate import (
     RunStatus,
     history_to_dict,
 )
-from .qr import DifferenceMatrix, empty_factors, mgs_factorize
+from .qr import empty_factors, mgs_factorize
 from .weights import WeightOperator
 
 __all__ = [
@@ -372,7 +372,7 @@ def load_history(path) -> RunHistory:
     return RunHistory(
         weight=weight,
         x0=x0,
-        differences=DifferenceMatrix(columns),
+        differences=columns,
         records=records,
         factors=factors,
         status=status,

@@ -19,7 +19,6 @@ from .weights import WeightOperator, validate
 
 __all__ = [
     "FixedPointProblem",
-    "VectorSequence",
     "iterate",
     "residual",
     "make_mpe_failure_sequence",
@@ -29,39 +28,6 @@ __all__ = [
     "quadratic_problem",
     "BUILTIN_MAPS",
 ]
-
-
-@dataclass(frozen=True)
-class VectorSequence:
-    """An ordered batch of iterates, one vector per row."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise DimensionMismatch(
-                f"a sequence needs at least two vectors of equal dimension, "
-                f"got array of shape {np.shape(self.vectors)}"
-            )
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.vectors, dtype=dtype)
-
-    def __len__(self):
-        return self.count
-
-    def __getitem__(self, i):
-        return self.vectors[i]
 
 
 @dataclass(frozen=True)
@@ -121,8 +87,9 @@ class FixedPointProblem:
         return np.asarray(self.f(x), dtype=complex)
 
 
-def iterate(problem: FixedPointProblem, m: int) -> VectorSequence:
-    """x_0 .. x_m by repeated application of the map.
+def iterate(problem: FixedPointProblem, m: int) -> np.ndarray:
+    """x_0 .. x_m by repeated application of the map, one iterate per
+    row of a complex (m+1, N) array.
 
     Divergent sequences are legitimate inputs; only an actual overflow
     to inf/nan stops the recurrence, with the offending index reported.
@@ -137,7 +104,7 @@ def iterate(problem: FixedPointProblem, m: int) -> VectorSequence:
         out[i] = problem.apply(out[i - 1])
         if not np.all(np.isfinite(out[i])):
             raise NonFiniteIterate(i)
-    return VectorSequence(out)
+    return out
 
 
 def residual(problem: FixedPointProblem, x) -> np.ndarray:
@@ -158,9 +125,9 @@ def _orthogonal_pair(n: int, weight: WeightOperator):
     return u0, v
 
 
-def make_mpe_failure_sequence(n: int, weight=None) -> VectorSequence:
-    """Three iterates whose stage-1 minimal-polynomial solve has a
-    vanishing coefficient sum.
+def make_mpe_failure_sequence(n: int, weight=None) -> np.ndarray:
+    """Three iterates, one per row of a complex (3, n) array, whose
+    stage-1 minimal-polynomial solve has a vanishing coefficient sum.
 
     u_1 = u_0 + v with <u_0, v> = 0 in the given weight, so the
     least-squares coefficient is exactly -1 and the sum 1 + c_0 is 0.
@@ -172,7 +139,7 @@ def make_mpe_failure_sequence(n: int, weight=None) -> VectorSequence:
     u0, v = _orthogonal_pair(n, weight)
     u1 = u0 + v
     x0 = np.zeros(n, dtype=complex)
-    return VectorSequence(np.stack([x0, x0 + u0, x0 + u0 + u1]))
+    return np.stack([x0, x0 + u0, x0 + u0 + u1])
 
 
 def _two_column_problem(n, weight, eps, vscale=None) -> FixedPointProblem:

@@ -1,4 +1,4 @@
-"""Weighted QR factorization by Gram-Schmidt.
+"""Weighted QR factorization by modified Gram-Schmidt.
 
 Factor A = Q R where the columns of Q are orthonormal in the inner
 product ``<y, z> = y* M z`` (so Q* M Q = I) and R is upper triangular
@@ -7,14 +7,12 @@ M this factorization is unique, which makes R a faithful frame for
 least-squares work in the weighted geometry: ``|||A z||| = ||R z||_2``
 for every coefficient vector z.
 
-Two variants are provided.  :func:`mgs_factorize` (modified
-Gram-Schmidt) deflates the working column against each basis vector in
-turn and is the numerical default; it is built literally as repeated
-:func:`append_column`, so incremental and one-shot factorization of
-the same columns produce identical floats.  :func:`gs_factorize`
-(classical Gram-Schmidt) forms all projection coefficients against the
-original column and is kept as an independent cross-check route, not a
-default.  Both accept an optional single reorthogonalization pass.
+:func:`mgs_factorize` deflates the working column against each basis
+vector in turn, with an optional single reorthogonalization pass.  It
+is built literally as repeated :func:`append_column`, so incremental
+and one-shot factorization of the same columns produce identical
+floats.  The same deflation kernel serves the Arnoldi process of
+:mod:`wextrap.krylov`.
 """
 
 from __future__ import annotations
@@ -23,18 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientVectors, RankDeficient
+from .errors import DimensionMismatch, RankDeficient
 from .weights import WeightOperator, validate
 
 __all__ = [
     "RANK_TOL",
     "WQRFactors",
-    "DifferenceMatrix",
     "empty_factors",
     "orthogonalize_column",
     "append_column",
     "mgs_factorize",
-    "gs_factorize",
 ]
 
 #: a deflated column whose weighted norm falls at or below RANK_TOL
@@ -70,10 +66,6 @@ class WQRFactors:
         if not 0 <= j <= self.k:
             raise DimensionMismatch(f"leading block {j} of {self.k} columns")
         return WQRFactors(self.weight, self.q[:, :j], self.r[:j, :j])
-
-    def reconstruct(self) -> np.ndarray:
-        """Q R, for comparison against the original columns."""
-        return self.q @ self.r
 
     def orthonormality_defect(self) -> float:
         """max entry of |Q* M Q - I|."""
@@ -143,20 +135,15 @@ def append_column(factors: WQRFactors, a, reorthogonalize: bool = False,
     weighted norm, i.e. the new column lies (numerically) in the span
     of the previous ones.
     """
-    weight = factors.weight
     coeffs, w, rnorm = orthogonalize_column(factors, a, reorthogonalize)
-    incoming = weight.norm(np.asarray(a, dtype=complex))
-    if rnorm <= rank_tol * incoming:
+    # at rank_tol = 0 the threshold is 0 whatever the incoming norm, so
+    # that weight product is skipped
+    threshold = 0.0 if rank_tol == 0.0 else \
+        rank_tol * factors.weight.norm(np.asarray(a, dtype=complex))
+    if rnorm <= threshold:
         raise RankDeficient(factors.k, residual_norm=rnorm,
-                            threshold=rank_tol * incoming)
+                            threshold=threshold)
     return _extend(factors, coeffs, w, rnorm)
-
-
-def _columns_of(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D column matrix, got shape {a.shape}")
-    return a
 
 
 def mgs_factorize(a, weight, reorthogonalize: bool = False,
@@ -166,7 +153,9 @@ def mgs_factorize(a, weight, reorthogonalize: bool = False,
     Implemented as repeated :func:`append_column`, so the result is
     bit-identical to building the factorization incrementally.
     """
-    a = _columns_of(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D column matrix, got shape {a.shape}")
     factors = empty_factors(weight)
     if a.shape[0] != factors.dimension:
         raise DimensionMismatch(
@@ -176,87 +165,3 @@ def mgs_factorize(a, weight, reorthogonalize: bool = False,
     for j in range(a.shape[1]):
         factors = append_column(factors, a[:, j], reorthogonalize, rank_tol)
     return factors
-
-
-def gs_factorize(a, weight, reorthogonalize: bool = False,
-                 rank_tol: float = RANK_TOL) -> WQRFactors:
-    """Classical Gram-Schmidt factorization (cross-check variant).
-
-    Projection coefficients are all taken against the original column,
-    ``r_ij = <q_i, a_j>``, before any subtraction.  Less stable than
-    :func:`mgs_factorize`; use it to corroborate, not to compute.
-    """
-    a = _columns_of(a)
-    weight = validate(weight)
-    if a.shape[0] != weight.dimension:
-        raise DimensionMismatch(
-            f"columns of dimension {a.shape[0]}, weight of dimension "
-            f"{weight.dimension}"
-        )
-    n, m = a.shape
-    q = np.zeros((n, m), dtype=complex)
-    r = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        col = a[:, j]
-        coeffs = np.array(
-            [weight.inner(q[:, i], col) for i in range(j)], dtype=complex
-        )
-        w = col - q[:, :j] @ coeffs if j else col.copy()
-        if reorthogonalize:
-            second = np.array(
-                [weight.inner(q[:, i], w) for i in range(j)], dtype=complex
-            )
-            if j:
-                w = w - q[:, :j] @ second
-                coeffs = coeffs + second
-        rnorm = weight.norm(w)
-        incoming = weight.norm(col)
-        if rnorm <= rank_tol * incoming:
-            raise RankDeficient(j, residual_norm=rnorm,
-                                threshold=rank_tol * incoming)
-        q[:, j] = w / rnorm
-        r[:j, j] = coeffs
-        r[j, j] = rnorm
-    return WQRFactors(weight, q, r)
-
-
-@dataclass(frozen=True)
-class DifferenceMatrix:
-    """First differences of an iterate sequence, stored columnwise.
-
-    Column j is ``u_j = x_{j+1} - x_j``.  ``block(k)`` returns the
-    N x (k+1) matrix U_k = [u_0, ..., u_k] that the extrapolation
-    methods factor.
-    """
-
-    columns: np.ndarray
-
-    @classmethod
-    def from_iterates(cls, iterates) -> "DifferenceMatrix":
-        x = np.asarray(iterates, dtype=complex)
-        if x.ndim != 2:
-            raise DimensionMismatch(
-                f"iterates must form a 2-D (count, dimension) array, got {x.shape}"
-            )
-        if x.shape[0] < 2:
-            raise InsufficientVectors(
-                f"need at least 2 iterates to difference, got {x.shape[0]}"
-            )
-        return cls(np.ascontiguousarray((x[1:] - x[:-1]).T))
-
-    @property
-    def count(self) -> int:
-        return self.columns.shape[1]
-
-    @property
-    def dimension(self) -> int:
-        return self.columns.shape[0]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.columns[:, j]
-
-    def block(self, k: int) -> np.ndarray:
-        """U_k = [u_0, ..., u_k]."""
-        if not 0 <= k < self.count:
-            raise DimensionMismatch(f"block {k} of {self.count} difference columns")
-        return self.columns[:, : k + 1]

@@ -125,7 +125,7 @@ class _Stage:
                  use_recorded_phi: bool, stag_tol: float):
         self.history, self.rec, self.prev = history, rec, prev
         weight = history.weight
-        u = history.differences.block(rec.k)
+        u = history.differences[:, :rec.k + 1]
         self.u_mpe = None if rec.mpe.gamma is None else u @ rec.mpe.gamma
         self.u_rre = None if rec.rre.gamma is None else u @ rec.rre.gamma
         if use_recorded_phi:

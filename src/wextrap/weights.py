@@ -4,8 +4,9 @@ A hermitian positive definite matrix M defines the inner product
 ``<y, z> = y* M z`` and the norm ``|||z||| = sqrt(z* M z)``.  Three
 representations are supported: identity (the Euclidean product),
 diagonal (positive weights, ``<y, z> = sum a_i conj(y_i) z_i``), and a
-general dense hermitian matrix.  Validation caches the lower Cholesky
-factor, whose existence is the positive-definiteness test.
+general dense hermitian matrix.  A dense matrix is validated by its
+Cholesky factorization, whose existence is the positive-definiteness
+test.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _IMAG_RTOL = 1e-12
 
 
 class WeightOperator:
-    """Validated weight operator M with cached Cholesky factor.
+    """Validated weight operator M.
 
     Instances are immutable after construction and safe to share across
     threads.  Use the factory classmethods (:meth:`identity`,
@@ -39,14 +40,13 @@ class WeightOperator:
     calling the constructor directly.
     """
 
-    __slots__ = ("kind", "dimension", "_diag", "_matrix", "_chol", "_scale")
+    __slots__ = ("kind", "dimension", "_diag", "_matrix", "_scale")
 
-    def __init__(self, kind, dimension, diag=None, matrix=None, chol=None, scale=1.0):
+    def __init__(self, kind, dimension, diag=None, matrix=None, scale=1.0):
         self.kind = kind
         self.dimension = dimension
         self._diag = diag
         self._matrix = matrix
-        self._chol = chol
         self._scale = scale
 
     @classmethod
@@ -68,7 +68,7 @@ class WeightOperator:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             bad = int(np.argmin(w))
             raise NonpositiveWeight(f"weight {bad} is {w[bad]!r}, expected > 0")
-        return cls("diagonal", w.size, diag=w, chol=np.sqrt(w), scale=float(w.max()))
+        return cls("diagonal", w.size, diag=w, scale=float(w.max()))
 
     @classmethod
     def dense(cls, matrix) -> "WeightOperator":
@@ -81,10 +81,10 @@ class WeightOperator:
                 f"max |M - M*| entry deviation {dev:.3e} exceeds {HERMITICITY_ATOL:.0e}"
             )
         try:
-            chol = scipy.linalg.cholesky(m, lower=True)
+            scipy.linalg.cholesky(m, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from None
-        return cls("dense", m.shape[0], matrix=m, chol=chol,
+        return cls("dense", m.shape[0], matrix=m,
                    scale=float(np.max(np.abs(m))))
 
     # -- application -------------------------------------------------
@@ -130,18 +130,6 @@ class WeightOperator:
         if q.real < -1e-12 * max(scale, abs(q.real)):
             raise NegativeQuadraticForm(f"z*Mz = {q.real:.3e} < 0")
         return float(np.sqrt(max(q.real, 0.0)))
-
-    def cholesky_lower(self) -> np.ndarray:
-        """Lower-triangular L with M = L L*.
-
-        Identity weights return the identity matrix; diagonal weights a
-        diagonal matrix of square roots.
-        """
-        if self.kind == "identity":
-            return np.eye(self.dimension, dtype=complex)
-        if self.kind == "diagonal":
-            return np.diag(self._chol).astype(complex)
-        return self._chol.copy()
 
     def matrix(self) -> np.ndarray:
         """Dense N x N representation of M."""

@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rational_oracle as oracle
+from cgs_reference import gs_factorize
 from conftest import (
     ACCEPTANCE_RESULTS,
     random_contraction,
@@ -26,7 +27,6 @@ from wextrap import (
     append_column,
     cli,
     equivalence_check,
-    gs_factorize,
     make_mpe_failure_problem,
     make_mpe_failure_sequence,
     mgs_factorize,

@@ -1,0 +1,52 @@
+"""The package's public surface.
+
+Every name a module lists in ``__all__`` must resolve, so a stale entry
+fails here rather than at a user's ``from wextrap import *``; and the
+names the library no longer provides must stay gone.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import wextrap
+from wextrap import WeightOperator, WQRFactors
+
+MODULES = ["wextrap"] + sorted(
+    f"wextrap.{info.name}" for info in pkgutil.iter_modules(wextrap.__path__)
+    if not info.name.startswith("_")
+)
+
+#: names the library once exported and no longer has
+REMOVED = [
+    "Breakdown",
+    "DifferenceMatrix",
+    "KrylovState",
+    "VectorSequence",
+    "arnoldi_step",
+    "gs_factorize",
+    "initial_state",
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", [])
+    assert len(exported) == len(set(exported)), "duplicate __all__ entry"
+    missing = [name for name in exported if not hasattr(mod, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(module), name), module
+    with pytest.raises(ImportError):
+        exec(f"from wextrap import {name}", {})
+
+
+def test_removed_methods_are_gone():
+    assert not hasattr(WeightOperator, "cholesky_lower")
+    assert not hasattr(WQRFactors, "reconstruct")

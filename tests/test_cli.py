@@ -302,6 +302,19 @@ def test_diag_weight_vector_and_matrix_forms_agree(tmp_path):
     assert json.loads(out1.read_text())["weight"]["kind"] == "diagonal"
 
 
+def test_complex_diag_weight_exit_2(tmp_path, capsys):
+    # a diag: weight file with a non-real entry is rejected, not truncated
+    t_path, d_path = demo_files(tmp_path)
+    w_path = tmp_path / "w.vec"
+    write_vector(w_path, np.array([1.0 + 2.0j, 3.0]))
+    out = tmp_path / "h.json"
+    rc = cli.main(["accelerate", "--linear", t_path, d_path,
+                   "--weight", f"diag:{w_path}", "--out", str(out)])
+    assert rc == 2
+    assert "diagonal weights must be real" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dense_weight_changes_the_run(tmp_path):
     t_path, d_path = big_files(tmp_path, n=4, seed=12)
     rng = np.random.default_rng(13)

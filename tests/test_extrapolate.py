@@ -253,6 +253,17 @@ def test_run_insufficient_vectors():
         run(x, WeightOperator.identity(5), k_max=3)
 
 
+def test_run_differences_from_iterates():
+    xs = np.array([[0.0, 0.0], [1.0, 2.0], [4.0, 3.0], [5.0, 7.0]])
+    hist = run(xs, WeightOperator.identity(2), k_max=1)
+    # column j is u_j = x_{j+1} - x_j, so U_k is the leading k+1 columns
+    assert hist.differences.shape == (2, 3)
+    assert_allclose(hist.differences, [[1.0, 3.0, 1.0], [2.0, 1.0, 4.0]])
+    assert_allclose(hist.differences[:, :2], [[1.0, 3.0], [2.0, 1.0]])
+    with pytest.raises(InsufficientVectors, match="at least 2 iterates"):
+        run(xs[:1], WeightOperator.identity(2))
+
+
 def test_run_rejects_nonfinite():
     x = np.ones((4, 2))
     x[2, 1] = np.nan

@@ -3,20 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wextrap import (
-    Breakdown,
     FixedPointProblem,
     InsufficientVectors,
     WeightOperator,
-    arnoldi_step,
     equivalence_check,
     fom_solve,
     gmr_solve,
-    initial_state,
     iterate,
     make_mpe_failure_problem,
     residual,
     run,
 )
+from wextrap.krylov import BREAKDOWN_TOL, _Stages
 
 import rational_oracle as ro
 from conftest import random_contraction, random_pd_matrix, random_weight
@@ -28,31 +26,26 @@ DEMO_X0 = np.zeros(2)
 
 def test_identity_operator_breaks_down_immediately():
     # A = I - T with T = 0: the Krylov space is one-dimensional
-    state = initial_state(np.zeros((3, 3)), np.array([1.0, 2.0, 2.0]),
-                          np.zeros(3), WeightOperator.identity(3))
-    assert state.beta == pytest.approx(3.0)
-    with pytest.raises(Breakdown) as info:
-        arnoldi_step(state)
-    assert info.value.index == 1
+    stages = _Stages(np.zeros((3, 3)), np.array([1.0, 2.0, 2.0]),
+                     np.zeros(3), WeightOperator.identity(3), 3)
+    assert stages.beta == pytest.approx(3.0)
+    # the breakdown column is kept, with a tiny subdiagonal entry
+    assert stages.hess.shape == (2, 1)
+    assert abs(stages.hess[1, 0]) <= BREAKDOWN_TOL
 
 
 def test_two_eigencomponents_complete_at_two():
-    w = WeightOperator.identity(2)
-    state = initial_state(DEMO_T, DEMO_D, DEMO_X0, w)
-    state = arnoldi_step(state)
-    assert state.basis.shape == (2, 2)
-    with pytest.raises(Breakdown) as info:
-        arnoldi_step(state)
-    assert info.value.index == 2
+    stages = _Stages(DEMO_T, DEMO_D, DEMO_X0, WeightOperator.identity(2), 4)
+    assert stages.hess.shape == (3, 2)
+    a_v1 = stages.basis[:, 1] - DEMO_T @ stages.basis[:, 1]
+    assert abs(stages.hess[2, 1]) <= BREAKDOWN_TOL * np.linalg.norm(a_v1)
 
 
 def test_zero_initial_residual():
     x_star = np.array([1.0, 1.0])
-    state = initial_state(DEMO_T, DEMO_D, x_star, WeightOperator.identity(2))
-    assert state.beta == 0.0
-    with pytest.raises(Breakdown) as info:
-        arnoldi_step(state)
-    assert info.value.index == 0
+    stages = _Stages(DEMO_T, DEMO_D, x_star, WeightOperator.identity(2), 3)
+    assert stages.beta == 0.0
+    assert stages.hess.shape == (1, 0)
 
 
 def test_basis_orthonormality_random():
@@ -61,11 +54,11 @@ def test_basis_orthonormality_random():
     t = random_contraction(rng, n)
     d = rng.standard_normal(n)
     w = random_weight(rng, n, "dense")
-    state = initial_state(t, d, np.zeros(n), w)
-    for _ in range(8):
-        state = arnoldi_step(state)
-    m = state.basis.shape[1]
-    gram = np.array([[w.inner(state.basis[:, i], state.basis[:, j])
+    stages = _Stages(t, d, np.zeros(n), w, 8)
+    assert stages.hess.shape == (9, 8)
+    v = stages.basis
+    m = v.shape[1]
+    gram = np.array([[w.inner(v[:, i], v[:, j])
                       for j in range(m)] for i in range(m)])
     assert np.max(np.abs(gram - np.eye(m))) < 1e-10
 
@@ -77,12 +70,11 @@ def test_arnoldi_relation():
     t = random_contraction(rng, n)
     d = rng.standard_normal(n)
     w = random_weight(rng, n)
-    state = initial_state(t, d, np.zeros(n), w)
-    for _ in range(5):
-        state = arnoldi_step(state)
-    v = state.basis
+    stages = _Stages(t, d, np.zeros(n), w, 5)
+    v = stages.basis
+    assert v.shape == (n, 6)
     a_v = v[:, :5] - t @ v[:, :5]
-    assert np.max(np.abs(a_v - v @ state.hessenberg)) < 1e-12
+    assert np.max(np.abs(a_v - v @ stages.hess)) < 1e-12
 
 
 def test_fom_demo_matches_oracle():
@@ -193,7 +185,7 @@ def test_weighted_residual_identity_on_linear(demo_problem):
     xs = iterate(demo_problem, 5)
     hist = run(np.asarray(xs), WeightOperator.identity(2), k_max=1)
     rec = hist.record(1)
-    u1 = hist.differences.block(1)
+    u1 = hist.differences[:, :2]
     for solve in (rec.mpe, rec.rre):
         r_true = residual(demo_problem, solve.s)
         assert np.linalg.norm(u1 @ solve.gamma - r_true) < 1e-10

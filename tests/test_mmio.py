@@ -224,6 +224,30 @@ def test_history_round_trip_below_default_rank_tol(tmp_path):
     assert np.array_equal(back.factors.r, hist.factors.r)
 
 
+def test_load_history_one_norm_per_appended_column(tmp_path, monkeypatch):
+    # regrowing the factors needs one weighted norm per column (r_kk);
+    # with no rank test there is no incoming-column norm to take
+    rng = np.random.default_rng(47)
+    n = 12
+    weight = random_weight(rng, n, "dense")
+    hist = run(np.asarray(iterate(random_linear_problem(rng, n), 11)),
+               weight, k_max=10)
+    assert hist.factors.k == 11
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    calls = []
+    norm = WeightOperator.norm
+
+    def counting_norm(self, z):
+        calls.append(self.kind)
+        return norm(self, z)
+
+    monkeypatch.setattr(WeightOperator, "norm", counting_norm)
+    back = load_history(path)
+    assert back.factors.k == 11
+    assert calls == ["dense"] * 11
+
+
 def test_history_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"hello": "world"}\n')

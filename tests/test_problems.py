@@ -7,7 +7,6 @@ from wextrap import (
     FixedPointProblem,
     NonFiniteIterate,
     RunStatus,
-    VectorSequence,
     WeightOperator,
     cosine_problem,
     iterate,
@@ -147,16 +146,16 @@ def test_builtin_map_registry():
     assert set(BUILTIN_MAPS) == {"cosine", "quadratic"}
 
 
-def test_vector_sequence_validation():
-    with pytest.raises(DimensionMismatch):
-        VectorSequence(np.zeros((1, 3)))     # M >= 1 needs two vectors
-    with pytest.raises(DimensionMismatch):
-        VectorSequence(np.zeros(4))
-    seq = VectorSequence(np.arange(6.0).reshape(3, 2))
-    assert seq.count == 3
-    assert seq.dimension == 2
-    assert len(seq) == 3
-    assert_allclose(seq[1], [2.0, 3.0])
+def test_sequences_are_complex_row_arrays(demo_problem):
+    # one iterate per row, the layout run() takes
+    xs = iterate(demo_problem, 3)
+    assert type(xs) is np.ndarray
+    assert xs.shape == (4, 2)
+    assert xs.dtype == complex
+    seq = make_mpe_failure_sequence(5)
+    assert type(seq) is np.ndarray
+    assert seq.shape == (3, 5)
+    assert seq.dtype == complex
 
 
 def test_linear_contraction_rate_diagonal():
