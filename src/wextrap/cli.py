@@ -149,9 +149,8 @@ def _print_history_table(history, methods, stag_tol, stream=None):
 def _run_from_args(args):
     _, x, dim = _resolve_problem(args)
     weight = _load_weight(args.weight, dim)
-    return run(x, weight, k_max=args.k_max,
-               reorthogonalize=getattr(args, "reorth", False),
-               rank_tol=args.rank_tol, exist_tol=args.exist_tol)
+    return run(x, weight, k_max=args.k_max, rank_tol=args.rank_tol,
+               exist_tol=args.exist_tol)
 
 
 def cmd_accelerate(args):
@@ -273,8 +272,7 @@ def cmd_qr(args):
     a = mmio.read_matrix(args.matrix)
     weight = _load_weight(args.weight, a.shape[0])
     try:
-        factors = mgs_factorize(a, weight, reorthogonalize=args.reorth,
-                                rank_tol=args.rank_tol)
+        factors = mgs_factorize(a, weight, rank_tol=args.rank_tol)
     except RankDeficient as exc:
         print(f"rank deficiency: column {exc.index} is dependent "
               f"(residual {exc.residual_norm:.3e}, threshold "
@@ -307,8 +305,6 @@ def _add_input_flags(sub, with_map=True):
     sub.add_argument("--weight", default=None,
                      metavar="identity|diag:FILE|dense:FILE")
     sub.add_argument("--k-max", dest="k_max", type=int, default=None)
-    sub.add_argument("--reorth", action="store_true",
-                     help="second orthogonalization pass per column")
     sub.add_argument("--exist-tol", dest="exist_tol", type=_positive,
                      default=EXIST_TOL)
     sub.add_argument("--rank-tol", dest="rank_tol", type=_positive,
@@ -358,7 +354,6 @@ def build_parser():
     qr = subs.add_parser("qr", help="weighted QR factorization of a matrix")
     qr.add_argument("matrix", help="MatrixMarket file to factor")
     qr.add_argument("--weight", default=None)
-    qr.add_argument("--reorth", action="store_true")
     qr.add_argument("--rank-tol", dest="rank_tol", type=_positive,
                     default=RANK_TOL)
     qr.add_argument("--check", action="store_true",

@@ -30,12 +30,14 @@ eta = R_{k-1} xi and xi_j = 1 - (gamma_0 + ... + gamma_j), again
 avoiding any multiplication by U_k itself.
 
 :func:`run` drives the whole pipeline over a sequence, factoring
-incrementally and recording both methods at every stage.  It stops
-early when an incoming difference is numerically zero (the iteration
-converged on its own) or when the difference block loses rank -- the
-latter signals the terminal degree: there the least-squares system is
-consistent, the two methods coincide, and the extrapolated vector is
-exact for linear problems.
+incrementally with the CGS2 kernel of :mod:`wextrap.qr` (one product
+with M per difference column; |||u_k||| follows from the same
+deflation by Pythagoras) and recording both methods at every stage.
+It stops early when an incoming difference is numerically zero (the
+iteration converged on its own) or when the difference block loses
+rank -- the latter signals the terminal degree: there the
+least-squares system is consistent, the two methods coincide, and the
+extrapolated vector is exact for linear problems.
 """
 
 from __future__ import annotations
@@ -145,7 +147,6 @@ class RunHistory:
     status: RunStatus = RunStatus.COMPLETED
     detected_k0: int | None = None
     k_max: int = 0
-    reorthogonalized: bool = False
 
     @property
     def stages(self) -> int:
@@ -274,9 +275,8 @@ def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k, exist_tol,
 
 
 def run(iterates, weight, k_max: int | None = None,
-        reorthogonalize: bool = False, rank_tol: float = RANK_TOL,
-        exist_tol: float = EXIST_TOL, converge_atol: float = CONVERGE_ATOL
-        ) -> RunHistory:
+        rank_tol: float = RANK_TOL, exist_tol: float = EXIST_TOL,
+        converge_atol: float = CONVERGE_ATOL) -> RunHistory:
     """Run both extrapolation methods over an iterate sequence.
 
     Parameters
@@ -291,8 +291,6 @@ def run(iterates, weight, k_max: int | None = None,
         supports, capped at the space dimension N (at stage N the
         difference block has N+1 columns and is structurally
         dependent, so no run can go further).
-    reorthogonalize : bool
-        Apply a second orthogonalization pass per column.
     rank_tol, exist_tol, converge_atol : float
         Thresholds for rank loss, minimal-polynomial existence and
         plain convergence of the underlying iteration.
@@ -337,13 +335,13 @@ def run(iterates, weight, k_max: int | None = None,
 
     x0 = x[0].copy()
     history = RunHistory(weight=weight, x0=x0, differences=diffs,
-                         k_max=k_max, reorthogonalized=reorthogonalize)
+                         k_max=k_max)
     factors = empty_factors(weight)
 
     for k in range(k_max + 1):
         u = diffs[:, k]
-        u_norm = weight.norm(u)
-        coeffs, w, rnorm = orthogonalize_column(factors, u, reorthogonalize)
+        coeffs, w, mw, rnorm = orthogonalize_column(factors, u)
+        u_norm = float(np.hypot(np.linalg.norm(coeffs), rnorm))
         previous = history.records[-1] if history.records else None
 
         if u_norm <= converge_atol:
@@ -359,7 +357,7 @@ def run(iterates, weight, k_max: int | None = None,
             history.detected_k0 = k
             break
 
-        factors = _extend(factors, coeffs, w, rnorm)
+        factors = _extend(factors, coeffs, w, mw, rnorm)
         mpe = mpe_coefficients(factors, exist_tol)
         if mpe.exists:
             mpe = replace(mpe, s=assemble(x0, factors, mpe.gamma))
@@ -413,7 +411,6 @@ def history_to_dict(history: RunHistory) -> dict:
         "version": 1,
         "dimension": int(w.dimension),
         "k_max": int(history.k_max),
-        "reorthogonalized": bool(history.reorthogonalized),
         "status": history.status.value,
         "detected_k0": history.detected_k0,
         "weight": weight_spec,

@@ -3,9 +3,10 @@
 Both methods search the affine Krylov space x_0 + K_k(A; r_0), with
 A = I - T applied as an operator and r_0 = d - A x_0.  The basis of
 K_k is built by one Arnoldi process, which deflates each new direction
-through the modified Gram-Schmidt kernel of :mod:`wextrap.qr` under
-the weighted inner product, so the basis satisfies <v_i, v_j> =
-delta_ij and the projected problem is a small Hessenberg system:
+through the CGS2 kernel of :mod:`wextrap.qr` under the weighted inner
+product (keeping M v_j beside each v_j, one product with M per step),
+so the basis satisfies <v_i, v_j> = delta_ij and the projected problem
+is a small Hessenberg system:
 
 * FOM imposes the Galerkin condition <z, r(w_k)> = 0 for all z in
   K_k, i.e. solves the square Hessenberg system H_k y = beta e_1.
@@ -75,22 +76,6 @@ def _as_operator(t):
     return partial(np.matmul, np.asarray(t, dtype=complex))
 
 
-def _step(weight, apply_a, basis, breakdown_tol):
-    """One Arnoldi step on the weighted-orthonormal columns of ``basis``.
-
-    Returns (h, v): the Hessenberg column (projections of A v_j, then
-    the deflated norm) and the next basis vector, or None in place of
-    v on breakdown.
-    """
-    w = apply_a(basis[:, -1])
-    scale = weight.norm(w)
-    coeffs, w, hnorm = _deflate(weight, basis, w)
-    h = np.append(coeffs, hnorm)
-    if hnorm <= breakdown_tol * scale:
-        return h, None
-    return h, w / hnorm
-
-
 def _givens(a, b):
     """Unitary 2x2 zeroing b; returns (rotation, |cosine|)."""
     r = np.hypot(abs(a), abs(b))
@@ -135,6 +120,15 @@ def _check_stage(k, name):
         raise InsufficientVectors(f"{name} must be nonnegative")
 
 
+def _check_rhs(weight, d, x0):
+    """d and x0 as complex vectors of the weight's dimension."""
+    d, x0 = np.asarray(d, dtype=complex), np.asarray(x0, dtype=complex)
+    if d.shape != (weight.dimension,) or x0.shape != d.shape:
+        raise DimensionMismatch(
+            f"d and x0 must have dimension {weight.dimension}")
+    return d, x0
+
+
 class _Stages:
     """The Krylov process run once to k steps; every stage 0..k reads
     its FOM and GMR solutions from the one basis and Givens sweep.
@@ -152,31 +146,32 @@ class _Stages:
         _check_stage(k, "k")
         weight = validate(weight)
         apply_t = _as_operator(t)
-        d = np.asarray(d, dtype=complex)
-        x0 = np.asarray(x0, dtype=complex)
-        if d.shape != (weight.dimension,) or x0.shape != (weight.dimension,):
-            raise DimensionMismatch(
-                f"d and x0 must have dimension {weight.dimension}"
-            )
+        d, x0 = _check_rhs(weight, d, x0)
         self.x0 = x0
         r0 = apply_t(x0) + d - x0
-        self.beta = beta = weight.norm(r0)
+        m_r0 = weight.apply(r0)
+        self.beta = beta = weight._form_norm(r0, m_r0)
 
         def apply_a(z):
             return z - apply_t(z)
 
-        # rows keep each basis vector contiguous while the process grows
+        # rows keep each basis vector v_j, and M v_j, contiguous while
+        # the process grows; each step deflates A v_j through the kernel
         rows = np.zeros((k + 1, weight.dimension), dtype=complex)
+        m_rows = np.zeros_like(rows)
         hess = np.zeros((k + 1, k), dtype=complex)
         steps = 0
         if beta != 0.0:
-            rows[0] = r0 / beta
+            rows[0], m_rows[0] = r0 / beta, m_r0 / beta
             for steps in range(1, k + 1):
-                h, v = _step(weight, apply_a, rows[:steps].T, BREAKDOWN_TOL)
-                hess[: steps + 1, steps - 1] = h
-                if v is None:
+                h, w, mw, hnorm = _deflate(weight, rows[:steps].T,
+                                           m_rows[:steps].T,
+                                           apply_a(rows[steps - 1]))
+                hess[:steps, steps - 1], hess[steps, steps - 1] = h, hnorm
+                # happy breakdown, against |||A v_j||| by Pythagoras
+                if hnorm <= BREAKDOWN_TOL * np.hypot(np.linalg.norm(h), hnorm):
                     break
-                rows[steps] = v
+                rows[steps], m_rows[steps] = w / hnorm, mw / hnorm
         self.basis = np.ascontiguousarray(rows.T)
         self.hess = hess[: steps + 1, :steps]
         self.r, self.g, self.cosines, self.residuals = _triangularize(
@@ -260,8 +255,7 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     _check_stage(k_max, "k_max")
     weight = validate(weight)
     apply_t = _as_operator(t)
-    d = np.asarray(d, dtype=complex)
-    x0 = np.asarray(x0, dtype=complex)
+    d, x0 = _check_rhs(weight, d, x0)
 
     def res(x):
         return apply_t(x) + d - x

@@ -316,7 +316,9 @@ def load_history(path) -> RunHistory:
 
     The triangular factors are not stored; they are regrown from the
     stored difference columns with the same incremental factorization
-    the original run used, which reproduces them exactly.
+    the original run used, which reproduces them exactly.  Keys the
+    loader does not read, such as the second-pass flag that files from
+    older versions carry, are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -353,7 +355,6 @@ def load_history(path) -> RunHistory:
                 terminal=bool(rdoc["terminal"]),
             ))
         status = RunStatus(doc["status"])
-        reorth = bool(doc["reorthogonalized"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"history file structure invalid: {exc!r}",
                          path=str(path)) from None
@@ -365,8 +366,7 @@ def load_history(path) -> RunHistory:
     if appended > 0:
         # the run already accepted these columns under its own rank_tol,
         # which the file does not record: regrow them without a rank test
-        factors = mgs_factorize(columns[:, :appended], weight,
-                                reorthogonalize=reorth, rank_tol=0.0)
+        factors = mgs_factorize(columns[:, :appended], weight, rank_tol=0.0)
     else:
         factors = empty_factors(weight)
     return RunHistory(
@@ -378,5 +378,4 @@ def load_history(path) -> RunHistory:
         status=status,
         detected_k0=doc.get("detected_k0"),
         k_max=int(doc.get("k_max", len(records) - 1)),
-        reorthogonalized=reorth,
     )

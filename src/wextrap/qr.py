@@ -1,4 +1,4 @@
-"""Weighted QR factorization by modified Gram-Schmidt.
+"""Weighted QR factorization by classical Gram-Schmidt run twice (CGS2).
 
 Factor A = Q R where the columns of Q are orthonormal in the inner
 product ``<y, z> = y* M z`` (so Q* M Q = I) and R is upper triangular
@@ -7,12 +7,14 @@ M this factorization is unique, which makes R a faithful frame for
 least-squares work in the weighted geometry: ``|||A z||| = ||R z||_2``
 for every coefficient vector z.
 
-:func:`mgs_factorize` deflates the working column against each basis
-vector in turn, with an optional single reorthogonalization pass.  It
-is built literally as repeated :func:`append_column`, so incremental
-and one-shot factorization of the same columns produce identical
-floats.  The same deflation kernel serves the Arnoldi process of
-:mod:`wextrap.krylov`.
+The factors keep P = M Q beside Q.  The one kernel projects a new
+column a onto the whole basis, c = P* a, subtracts Q c, and projects
+once more ("twice is enough", Giraud, Langou and Rozloznik 2005).  Its
+one product with M gives both r_kk and the next column of P; |||a||| is
+hypot(||c||, r_kk) by Pythagoras.  :func:`mgs_factorize` is repeated
+:func:`append_column`, so incremental and one-shot factorization of
+the same columns give identical floats.  The Arnoldi process of
+:mod:`wextrap.krylov` runs the same kernel.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class WQRFactors:
     """Q and R factors tied to the weight that defines orthonormality.
 
     ``q`` has shape (N, k) with Q* M Q = I; ``r`` has shape (k, k),
-    upper triangular with positive real diagonal.  Instances are
+    upper triangular with positive real diagonal; ``p`` is M Q, so that
+    projections onto the basis take no product with M.  Instances are
     immutable; :func:`append_column` returns a new object whose leading
     blocks are shared with (and bit-identical to) its predecessor.
     """
@@ -51,6 +54,7 @@ class WQRFactors:
     weight: WeightOperator
     q: np.ndarray
     r: np.ndarray
+    p: np.ndarray
 
     @property
     def k(self) -> int:
@@ -65,7 +69,8 @@ class WQRFactors:
         """Factors of the first ``j`` columns (a view, not a copy)."""
         if not 0 <= j <= self.k:
             raise DimensionMismatch(f"leading block {j} of {self.k} columns")
-        return WQRFactors(self.weight, self.q[:, :j], self.r[:j, :j])
+        return WQRFactors(self.weight, self.q[:, :j], self.r[:j, :j],
+                          self.p[:, :j])
 
     def orthonormality_defect(self) -> float:
         """max entry of |Q* M Q - I|."""
@@ -78,17 +83,19 @@ class WQRFactors:
 def empty_factors(weight) -> WQRFactors:
     weight = validate(weight)
     n = weight.dimension
-    return WQRFactors(weight, np.zeros((n, 0), dtype=complex),
-                      np.zeros((0, 0), dtype=complex))
+    empty = np.zeros((n, 0), dtype=complex)
+    return WQRFactors(weight, empty, np.zeros((0, 0), dtype=complex), empty)
 
 
-def orthogonalize_column(factors: WQRFactors, a, reorthogonalize: bool = False):
+def orthogonalize_column(factors: WQRFactors, a):
     """Deflate ``a`` against the factored basis without appending.
 
-    Returns ``(coeffs, residual, rnorm)``: the projection coefficients
-    onto the existing columns (modified Gram-Schmidt order), the
-    deflated vector, and its weighted norm.  Never raises on rank
-    deficiency; callers decide what a small ``rnorm`` means.
+    Returns ``(coeffs, residual, m_residual, rnorm)``: the projection
+    coefficients onto the existing columns (two classical Gram-Schmidt
+    passes), the deflated vector, its product with M, and its weighted
+    norm.  The incoming column's weighted norm is ``hypot(||coeffs||,
+    rnorm)``.  Never raises on rank deficiency; callers decide what a
+    small ``rnorm`` means.
     """
     weight = factors.weight
     a = np.asarray(a, dtype=complex)
@@ -96,37 +103,34 @@ def orthogonalize_column(factors: WQRFactors, a, reorthogonalize: bool = False):
         raise DimensionMismatch(
             f"column of shape {a.shape}, expected ({weight.dimension},)"
         )
-    return _deflate(weight, factors.q, a, reorthogonalize)
+    return _deflate(weight, factors.q, factors.p, a)
 
 
-def _deflate(weight: WeightOperator, q, a, reorthogonalize: bool = False):
-    # modified Gram-Schmidt kernel: deflate a against the columns of q,
-    # which must be weighted-orthonormal; shared with the Arnoldi process
-    k = q.shape[1]
-    coeffs = np.zeros(k, dtype=complex)
-    w = a.copy()
-    for sweep in range(2 if reorthogonalize else 1):
-        for i in range(k):
-            c = weight.inner(q[:, i], w)
-            coeffs[i] = coeffs[i] + c if sweep else c
-            w = w - c * q[:, i]
-    return coeffs, w, weight.norm(w)
+def _deflate(weight: WeightOperator, q, p, a):
+    # CGS2 against the stored p = M q, q weighted-orthonormal; the one
+    # product with M gives both the norm and the next p column
+    c = (a.conj() @ p).conj()
+    w = a - q @ c
+    d = (w.conj() @ p).conj()
+    w -= q @ d
+    c += d
+    mw = weight.apply(w)
+    return c, w, mw, weight._form_norm(w, mw)
 
 
-def _extend(factors: WQRFactors, coeffs, w, rnorm) -> WQRFactors:
+def _extend(factors: WQRFactors, coeffs, w, mw, rnorm) -> WQRFactors:
     # assemble the k+1 column factorization from an orthogonalized column
     k = factors.k
-    q = np.empty((factors.dimension, k + 1), dtype=complex)
-    q[:, :k] = factors.q
-    q[:, k] = w / rnorm
+    q = np.column_stack([factors.q, w / rnorm])
+    p = np.column_stack([factors.p, mw / rnorm])
     r = np.zeros((k + 1, k + 1), dtype=complex)
     r[:k, :k] = factors.r
     r[:k, k] = coeffs
     r[k, k] = rnorm
-    return WQRFactors(factors.weight, q, r)
+    return WQRFactors(factors.weight, q, r, p)
 
 
-def append_column(factors: WQRFactors, a, reorthogonalize: bool = False,
+def append_column(factors: WQRFactors, a,
                   rank_tol: float = RANK_TOL) -> WQRFactors:
     """Extend the factorization by one column.
 
@@ -135,20 +139,17 @@ def append_column(factors: WQRFactors, a, reorthogonalize: bool = False,
     weighted norm, i.e. the new column lies (numerically) in the span
     of the previous ones.
     """
-    coeffs, w, rnorm = orthogonalize_column(factors, a, reorthogonalize)
-    # at rank_tol = 0 the threshold is 0 whatever the incoming norm, so
-    # that weight product is skipped
-    threshold = 0.0 if rank_tol == 0.0 else \
-        rank_tol * factors.weight.norm(np.asarray(a, dtype=complex))
+    coeffs, w, mw, rnorm = orthogonalize_column(factors, a)
+    threshold = rank_tol * float(np.hypot(np.linalg.norm(coeffs), rnorm))
     if rnorm <= threshold:
         raise RankDeficient(factors.k, residual_norm=rnorm,
                             threshold=threshold)
-    return _extend(factors, coeffs, w, rnorm)
+    return _extend(factors, coeffs, w, mw, rnorm)
 
 
-def mgs_factorize(a, weight, reorthogonalize: bool = False,
-                  rank_tol: float = RANK_TOL) -> WQRFactors:
-    """Modified Gram-Schmidt factorization of the columns of ``a``.
+def mgs_factorize(a, weight, rank_tol: float = RANK_TOL) -> WQRFactors:
+    """Weighted QR factorization of the columns of ``a`` by the CGS2
+    kernel.
 
     Implemented as repeated :func:`append_column`, so the result is
     bit-identical to building the factorization incrementally.
@@ -163,5 +164,5 @@ def mgs_factorize(a, weight, reorthogonalize: bool = False,
             f"{factors.dimension}"
         )
     for j in range(a.shape[1]):
-        factors = append_column(factors, a[:, j], reorthogonalize, rank_tol)
+        factors = append_column(factors, a[:, j], rank_tol)
     return factors

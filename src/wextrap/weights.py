@@ -117,11 +117,15 @@ class WeightOperator:
         return complex(np.vdot(y, self._matrix @ z))
 
     def norm(self, z) -> float:
-        """Induced norm sqrt(z* M z); the quadratic form must be real
-        and nonnegative up to roundoff or :class:`NegativeQuadraticForm`
-        is raised."""
-        z = self._check_dim(z)
-        q = self.inner(z, z)
+        """Induced norm sqrt(z* M z) from one application of M; the
+        quadratic form must be real and nonnegative up to roundoff or
+        :class:`NegativeQuadraticForm` is raised."""
+        mz = self.apply(z)
+        return self._form_norm(np.asarray(z, dtype=complex), mz)
+
+    def _form_norm(self, z, mz) -> float:
+        # sqrt(z* M z) given mz = M z, with the quadratic-form checks
+        q = complex(np.vdot(z, mz))
         if abs(q.imag) > _IMAG_RTOL * (1.0 + abs(q.real)):
             raise NegativeQuadraticForm(
                 f"quadratic form has imaginary residue {q.imag:.3e}"

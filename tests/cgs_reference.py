@@ -1,10 +1,10 @@
 """Classical Gram-Schmidt reference for the weighted QR tests.
 
 A second factorization route that the tests compare the package's
-modified Gram-Schmidt against: every projection coefficient of a
-column is taken against the original column before any subtraction.
-It shares only the weight operator and the factor container with
-:mod:`wextrap.qr`.
+two-pass (CGS2) kernel against: every projection coefficient of a
+column is taken against the original column before any subtraction,
+through ``weight.inner``.  It shares only the weight operator and the
+factor container with :mod:`wextrap.qr`.
 """
 
 import numpy as np
@@ -56,4 +56,4 @@ def gs_factorize(a, weight, reorthogonalize: bool = False,
         q[:, j] = w / rnorm
         r[:j, j] = coeffs
         r[j, j] = rnorm
-    return WQRFactors(weight, q, r)
+    return WQRFactors(weight, q, r, weight.matrix() @ q)

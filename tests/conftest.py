@@ -80,3 +80,19 @@ def demo_problem():
     t = np.diag([0.5, 0.25])
     d = np.array([0.5, 0.75])
     return FixedPointProblem.linear(t, d, np.zeros(2))
+
+
+@pytest.fixture
+def weight_calls(monkeypatch):
+    """Names of the WeightOperator methods called, in call order; a
+    product with M is one "apply"."""
+    calls = []
+    for name in ("apply", "inner", "norm"):
+        method = getattr(WeightOperator, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(WeightOperator, name, counting)
+    return calls

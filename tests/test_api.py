@@ -5,13 +5,15 @@ fails here rather than at a user's ``from wextrap import *``; and the
 names the library no longer provides must stay gone.
 """
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import wextrap
-from wextrap import WeightOperator, WQRFactors
+from wextrap import RunHistory, WeightOperator, WQRFactors, cli
 
 MODULES = ["wextrap"] + sorted(
     f"wextrap.{info.name}" for info in pkgutil.iter_modules(wextrap.__path__)
@@ -50,3 +52,17 @@ def test_removed_name_is_gone(name):
 def test_removed_methods_are_gone():
     assert not hasattr(WeightOperator, "cholesky_lower")
     assert not hasattr(WQRFactors, "reconstruct")
+
+
+def test_orthogonalization_switch_is_gone():
+    # one kernel, with no user switch on it
+    for fn in (wextrap.run, wextrap.orthogonalize_column,
+               wextrap.append_column, wextrap.mgs_factorize):
+        assert "reorthogonalize" not in inspect.signature(fn).parameters
+    assert "reorthogonalized" not in {
+        f.name for f in dataclasses.fields(RunHistory)}
+    parser = cli.build_parser()
+    for argv in (["accelerate", "--reorth"], ["verify-relations", "--reorth"],
+                 ["qr", "A.mtx", "--reorth"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)

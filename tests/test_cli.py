@@ -215,6 +215,18 @@ def test_krylov_compare_linear_ok(tmp_path, capsys):
     assert out.count("FOM-MPE") == 5  # stages 0..4
 
 
+@pytest.mark.parametrize("d", [[0.5, 0.75, 1.0], [0.5]])
+def test_krylov_compare_wrong_length_d_exit_3(tmp_path, capsys, d):
+    # a longer d cannot be added to T x0 and a length-1 d would
+    # broadcast into it; both must be reported before any iterate
+    t_path, _ = demo_files(tmp_path)
+    d_path = tmp_path / "d_bad.vec"
+    write_vector(d_path, np.array(d))
+    rc = cli.main(["krylov-compare", "--linear", t_path, str(d_path)])
+    assert rc == 3
+    assert "dimension" in capsys.readouterr().err
+
+
 def test_krylov_compare_rejects_nonlinear_map(capsys):
     rc = cli.main(["krylov-compare", "--map", "cosine"])
     assert rc == 4

@@ -192,7 +192,8 @@ def test_lambda_guard_on_broken_factors():
 
     w = WeightOperator.identity(2)
     underflowed = WQRFactors(w, np.eye(2, dtype=complex),
-                             np.diag([1.0, 1e-300]).astype(complex))
+                             np.diag([1.0, 1e-300]).astype(complex),
+                             np.eye(2, dtype=complex))
     with pytest.raises(LambdaNotPositive):
         rre_coefficients(underflowed)
 
@@ -277,6 +278,21 @@ def test_run_rejects_bad_shapes():
         run(np.zeros(4), WeightOperator.identity(4))
     with pytest.raises(DimensionMismatch):
         run(np.zeros((4, 3)), WeightOperator.identity(2))
+
+
+def test_run_one_mproduct_per_column(weight_calls):
+    # the CGS2 kernel's one product with M per difference column gives
+    # r_kk; |||u_k||| follows by Pythagoras, with no norm of its own
+    rng = np.random.default_rng(61)
+    weight = random_weight(rng, 10, "dense")
+    x = np.asarray(iterate(random_linear_problem(rng, 10), 8))
+    weight_calls.clear()
+    hist = run(x, weight, k_max=6)
+    assert hist.factors.k == 7
+    assert weight_calls == ["apply"] * 7
+    u_norms = [weight.norm(hist.differences[:, k]) for k in range(7)]
+    assert_allclose([rec.u_norm for rec in hist.records], u_norms,
+                    rtol=1e-13)
 
 
 def test_run_kmax_clamped_to_dimension():

@@ -63,6 +63,18 @@ def test_basis_orthonormality_random():
     assert np.max(np.abs(gram - np.eye(m))) < 1e-10
 
 
+def test_arnoldi_one_mproduct_per_step(weight_calls):
+    # M v_j is kept beside v_j: k steps take k products, plus one for beta
+    rng = np.random.default_rng(205)
+    n = 12
+    t = random_contraction(rng, n)
+    w = random_weight(rng, n, "dense")
+    weight_calls.clear()
+    stages = _Stages(t, rng.standard_normal(n), np.zeros(n), w, 5)
+    assert stages.hess.shape == (6, 5)
+    assert weight_calls == ["apply"] * 6
+
+
 def test_arnoldi_relation():
     # A V_m = V_{m+1} H within the usual roundoff
     rng = np.random.default_rng(210)

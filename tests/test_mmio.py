@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.io
@@ -224,9 +227,10 @@ def test_history_round_trip_below_default_rank_tol(tmp_path):
     assert np.array_equal(back.factors.r, hist.factors.r)
 
 
-def test_load_history_one_norm_per_appended_column(tmp_path, monkeypatch):
-    # regrowing the factors needs one weighted norm per column (r_kk);
-    # with no rank test there is no incoming-column norm to take
+def test_load_history_one_norm_per_appended_column(tmp_path, weight_calls):
+    # regrowing the factors takes one product with M per column, which
+    # gives r_kk and the next column of M Q; with no rank test there is
+    # no incoming-column norm to take
     rng = np.random.default_rng(47)
     n = 12
     weight = random_weight(rng, n, "dense")
@@ -235,17 +239,26 @@ def test_load_history_one_norm_per_appended_column(tmp_path, monkeypatch):
     assert hist.factors.k == 11
     path = tmp_path / "hist.json"
     save_history(hist, path)
-    calls = []
-    norm = WeightOperator.norm
-
-    def counting_norm(self, z):
-        calls.append(self.kind)
-        return norm(self, z)
-
-    monkeypatch.setattr(WeightOperator, "norm", counting_norm)
+    weight_calls.clear()
     back = load_history(path)
     assert back.factors.k == 11
-    assert calls == ["dense"] * 11
+    assert weight_calls == ["apply"] * 11
+
+
+def test_version_1_fixture_loads_and_verifies():
+    # written by an earlier version that factored with modified
+    # Gram-Schmidt and recorded a second-pass flag, which is ignored
+    path = Path(__file__).parent / "data" / "history_v1.json"
+    assert "reorthogonalized" in json.loads(path.read_text())
+    hist = load_history(path)
+    assert hist.status.value == "rank_deficient"
+    assert hist.detected_k0 == 5 and hist.stages == 6
+    f = hist.factors
+    assert f.k == 5
+    u = hist.differences[:, :5]
+    assert np.linalg.norm(f.q @ f.r - u) <= 1e-12 * np.linalg.norm(u)
+    assert f.orthonormality_defect() <= 1e-13
+    assert verify_history(hist, use_recorded_phi=True).ok
 
 
 def test_history_rejects_foreign_json(tmp_path):

@@ -17,6 +17,12 @@ from conftest import random_weight
 SQ2 = np.sqrt(2.0)
 
 
+def assert_p_is_mq(f, w):
+    # the stored P must be M Q, to roundoff
+    mq = w.matrix() @ f.q
+    assert np.linalg.norm(f.p - mq) <= 1e-13 * np.linalg.norm(mq)
+
+
 @pytest.mark.parametrize("factorize", [mgs_factorize, gs_factorize])
 def test_single_column_identity_weight(factorize):
     f = factorize(np.array([[3.0], [4.0]]), WeightOperator.identity(2))
@@ -91,6 +97,7 @@ def test_orthonormality_and_reconstruction_mgs():
         w = random_weight(rng, n)
         f = mgs_factorize(a, w)
         assert f.orthonormality_defect() < 1e-10
+        assert_p_is_mq(f, w)
         err = np.linalg.norm(f.q @ f.r - a, axis=0)
         assert np.all(err <= 1e-12 * np.linalg.norm(a, axis=0))
         assert np.all(np.diag(f.r).real > 0.0)
@@ -110,16 +117,16 @@ def test_gs_matches_mgs_well_conditioned():
         assert np.max(np.abs(f.r - g.r)) < 1e-8
 
 
-def test_mgs_beats_gs_on_nearly_dependent_columns():
+def test_cgs2_beats_gs_on_nearly_dependent_columns():
     rng = np.random.default_rng(13)
     a1 = rng.standard_normal(40)
     a2 = a1 + 1e-9 * rng.standard_normal(40)
     a3 = rng.standard_normal(40)
     a = np.column_stack([a1, a2, a3])
     w = WeightOperator.identity(40)
-    dev_mgs = mgs_factorize(a, w).orthonormality_defect()
+    dev_cgs2 = mgs_factorize(a, w).orthonormality_defect()
     dev_gs = gs_factorize(a, w).orthonormality_defect()
-    assert dev_mgs <= dev_gs
+    assert dev_cgs2 <= dev_gs
 
 
 def test_identity_weight_reduces_to_standard_qr():
@@ -151,7 +158,7 @@ def test_weighted_norm_equals_triangular_norm():
         assert_allclose(w.norm(a @ z), np.linalg.norm(f.r @ z), rtol=1e-10)
 
 
-def test_reorthogonalization_helps_ill_conditioned():
+def test_cgs2_orthogonal_on_graded_columns():
     rng = np.random.default_rng(4)
     n = 30
     base = rng.standard_normal((n, 6))
@@ -160,9 +167,10 @@ def test_reorthogonalization_helps_ill_conditioned():
     for j in range(1, 6):
         a[:, j] = a[:, j - 1] + 10.0 ** (-2 * j) * base[:, j]
     w = WeightOperator.identity(n)
-    plain = mgs_factorize(a, w).orthonormality_defect()
-    twice = mgs_factorize(a, w, reorthogonalize=True).orthonormality_defect()
-    assert twice <= plain
+    # the second pass is what single-pass classical Gram-Schmidt lacks
+    once = gs_factorize(a, w).orthonormality_defect()
+    twice = mgs_factorize(a, w).orthonormality_defect()
+    assert twice <= once
     assert twice < 1e-13
 
 
@@ -182,8 +190,10 @@ def test_orthogonalize_column_reports_without_extending():
     w = random_weight(rng, 5, "dense")
     a = rng.standard_normal((5, 2))
     f = mgs_factorize(a, w)
-    coeffs, _, rnorm = orthogonalize_column(f, a @ np.array([2.0, -1.0]))
+    coeffs, res, m_res, rnorm = orthogonalize_column(
+        f, a @ np.array([2.0, -1.0]))
     assert_allclose(coeffs, f.r @ np.array([2.0, -1.0]), rtol=1e-10)
+    assert_allclose(m_res, w.apply(res), rtol=1e-13)
     assert rnorm <= 1e-12 * w.norm(a @ np.array([2.0, -1.0]))
     assert f.k == 2  # untouched
 
@@ -207,6 +217,8 @@ def test_timing_battery():
         n = int(rng.integers(3, 12))
         k = int(rng.integers(1, n + 1))
         a = rng.standard_normal((n, k))
-        f = mgs_factorize(a, random_weight(rng, n))
+        w = random_weight(rng, n)
+        f = mgs_factorize(a, w)
         assert f.orthonormality_defect() < 1e-10
+        assert_p_is_mq(f, w)
     assert time.monotonic() - start < 10.0

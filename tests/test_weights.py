@@ -153,6 +153,13 @@ def test_isometry_of_weighted_orthonormal_columns():
         assert_allclose(w.norm(p @ z), np.linalg.norm(z), rtol=1e-12)
 
 
+def test_norm_is_one_application(weight_calls):
+    w = WeightOperator.dense(random_pd_matrix(np.random.default_rng(29), 4))
+    weight_calls.clear()
+    w.norm(np.ones(4))
+    assert weight_calls == ["norm", "apply"]
+
+
 def test_negative_quadratic_form_detects_corruption():
     # no public constructor produces an indefinite operator, so corrupt one
     bad = WeightOperator("dense", 2, matrix=np.array([[1.0, 0.0],
