@@ -42,6 +42,7 @@ extrapolated vector is exact for linear problems.
 
 from __future__ import annotations
 
+import base64
 import enum
 from dataclasses import dataclass, field, replace
 
@@ -377,45 +378,54 @@ def _pair(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _pairs(v) -> list[list[float]]:
-    return [_pair(z) for z in np.asarray(v).ravel()]
+def _block(a) -> dict:
+    """One array as its little-endian IEEE-754 bytes in base64: exact,
+    byte-deterministic and platform-independent.  Stored as ``"<f8"``
+    when every imaginary part is zero, else as ``"<c16"``."""
+    a = np.asarray(a)
+    dtype = "<c16" if np.iscomplexobj(a) and a.imag.any() else "<f8"
+    raw = np.ascontiguousarray(a.real if dtype == "<f8" else a, dtype=dtype)
+    return {"dtype": dtype, "shape": list(a.shape),
+            "b64": base64.b64encode(raw).decode("ascii")}
 
 
 def _solve_to_dict(solve: CoefficientSolve) -> dict:
     out = {"method": solve.method, "exists": bool(solve.exists)}
-    out["gamma"] = None if solve.gamma is None else _pairs(solve.gamma)
+    out["gamma"] = None if solve.gamma is None else _block(solve.gamma)
     out["phi"] = None if solve.phi is None else float(solve.phi)
     out["alpha"] = None if solve.alpha is None else _pair(solve.alpha)
     out["lam"] = None if solve.lam is None else float(solve.lam)
-    out["s"] = None if solve.s is None else _pairs(solve.s)
+    out["s"] = None if solve.s is None else _block(solve.s)
     return out
 
 
 def history_to_dict(history: RunHistory) -> dict:
-    """JSON-ready dict; complex entries become [re, im] pairs.
+    """JSON-ready dict of the version-2 history format.
 
-    Key order is irrelevant: serialize with sort_keys for byte-stable
-    output.
+    Every array (``x0``, the (N, m) ``differences``, the weight's
+    ``weights`` or ``matrix``, each solve's ``gamma`` and ``s``) is a
+    block ``{"dtype", "shape", "b64"}``; scalars stay JSON numbers and
+    ``alpha`` an ``[re, im]`` pair.  Key order is irrelevant: serialize
+    with sort_keys for byte-stable output.
     """
     w = history.weight
     if w.kind == "identity":
         weight_spec = {"kind": "identity"}
     elif w.kind == "diagonal":
         weight_spec = {"kind": "diagonal",
-                       "weights": [float(v) for v in w.matrix().diagonal().real]}
+                       "weights": _block(w.matrix().diagonal().real)}
     else:
-        weight_spec = {"kind": "dense",
-                       "matrix": [_pairs(row) for row in w.matrix()]}
+        weight_spec = {"kind": "dense", "matrix": _block(w.matrix())}
     return {
         "format": "wextrap-history",
-        "version": 1,
+        "version": 2,
         "dimension": int(w.dimension),
         "k_max": int(history.k_max),
         "status": history.status.value,
         "detected_k0": history.detected_k0,
         "weight": weight_spec,
-        "x0": _pairs(history.x0),
-        "differences": [_pairs(u) for u in history.differences.T],
+        "x0": _block(history.x0),
+        "differences": _block(history.differences),
         "records": [
             {
                 "k": rec.k,

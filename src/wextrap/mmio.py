@@ -11,9 +11,15 @@ Vector files are whitespace-separated numbers; sequence files hold one
 vector per line.  Entries may be written as plain floats or in Python
 complex syntax (``1.5+0.25j``).
 
-Run histories persist as JSON with sorted keys, so identical runs
-serialize to identical bytes.  Complex scalars are stored as
-``[real, imag]`` pairs.  Loading reconstructs a full
+Run histories persist as compact JSON with sorted keys, so identical
+runs serialize to identical bytes.  In the version-2 format every array
+is a block ``{"dtype", "shape", "b64"}`` holding its little-endian
+IEEE-754 bytes (``"<f8"`` when every imaginary part is zero, else
+``"<c16"``), which is exact and platform-independent; scalars are JSON
+numbers, and the complex ``alpha`` is a ``[real, imag]`` pair.
+:func:`save_history` writes version 2; :func:`load_history` also reads
+version 1, where every complex entry is a ``[real, imag]`` pair, and
+ignores keys it does not know.  Loading reconstructs a full
 :class:`~wextrap.extrapolate.RunHistory`, refactorizing the stored
 difference columns so the triangular factors match the original run
 bit for bit.
@@ -21,7 +27,9 @@ bit for bit.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 
 import numpy as np
 
@@ -284,41 +292,62 @@ def write_sequence(path, vectors) -> None:
 # -- run histories ---------------------------------------------------
 
 def save_history(history: RunHistory, path) -> None:
-    """Deterministic JSON: sorted keys, no whitespace variation."""
+    """Write the version-2 history format: compact JSON with sorted
+    keys, so identical runs give identical bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(history_to_dict(history), sort_keys=True,
-                            indent=2))
+                            separators=(",", ":")))
         fh.write("\n")
 
 
-def _unpair(p) -> complex:
-    return complex(p[0], p[1])
+def _array(obj, path) -> np.ndarray:
+    """A stored array as a fresh complex array.
+
+    ``obj`` is a version-2 block ``{"dtype", "shape", "b64"}`` or a
+    version-1 nested list of ``[re, im]`` pairs.
+    """
+    if not isinstance(obj, dict):
+        pairs = np.asarray(obj, dtype=float)
+        if pairs.ndim < 2 or pairs.shape[-1] != 2:
+            _fail(f"expected [re, im] pairs, got shape {pairs.shape}", path)
+        return pairs.view(complex)[..., 0]
+    dtype, shape = obj["dtype"], obj["shape"]
+    if dtype not in ("<f8", "<c16"):
+        _fail(f"unsupported array dtype {dtype!r}", path)
+    if not all(type(n) is int and n >= 0 for n in shape):
+        _fail(f"invalid array shape {shape!r}", path)
+    try:
+        raw = base64.b64decode(obj["b64"], validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        _fail(f"invalid base64 in array block: {exc}", path)
+    needed = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != needed:
+        _fail(f"array block holds {len(raw)} bytes, shape {shape} of "
+              f"{dtype} needs {needed}", path)
+    # astype copies out of the read-only buffer
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(complex)
 
 
-def _unpairs(seq) -> np.ndarray:
-    return np.array([_unpair(p) for p in seq], dtype=complex)
-
-
-def _solve_from_dict(doc, method) -> CoefficientSolve:
+def _solve_from_dict(doc, method, path) -> CoefficientSolve:
     return CoefficientSolve(
         method=method,
         exists=bool(doc["exists"]),
-        gamma=None if doc["gamma"] is None else _unpairs(doc["gamma"]),
+        gamma=None if doc["gamma"] is None else _array(doc["gamma"], path),
         phi=doc["phi"],
-        alpha=None if doc["alpha"] is None else _unpair(doc["alpha"]),
+        alpha=None if doc["alpha"] is None else complex(*doc["alpha"]),
         lam=doc["lam"],
-        s=None if doc["s"] is None else _unpairs(doc["s"]),
+        s=None if doc["s"] is None else _array(doc["s"], path),
     )
 
 
 def load_history(path) -> RunHistory:
-    """Rebuild a RunHistory from its JSON form.
+    """Rebuild a RunHistory from a version-2 or version-1 history file.
 
     The triangular factors are not stored; they are regrown from the
     stored difference columns with the same incremental factorization
     the original run used, which reproduces them exactly.  Keys the
-    loader does not read, such as the second-pass flag that files from
-    older versions carry, are ignored.
+    loader does not read are ignored: the second-pass flag that older
+    files carry, and any key a later writer adds to a version-2 file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -329,29 +358,37 @@ def load_history(path) -> RunHistory:
     try:
         if doc.get("format") != "wextrap-history":
             _fail("not a history file (missing format marker)", path)
+        version = doc.get("version")
+        if type(version) is not int or version not in (1, 2):
+            _fail(f"unsupported history version {version!r}", path)
         wspec = doc["weight"]
         if wspec["kind"] == "identity":
             weight = WeightOperator.identity(int(doc["dimension"]))
         elif wspec["kind"] == "diagonal":
-            weight = WeightOperator.diagonal(np.asarray(wspec["weights"],
-                                                        dtype=float))
+            weights = wspec["weights"]  # v1: a plain list of reals
+            weight = WeightOperator.diagonal(
+                weights if version == 1 else _array(weights, path))
         else:
-            weight = WeightOperator.dense(
-                np.array([[_unpair(p) for p in row]
-                          for row in wspec["matrix"]]))
-        x0 = _unpairs(doc["x0"])
-        columns = np.column_stack([_unpairs(col)
-                                   for col in doc["differences"]]) \
-            if doc["differences"] else np.zeros((weight.dimension, 0),
-                                                dtype=complex)
+            weight = WeightOperator.dense(_array(wspec["matrix"], path))
+        x0 = _array(doc["x0"], path)
+        if version == 2:
+            columns = _array(doc["differences"], path)
+        elif doc["differences"]:  # v1: a list of columns
+            columns = np.ascontiguousarray(
+                _array(doc["differences"], path).T)
+        else:
+            columns = np.zeros((weight.dimension, 0), dtype=complex)
+        if columns.ndim != 2:
+            _fail(f"differences of shape {columns.shape}, expected (N, m)",
+                  path)
         records = []
         for rdoc in doc["records"]:
             records.append(ExtrapolationRecord(
                 k=int(rdoc["k"]),
                 u_norm=float(rdoc["u_norm"]),
                 rdiag=float(rdoc["rdiag"]),
-                mpe=_solve_from_dict(rdoc["mpe"], "mpe"),
-                rre=_solve_from_dict(rdoc["rre"], "rre"),
+                mpe=_solve_from_dict(rdoc["mpe"], "mpe", path),
+                rre=_solve_from_dict(rdoc["rre"], "rre", path),
                 terminal=bool(rdoc["terminal"]),
             ))
         status = RunStatus(doc["status"])

@@ -1,3 +1,4 @@
+import base64
 from fractions import Fraction
 
 import numpy as np
@@ -337,13 +338,20 @@ def test_history_serialization_shape(demo_problem):
     hist = run(np.asarray(xs), WeightOperator.identity(2), k_max=2)
     doc = history_to_dict(hist)
     assert doc["format"] == "wextrap-history"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["weight"] == {"kind": "identity"}
     assert len(doc["records"]) == 3
     rec1 = doc["records"][1]
     assert rec1["mpe"]["exists"] is True
-    assert_allclose(rec1["mpe"]["gamma"],
-                    [[-17.0 / 35.0, 0.0], [52.0 / 35.0, 0.0]], atol=1e-13)
+    block = rec1["mpe"]["gamma"]
+    assert block["shape"] == [2]
+    gamma = np.frombuffer(base64.b64decode(block["b64"]), block["dtype"])
+    assert_allclose(gamma, [-17.0 / 35.0, 52.0 / 35.0], atol=1e-13)
+    # the demo is real, so every array is stored as real
+    blocks = [doc["x0"], doc["differences"]] + [
+        rec[m][key] for rec in doc["records"] for m in ("mpe", "rre")
+        for key in ("gamma", "s")]
+    assert {b["dtype"] for b in blocks} == {"<f8"}
     rows = history_rows(hist)
     assert [row["k"] for row in rows] == [0, 1, 2]
     assert rows[1]["phi_rre"] == pytest.approx(np.sqrt(9.0 / 388.0))

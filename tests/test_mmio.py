@@ -23,7 +23,12 @@ from wextrap import (
     write_vector,
 )
 
-from conftest import random_linear_problem, random_weight
+from conftest import (
+    random_linear_problem,
+    random_pd_matrix,
+    random_sequence,
+    random_weight,
+)
 
 
 @pytest.mark.parametrize("fmt", ["array", "coordinate"])
@@ -259,6 +264,111 @@ def test_version_1_fixture_loads_and_verifies():
     assert np.linalg.norm(f.q @ f.r - u) <= 1e-12 * np.linalg.norm(u)
     assert f.orthonormality_defect() <= 1e-13
     assert verify_history(hist, use_recorded_phi=True).ok
+
+
+def test_version_2_fixture_loads_verifies_and_resaves(tmp_path):
+    # written from seed 8 (random_weight(rng, 5, "dense"), then 7
+    # iterates of random_linear_problem(rng, 5), run with k_max=6): a
+    # complex dense weight and complex iterates pin the "<c16" blocks
+    path = Path(__file__).parent / "data" / "history_v2.json"
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    assert doc["weight"]["matrix"]["dtype"] == "<c16"
+    assert doc["differences"]["shape"] == [5, 7]
+    hist = load_history(path)
+    assert hist.status.value == "rank_deficient"
+    assert hist.detected_k0 == 5 and hist.stages == 6
+    assert verify_history(hist, use_recorded_phi=True).ok
+    # decoding and encoding involve no arithmetic: the bytes come back
+    # exactly on any platform
+    out = tmp_path / "again.json"
+    save_history(hist, out)
+    assert out.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+def test_history_v2_round_trip_is_exact(tmp_path, kind, field):
+    rng = np.random.default_rng(48)
+    n = 9
+    if kind == "dense" and field == "real":
+        weight = WeightOperator.dense(random_pd_matrix(rng, n, complex_=False))
+    else:
+        weight = random_weight(rng, n, kind)
+    xs = random_sequence(rng, n, 8, complex_=field == "complex")
+    hist = run(xs, weight, k_max=6)
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    doc = json.loads(path.read_text())
+    assert doc["x0"]["dtype"] == ("<c16" if field == "complex" else "<f8")
+    back = load_history(path)
+
+    assert back.x0.flags.writeable and back.differences.flags.writeable
+    assert_array_equal(back.x0, hist.x0)
+    assert_array_equal(back.differences, hist.differences)
+    assert np.array_equal(back.factors.q, hist.factors.q)
+    assert np.array_equal(back.factors.r, hist.factors.r)
+    for old, new in zip(hist.records, back.records):
+        for method in ("mpe", "rre"):
+            a, b = getattr(old, method), getattr(new, method)
+            assert (a.gamma is None) == (b.gamma is None)
+            if a.gamma is not None:
+                assert np.array_equal(a.gamma, b.gamma)
+                assert np.array_equal(a.s, b.s)
+    again = tmp_path / "again.json"
+    save_history(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _tampered_v2(tmp_path, edit):
+    rng = np.random.default_rng(49)
+    hist = run(random_sequence(rng, 6, 5), WeightOperator.identity(6),
+               k_max=3)
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _load_fails(path, match):
+    with pytest.raises(ParseError, match=match) as info:
+        load_history(path)
+    assert info.value.path == str(path)
+
+
+def test_history_block_rejects_unknown_dtype(tmp_path):
+    path = _tampered_v2(tmp_path, lambda doc: doc["x0"].update(dtype="|O"))
+    _load_fails(path, "unsupported array dtype '|O'")
+
+
+def test_history_block_rejects_shape_length_mismatch(tmp_path):
+    def grow(doc):
+        doc["records"][1]["rre"]["gamma"]["shape"] = [3]  # holds 2 entries
+    _load_fails(_tampered_v2(tmp_path, grow), "holds 16 bytes")
+
+
+def test_history_block_rejects_invalid_base64(tmp_path):
+    def garble(doc):
+        # a lenient decoder would skip the "*" and read the right bytes
+        b64 = doc["differences"]["b64"]
+        doc["differences"]["b64"] = b64[:8] + "*" + b64[8:]
+    _load_fails(_tampered_v2(tmp_path, garble), "invalid base64")
+
+
+def test_history_rejects_unknown_version(tmp_path):
+    path = _tampered_v2(tmp_path, lambda doc: doc.update(version=3))
+    _load_fails(path, "unsupported history version 3")
+
+
+def test_history_v2_ignores_unknown_keys(tmp_path):
+    def extend(doc):
+        doc["notes"] = "added by a later writer"
+        for rec in doc["records"]:
+            rec["diagnostics"] = {"cond_r": 1.0}
+    back = load_history(_tampered_v2(tmp_path, extend))
+    assert back.stages == 4
 
 
 def test_history_rejects_foreign_json(tmp_path):
