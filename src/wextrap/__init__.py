@@ -19,7 +19,6 @@ from .errors import (
     NotPositiveDefinite,
     ParseError,
     RankDeficient,
-    TheoremViolation,
     WextrapError,
 )
 from .extrapolate import (
@@ -70,10 +69,6 @@ from .qr import (
 from .relations import (
     RelationReport,
     StageRelations,
-    check_corollaries,
-    check_coupling,
-    check_master_identity,
-    check_stagnation,
     peak_plateau_report,
     verify_history,
 )
@@ -99,16 +94,11 @@ __all__ = [
     "RunHistory",
     "RunStatus",
     "StageRelations",
-    "TheoremViolation",
     "WQRFactors",
     "WeightOperator",
     "WextrapError",
     "append_column",
     "assemble",
-    "check_corollaries",
-    "check_coupling",
-    "check_master_identity",
-    "check_stagnation",
     "cosine_problem",
     "empty_factors",
     "equivalence_check",

@@ -71,11 +71,6 @@ class NonFiniteIterate(WextrapError):
         super().__init__(msg or f"iterate {index} is not finite")
 
 
-class TheoremViolation(WextrapError):
-    """Raised when a relation that holds in exact arithmetic fails beyond
-    tolerance.  This is a bug detector, not a user error."""
-
-
 class ParseError(WextrapError):
     """Raised on malformed input files; carries position information."""
 

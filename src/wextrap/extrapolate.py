@@ -276,8 +276,8 @@ def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k, exist_tol,
 
 
 def run(iterates, weight, k_max: int | None = None,
-        rank_tol: float = RANK_TOL, exist_tol: float = EXIST_TOL,
-        converge_atol: float = CONVERGE_ATOL) -> RunHistory:
+        rank_tol: float = RANK_TOL, exist_tol: float = EXIST_TOL
+        ) -> RunHistory:
     """Run both extrapolation methods over an iterate sequence.
 
     Parameters
@@ -292,9 +292,10 @@ def run(iterates, weight, k_max: int | None = None,
         supports, capped at the space dimension N (at stage N the
         difference block has N+1 columns and is structurally
         dependent, so no run can go further).
-    rank_tol, exist_tol, converge_atol : float
-        Thresholds for rank loss, minimal-polynomial existence and
-        plain convergence of the underlying iteration.
+    rank_tol, exist_tol : float
+        Thresholds for rank loss and minimal-polynomial existence;
+        plain convergence of the underlying iteration is judged
+        against :data:`CONVERGE_ATOL`.
 
     Returns
     -------
@@ -345,16 +346,12 @@ def run(iterates, weight, k_max: int | None = None,
         u_norm = float(np.hypot(np.linalg.norm(coeffs), rnorm))
         previous = history.records[-1] if history.records else None
 
-        if u_norm <= converge_atol:
+        converged = u_norm <= CONVERGE_ATOL
+        if converged or k == n or rnorm <= rank_tol * u_norm:
             history.records.append(_terminal_records(
                 x0, factors, coeffs, rnorm, u_norm, k, exist_tol, previous))
-            history.status = RunStatus.CONVERGED
-            history.detected_k0 = k
-            break
-        if k == n or rnorm <= rank_tol * u_norm:
-            history.records.append(_terminal_records(
-                x0, factors, coeffs, rnorm, u_norm, k, exist_tol, previous))
-            history.status = RunStatus.RANK_DEFICIENT
+            history.status = RunStatus.CONVERGED if converged \
+                else RunStatus.RANK_DEFICIENT
             history.detected_k0 = k
             break
 
@@ -412,8 +409,9 @@ def history_to_dict(history: RunHistory) -> dict:
     if w.kind == "identity":
         weight_spec = {"kind": "identity"}
     elif w.kind == "diagonal":
+        # M applied to ones is the stored weights, exactly
         weight_spec = {"kind": "diagonal",
-                       "weights": _block(w.matrix().diagonal().real)}
+                       "weights": _block(w.apply(np.ones(w.dimension)).real)}
     else:
         weight_spec = {"kind": "dense", "matrix": _block(w.matrix())}
     return {

@@ -177,11 +177,11 @@ class _Stages:
         self.r, self.g, self.cosines, self.residuals = _triangularize(
             self.hess, beta)
 
-    def fom(self, k: int, fom_tol: float = FOM_TOL):
+    def fom(self, k: int):
         m = min(k, self.hess.shape[1])
         if m == 0:
             return self.x0.copy()
-        if self.cosines[m - 1] <= fom_tol:
+        if self.cosines[m - 1] <= FOM_TOL:
             return None
         rhs = np.zeros(m, dtype=complex)
         rhs[0] = self.beta
@@ -197,7 +197,7 @@ class _Stages:
         return self.x0 + self.basis[:, :m] @ y, self.residuals[m]
 
 
-def fom_solve(t, d, x0, weight, k: int, fom_tol: float = FOM_TOL):
+def fom_solve(t, d, x0, weight, k: int):
     """Galerkin solution at stage k, or None when it is not defined.
 
     None mirrors the nonexistence of the minimal-polynomial
@@ -205,7 +205,7 @@ def fom_solve(t, d, x0, weight, k: int, fom_tol: float = FOM_TOL):
     failure.  k = 0 returns x0.  Past a happy breakdown the invariant-
     space (exact) solution is returned.
     """
-    return _Stages(t, d, x0, weight, k).fom(k, fom_tol)
+    return _Stages(t, d, x0, weight, k).fom(k)
 
 
 def gmr_solve(t, d, x0, weight, k: int, with_residual: bool = False):

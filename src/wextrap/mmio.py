@@ -340,6 +340,44 @@ def _solve_from_dict(doc, method, path) -> CoefficientSolve:
     )
 
 
+def _check_records(records, columns, dimension, path) -> None:
+    """Reject a history the verifier cannot judge: records out of
+    order, an early terminal stage, a solve missing a part it must
+    carry, or arrays of the wrong size.  Values are not judged beyond
+    a finite positive phi, so a tampered number still reaches the
+    verifier."""
+    if columns.shape[1] < len(records):
+        _fail(f"{len(records)} records need as many difference columns, "
+              f"the file holds {columns.shape[1]}", path)
+    last = len(records) - 1
+    for idx, rec in enumerate(records):
+        if rec.k != idx:
+            _fail(f"record {idx} is numbered k = {rec.k}", path)
+        if rec.terminal and idx != last:
+            _fail(f"record {idx} is terminal but not the last", path)
+        for solve in (rec.mpe, rec.rre):
+            where = f"record {idx} {solve.method}"
+            required = solve.exists or (solve.method == "rre"
+                                        and not rec.terminal)
+            missing = [name for name in ("gamma", "phi", "s")
+                       if getattr(solve, name) is None]
+            if required and missing:
+                _fail(f"{where} lacks {', '.join(missing)}", path)
+            if solve.gamma is not None and solve.gamma.shape != (idx + 1,):
+                _fail(f"{where} gamma of shape {solve.gamma.shape}, "
+                      f"expected ({idx + 1},)", path)
+            if solve.s is not None and solve.s.shape != (dimension,):
+                _fail(f"{where} s of shape {solve.s.shape}, expected "
+                      f"({dimension},)", path)
+            # a converged run's terminal stage may carry phi = 0
+            phi = solve.phi
+            if phi is not None and not (
+                    type(phi) in (int, float) and math.isfinite(phi)
+                    and (phi > 0.0 or (rec.terminal and phi == 0.0))):
+                _fail(f"{where} phi = {phi!r} is not finite and positive",
+                      path)
+
+
 def load_history(path) -> RunHistory:
     """Rebuild a RunHistory from a version-2 or version-1 history file.
 
@@ -348,6 +386,8 @@ def load_history(path) -> RunHistory:
     the original run used, which reproduces them exactly.  Keys the
     loader does not read are ignored: the second-pass flag that older
     files carry, and any key a later writer adds to a version-2 file.
+    A file the verifier could not judge (see :func:`_check_records`)
+    raises :class:`ParseError`, as malformed JSON does.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -399,6 +439,7 @@ def load_history(path) -> RunHistory:
         raise DimensionMismatch(
             f"difference columns of dimension {columns.shape[0]}, weight of "
             f"dimension {weight.dimension}")
+    _check_records(records, columns, weight.dimension, path)
     appended = len(records) - (1 if records and records[-1].terminal else 0)
     if appended > 0:
         # the run already accepted these columns under its own rank_tol,

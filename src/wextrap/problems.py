@@ -39,11 +39,9 @@ class FixedPointProblem:
     t: np.ndarray | None = None
     d: np.ndarray | None = None
     f: Callable | None = None
-    known_solution: np.ndarray | None = None
 
     @classmethod
-    def linear(cls, t, d, x0=None, solve_for_solution: bool = True
-               ) -> "FixedPointProblem":
+    def linear(cls, t, d, x0=None) -> "FixedPointProblem":
         t = np.asarray(t, dtype=complex)
         d = np.asarray(d, dtype=complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or d.shape != (t.shape[0],):
@@ -55,21 +53,14 @@ class FixedPointProblem:
         x0 = np.asarray(x0, dtype=complex)
         if x0.shape != (t.shape[0],):
             raise DimensionMismatch(f"x0 of shape {x0.shape}")
-        solution = None
-        if solve_for_solution:
-            try:
-                solution = np.linalg.solve(np.eye(t.shape[0]) - t, d)
-            except np.linalg.LinAlgError:
-                solution = None
-        return cls("linear", x0, t=t, d=d, known_solution=solution)
+        return cls("linear", x0, t=t, d=d)
 
     @classmethod
-    def nonlinear(cls, f: Callable, x0, known_solution=None
-                  ) -> "FixedPointProblem":
+    def nonlinear(cls, f: Callable, x0) -> "FixedPointProblem":
         x0 = np.asarray(x0, dtype=complex)
         if x0.ndim != 1:
             raise DimensionMismatch("x0 must be a vector")
-        return cls("nonlinear", x0, f=f, known_solution=known_solution)
+        return cls("nonlinear", x0, f=f)
 
     @property
     def dimension(self) -> int:
@@ -205,8 +196,7 @@ def quadratic_problem(n: int, x0=None) -> FixedPointProblem:
 
     if x0 is None:
         x0 = np.zeros(n)
-    sol = 2.0 * (1.0 - np.sqrt(1.0 - q))
-    return FixedPointProblem.nonlinear(f, x0, known_solution=sol.astype(complex))
+    return FixedPointProblem.nonlinear(f, x0)
 
 
 BUILTIN_MAPS = {

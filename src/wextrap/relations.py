@@ -34,10 +34,11 @@ defect, the default threshold, and the per-stage defect function,
 which returns None where the identity does not apply (stage 0,
 terminal stage, or nonexistent minimal-polynomial vector as the case
 requires).  The 3-1 and 3-55 flags are boolean and sit beside the
-table.  One pass over the records fills every :class:`StageRelations`;
-:func:`verify_history` judges the defects against thresholds, and the
-``check_*`` functions are views of the same pass, so callers can
-inspect the raw measurements.
+table.  One pass over the records fills every :class:`StageRelations`,
+and :func:`verify_history` judges the defects against thresholds.  Its
+report keeps the raw measurements: ``report.stages[k].<field>`` is
+the one way to read a stage's defects and flags.  A violation is
+reported (``ok`` false), never raised.
 
 By default every check recomputes the quantities it relates directly
 from the difference columns and triangular factors, so the two sides
@@ -54,7 +55,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import TheoremViolation
 from .extrapolate import RunHistory
 
 __all__ = [
@@ -64,15 +64,9 @@ __all__ = [
     "Identity",
     "CATALOG",
     "DEFAULT_THRESHOLDS",
-    "StagnationEntry",
-    "CouplingEntry",
     "PeakPlateau",
     "StageRelations",
     "RelationReport",
-    "check_master_identity",
-    "check_stagnation",
-    "check_coupling",
-    "check_corollaries",
     "peak_plateau_report",
     "verify_history",
 ]
@@ -249,8 +243,8 @@ class StageRelations:
     s_set: tuple
 
 
-def _measure(history: RunHistory, use_recorded_phi: bool = False,
-             stag_tol: float = STAG_TOL) -> list:
+def _measure(history: RunHistory, use_recorded_phi: bool,
+             stag_tol: float) -> list:
     """The one pass: a :class:`StageRelations` per record."""
     out, prev = [], None
     for rec in history.records:
@@ -271,77 +265,6 @@ def _measure(history: RunHistory, use_recorded_phi: bool = False,
             **{row.field: row.defect(st) for row in CATALOG}))
         prev = st
     return out
-
-
-def check_master_identity(history: RunHistory) -> list:
-    """Per-stage relative defect of identity 3-8, None where k = 0 or
-    the stage is terminal."""
-    return [st.identity_38_residual for st in _measure(history)]
-
-
-class StagnationEntry(NamedTuple):
-    stagnates: bool
-    mpe_exists: bool
-    embedding_defect: float | None  # identity 3-15, stagnating stages only
-
-
-def check_stagnation(history: RunHistory, stag_tol: float = STAG_TOL,
-                     raise_on_violation: bool = True) -> list:
-    """Per-stage (stagnates, mpe_exists, embedding defect), None at
-    stage 0 and terminal stages.
-
-    ``stagnates`` holds when the weighted distance between consecutive
-    reduced-rank vectors is at most ``stag_tol * (1 + |||s_k|||)``.
-    The two flags must be opposite at every checked stage; a mismatch
-    raises :class:`TheoremViolation`, which indicates a library bug
-    (or a tampered history), never a property of the input sequence.
-    """
-    out = []
-    for st in _measure(history, stag_tol=stag_tol):
-        if st.stagnation_detected is None:
-            out.append(None)
-            continue
-        if not st.stagnation_consistent and raise_on_violation:
-            raise TheoremViolation(
-                f"stage {st.k}: stagnation={st.stagnation_detected} but "
-                f"minimal-polynomial existence={st.mpe_exists}; the two are "
-                "required to be opposite (identity 3-1)"
-            )
-        out.append(StagnationEntry(st.stagnation_detected, st.mpe_exists,
-                                   st.identity_315_residual))
-    return out
-
-
-@dataclass(frozen=True)
-class CouplingEntry:
-    identity_316_residual: float
-    identity_317_residual: float
-    identity_318_residual: float
-    monotone_355: bool
-
-
-def check_coupling(history: RunHistory, use_recorded_phi: bool = False
-                   ) -> list:
-    """Defects of identities 3-16/3-17/3-18 and the 3-55 flag per
-    stage; None where the minimal-polynomial vector is absent, at
-    stage 0, and at terminal stages."""
-    return [None if st.monotone_355 is None else CouplingEntry(
-        st.identity_316_residual, st.identity_317_residual,
-        st.identity_318_residual, st.monotone_355)
-        for st in _measure(history, use_recorded_phi)]
-
-
-def check_corollaries(history: RunHistory, use_recorded_phi: bool = False):
-    """(defects of 91, defects of 92, S_k sets) per stage.
-
-    91 applies where the minimal-polynomial vector exists (and k >= 1,
-    non-terminal); 92 at every non-terminal stage, accumulating over
-    the existence set S_k.
-    """
-    stages = _measure(history, use_recorded_phi)
-    return ([st.eq91_defect for st in stages],
-            [st.eq92_defect for st in stages],
-            [st.s_set for st in stages])
 
 
 @dataclass(frozen=True)
@@ -388,8 +311,8 @@ def peak_plateau_report(history: RunHistory,
 
     A stage peaks when its minimal-polynomial estimate exceeds the
     last defined one before it, or is itself undefined; it plateaus
-    when phi_rre(k)/phi_rre(k-1) > 1 - plateau_tol.  Works on any
-    history with at least two stages.
+    when phi_rre(k)/phi_rre(k-1) > 1 - plateau_tol.  A history with
+    fewer than two stages has empty ranges.
     """
     peak_flags, plateau_flags = {}, {}
     last_defined = None
@@ -480,8 +403,7 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
                 failures.append((defect / thr[row.label], row.label, st.k,
                                  defect))
 
-    pp = peak_plateau_report(history, plateau_tol) if len(history.records) > 1 \
-        else PeakPlateau([], [], [], plateau_tol)
+    pp = peak_plateau_report(history, plateau_tol)
     ok = not any(f[0] > 1.0 for f in failures)
     worst = None
     if failures:

@@ -136,12 +136,15 @@ class WeightOperator:
         return float(np.sqrt(max(q.real, 0.0)))
 
     def matrix(self) -> np.ndarray:
-        """Dense N x N representation of M."""
+        """Dense N x N representation of M; for a dense weight, a
+        read-only view of the stored matrix rather than a copy."""
         if self.kind == "identity":
             return np.eye(self.dimension, dtype=complex)
         if self.kind == "diagonal":
             return np.diag(self._diag).astype(complex)
-        return self._matrix.copy()
+        view = self._matrix.view()
+        view.flags.writeable = False
+        return view
 
     def __repr__(self):
         return f"WeightOperator({self.kind}, N={self.dimension})"

@@ -74,6 +74,11 @@ def random_linear_problem(rng, n, radius=0.8):
     return FixedPointProblem.linear(t, d, x0)
 
 
+def linear_solution(problem):
+    """The fixed point of a linear problem, from (I - T) x = d."""
+    return np.linalg.solve(np.eye(problem.dimension) - problem.t, problem.d)
+
+
 @pytest.fixture
 def demo_problem():
     """T = diag(0.5, 0.25), d = (0.5, 0.75), x0 = 0; fixed point (1, 1)."""

@@ -13,7 +13,14 @@ import pkgutil
 import pytest
 
 import wextrap
-from wextrap import RunHistory, WeightOperator, WQRFactors, cli
+from wextrap import (
+    FixedPointProblem,
+    RunHistory,
+    WeightOperator,
+    WQRFactors,
+    cli,
+    krylov,
+)
 
 MODULES = ["wextrap"] + sorted(
     f"wextrap.{info.name}" for info in pkgutil.iter_modules(wextrap.__path__)
@@ -23,10 +30,17 @@ MODULES = ["wextrap"] + sorted(
 #: names the library once exported and no longer has
 REMOVED = [
     "Breakdown",
+    "CouplingEntry",
     "DifferenceMatrix",
     "KrylovState",
+    "StagnationEntry",
+    "TheoremViolation",
     "VectorSequence",
     "arnoldi_step",
+    "check_corollaries",
+    "check_coupling",
+    "check_master_identity",
+    "check_stagnation",
     "gs_factorize",
     "initial_state",
 ]
@@ -66,3 +80,19 @@ def test_orthogonalization_switch_is_gone():
                  ["qr", "A.mtx", "--reorth"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
+
+
+def test_unset_knobs_are_gone():
+    # tolerances no caller set are module constants, not parameters
+    assert "converge_atol" not in inspect.signature(wextrap.run).parameters
+    assert "fom_tol" not in inspect.signature(wextrap.fom_solve).parameters
+    assert "fom_tol" not in inspect.signature(krylov._Stages.fom).parameters
+    assert "solve_for_solution" not in inspect.signature(
+        FixedPointProblem.linear).parameters
+    assert "known_solution" not in inspect.signature(
+        FixedPointProblem.nonlinear).parameters
+    assert "known_solution" not in {
+        f.name for f in dataclasses.fields(FixedPointProblem)}
+    # the verifier reports a violation; nothing raises one
+    assert "raise_on_violation" not in inspect.signature(
+        wextrap.verify_history).parameters

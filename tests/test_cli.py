@@ -8,6 +8,7 @@ interpreter on this source tree, without needing an installed
 ``wextrap`` executable.
 """
 
+import base64
 import csv
 import json
 import os
@@ -141,6 +142,63 @@ def test_verify_detects_tampered_phi(tmp_path, capsys):
     assert fails, "expected FAIL diagnostics on stderr"
     # catalog order puts the naming identity first
     assert "(3-16)" in fails[0]
+
+
+def _drop_difference_columns(doc):
+    # 6 records need 6 difference columns; keep 5 of the 7
+    block = doc["differences"]
+    a = np.frombuffer(base64.b64decode(block["b64"]), dtype=block["dtype"])
+    a = np.ascontiguousarray(a.reshape(block["shape"])[:, :5])
+    block.update(shape=list(a.shape),
+                 b64=base64.b64encode(a.tobytes()).decode("ascii"))
+
+
+def _solve(doc, method, k=2):
+    return doc["records"][k][method]
+
+
+#: edits of the v2 fixture (6 records, N = 5) that leave valid JSON the
+#: verifier could not judge
+MALFORMED_EDITS = {
+    "mpe-phi-null": lambda doc: _solve(doc, "mpe").update(phi=None),
+    "mpe-gamma-null": lambda doc: _solve(doc, "mpe").update(gamma=None),
+    "mpe-s-null": lambda doc: _solve(doc, "mpe").update(s=None),
+    "rre-phi-null": lambda doc: _solve(doc, "rre").update(phi=None),
+    "rre-gamma-null": lambda doc: _solve(doc, "rre").update(gamma=None),
+    "rre-s-null": lambda doc: _solve(doc, "rre").update(s=None),
+    "rre-unflagged-gamma-null":
+        lambda doc: _solve(doc, "rre").update(exists=False, gamma=None),
+    "terminal-mpe-phi-null":
+        lambda doc: _solve(doc, "mpe", k=5).update(phi=None),
+    "rre-phi-string": lambda doc: _solve(doc, "rre").update(phi="0.5"),
+    "rre-phi-zero": lambda doc: _solve(doc, "rre").update(phi=0.0),
+    "rre-phi-negative": lambda doc: _solve(doc, "rre").update(phi=-1.5),
+    "mpe-phi-nan":
+        lambda doc: _solve(doc, "mpe").update(phi=float("nan")),
+    "mpe-phi-inf":
+        lambda doc: _solve(doc, "mpe").update(phi=float("inf")),
+    "k-renumbered": lambda doc: doc["records"][2].update(k=3),
+    "record-dropped": lambda doc: doc["records"].pop(2),
+    "early-terminal": lambda doc: doc["records"][2].update(terminal=True),
+    "gamma-too-long": lambda doc: _solve(doc, "mpe").update(
+        gamma=_solve(doc, "mpe", k=3)["gamma"]),
+    "s-wrong-length": lambda doc: _solve(doc, "rre").update(
+        s=_solve(doc, "rre", k=3)["gamma"]),
+    "too-few-differences": _drop_difference_columns,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED_EDITS))
+def test_verify_malformed_history_exits_2(tmp_path, capsys, edit):
+    # a file the verifier cannot judge is a parse error (2), never a
+    # relation defect (1) and never a traceback
+    fixture = Path(__file__).parent / "data" / "history_v2.json"
+    doc = json.loads(fixture.read_text())
+    MALFORMED_EDITS[edit](doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify-relations", "--history", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_untampered_history_file_passes(tmp_path, capsys):

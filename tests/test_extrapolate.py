@@ -24,6 +24,7 @@ from wextrap import (
 
 import rational_oracle as ro
 from conftest import (
+    linear_solution,
     random_linear_problem,
     random_sequence,
     random_weight,
@@ -212,8 +213,8 @@ def test_run_demo_terminates_at_k0(demo_problem):
     assert_allclose(rec.mpe.s, [1.0, 1.0], atol=1e-12)
     assert_allclose(rec.rre.s, [1.0, 1.0], atol=1e-12)
     assert rec.mpe.phi <= 1e-12
-    # solution matches the problem's own known fixed point
-    assert_allclose(rec.rre.s, demo_problem.known_solution, atol=1e-12)
+    # solution matches the problem's own fixed point
+    assert_allclose(rec.rre.s, linear_solution(demo_problem), atol=1e-12)
 
 
 def test_run_stagnation_demo():
@@ -314,7 +315,7 @@ def test_extrapolation_at_k0_solves_linear_systems():
         hist = run(np.asarray(xs), random_weight(rng, 8))
         rec = hist.records[-1]
         assert rec.terminal
-        exact = problem.known_solution
+        exact = linear_solution(problem)
         assert np.linalg.norm(rec.mpe.s - exact) <= 1e-8 * (
             1.0 + np.linalg.norm(exact))
         assert np.linalg.norm(rec.mpe.s - rec.rre.s) <= 1e-10 * (

@@ -1,4 +1,6 @@
+import base64
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from wextrap import (
     FixedPointProblem,
     ParseError,
     WeightOperator,
+    history_to_dict,
     iterate,
     load_history,
     read_matrix,
@@ -318,6 +321,36 @@ def test_history_v2_round_trip_is_exact(tmp_path, kind, field):
     again = tmp_path / "again.json"
     save_history(back, again)
     assert again.read_bytes() == path.read_bytes()
+    # the weight block holds the weight's own values, bit for bit
+    spec = doc["weight"]
+    if kind == "diag":
+        assert np.array_equal(_decoded(spec["weights"]),
+                              weight.matrix().diagonal().real)
+    elif kind == "dense":
+        assert np.array_equal(_decoded(spec["matrix"]), weight.matrix())
+
+
+def _decoded(block):
+    raw = base64.b64decode(block["b64"])
+    return np.frombuffer(raw, dtype=block["dtype"]).reshape(block["shape"])
+
+
+def test_history_to_dict_diagonal_weight_stays_vector_sized():
+    # the N weights are written without forming the N x N matrix
+    # (64 MB of complex entries at this N)
+    rng = np.random.default_rng(50)
+    n = 2000
+    weights = rng.uniform(0.2, 3.0, n)
+    hist = run(random_sequence(rng, n, 4), WeightOperator.diagonal(weights),
+               k_max=2)
+    tracemalloc.start()
+    try:
+        doc = history_to_dict(hist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert np.array_equal(_decoded(doc["weight"]["weights"]), weights)
 
 
 def _tampered_v2(tmp_path, edit):

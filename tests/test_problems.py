@@ -21,7 +21,7 @@ from wextrap import (
 )
 from wextrap.problems import BUILTIN_MAPS
 
-from conftest import random_weight
+from conftest import linear_solution, random_weight
 
 
 def test_demo_iterates_exact_dyadic(demo_problem):
@@ -35,9 +35,11 @@ def test_demo_iterates_exact_dyadic(demo_problem):
 
 
 def test_linear_solution_autocomputed(demo_problem):
-    assert_allclose(demo_problem.known_solution, [1.0, 1.0], atol=1e-15)
-    assert_allclose(residual(demo_problem, demo_problem.known_solution),
-                    np.zeros(2), atol=1e-15)
+    # the fixed point follows from the problem's own T and d
+    solution = linear_solution(demo_problem)
+    assert_allclose(solution, [1.0, 1.0], atol=1e-15)
+    assert_allclose(residual(demo_problem, solution), np.zeros(2),
+                    atol=1e-15)
 
 
 def test_residual_at_x0_is_first_difference(demo_problem):
@@ -103,7 +105,8 @@ def test_failure_problem_reproduces_sequence():
     xs = iterate(problem, 2)
     assert_allclose(np.asarray(xs), np.asarray(make_mpe_failure_sequence(4)),
                     atol=1e-14)
-    assert problem.known_solution is not None  # (I - T) nonsingular
+    # (I - T) is nonsingular: the problem itself is solvable
+    assert np.linalg.norm(residual(problem, linear_solution(problem))) < 1e-12
 
 
 def test_failure_problem_weighted():
@@ -121,8 +124,7 @@ def test_near_stagnation_rejects_zero_eps():
 
 def test_near_stagnation_is_solvable():
     problem = make_near_stagnation_problem(5)
-    assert problem.known_solution is not None
-    r = residual(problem, problem.known_solution)
+    r = residual(problem, linear_solution(problem))
     assert np.linalg.norm(r) < 1e-9
 
 
@@ -136,10 +138,12 @@ def test_cosine_problem_converges_to_dottie():
 
 def test_quadratic_problem_known_solution():
     problem = quadratic_problem(4)
-    assert_allclose(residual(problem, problem.known_solution), np.zeros(4),
-                    atol=1e-15)
+    # the small root of x = q + x^2/4, for the map's q
+    q = np.linspace(0.05, 0.3, 4)
+    solution = 2.0 * (1.0 - np.sqrt(1.0 - q))
+    assert_allclose(residual(problem, solution), np.zeros(4), atol=1e-15)
     xs = iterate(problem, 40)
-    assert_allclose(xs[40], problem.known_solution, atol=1e-10)
+    assert_allclose(xs[40], solution, atol=1e-10)
 
 
 def test_builtin_map_registry():
@@ -163,7 +167,7 @@ def test_linear_contraction_rate_diagonal():
     t = np.diag([0.5, 0.25])
     problem = FixedPointProblem.linear(t, np.array([0.5, 0.75]), np.zeros(2))
     xs = np.asarray(iterate(problem, 8))
-    sol = problem.known_solution
+    sol = linear_solution(problem)
     errs = np.linalg.norm(xs - sol, axis=1)
     for i in range(1, 8):
         assert errs[i] <= 0.5 * errs[i - 1] + 1e-15

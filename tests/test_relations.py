@@ -6,12 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wextrap import (
-    TheoremViolation,
     WeightOperator,
-    check_corollaries,
-    check_coupling,
-    check_master_identity,
-    check_stagnation,
     iterate,
     make_mpe_failure_sequence,
     make_near_stagnation_problem,
@@ -19,7 +14,7 @@ from wextrap import (
     run,
     verify_history,
 )
-from wextrap.relations import DEFAULT_THRESHOLDS, CouplingEntry
+from wextrap.relations import DEFAULT_THRESHOLDS
 
 import rational_oracle as ro
 from conftest import random_linear_problem, random_sequence, random_weight
@@ -37,8 +32,12 @@ def stagnation_history():
     return run(x, WeightOperator.identity(3))
 
 
+def stages(history):
+    return verify_history(history).stages
+
+
 def test_master_identity_demo(demo_history):
-    defects = check_master_identity(demo_history)
+    defects = [st.identity_38_residual for st in stages(demo_history)]
     assert defects[0] is None            # no k-1 to relate to
     assert defects[1] < 1e-10
     assert defects[2] is None            # terminal stage
@@ -46,8 +45,7 @@ def test_master_identity_demo(demo_history):
 
 def test_master_identity_stagnation(stagnation_history):
     # alpha = 0 makes the second right-hand term vanish exactly
-    defects = check_master_identity(stagnation_history)
-    assert defects[1] < 1e-12
+    assert stages(stagnation_history)[1].identity_38_residual < 1e-12
 
 
 def test_master_identity_random_runs():
@@ -56,23 +54,25 @@ def test_master_identity_random_runs():
         n = 20
         x = random_sequence(rng, n, 9, complex_=bool(trial % 2))
         hist = run(x, random_weight(rng, n))
-        for defect in check_master_identity(hist):
+        for st in stages(hist):
+            defect = st.identity_38_residual
             assert defect is None or defect < 1e-9
 
 
 def test_stagnation_flags_demo(demo_history):
-    entries = check_stagnation(demo_history)
-    assert entries[0] is None
-    assert entries[1].stagnates is False
+    entries = stages(demo_history)
+    assert entries[0].stagnation_detected is None
+    assert entries[1].stagnation_detected is False
     assert entries[1].mpe_exists is True
+    assert entries[1].stagnation_consistent is True
 
 
 def test_stagnation_flags_fixture(stagnation_history):
-    entries = check_stagnation(stagnation_history)
-    entry = entries[1]
-    assert entry.stagnates is True
+    entry = stages(stagnation_history)[1]
+    assert entry.stagnation_detected is True
     assert entry.mpe_exists is False
-    assert entry.embedding_defect < 1e-12
+    assert entry.stagnation_consistent is True
+    assert entry.identity_315_residual < 1e-12
 
 
 def test_stagnation_biconditional_random():
@@ -82,10 +82,10 @@ def test_stagnation_biconditional_random():
         n = int(rng.integers(4, 20))
         count = int(rng.integers(3, min(n + 1, 9)))
         hist = run(random_sequence(rng, n, count), random_weight(rng, n))
-        for entry in check_stagnation(hist):
-            if entry is None:
+        for entry in stages(hist):
+            if entry.stagnation_detected is None:
                 continue
-            assert entry.stagnates is False
+            assert entry.stagnation_detected is False
             assert entry.mpe_exists is True
 
 
@@ -93,17 +93,16 @@ def test_stagnation_violation_detected(demo_history):
     # doctor the record so the flags disagree with the theorem
     rec = demo_history.records[1]
     demo_history.records[1] = replace(rec, mpe=replace(rec.mpe, exists=False))
-    with pytest.raises(TheoremViolation) as info:
-        check_stagnation(demo_history)
-    assert "3-1" in str(info.value)
     report = verify_history(demo_history)   # never raises
     assert report.ok is False
+    assert report.worst[:2] == ("3-1", 1)
     assert report.stages[1].stagnation_consistent is False
 
 
 def test_coupling_demo_exact(demo_history):
-    entries = check_coupling(demo_history)
-    assert entries[0] is None
+    entries = stages(demo_history)
+    assert entries[0].identity_316_residual is None
+    assert entries[0].monotone_355 is None
     entry = entries[1]
     assert entry.identity_316_residual < 1e-12
     assert entry.identity_317_residual < 1e-12
@@ -124,12 +123,22 @@ def test_coupling_oracle_values():
 
 
 def test_coupling_skipped_when_mpe_missing(stagnation_history):
-    entries = check_coupling(stagnation_history)
-    assert entries[1] is None
+    entry = stages(stagnation_history)[1]
+    for value in (entry.identity_316_residual, entry.identity_317_residual,
+                  entry.identity_318_residual, entry.monotone_355):
+        assert value is None
+
+
+def corollaries(history):
+    """(defects of 91, defects of 92, S_k sets) per stage."""
+    entries = stages(history)
+    return ([st.eq91_defect for st in entries],
+            [st.eq92_defect for st in entries],
+            [st.s_set for st in entries])
 
 
 def test_corollaries_demo(demo_history):
-    eq91, eq92, s_sets = check_corollaries(demo_history)
+    eq91, eq92, s_sets = corollaries(demo_history)
     assert eq92[0] == 0.0 or eq92[0] < 1e-15
     assert eq91[1] < 1e-12
     assert eq92[1] < 1e-12
@@ -138,7 +147,7 @@ def test_corollaries_demo(demo_history):
 
 
 def test_corollaries_stagnation_collapse(stagnation_history):
-    eq91, eq92, s_sets = check_corollaries(stagnation_history)
+    eq91, eq92, s_sets = corollaries(stagnation_history)
     assert s_sets[1] == (0,)
     # eq (92) collapses to phi_rre(1) = phi_mpe(0)
     assert eq92[1] < 1e-14
@@ -150,9 +159,22 @@ def test_corollaries_random():
     for trial in range(15):
         hist = run(random_sequence(rng, 20, 10), random_weight(rng, 20),
                    k_max=8)
-        eq91, eq92, _ = check_corollaries(hist)
+        eq91, eq92, _ = corollaries(hist)
         for value in eq91 + eq92:
             assert value is None or value < 1e-9
+
+
+def test_verify_history_single_stage():
+    # k_max = 0: one stage, nothing to relate and no peak or plateau
+    rng = np.random.default_rng(160)
+    hist = run(random_sequence(rng, 5, 3), WeightOperator.identity(5),
+               k_max=0)
+    assert hist.stages == 1
+    report = verify_history(hist)
+    assert report.ok is True
+    assert report.peaks == [] and report.plateaus == []
+    assert report.overlap == []
+    assert report.stages[0].stagnation_detected is None
 
 
 def test_peak_plateau_monotone_history(demo_history):
@@ -236,49 +258,6 @@ def test_verify_history_random_linear_problems():
         assert report.ok, report.worst
 
 
-def _seeded_runs():
-    # the seeded runs of the master-identity, verify_history and
-    # weighted failure-sequence tests
-    rng = np.random.default_rng(110)
-    for trial in range(15):
-        x = random_sequence(rng, 20, 9, complex_=bool(trial % 2))
-        yield run(x, random_weight(rng, 20))
-    rng = np.random.default_rng(140)
-    for trial in range(10):
-        problem = random_linear_problem(rng, 12)
-        xs = iterate(problem, 9)
-        yield run(np.asarray(xs), random_weight(rng, 12), k_max=6)
-    rng = np.random.default_rng(150)  # stagnating stages, where 3-15 applies
-    for trial in range(8):
-        n = int(rng.integers(3, 9))
-        w = random_weight(rng, n)
-        yield run(np.asarray(make_mpe_failure_sequence(n, w)), w)
-
-
-@pytest.mark.parametrize("recorded", [False, True])
-def test_check_views_match_verify_history(recorded):
-    for hist in _seeded_runs():
-        stages = verify_history(hist, use_recorded_phi=recorded).stages
-        assert check_master_identity(hist) == [
-            st.identity_38_residual for st in stages]
-        assert check_stagnation(hist) == [
-            None if st.stagnation_detected is None
-            else (st.stagnation_detected, st.mpe_exists,
-                  st.identity_315_residual)
-            for st in stages]
-        assert check_coupling(hist, use_recorded_phi=recorded) == [
-            None if st.identity_316_residual is None
-            else CouplingEntry(st.identity_316_residual,
-                               st.identity_317_residual,
-                               st.identity_318_residual, st.monotone_355)
-            for st in stages]
-        eq91, eq92, s_sets = check_corollaries(hist,
-                                               use_recorded_phi=recorded)
-        assert eq91 == [st.eq91_defect for st in stages]
-        assert eq92 == [st.eq92_defect for st in stages]
-        assert s_sets == [st.s_set for st in stages]
-
-
 def test_report_to_dict_keys(demo_history):
     doc = verify_history(demo_history).to_dict()
     assert doc["ok"] is True
@@ -297,8 +276,9 @@ def test_weighted_failure_sequence_relations():
         w = random_weight(rng, n)
         seq = make_mpe_failure_sequence(n, w)
         hist = run(np.asarray(seq), w)
-        entries = check_stagnation(hist)
-        assert entries[1].stagnates is True
-        assert entries[1].mpe_exists is False
+        entry = stages(hist)[1]
+        assert entry.stagnation_detected is True
+        assert entry.mpe_exists is False
+        assert entry.stagnation_consistent is True
         dist = w.norm(hist.record(1).rre.s - hist.record(0).rre.s)
         assert dist <= 1e-12

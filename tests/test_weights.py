@@ -188,6 +188,18 @@ def test_hermiticity_tolerance_boundary():
         WeightOperator.dense(np.array([[2.0, 1.0], [1.0 + 1e-11, 2.0]]))
 
 
+def test_dense_matrix_is_a_read_only_view():
+    # the operator is immutable, so its matrix is lent, not copied
+    m = random_pd_matrix(np.random.default_rng(24), 5)
+    w = WeightOperator.dense(m)
+    view = w.matrix()
+    assert np.shares_memory(view, w.matrix())
+    assert not view.flags.writeable
+    assert np.array_equal(view, m)
+    with pytest.raises(ValueError):
+        view[0, 0] = 0.0
+
+
 def test_apply_matches_explicit_matrix():
     rng = np.random.default_rng(23)
     n = 6
