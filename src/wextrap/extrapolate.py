@@ -381,9 +381,12 @@ def _block(a) -> dict:
     when every imaginary part is zero, else as ``"<c16"``."""
     a = np.asarray(a)
     dtype = "<c16" if np.iscomplexobj(a) and a.imag.any() else "<f8"
-    raw = np.ascontiguousarray(a.real if dtype == "<f8" else a, dtype=dtype)
+    # the contiguous copy is freed before the decode: it, the base64
+    # bytes and their str are never alive at once
+    encoded = base64.b64encode(
+        np.ascontiguousarray(a.real if dtype == "<f8" else a, dtype=dtype))
     return {"dtype": dtype, "shape": list(a.shape),
-            "b64": base64.b64encode(raw).decode("ascii")}
+            "b64": encoded.decode("ascii")}
 
 
 def _solve_to_dict(solve: CoefficientSolve) -> dict:

@@ -5,7 +5,20 @@ delegated, so that malformed files are reported with the exact line
 (and column where it makes sense) that broke parsing -- the error
 contract of this module.  Array and coordinate formats are supported,
 with real/integer/complex fields and general/symmetric/hermitian/
-skew-symmetric storage.  Explicit zeros in coordinate files are kept.
+skew-symmetric storage.  Explicit zeros in coordinate files are kept,
+and duplicate coordinates are summed in file order.
+
+The body is parsed in bulk: one list of its data lines, a check of
+their count against the count the size line implies (before the output
+is allocated), one ``np.array(tokens, dtype=float)`` conversion, which
+applies Python's ``float`` to each token, and one placement by reshape,
+triangle indices or ``np.add.at``.  Only when one of these checks fails
+does :func:`_locate` re-read the body line by line, to raise the
+:class:`ParseError` of the first bad line.  Which files are accepted,
+the values read and every error's message, line and column are the same
+as for a line-by-line parse.  A column counts from the start of the
+raw line, indentation included.  The writer formats each entry with
+``repr`` of a Python float, which reads back exactly.
 
 Vector files are whitespace-separated numbers; sequence files hold one
 vector per line.  Entries may be written as plain floats or in Python
@@ -28,6 +41,7 @@ bit for bit.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 
@@ -64,7 +78,19 @@ def _fail(msg, path, line=None, column=None):
     raise ParseError(msg, path=str(path), line=line, column=column)
 
 
-def _parse_number(token, field, path, lineno, line):
+def _tokens(raw):
+    """The whitespace-separated tokens of a raw (unstripped) line, each
+    as ``(column, token)`` with its 1-based column in that line."""
+    out, pos = [], 0
+    for token in raw.split():
+        # only whitespace lies between pos and the token's start
+        pos = raw.find(token, pos)
+        out.append((pos + 1, token))
+        pos += len(token)
+    return out
+
+
+def _parse_number(token, column, field, path, lineno):
     try:
         return float(token)
     except ValueError:
@@ -74,16 +100,49 @@ def _parse_number(token, field, path, lineno, line):
             return complex(token)
         except ValueError:
             pass
-    col = line.find(token) + 1
-    _fail(f"cannot parse number {token!r}", path, lineno, col)
+    _fail(f"cannot parse number {token!r}", path, lineno, column)
 
 
-def _data_lines(lines):
-    for lineno, raw in lines:
+def _locate(raw_lines, first, fmt, field, rows, cols, count, path):
+    """Re-read a Matrix Market body line by line and raise the
+    ParseError of its first malformed line, or of a wrong entry count.
+
+    ``first`` is the number of lines before the body (header, size line
+    and any comments).  :func:`read_matrix` calls this only once one of
+    its bulk checks has failed; it returns only on a sound body.
+    """
+    per_entry = 2 if field == "complex" else 1
+    found = 0
+    for lineno, raw in enumerate(raw_lines[first:], start=first + 1):
         text = raw.strip()
         if not text or text.startswith("%"):
             continue
-        yield lineno, text
+        tokens = _tokens(raw)
+        if fmt == "array":
+            if len(tokens) != per_entry:
+                _fail(f"expected {per_entry} value(s) per line, got {text!r}",
+                      path, lineno)
+            if found >= count:
+                _fail("more data lines than entries", path, lineno)
+        else:
+            if len(tokens) != 2 + per_entry:
+                _fail(f"expected 'i j value' with {per_entry} number(s), "
+                      f"got {text!r}", path, lineno)
+            try:
+                i, j = int(tokens[0][1]), int(tokens[1][1])
+            except ValueError:
+                _fail(f"indices must be integers, got {text!r}", path, lineno)
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                _fail(f"index ({i}, {j}) outside {rows} x {cols}", path,
+                      lineno)
+            tokens = tokens[2:]
+        for column, token in tokens:
+            _parse_number(token, column, field, path, lineno)
+        found += 1
+    if found != count:
+        _fail(f"expected {count} entries, found {found}" if fmt == "array"
+              else f"size line promised {count} entries, found {found}",
+              path, len(raw_lines))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -109,11 +168,11 @@ def read_matrix(path) -> np.ndarray:
         _fail(f"unsupported symmetry {sym!r} (supported: {_SYMMETRIES})",
               path, 1)
 
-    numbered = list(enumerate(raw_lines[1:], start=2))
-    data = _data_lines(numbered)
-    try:
-        lineno, size_line = next(data)
-    except StopIteration:
+    for lineno, raw in enumerate(raw_lines[1:], start=2):
+        size_line = raw.strip()
+        if size_line and not size_line.startswith("%"):
+            break
+    else:
         _fail("missing size line", path, len(raw_lines))
     size_tokens = size_line.split()
     expected = 3 if fmt == "coordinate" else 2
@@ -131,60 +190,62 @@ def read_matrix(path) -> np.ndarray:
     if sym != "general" and rows != cols:
         _fail(f"{sym} storage requires a square matrix, got {rows} x {cols}",
               path, lineno)
-    out = np.zeros((rows, cols), dtype=complex)
-
-    per_entry = 2 if field == "complex" else 1
-    if fmt == "array":
-        if sym == "general":
-            entries = [(i, j) for j in range(cols) for i in range(rows)]
-        elif sym == "skew-symmetric":
-            entries = [(i, j) for j in range(cols) for i in range(j + 1, rows)]
-        else:
-            entries = [(i, j) for j in range(cols) for i in range(j, rows)]
-        pos = 0
-        for lineno, text in data:
-            tokens = text.split()
-            if len(tokens) != per_entry:
-                _fail(f"expected {per_entry} value(s) per line, got {text!r}",
-                      path, lineno)
-            if pos >= len(entries):
-                _fail("more data lines than entries", path, lineno)
-            value = _parse_number(tokens[0], field, path, lineno, text)
-            if field == "complex":
-                value = complex(value,
-                                _parse_number(tokens[1], field, path, lineno,
-                                              text))
-            i, j = entries[pos]
-            out[i, j] = value
-            pos += 1
-        if pos != len(entries):
-            _fail(f"expected {len(entries)} entries, found {pos}", path,
-                  len(raw_lines))
+    if fmt == "coordinate":
+        count = dims[2]
+    elif sym == "general":
+        count = rows * cols
+    elif sym == "skew-symmetric":  # the zero diagonal is not stored
+        count = rows * (rows - 1) // 2
     else:
-        nnz = dims[2]
-        seen = 0
-        for lineno, text in data:
-            tokens = text.split()
-            if len(tokens) != 2 + per_entry:
-                _fail(f"expected 'i j value' with {per_entry} number(s), "
-                      f"got {text!r}", path, lineno)
-            try:
-                i, j = int(tokens[0]) - 1, int(tokens[1]) - 1
-            except ValueError:
-                _fail(f"indices must be integers, got {text!r}", path, lineno)
-            if not (0 <= i < rows and 0 <= j < cols):
-                _fail(f"index ({i + 1}, {j + 1}) outside {rows} x {cols}",
-                      path, lineno)
-            value = _parse_number(tokens[2], field, path, lineno, text)
-            if field == "complex":
-                value = complex(value,
-                                _parse_number(tokens[3], field, path, lineno,
-                                              text))
-            out[i, j] += value
-            seen += 1
-        if seen != nnz:
-            _fail(f"size line promised {nnz} entries, found {seen}", path,
-                  len(raw_lines))
+        count = rows * (rows + 1) // 2
+
+    def locate():
+        _locate(raw_lines, lineno, fmt, field, rows, cols, count, path)
+
+    # the body in bulk: each check below is all-or-nothing, and when one
+    # fails, locate() re-reads the body to name the first bad line
+    body = [text for raw in raw_lines[lineno:]
+            if (text := raw.strip()) and text[0] != "%"]
+    if len(body) != count:
+        locate()
+    per_entry = 2 if field == "complex" else 1
+    width = per_entry + (2 if fmt == "coordinate" else 0)
+    if width == 1:
+        value_tokens = [body]  # a line of two tokens fails float() below
+    else:
+        split = [text.split() for text in body]
+        if any(len(tokens) != width for tokens in split):
+            locate()
+        value_tokens = [[tokens[k] for tokens in split]
+                        for k in range(width - per_entry, width)]
+    try:
+        # float() semantics token by token, so the same tokens pass
+        values = np.array(value_tokens, dtype=float)
+        if fmt == "coordinate":
+            i = [int(tokens[0]) for tokens in split]
+            j = [int(tokens[1]) for tokens in split]
+    except ValueError:
+        locate()
+        raise
+    if fmt == "coordinate" and count and not (
+            1 <= min(i) and max(i) <= rows and 1 <= min(j) and max(j) <= cols):
+        locate()
+    if field == "complex":  # each (re, im) pair is one complex128
+        values = np.ascontiguousarray(values.T).view(complex)[:, 0]
+    else:
+        values = values[0]
+
+    out = np.zeros((rows, cols), dtype=complex)
+    if fmt == "coordinate":
+        # unbuffered and in file order: duplicates sum as written
+        np.add.at(out, (np.array(i, dtype=np.intp) - 1,
+                        np.array(j, dtype=np.intp) - 1), values)
+    elif sym == "general":
+        out[...] = values.reshape(cols, rows).T
+    else:
+        # the upper triangle by rows lists the lower triangle by columns
+        j, i = np.triu_indices(rows, 1 if sym == "skew-symmetric" else 0)
+        out[i, j] = values
 
     if sym in ("symmetric", "hermitian", "skew-symmetric"):
         lower = np.tril(out, -1)
@@ -197,37 +258,35 @@ def read_matrix(path) -> np.ndarray:
     return out
 
 
-def _fmt_value(z, field) -> str:
-    if field == "complex":
-        return f"{float(z.real)!r} {float(z.imag)!r}"
-    return repr(float(z.real))
-
-
 def write_matrix(path, a, fmt: str = "array", comment: str | None = None
                  ) -> None:
     """Write a dense matrix; field is complex iff any imaginary part
     is nonzero.  Coordinate output keeps every stored entry, zeros
     included, scanning columns first."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     field = "complex" if np.any(a.imag != 0.0) else "real"
     rows, cols = a.shape
     lines = [f"%%MatrixMarket matrix {fmt} {field} general"]
     if comment:
         lines.extend(f"% {c}" for c in comment.splitlines())
+    # column-major; repr of a Python float reads back exactly
+    values = a.real.ravel(order="F").tolist()
+    if field == "complex":
+        values = map("{!r} {!r}".format, values,
+                     a.imag.ravel(order="F").tolist())
+    else:
+        values = map(repr, values)
     if fmt == "array":
         lines.append(f"{rows} {cols}")
-        for j in range(cols):
-            for i in range(rows):
-                lines.append(_fmt_value(a[i, j], field))
-    elif fmt == "coordinate":
-        lines.append(f"{rows} {cols} {rows * cols}")
-        for j in range(cols):
-            for i in range(rows):
-                lines.append(f"{i + 1} {j + 1} {_fmt_value(a[i, j], field)}")
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        lines.append(f"{rows} {cols} {rows * cols}")
+        values = [f"{i} {j} {value}" for (j, i), value in zip(
+            itertools.product(range(1, cols + 1), range(1, rows + 1)),
+            values)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([*lines, *values]) + "\n")
 
 
 def read_vector(path) -> np.ndarray:
@@ -238,8 +297,9 @@ def read_vector(path) -> np.ndarray:
             text = raw.strip()
             if not text or text.startswith(("%", "#")):
                 continue
-            for token in text.split():
-                values.append(_parse_number(token, None, path, lineno, text))
+            for column, token in _tokens(raw):
+                values.append(_parse_number(token, column, None, path,
+                                            lineno))
     if not values:
         _fail("no numbers found", path)
     return np.asarray(values, dtype=complex)
@@ -269,8 +329,8 @@ def read_sequence(path) -> np.ndarray:
             text = raw.strip()
             if not text or text.startswith(("%", "#")):
                 continue
-            row = [_parse_number(tok, None, path, lineno, text)
-                   for tok in text.split()]
+            row = [_parse_number(token, column, None, path, lineno)
+                   for column, token in _tokens(raw)]
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -51,6 +51,23 @@ def big_files(tmp_path, n=10, seed=7):
     return str(t_path), str(d_path)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def test_committed_matrix_market_inputs_run_and_verify(tmp_path, capsys):
+    # the inputs CI also runs: a comment line inside T's body, and M in
+    # symmetric storage
+    m = read_matrix(DATA / "M.mtx")
+    assert np.array_equal(m, m.T) and np.linalg.eigvalsh(m).min() > 0
+    out = tmp_path / "hist.json"
+    assert cli.main(["accelerate", "--linear", str(DATA / "T.mtx"),
+                     str(DATA / "d.vec"), "--weight",
+                     f"dense:{DATA / 'M.mtx'}", "--k-max", "6",
+                     "--out", str(out)]) == 0
+    assert cli.main(["verify-relations", "--history", str(out)]) == 0
+    assert json.loads(out.read_text())["weight"]["kind"] == "dense"
+
+
 # -- accelerate -------------------------------------------------------
 
 def test_accelerate_writes_requested_stage_count(tmp_path, capsys):

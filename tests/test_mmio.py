@@ -1,5 +1,7 @@
 import base64
+import itertools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -144,6 +146,185 @@ def test_nonsquare_symmetric_rejected(tmp_path):
     path.write_text("%%MatrixMarket matrix array real symmetric\n2 3\n")
     with pytest.raises(ParseError, match="square"):
         read_matrix(path)
+
+
+def _random_mm(rng, fmt, field, sym, rows, cols):
+    """Header, size line and data lines of a random Matrix Market file
+    with no duplicate coordinates and real diagonals when hermitian."""
+    if sym == "general":
+        cells = [(i, j) for j in range(cols) for i in range(rows)]
+    else:
+        low = 1 if sym == "skew-symmetric" else 0
+        cells = [(i, j) for j in range(cols) for i in range(j + low, rows)]
+    if fmt == "coordinate":
+        keep = rng.permutation(len(cells))[: len(cells) // 2 + 1]
+        cells = [cells[k] for k in keep]
+
+    def number():
+        if field == "integer":
+            return str(rng.integers(-9, 10))
+        return repr(float(rng.choice([-0.0, 0.5, rng.standard_normal()])))
+
+    data = []
+    for i, j in cells:
+        text = number()
+        if field == "complex":
+            text += " " + ("0.0" if sym == "hermitian" and i == j
+                           else number())
+        data.append(text if fmt == "array" else f"{i + 1} {j + 1} {text}")
+    size = f"{rows} {cols}" + (f" {len(cells)}" if fmt == "coordinate"
+                               else "")
+    return [f"%%MatrixMarket matrix {fmt} {field} {sym}", size], data
+
+
+@pytest.mark.parametrize("sym", ["general", "symmetric", "hermitian",
+                                 "skew-symmetric"])
+@pytest.mark.parametrize("field", ["real", "integer", "complex"])
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_read_matrix_matches_scipy_with_comments(tmp_path, fmt, field, sym):
+    rng = np.random.default_rng(52)
+    rows = 5
+    cols = 3 if sym == "general" else rows
+    head, data = _random_mm(rng, fmt, field, sym, rows, cols)
+    clean = tmp_path / "clean.mtx"
+    clean.write_text("\n".join(head + data) + "\n")
+    # comment and blank lines between data lines, indentation, trailing
+    # blanks; scipy reads none of these inside the body
+    noisy = tmp_path / "noisy.mtx"
+    body = []
+    for k, text in enumerate(data):
+        body.append(["  " + text, text + "\t", text][k % 3])
+        body.extend([["% between entries", ""], ["   "], []][k % 3])
+    noisy.write_text("\n".join(head[:1] + ["% before the size line", "",
+                                           head[1], "%"] + body))
+    ours = read_matrix(noisy)
+    assert ours.dtype == np.complex128 and ours.flags["C_CONTIGUOUS"]
+    assert ours.tobytes() == read_matrix(clean).tobytes()
+    theirs = scipy.io.mmread(clean)
+    if fmt == "coordinate":
+        theirs = theirs.toarray()
+    assert_allclose(ours, theirs, rtol=0, atol=0)
+
+
+def test_read_matrix_keeps_signed_zero_in_array_storage(tmp_path):
+    path = tmp_path / "z.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n"
+                    "2 1\n-0.0 0.0\n1.0 -0.0\n")
+    a = read_matrix(path)
+    assert np.signbit(a.real).tolist() == [[True], [False]]
+    assert np.signbit(a.imag).tolist() == [[False], [True]]
+
+
+def test_coordinate_duplicates_sum_in_file_order(tmp_path):
+    # (1 + 1e16) - 1e16 is 0, while (1e16 - 1e16) + 1 would be 1
+    path = tmp_path / "dup.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "1 2 3\n1 1 1.0\n1 1 1e16\n1 1 -1e16\n")
+    assert read_matrix(path)[0, 0] == 0.0
+
+
+def _big_array_lines(tmp_path, n):
+    path = tmp_path / "big.mtx"
+    write_matrix(path, np.arange(1.0, n * n + 1).reshape(n, n))
+    return path, path.read_text().splitlines()
+
+
+def _assert_parse_error(path, message, line, column=None):
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        read_matrix(path)
+    assert (info.value.line, info.value.column) == (line, column)
+    where = f"{path}:{line}" + ("" if column is None else f":{column}")
+    assert str(info.value) == f"{where}: {message}"
+
+
+def test_bad_token_deep_in_array_reports_line_and_column(tmp_path):
+    path, lines = _big_array_lines(tmp_path, 200)
+    lines[40_000] = "  1.5x"  # entry 39 999, after the header and size
+    path.write_text("\n".join(lines) + "\n")
+    _assert_parse_error(path, "cannot parse number '1.5x'", 40_001, 3)
+
+
+@pytest.mark.parametrize("edit, message, line, column", [
+    (lambda lines: lines + ["1.0"], "more data lines than entries", 40_003,
+     None),
+    (lambda lines: lines[:-1], "expected 40000 entries, found 39999",
+     40_001, None),
+    (lambda lines: lines[:30_001] + ["1.0 2.0"] + lines[30_002:],
+     "expected 1 value(s) per line, got '1.0 2.0'", 30_002, None),
+    # the first bad line wins over a count that is also wrong
+    (lambda lines: lines[:11] + ["nope"] + lines[12:] + ["1.0"],
+     "cannot parse number 'nope'", 12, 1),
+])
+def test_array_body_errors_deep_in_file(tmp_path, edit, message, line,
+                                        column):
+    path, lines = _big_array_lines(tmp_path, 200)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    _assert_parse_error(path, message, line, column)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("101 1 0.5", "index (101, 1) outside 100 x 100"),
+    ("1 0 0.5", "index (1, 0) outside 100 x 100"),
+    ("0 5 0.5", "index (0, 5) outside 100 x 100"),
+    ("5 101 0.5", "index (5, 101) outside 100 x 100"),
+    ("1.0 1 0.5", "indices must be integers, got '1.0 1 0.5'"),
+    ("1 1", "expected 'i j value' with 1 number(s), got '1 1'"),
+    (None, "size line promised 10000 entries, found 9999"),
+])
+def test_coordinate_body_errors_deep_in_file(tmp_path, entry, message):
+    path = tmp_path / "big.mtx"
+    write_matrix(path, np.ones((100, 100)), fmt="coordinate")
+    lines = path.read_text().splitlines()
+    if entry is None:
+        del lines[-1]
+        line = len(lines)
+    else:
+        lines[9_000] = entry
+        line = 9_001
+    path.write_text("\n".join(lines) + "\n")
+    _assert_parse_error(path, message, line)
+
+
+@pytest.mark.parametrize("reader, text, line, column", [
+    # an indented bad token
+    (read_matrix, "%%MatrixMarket matrix array real general\n2 1\n1.0\n"
+     "   oops\n", 4, 4),
+    # a bad token that also occurs inside an earlier token
+    (read_matrix, "%%MatrixMarket matrix array complex general\n1 1\n"
+     "1e5 1e\n", 3, 5),
+    (read_vector, "1e5 1e\n", 1, 5),
+    (read_sequence, "1.0 2.0\n\t1e5 1e\n", 2, 6),
+], ids=["indented", "complex-pair", "vector", "sequence"])
+def test_parse_error_column_is_the_raw_offset(tmp_path, reader, text, line,
+                                              column):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        reader(path)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert f"{path}:{line}:{column}: cannot parse number" in str(info.value)
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_write_matrix_edge_values_byte_for_byte(tmp_path, fmt):
+    real = np.array([[-0.0, 5e-324, 0.1], [1e308, -1.5, 1 / 3]])
+    cplx = np.array([[complex(1.5, -0.0), complex(-0.0, 2.0)],
+                     [complex(5e-324, 1e308), complex(0.1, -0.1)]])
+    for a, field in ((real, "real"), (cplx, "complex")):
+        rows, cols = a.shape
+        expected = [f"%%MatrixMarket matrix {fmt} {field} general",
+                    f"{rows} {cols}" + (f" {rows * cols}"
+                                        if fmt == "coordinate" else "")]
+        for j, i in itertools.product(range(cols), range(rows)):
+            text = repr(float(a[i, j].real))
+            if field == "complex":
+                text += " " + repr(float(a[i, j].imag))
+            expected.append(text if fmt == "array"
+                            else f"{i + 1} {j + 1} {text}")
+        path = tmp_path / f"{field}.mtx"
+        write_matrix(path, a, fmt=fmt)
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert_array_equal(read_matrix(path), a)
 
 
 def test_vector_round_trip_with_comments(tmp_path):
@@ -351,6 +532,27 @@ def test_history_to_dict_diagonal_weight_stays_vector_sized():
         tracemalloc.stop()
     assert peak < 1e6
     assert np.array_equal(_decoded(doc["weight"]["weights"]), weights)
+
+
+def test_history_to_dict_dense_weight_peak():
+    # the real part of a dense weight is copied once to be encoded; that
+    # copy is freed before its base64 bytes become a str, so the copy,
+    # the bytes and the str (3.67x the matrix together) never coexist
+    rng = np.random.default_rng(51)
+    n = 2000
+    b = rng.uniform(-1.0, 1.0, (n, n))
+    matrix = 2.0 * np.eye(n) + (b + b.T) / (2 * n)
+    hist = run(random_sequence(rng, n, 4), WeightOperator.dense(matrix),
+               k_max=2)
+    tracemalloc.start()
+    try:
+        doc = history_to_dict(hist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * matrix.nbytes
+    assert doc["weight"]["matrix"]["dtype"] == "<f8"
+    assert np.array_equal(_decoded(doc["weight"]["matrix"]), matrix)
 
 
 def _tampered_v2(tmp_path, edit):
