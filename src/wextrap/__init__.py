@@ -29,8 +29,6 @@ from .extrapolate import (
     assemble,
     history_rows,
     history_to_dict,
-    mpe_coefficients,
-    rre_coefficients,
     run,
 )
 from .krylov import (
@@ -112,7 +110,6 @@ __all__ = [
     "make_mpe_failure_sequence",
     "make_near_stagnation_problem",
     "mgs_factorize",
-    "mpe_coefficients",
     "orthogonalize_column",
     "peak_plateau_report",
     "quadratic_problem",
@@ -120,7 +117,6 @@ __all__ = [
     "read_sequence",
     "read_vector",
     "residual",
-    "rre_coefficients",
     "run",
     "save_history",
     "validate",

@@ -7,19 +7,28 @@ differences u_j = x_{j+1} - x_j, stage k builds an accelerated vector
 
 from the difference block U_k = [u_0, ..., u_k].  Two choices of
 gamma are computed side by side, both working entirely in the
-triangular frame of the weighted QR factorization U_k = Q_k R_k:
+triangular frame of the weighted QR factorization U_k = Q_k R_k, at
+the cost of one back substitution per stage:
 
 * minimal-polynomial coefficients (``mpe``): solve the least-squares
   problem min ||| U_{k-1} c' + u_k ||| by back substitution
   R_{k-1} c' = -rho_k, where rho_k is the last column of R_k above the
-  diagonal; set c = (c', 1) and gamma = c / sum(c).  The method is
-  defined only when alpha = sum(c) is nonzero; numerically, when
-  |alpha| > exist_tol * sum|c_i|.
+  diagonal; set c_k = (c', 1) and gamma = c_k / alpha_k with
+  alpha_k = sum(c_k).  The method is defined only when alpha_k is
+  nonzero; numerically, when |alpha_k| > exist_tol * sum|c_i|.
 
 * reduced-rank coefficients (``rre``): minimize ||| U_k gamma |||
-  subject to sum gamma_i = 1 via two triangular solves,
-  R_k* y = e then R_k h = y; lam = 1 / sum(h) is real and positive
-  whenever R_k is nonsingular, and gamma = lam * h.
+  subject to sum gamma_i = 1.  The minimizer is lam * h_k with
+  h_k = R_k^{-1} R_k^{-*} e and lam = 1 / sum(h_k); splitting off R_k's
+  last row and column gives the paper's coupling recursion
+
+      h_k = [h_{k-1}; 0] + conj(alpha_k) c_k / r_kk^2,
+      mu_k = mu_{k-1} + nu_k,    nu_k = |alpha_k|^2 / r_kk^2,
+
+  with mu_k = sum(h_k) = 1 / lam.  So the reduced-rank result follows
+  from the minimal-polynomial c_k in O(k) work, with no solve of its
+  own and no division by alpha_k; mu_k is real and positive whenever
+  R_k is nonsingular.
 
 Cheap residual estimates come for free from the same factors:
 phi = ||| U_k gamma ||| equals r_kk |gamma_k| for ``mpe`` and
@@ -44,10 +53,10 @@ from __future__ import annotations
 
 import base64
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -67,8 +76,6 @@ __all__ = [
     "ExtrapolationRecord",
     "RunStatus",
     "RunHistory",
-    "mpe_coefficients",
-    "rre_coefficients",
     "assemble",
     "run",
     "history_to_dict",
@@ -161,65 +168,42 @@ class RunHistory:
         return self.factors.leading(k + 1)
 
 
-def _mpe_from_parts(r_upper, rho, rdiag, exist_tol):
-    """Minimal-polynomial solve given the pieces of R_k's last column.
+def _mpe(r, rho, rdiag, exist_tol):
+    """The minimal-polynomial half of a stage: ``(c, solve)``.
 
-    ``r_upper`` is R_{k-1} (k x k), ``rho`` the k projection
-    coefficients of u_k on the basis, ``rdiag`` the deflated norm.
+    ``r`` is R_{k-1} (k x k), ``rho`` the k projection coefficients of
+    u_k on the basis, ``rdiag`` the deflated norm.  R_{k-1} is upper
+    triangular with a positive diagonal, so the partial pivoting in
+    ``np.linalg.solve`` never swaps a row: it is a back substitution.
     """
-    k = len(rho)
-    c = np.empty(k + 1, dtype=complex)
-    if k:
-        c[:k] = solve_triangular(r_upper, -np.asarray(rho, dtype=complex),
-                                 lower=False)
-    c[k] = 1.0
+    c = np.append(np.linalg.solve(r, -rho), 1.0)
     alpha = complex(c.sum())
     exists = abs(alpha) > exist_tol * float(np.abs(c).sum())
     if not exists:
-        return CoefficientSolve("mpe", False, None, None, alpha=alpha)
+        return c, CoefficientSolve("mpe", False, None, None, alpha=alpha)
     gamma = c / alpha
     phi = float(rdiag) * abs(gamma[-1])
-    return CoefficientSolve("mpe", True, gamma, phi, alpha=alpha)
+    return c, CoefficientSolve("mpe", True, gamma, phi, alpha=alpha)
 
 
-def mpe_coefficients(factors: WQRFactors, exist_tol: float = EXIST_TOL
-                     ) -> CoefficientSolve:
-    """Minimal-polynomial coefficients at stage k = factors.k - 1.
+def _stage(r, rho, rdiag, h, mu, exist_tol):
+    """Both methods at a non-terminal stage: ``(mpe, rre, h, mu)``.
 
-    ``factors`` must factor U_k (k+1 columns).  Solves
-    R_{k-1} c' = -rho_k by back substitution; never touches U_k.
+    The reduced-rank half is the coupling recursion of the module
+    docstring, carried in the unnormalized h_{k-1} and mu_{k-1}
+    (empty and 0 before stage 0).
     """
-    if factors.k < 1:
-        raise InsufficientVectors("mpe needs at least one factored column")
-    k = factors.k - 1
-    r = factors.r
-    return _mpe_from_parts(r[:k, :k], r[:k, k], r[k, k].real, exist_tol)
-
-
-def rre_coefficients(factors: WQRFactors) -> CoefficientSolve:
-    """Reduced-rank coefficients at stage k = factors.k - 1.
-
-    Two triangular solves: R_k* y = e (forward substitution), then
-    R_k h = y (back substitution); lam = 1/sum(h) and gamma = lam h.
-    lam is real and positive for any nonsingular R_k, so sqrt(lam) is
-    always a valid residual estimate.
-    """
-    if factors.k < 1:
-        raise InsufficientVectors("rre needs at least one factored column")
-    r = factors.r
-    e = np.ones(factors.k, dtype=complex)
-    y = solve_triangular(r, e, lower=False, trans="C")
-    h = solve_triangular(r, y, lower=False)
-    denom = complex(h.sum())
-    if not np.isfinite([denom.real, denom.imag]).all() or denom.real <= 0.0 \
-            or abs(denom.imag) > 1e-10 * denom.real:
+    c, mpe = _mpe(r, rho, rdiag, exist_tol)
+    scaled = abs(mpe.alpha) / rdiag
+    mu = mu + scaled * scaled
+    if not math.isfinite(mu) or mu <= 0.0:
         raise LambdaNotPositive(
-            f"sum(h) = {denom!r} is not positive real; factors are not a "
-            "valid weighted QR"
-        )
-    lam = 1.0 / denom.real
-    gamma = lam * h
-    return CoefficientSolve("rre", True, gamma, float(np.sqrt(lam)), lam=lam)
+            f"mu = sum(h) = {mu!r} is not finite and positive; the "
+            "factors are not a valid weighted QR")
+    h = np.append(h, 0.0) + (mpe.alpha.conjugate() / rdiag / rdiag) * c
+    lam = 1.0 / mu
+    rre = CoefficientSolve("rre", True, h * lam, math.sqrt(lam), lam=lam)
+    return mpe, rre, h, mu
 
 
 def assemble(x0, factors: WQRFactors, gamma) -> np.ndarray:
@@ -258,7 +242,7 @@ def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k, exist_tol,
     undefined at its own terminal degree; the reduced-rank record then
     repeats the previous stage, extending the stagnation one step.
     """
-    mpe = _mpe_from_parts(factors.r, coeffs, rnorm, exist_tol)
+    _, mpe = _mpe(factors.r, coeffs, rnorm, exist_tol)
     if mpe.exists:
         s = assemble(x0, factors, mpe.gamma)
         mpe = replace(mpe, s=s)
@@ -339,6 +323,7 @@ def run(iterates, weight, k_max: int | None = None,
     history = RunHistory(weight=weight, x0=x0, differences=diffs,
                          k_max=k_max)
     factors = empty_factors(weight)
+    h, mu = np.zeros(0, dtype=complex), 0.0
 
     for k in range(k_max + 1):
         u = diffs[:, k]
@@ -355,11 +340,10 @@ def run(iterates, weight, k_max: int | None = None,
             history.detected_k0 = k
             break
 
+        mpe, rre, h, mu = _stage(factors.r, coeffs, rnorm, h, mu, exist_tol)
         factors = _extend(factors, coeffs, w, mw, rnorm)
-        mpe = mpe_coefficients(factors, exist_tol)
         if mpe.exists:
             mpe = replace(mpe, s=assemble(x0, factors, mpe.gamma))
-        rre = rre_coefficients(factors)
         rre = replace(rre, s=assemble(x0, factors, rre.gamma))
         history.records.append(ExtrapolationRecord(
             k, u_norm, float(rnorm), mpe, rre))

@@ -42,7 +42,6 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, InsufficientVectors
 from .extrapolate import run
@@ -193,7 +192,9 @@ class _Stages:
         m = min(k, self.hess.shape[1])
         if m == 0:
             return self.x0.copy(), self.residuals[0]
-        y = solve_triangular(self.r[:m, :m], self.g[:m], lower=False)
+        # R is triangular with a nonzero diagonal: no row is swapped,
+        # so the solve is a back substitution
+        y = np.linalg.solve(self.r[:m, :m], self.g[:m])
         return self.x0 + self.basis[:, :m] @ y, self.residuals[m]
 
 

@@ -364,13 +364,15 @@ def _array(obj, path) -> np.ndarray:
     """A stored array as a fresh complex array.
 
     ``obj`` is a version-2 block ``{"dtype", "shape", "b64"}`` or a
-    version-1 nested list of ``[re, im]`` pairs.
+    version-1 nested list of ``[re, im]`` pairs.  A NaN or infinite
+    entry is a parse error: no run writes one, and the verifier could
+    not judge it.
     """
     if not isinstance(obj, dict):
         pairs = np.asarray(obj, dtype=float)
         if pairs.ndim < 2 or pairs.shape[-1] != 2:
             _fail(f"expected [re, im] pairs, got shape {pairs.shape}", path)
-        return pairs.view(complex)[..., 0]
+        return _finite(pairs.view(complex)[..., 0], path)
     dtype, shape = obj["dtype"], obj["shape"]
     if dtype not in ("<f8", "<c16"):
         _fail(f"unsupported array dtype {dtype!r}", path)
@@ -385,7 +387,14 @@ def _array(obj, path) -> np.ndarray:
         _fail(f"array block holds {len(raw)} bytes, shape {shape} of "
               f"{dtype} needs {needed}", path)
     # astype copies out of the read-only buffer
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(complex)
+    return _finite(np.frombuffer(raw, dtype=dtype).reshape(shape)
+                   .astype(complex), path)
+
+
+def _finite(a, path) -> np.ndarray:
+    if not np.isfinite(a).all():
+        _fail("array block holds a non-finite value", path)
+    return a
 
 
 def _solve_from_dict(doc, method, path) -> CoefficientSolve:

@@ -112,7 +112,7 @@ def _orthogonal_pair(n: int, weight: WeightOperator):
     u0[0] = 1.0
     e2 = np.zeros(n, dtype=complex)
     e2[1] = 1.0
-    v = e2 - (weight.inner(u0, e2) / weight.norm(u0) ** 2) * u0
+    v = e2 - (np.vdot(u0, weight.apply(e2)) / weight.norm(u0) ** 2) * u0
     return u0, v
 
 

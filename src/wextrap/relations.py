@@ -12,7 +12,11 @@ carries a short catalog label used in reports and CLI output:
     + (conj(alpha_k)/r_kk) e_last, with g_j the reduced-rank gamma at
     stage j and alpha_k the minimal-polynomial coefficient sum.  Valid
     at every stage, whether or not the minimal-polynomial vector
-    exists.
+    exists.  :func:`wextrap.extrapolate.run` builds its reduced-rank
+    gamma by this very recursion (its unnormalized h_k is R_k^{-1}
+    times the left side), yet the check stays independent: it
+    re-derives alpha_k with its own back substitution and never reads
+    the run's h_k or mu_k.
 ``3-1`` / ``3-15``
     stagnation equivalence: s_k^rre = s_{k-1}^rre exactly when the
     minimal-polynomial vector at k does not exist; the coefficients
@@ -49,11 +53,11 @@ reloaded history file instead uses the recorded values
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .extrapolate import RunHistory
 
@@ -154,7 +158,9 @@ def _master(st: _Stage) -> float | None:
     """3-8.  Both sides live in the triangular frame.  The left side
     uses the stage-k reduced-rank coefficients; the right side uses the
     stage-(k-1) ones plus a fresh back-substitution for the
-    minimal-polynomial coefficient sum, so no cached scalar enters."""
+    minimal-polynomial coefficient sum, so no cached scalar enters.
+    R_{k-1} is upper triangular with a positive diagonal, so
+    ``np.linalg.solve`` swaps no row and back-substitutes."""
     if not st.checked:
         return None
     k = st.rec.k
@@ -162,7 +168,7 @@ def _master(st: _Stage) -> float | None:
     lhs_vec = r @ st.rec.rre.gamma
     lhs = lhs_vec / (np.linalg.norm(lhs_vec) ** 2)
     prev_vec = r[:k, :k] @ st.prev.rec.rre.gamma
-    cprime = solve_triangular(r[:k, :k], -r[:k, k], lower=False)
+    cprime = np.linalg.solve(r[:k, :k], -r[:k, k])
     alpha = 1.0 + complex(cprime.sum())
     rhs = np.empty(k + 1, dtype=complex)
     rhs[:k] = prev_vec / (np.linalg.norm(prev_vec) ** 2)
@@ -381,7 +387,8 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
 
     Never raises on a violation; inconsistencies are folded into the
     report (``ok`` false, ``worst`` naming the identity label and
-    stage of the largest threshold-relative defect).
+    stage of the largest threshold-relative defect).  A NaN defect
+    counts as an infinite one: it fails, and it is the worst.
     """
     thr = dict(DEFAULT_THRESHOLDS)
     if thresholds:
@@ -400,11 +407,12 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
         for row in CATALOG:
             defect = getattr(st, row.field)
             if defect is not None:
-                failures.append((defect / thr[row.label], row.label, st.k,
-                                 defect))
+                ratio = defect / thr[row.label]
+                failures.append((inf if math.isnan(ratio) else ratio,
+                                 row.label, st.k, defect))
 
     pp = peak_plateau_report(history, plateau_tol)
-    ok = not any(f[0] > 1.0 for f in failures)
+    ok = all(f[0] <= 1.0 for f in failures)
     worst = None
     if failures:
         ratio, label, k, defect = max(failures, key=lambda f: f[0])

@@ -4,15 +4,14 @@ A hermitian positive definite matrix M defines the inner product
 ``<y, z> = y* M z`` and the norm ``|||z||| = sqrt(z* M z)``.  Three
 representations are supported: identity (the Euclidean product),
 diagonal (positive weights, ``<y, z> = sum a_i conj(y_i) z_i``), and a
-general dense hermitian matrix.  A dense matrix is validated by its
-Cholesky factorization, whose existence is the positive-definiteness
-test.
+general dense hermitian matrix.  A dense matrix must be finite and
+hermitian, and is validated by its Cholesky factorization, whose
+existence is the positive-definiteness test.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -75,14 +74,16 @@ class WeightOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"weight matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NotPositiveDefinite("weight matrix has a non-finite entry")
         dev = np.max(np.abs(m - m.conj().T))
         if dev > HERMITICITY_ATOL:
             raise NotHermitian(
                 f"max |M - M*| entry deviation {dev:.3e} exceeds {HERMITICITY_ATOL:.0e}"
             )
         try:
-            scipy.linalg.cholesky(m, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from None
         return cls("dense", m.shape[0], matrix=m,
                    scale=float(np.max(np.abs(m))))
@@ -105,16 +106,6 @@ class WeightOperator:
         if self.kind == "diagonal":
             return self._diag * z
         return self._matrix @ z
-
-    def inner(self, y, z) -> complex:
-        """Weighted inner product y* M z (conjugate-linear in y)."""
-        y = self._check_dim(y)
-        z = self._check_dim(z)
-        if self.kind == "identity":
-            return complex(np.vdot(y, z))
-        if self.kind == "diagonal":
-            return complex(np.vdot(y, self._diag * z))
-        return complex(np.vdot(y, self._matrix @ z))
 
     def norm(self, z) -> float:
         """Induced norm sqrt(z* M z) from one application of M; the

@@ -3,7 +3,7 @@
 A second factorization route that the tests compare the package's
 two-pass (CGS2) kernel against: every projection coefficient of a
 column is taken against the original column before any subtraction,
-through ``weight.inner``.  It shares only the weight operator and the
+as ``vdot(q_i, M a_j)`` with M applied through ``weight.apply``.  It shares only the weight operator and the
 factor container with :mod:`wextrap.qr`.
 """
 
@@ -37,13 +37,15 @@ def gs_factorize(a, weight, reorthogonalize: bool = False,
     r = np.zeros((m, m), dtype=complex)
     for j in range(m):
         col = a[:, j]
+        m_col = weight.apply(col)
         coeffs = np.array(
-            [weight.inner(q[:, i], col) for i in range(j)], dtype=complex
+            [np.vdot(q[:, i], m_col) for i in range(j)], dtype=complex
         )
         w = col - q[:, :j] @ coeffs if j else col.copy()
         if reorthogonalize:
+            m_w = weight.apply(w)
             second = np.array(
-                [weight.inner(q[:, i], w) for i in range(j)], dtype=complex
+                [np.vdot(q[:, i], m_w) for i in range(j)], dtype=complex
             )
             if j:
                 w = w - q[:, :j] @ second

@@ -92,7 +92,7 @@ def weight_calls(monkeypatch):
     """Names of the WeightOperator methods called, in call order; a
     product with M is one "apply"."""
     calls = []
-    for name in ("apply", "inner", "norm"):
+    for name in ("apply", "norm"):
         method = getattr(WeightOperator, name)
 
         def counting(self, *args, _name=name, _method=method):

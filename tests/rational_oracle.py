@@ -79,6 +79,23 @@ def rre_stage(xs, k, w=None):
             "phi2": wdot(resid, resid, w), "residual": resid}
 
 
+def rre_gammas(columns):
+    """Exact reduced-rank gamma at every stage 0..m-1 of the m real
+    difference columns given (floats, each taken at its exact value),
+    under the Euclidean product, from one Gram matrix and its leading
+    blocks."""
+    us = [[Fraction(float(v)) for v in col] for col in columns]
+    m = len(us)
+    grams = [[wdot(us[i], us[j]) for j in range(m)] for i in range(m)]
+    out = []
+    for k in range(m):
+        y = solve_exact([row[:k + 1] for row in grams[:k + 1]],
+                        [Fraction(1)] * (k + 1))
+        lam = 1 / sum(y)
+        out.append([lam * yi for yi in y])
+    return out
+
+
 def as_float(fracs):
     return np.array([float(f) for f in fracs])
 

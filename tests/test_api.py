@@ -43,6 +43,8 @@ REMOVED = [
     "check_stagnation",
     "gs_factorize",
     "initial_state",
+    "mpe_coefficients",
+    "rre_coefficients",
 ]
 
 
@@ -65,6 +67,7 @@ def test_removed_name_is_gone(name):
 
 def test_removed_methods_are_gone():
     assert not hasattr(WeightOperator, "cholesky_lower")
+    assert not hasattr(WeightOperator, "inner")
     assert not hasattr(WQRFactors, "reconstruct")
 
 

@@ -68,6 +68,22 @@ def test_committed_matrix_market_inputs_run_and_verify(tmp_path, capsys):
     assert json.loads(out.read_text())["weight"]["kind"] == "dense"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("line", [3, 4], ids=["diag", "offdiag"])
+def test_nonfinite_dense_weight_exit_2(tmp_path, capsys, line, value):
+    # body line 3 of the symmetric M.mtx is M[0, 0], line 4 is M[1, 0]
+    lines = (DATA / "M.mtx").read_text().splitlines()
+    lines[line] = value
+    m_path = tmp_path / "M.mtx"
+    m_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "hist.json"
+    assert cli.main(["accelerate", "--linear", str(DATA / "T.mtx"),
+                     str(DATA / "d.vec"), "--weight", f"dense:{m_path}",
+                     "--k-max", "6", "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- accelerate -------------------------------------------------------
 
 def test_accelerate_writes_requested_stage_count(tmp_path, capsys):
@@ -174,6 +190,14 @@ def _solve(doc, method, k=2):
     return doc["records"][k][method]
 
 
+def _poison(block, value=float("nan")):
+    # set one entry of an array block to a non-finite value
+    a = np.frombuffer(base64.b64decode(block["b64"]),
+                      dtype=block["dtype"]).copy()
+    a[-1] = value
+    block.update(b64=base64.b64encode(a.tobytes()).decode("ascii"))
+
+
 #: edits of the v2 fixture (6 records, N = 5) that leave valid JSON the
 #: verifier could not judge
 MALFORMED_EDITS = {
@@ -202,6 +226,14 @@ MALFORMED_EDITS = {
     "s-wrong-length": lambda doc: _solve(doc, "rre").update(
         s=_solve(doc, "rre", k=3)["gamma"]),
     "too-few-differences": _drop_difference_columns,
+    "x0-nan": lambda doc: _poison(doc["x0"]),
+    "differences-nan": lambda doc: _poison(doc["differences"]),
+    "differences-inf": lambda doc: _poison(doc["differences"], float("inf")),
+    "mpe-gamma-nan": lambda doc: _poison(_solve(doc, "mpe")["gamma"]),
+    "rre-gamma-nan": lambda doc: _poison(_solve(doc, "rre")["gamma"]),
+    "mpe-s-nan": lambda doc: _poison(_solve(doc, "mpe")["s"]),
+    "rre-s-nan": lambda doc: _poison(_solve(doc, "rre")["s"]),
+    "rre-s-inf": lambda doc: _poison(_solve(doc, "rre")["s"], float("-inf")),
 }
 
 
@@ -470,3 +502,20 @@ def test_console_script_entry_point(tmp_path):
                               timeout=120)
         assert proc.returncode == 0
         assert "orthonormality deviation" in proc.stdout
+
+
+def test_runtime_is_numpy_only():
+    # scipy is a test dependency only: the package must not import it
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    deps = _load_toml(pyproject)["project"]["dependencies"]
+    assert [d.split(">")[0].split("=")[0] for d in deps] == ["numpy"]
+    env = dict(os.environ)
+    src = str(Path(wextrap.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, wextrap.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

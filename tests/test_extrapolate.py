@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from wextrap import (
     DimensionMismatch,
@@ -15,10 +16,7 @@ from wextrap import (
     WeightOperator,
     assemble,
     iterate,
-    mgs_factorize,
-    mpe_coefficients,
     residual,
-    rre_coefficients,
     run,
 )
 
@@ -31,10 +29,23 @@ from conftest import (
 )
 
 
-def demo_factors(k, m=6):
+def iterates_from(u):
+    """Iterates x_0 = 0, x_{j+1} = x_j + u_j of the difference columns."""
+    return np.vstack([np.zeros(u.shape[0], dtype=u.dtype),
+                      np.cumsum(u.T, axis=0)])
+
+
+def demo_run(k, m=6):
     xs = ro.as_float_rows(ro.demo_iterates(m))
-    u = np.diff(xs, axis=0).T
-    return mgs_factorize(u[:, :k + 1], WeightOperator.identity(2)), xs
+    return run(xs, WeightOperator.identity(2), k_max=k), xs
+
+
+def two_solve_rre(r):
+    """The reduced-rank gamma by two triangular solves, R* y = e then
+    R h = y, normalized to sum one: an independent route to run's."""
+    y = solve_triangular(r, np.ones(r.shape[0]), lower=False, trans="C")
+    h = solve_triangular(r, y, lower=False)
+    return h / h.sum()
 
 
 # -- coefficient solves against the exact-rational oracle -------------
@@ -46,8 +57,8 @@ def test_mpe_demo_stage_one_matches_oracle():
     assert oracle["alpha"] == Fraction(35, 52)
     assert oracle["phi2"] == Fraction(117, 4900)
 
-    factors, _ = demo_factors(1)
-    solve = mpe_coefficients(factors)
+    hist, _ = demo_run(1)
+    solve = hist.record(1).mpe
     assert solve.exists
     assert_allclose(solve.gamma, ro.as_float(oracle["gamma"]), atol=1e-12)
     assert_allclose(solve.alpha, float(oracle["alpha"]), atol=1e-12)
@@ -62,8 +73,8 @@ def test_rre_demo_stage_one_matches_oracle():
     assert oracle["gamma"] == [Fraction(-43, 97), Fraction(140, 97)]
     assert oracle["lam"] == Fraction(9, 388)
 
-    factors, _ = demo_factors(1)
-    solve = rre_coefficients(factors)
+    hist, _ = demo_run(1)
+    solve = hist.record(1).rre
     assert_allclose(solve.gamma, ro.as_float(oracle["gamma"]), atol=1e-12)
     assert_allclose(solve.lam, float(oracle["lam"]), atol=1e-14)
     assert_allclose(solve.phi, np.sqrt(float(oracle["lam"])), atol=1e-13)
@@ -75,18 +86,21 @@ def test_demo_assembly_matches_oracle():
     assert m_or["s"] == [Fraction(26, 35), Fraction(39, 35)]
     assert r_or["s"] == [Fraction(70, 97), Fraction(105, 97)]
 
-    factors, xs = demo_factors(1)
-    x0 = xs[0]
-    s_mpe = assemble(x0, factors, mpe_coefficients(factors).gamma)
-    s_rre = assemble(x0, factors, rre_coefficients(factors).gamma)
-    assert_allclose(s_mpe, ro.as_float(m_or["s"]), atol=1e-12)
-    assert_allclose(s_rre, ro.as_float(r_or["s"]), atol=1e-12)
+    hist, xs = demo_run(1)
+    rec = hist.record(1)
+    assert_allclose(rec.mpe.s, ro.as_float(m_or["s"]), atol=1e-12)
+    assert_allclose(rec.rre.s, ro.as_float(r_or["s"]), atol=1e-12)
+    # the recorded vectors are assemble's, from either stage's factors
+    for factors in (hist.factors, hist.factors_at(0)):
+        assert_allclose(assemble(xs[0], factors, rec.rre.gamma), rec.rre.s,
+                        atol=1e-15)
 
 
 def test_stage_zero_degenerate_forms():
-    factors, xs = demo_factors(0)
-    m = mpe_coefficients(factors)
-    r = rre_coefficients(factors)
+    hist, xs = demo_run(0)
+    rec = hist.record(0)
+    m, r = rec.mpe, rec.rre
+    assert not rec.terminal
     assert m.exists and m.alpha == 1.0
     assert_allclose(m.gamma, [1.0])
     assert_allclose(r.gamma, [1.0], atol=1e-15)
@@ -95,31 +109,32 @@ def test_stage_zero_degenerate_forms():
     assert_allclose(m.phi, u0_norm, rtol=1e-14)
     assert_allclose(r.phi, u0_norm, rtol=1e-14)
     assert_allclose(r.lam, u0_norm ** 2, rtol=1e-13)
-    assert_allclose(assemble(xs[0], factors, m.gamma), xs[0])
+    assert_allclose(m.s, xs[0])
 
 
 def test_mpe_nonexistence_forced():
     # <u_0, u_1> = |||u_0|||^2 makes c' = (-1), alpha = 0
     u = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-    factors = mgs_factorize(u, WeightOperator.identity(3))
-    solve = mpe_coefficients(factors)
+    hist = run(iterates_from(u), WeightOperator.identity(3))
+    rec = hist.record(1)
+    assert not rec.terminal
+    solve = rec.mpe
     assert not solve.exists
     assert abs(solve.alpha) < 1e-14
     assert solve.gamma is None and solve.phi is None and solve.s is None
     with pytest.raises(MpeNonexistent):
-        assemble(np.zeros(3), factors, solve.gamma)
+        assemble(np.zeros(3), hist.factors, solve.gamma)
 
 
 def test_rre_stagnation_pattern():
     u = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-    factors = mgs_factorize(u, WeightOperator.identity(3))
-    solve = rre_coefficients(factors)
+    solve = run(iterates_from(u), WeightOperator.identity(3)).record(1).rre
     assert_allclose(solve.gamma, [1.0, 0.0], atol=1e-14)
     assert_allclose(solve.lam, 1.0, rtol=1e-14)
 
 
 def test_rre_matches_gram_route():
-    """Triangular solves vs the analytical normal-equation form."""
+    """The recursion vs the analytical normal-equation form."""
     rng = np.random.default_rng(50)
     for trial in range(20):
         n = int(rng.integers(4, 14))
@@ -127,13 +142,60 @@ def test_rre_matches_gram_route():
         u = rng.standard_normal((n, k + 1)) + 1j * rng.standard_normal(
             (n, k + 1))
         w = random_weight(rng, n)
-        gram = np.array([[w.inner(u[:, i], u[:, j])
+        gram = np.array([[np.vdot(u[:, i], w.apply(u[:, j]))
                           for j in range(k + 1)] for i in range(k + 1)])
         y = np.linalg.solve(gram, np.ones(k + 1))
         lam = 1.0 / y.sum()
-        solve = rre_coefficients(mgs_factorize(u, w))
+        solve = run(iterates_from(u), w).record(k).rre
         assert_allclose(solve.gamma, lam.real * y, rtol=1e-8, atol=1e-10)
         assert_allclose(solve.lam, lam.real, rtol=1e-8)
+
+
+def test_rre_recursion_matches_two_triangular_solves():
+    # random complex sequences under random HPD weights, every stage
+    rng = np.random.default_rng(52)
+    for trial in range(20):
+        n = int(rng.integers(5, 16))
+        x = random_sequence(rng, n, int(rng.integers(3, n + 1)),
+                            complex_=True)
+        w = random_weight(rng, n, "dense")
+        hist = run(x, w)
+        assert not hist.records[-1].terminal
+        for rec in hist.records:
+            gamma = two_solve_rre(hist.factors_at(rec.k).r)
+            assert_allclose(rec.rre.gamma, gamma, rtol=1e-10, atol=1e-12)
+            assert_allclose(rec.rre.lam, 1.0 / np.linalg.norm(
+                solve_triangular(hist.factors_at(rec.k).r,
+                                 np.ones(rec.k + 1), trans="C")) ** 2,
+                            rtol=1e-10)
+
+
+def test_rre_recursion_as_accurate_as_two_solves_when_ill_conditioned():
+    # x_{j+1} = T x_j + d with T = diag(0.95 U(0.1, 1)): the difference
+    # block is a power-basis Krylov matrix, cond(R_20) about 1e12+.
+    # The exact-rational oracle referees on the very columns the run
+    # factored; neither route may lose much more than the other.
+    rng = np.random.default_rng(0)
+    n, k = 40, 20
+    t = 0.95 * rng.uniform(0.1, 1.0, n)
+    d = rng.standard_normal(n)
+    x = [np.zeros(n)]
+    for _ in range(k + 1):
+        x.append(t * x[-1] + d)
+    hist = run(np.array(x), WeightOperator.identity(n), k_max=k)
+    assert hist.stages == k + 1 and not hist.records[-1].terminal
+    exact = ro.rre_gammas(hist.differences.real.T[:k + 1])
+
+    def worst(gammas):
+        return max(np.linalg.norm(g - ro.as_float(e))
+                   / np.linalg.norm(ro.as_float(e))
+                   for g, e in zip(gammas, exact))
+
+    recursion = worst([rec.rre.gamma for rec in hist.records])
+    two_solves = worst([two_solve_rre(hist.factors_at(j).r)
+                        for j in range(k + 1)])
+    assert two_solves > 1e-6  # the case is ill-conditioned indeed
+    assert recursion <= 2.0 * two_solves
 
 
 def test_residual_estimate_equals_direct_norm():
@@ -144,16 +206,16 @@ def test_residual_estimate_equals_direct_norm():
         x = random_sequence(rng, n, count, complex_=bool(trial % 2))
         w = random_weight(rng, n)
         u = np.diff(x, axis=0).T
-        factors = mgs_factorize(u, w)
-        m = mpe_coefficients(factors)
-        r = rre_coefficients(factors)
-        phi_direct_r = w.norm(u @ r.gamma)
-        assert_allclose(r.phi, phi_direct_r, rtol=1e-10)
-        assert abs(r.gamma.sum() - 1.0) <= 1e-12
-        if m.exists:
-            phi_direct_m = w.norm(u @ m.gamma)
-            assert_allclose(m.phi, phi_direct_m, rtol=1e-10)
-            assert abs(m.gamma.sum() - 1.0) <= 1e-12
+        for rec in run(x, w).records:
+            m, r = rec.mpe, rec.rre
+            uk = u[:, :rec.k + 1]
+            phi_direct_r = w.norm(uk @ r.gamma)
+            assert_allclose(r.phi, phi_direct_r, rtol=1e-10)
+            assert abs(r.gamma.sum() - 1.0) <= 1e-12
+            if m.exists:
+                phi_direct_m = w.norm(uk @ m.gamma)
+                assert_allclose(m.phi, phi_direct_m, rtol=1e-10)
+                assert abs(m.gamma.sum() - 1.0) <= 1e-12
 
 
 def test_representation_consistency():
@@ -164,40 +226,34 @@ def test_representation_consistency():
         count = int(rng.integers(4, n + 1))
         x = random_sequence(rng, n, count, complex_=True)
         w = random_weight(rng, n)
-        u = np.diff(x, axis=0).T
-        factors = mgs_factorize(u, w)
-        for solve in (mpe_coefficients(factors), rre_coefficients(factors)):
-            if not solve.exists:
-                continue
-            k = solve.gamma.size - 1
-            s_sum = (solve.gamma[:, None] * x[:k + 1]).sum(axis=0)
-            s_lib = assemble(x[0], factors, solve.gamma)
-            scale = np.linalg.norm(s_sum)
-            assert np.linalg.norm(s_lib - s_sum) <= 1e-11 * max(1.0, scale)
+        for rec in run(x, w).records:
+            for solve in (rec.mpe, rec.rre):
+                if not solve.exists:
+                    continue
+                k = solve.gamma.size - 1
+                s_sum = (solve.gamma[:, None] * x[:k + 1]).sum(axis=0)
+                scale = np.linalg.norm(s_sum)
+                assert np.linalg.norm(solve.s - s_sum) <= 1e-11 * max(
+                    1.0, scale)
 
 
 def test_gamma_scale_invariance():
     # gamma does not depend on the c_k = 1 normalization of c
-    factors, _ = demo_factors(1)
-    solve = mpe_coefficients(factors)
-    r = factors.r
+    hist, _ = demo_run(1)
+    solve = hist.record(1).mpe
+    r = hist.factors.r
     c_scaled = np.empty(2, dtype=complex)
     c_scaled[0] = np.linalg.solve(r[:1, :1], -7.5 * r[:1, 1])[0]
     c_scaled[1] = 7.5
     assert_allclose(c_scaled / c_scaled.sum(), solve.gamma, rtol=1e-13)
 
 
-def test_lambda_guard_on_broken_factors():
-    # lam = ||R^{-*}e||^{-2} is positive for every nonsingular R, so the
-    # guard can only fire on corrupted factors: overflowed or NaN entries
-    from wextrap.qr import WQRFactors
-
-    w = WeightOperator.identity(2)
-    underflowed = WQRFactors(w, np.eye(2, dtype=complex),
-                             np.diag([1.0, 1e-300]).astype(complex),
-                             np.eye(2, dtype=complex))
-    with pytest.raises(LambdaNotPositive):
-        rre_coefficients(underflowed)
+def test_lambda_guard_on_underflowing_iterates():
+    # differences near 1e-160 make r_00^2 subnormal and mu_0 = 1/r_00^2
+    # overflow; the guard raises before a zero lam and NaN gamma
+    x = random_sequence(np.random.default_rng(8), 6, 5) * 1e-160
+    with pytest.raises(LambdaNotPositive, match="mu"):
+        run(x, WeightOperator.identity(6))
 
 
 # -- run() driver -----------------------------------------------------

@@ -58,7 +58,7 @@ def test_basis_orthonormality_random():
     assert stages.hess.shape == (9, 8)
     v = stages.basis
     m = v.shape[1]
-    gram = np.array([[w.inner(v[:, i], v[:, j])
+    gram = np.array([[np.vdot(v[:, i], w.apply(v[:, j]))
                       for j in range(m)] for i in range(m)])
     assert np.max(np.abs(gram - np.eye(m))) < 1e-10
 

@@ -13,8 +13,6 @@ from wextrap import (
     make_mpe_failure_problem,
     make_mpe_failure_sequence,
     make_near_stagnation_problem,
-    mgs_factorize,
-    mpe_coefficients,
     quadratic_problem,
     residual,
     run,
@@ -93,8 +91,7 @@ def test_failure_sequence_alpha_property():
         n = int(rng.integers(3, 12))
         w = random_weight(rng, n)
         seq = make_mpe_failure_sequence(n, w)
-        u = np.diff(np.asarray(seq), axis=0).T
-        solve = mpe_coefficients(mgs_factorize(u, w))
+        solve = run(np.asarray(seq), w, k_max=1).record(1).mpe
         assert not solve.exists
         # c = (-1, 1) up to rounding, so sum |c_i| ~= 2
         assert abs(solve.alpha) < 1e-12

@@ -247,6 +247,22 @@ def test_verify_history_detects_phi_tampering(demo_history):
     assert report.stages[1].identity_316_residual > 1e-3
 
 
+@pytest.mark.parametrize("method", ["rre", "mpe"])
+def test_verify_history_fails_on_nan_defect(demo_history, method):
+    # NaN compares false with every threshold; it must fail, and rank
+    # as the worst defect, instead of slipping through
+    rec = demo_history.records[1]
+    solve = getattr(rec, method)
+    s = solve.s.copy()
+    s[0] = np.nan
+    demo_history.records[1] = replace(rec, **{method: replace(solve, s=s)})
+    report = verify_history(demo_history)
+    assert np.isnan(report.stages[1].identity_318_residual)
+    assert report.ok is False
+    label, k, defect = report.worst
+    assert (label, k) == ("3-18", 1) and np.isnan(defect)
+
+
 def test_verify_history_random_linear_problems():
     rng = np.random.default_rng(140)
     for trial in range(10):

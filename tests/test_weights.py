@@ -18,6 +18,11 @@ from wextrap import (
 from conftest import random_pd_matrix
 
 
+def inner(w, y, z):
+    """The weighted inner product y* M z, conjugate-linear in y."""
+    return np.vdot(y, w.apply(z))
+
+
 def test_identity_factory():
     w = WeightOperator.identity(3)
     assert w.kind == "identity"
@@ -29,13 +34,27 @@ def test_identity_factory():
 
 def test_diag_inner_small():
     w = WeightOperator.diagonal([2.0, 3.0])
-    assert w.inner([1.0, 1.0], [1.0, 1.0]) == pytest.approx(5.0)
+    assert inner(w, [1.0, 1.0], [1.0, 1.0]) == pytest.approx(5.0)
 
 
 def test_dense_indefinite_rejected():
     # eigenvalues 3 and -1
     with pytest.raises(NotPositiveDefinite):
         WeightOperator.dense([[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2)], ids=["diag", "offdiag"])
+def test_dense_nonfinite_rejected(entry, value):
+    # a NaN passes the hermiticity test (every comparison with it is
+    # false) and may pass a Cholesky; the finiteness test comes first
+    m = random_pd_matrix(np.random.default_rng(5), 3)
+    m[entry] = value
+    m[entry[::-1]] = value
+    with pytest.raises(NotPositiveDefinite, match="non-finite"):
+        WeightOperator.dense(m)
+    with pytest.raises(NotPositiveDefinite):
+        validate(m)
 
 
 def test_dense_nonhermitian_rejected():
@@ -52,17 +71,17 @@ def test_diag_nonpositive_rejected():
 
 def test_inner_standard_basis_orthogonal():
     w = WeightOperator.identity(2)
-    assert w.inner([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert inner(w, [1.0, 0.0], [0.0, 1.0]) == 0.0
 
 
 def test_inner_conjugate_first_slot():
     w = WeightOperator.identity(2)
-    assert w.inner([1j, 0.0], [1.0, 0.0]) == pytest.approx(-1j)
+    assert inner(w, [1j, 0.0], [1.0, 0.0]) == pytest.approx(-1j)
 
 
 def test_inner_diag_quadratic_form():
     w = WeightOperator.diagonal([4.0, 9.0])
-    assert w.inner([1.0, 1.0], [1.0, 1.0]) == pytest.approx(13.0)
+    assert inner(w, [1.0, 1.0], [1.0, 1.0]) == pytest.approx(13.0)
 
 
 def test_norm_pythagorean():
@@ -88,7 +107,7 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         w.norm([1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatch):
-        w.inner([1.0], [1.0, 2.0])
+        w.apply([1.0])
 
 
 def test_conjugate_symmetry_property():
@@ -98,8 +117,8 @@ def test_conjugate_symmetry_property():
         w = WeightOperator.dense(random_pd_matrix(rng, n))
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        a = w.inner(y, z)
-        b = w.inner(z, y)
+        a = inner(w, y, z)
+        b = inner(w, z, y)
         assert abs(a - np.conj(b)) <= 1e-13 * max(1.0, abs(a))
 
 
@@ -109,7 +128,7 @@ def test_conjugate_linearity_first_argument():
     y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     a = 0.3 - 1.7j
-    assert_allclose(w.inner(a * y, z), np.conj(a) * w.inner(y, z),
+    assert_allclose(inner(w, a * y, z), np.conj(a) * inner(w, y, z),
                     rtol=1e-13)
 
 
@@ -121,7 +140,7 @@ def test_norm_positive_definite():
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         nz = w.norm(z)
         assert nz > 0.0
-        assert_allclose(nz * nz, w.inner(z, z).real, rtol=1e-12)
+        assert_allclose(nz * nz, inner(w, z, z).real, rtol=1e-12)
 
 
 def test_norm_matches_cholesky_route():
@@ -148,7 +167,7 @@ def test_isometry_of_weighted_orthonormal_columns():
         p = mgs_factorize(a, w).q
         y = rng.standard_normal(j) + 1j * rng.standard_normal(j)
         z = rng.standard_normal(j) + 1j * rng.standard_normal(j)
-        assert_allclose(w.inner(p @ y, p @ z), np.vdot(y, z), rtol=1e-12,
+        assert_allclose(inner(w, p @ y, p @ z), np.vdot(y, z), rtol=1e-12,
                         atol=1e-12)
         assert_allclose(w.norm(p @ z), np.linalg.norm(z), rtol=1e-12)
 
@@ -210,5 +229,5 @@ def test_apply_matches_explicit_matrix():
     d = rng.uniform(0.5, 2.0, n)
     wd = WeightOperator.diagonal(d)
     assert_allclose(wd.apply(z), d * z, rtol=1e-13)
-    assert_allclose(wd.inner(z, z).real, (np.abs(z) ** 2 * d).sum(),
+    assert_allclose(inner(wd, z, z).real, (np.abs(z) ** 2 * d).sum(),
                     rtol=1e-13)
