@@ -59,7 +59,6 @@ from .problems import (
 )
 from .qr import (
     WQRFactors,
-    append_column,
     empty_factors,
     mgs_factorize,
     orthogonalize_column,
@@ -95,7 +94,6 @@ __all__ = [
     "WQRFactors",
     "WeightOperator",
     "WextrapError",
-    "append_column",
     "assemble",
     "cosine_problem",
     "empty_factors",

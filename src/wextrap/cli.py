@@ -28,18 +28,13 @@ from .errors import (
     RankDeficient,
     WextrapError,
 )
-from .extrapolate import (
-    EXIST_TOL,
-    history_rows,
-    run,
-)
+from .extrapolate import history_rows, run
 from .krylov import equivalence_check
 from .problems import BUILTIN_MAPS, FixedPointProblem, iterate
 from .qr import RANK_TOL, mgs_factorize
 from .relations import (
     CATALOG,
     DEFAULT_THRESHOLDS,
-    PLATEAU_TOL,
     STAG_TOL,
     verify_history,
 )
@@ -149,8 +144,7 @@ def _print_history_table(history, methods, stag_tol, stream=None):
 def _run_from_args(args):
     _, x, dim = _resolve_problem(args)
     weight = _load_weight(args.weight, dim)
-    return run(x, weight, k_max=args.k_max, rank_tol=args.rank_tol,
-               exist_tol=args.exist_tol)
+    return run(x, weight, k_max=args.k_max, rank_tol=args.rank_tol)
 
 
 def cmd_accelerate(args):
@@ -185,8 +179,7 @@ def cmd_verify(args):
     if args.threshold is not None:
         thresholds = {label: args.threshold for label in DEFAULT_THRESHOLDS}
     report = verify_history(history, use_recorded_phi=recorded,
-                            thresholds=thresholds, stag_tol=args.stag_tol,
-                            plateau_tol=args.plateau_tol)
+                            thresholds=thresholds, stag_tol=args.stag_tol)
     for st in report.stages:
         cells = [f"k={st.k}", f"mpe={'yes' if st.mpe_exists else 'no'}"]
         for row in CATALOG:
@@ -305,8 +298,6 @@ def _add_input_flags(sub, with_map=True):
     sub.add_argument("--weight", default=None,
                      metavar="identity|diag:FILE|dense:FILE")
     sub.add_argument("--k-max", dest="k_max", type=int, default=None)
-    sub.add_argument("--exist-tol", dest="exist_tol", type=_positive,
-                     default=EXIST_TOL)
     sub.add_argument("--rank-tol", dest="rank_tol", type=_positive,
                      default=RANK_TOL)
     sub.add_argument("--stag-tol", dest="stag_tol", type=_positive,
@@ -333,8 +324,6 @@ def build_parser():
     _add_input_flags(ver)
     ver.add_argument("--history", metavar="FILE",
                      help="verify a stored history instead of running")
-    ver.add_argument("--plateau-tol", dest="plateau_tol", type=_positive,
-                     default=PLATEAU_TOL)
     ver.add_argument("--threshold", type=_positive, default=None,
                      help="defect threshold applied to every identity")
     ver.add_argument("--report", default=None, help="write JSON report here")

@@ -15,7 +15,7 @@ the cost of one back substitution per stage:
   R_{k-1} c' = -rho_k, where rho_k is the last column of R_k above the
   diagonal; set c_k = (c', 1) and gamma = c_k / alpha_k with
   alpha_k = sum(c_k).  The method is defined only when alpha_k is
-  nonzero; numerically, when |alpha_k| > exist_tol * sum|c_i|.
+  nonzero; numerically, when |alpha_k| > EXIST_TOL * sum|c_i|.
 
 * reduced-rank coefficients (``rre``): minimize ||| U_k gamma |||
   subject to sum gamma_i = 1.  The minimizer is lam * h_k with
@@ -65,7 +65,7 @@ from .errors import (
     MpeNonexistent,
     NonFiniteIterate,
 )
-from .qr import RANK_TOL, WQRFactors, _extend, empty_factors, \
+from .qr import RANK_TOL, WQRFactors, _append, _buffers, \
     orthogonalize_column
 from .weights import validate
 
@@ -168,7 +168,7 @@ class RunHistory:
         return self.factors.leading(k + 1)
 
 
-def _mpe(r, rho, rdiag, exist_tol):
+def _mpe(r, rho, rdiag):
     """The minimal-polynomial half of a stage: ``(c, solve)``.
 
     ``r`` is R_{k-1} (k x k), ``rho`` the k projection coefficients of
@@ -178,7 +178,7 @@ def _mpe(r, rho, rdiag, exist_tol):
     """
     c = np.append(np.linalg.solve(r, -rho), 1.0)
     alpha = complex(c.sum())
-    exists = abs(alpha) > exist_tol * float(np.abs(c).sum())
+    exists = abs(alpha) > EXIST_TOL * float(np.abs(c).sum())
     if not exists:
         return c, CoefficientSolve("mpe", False, None, None, alpha=alpha)
     gamma = c / alpha
@@ -186,14 +186,14 @@ def _mpe(r, rho, rdiag, exist_tol):
     return c, CoefficientSolve("mpe", True, gamma, phi, alpha=alpha)
 
 
-def _stage(r, rho, rdiag, h, mu, exist_tol):
+def _stage(r, rho, rdiag, h, mu):
     """Both methods at a non-terminal stage: ``(mpe, rre, h, mu)``.
 
     The reduced-rank half is the coupling recursion of the module
     docstring, carried in the unnormalized h_{k-1} and mu_{k-1}
     (empty and 0 before stage 0).
     """
-    c, mpe = _mpe(r, rho, rdiag, exist_tol)
+    c, mpe = _mpe(r, rho, rdiag)
     scaled = abs(mpe.alpha) / rdiag
     mu = mu + scaled * scaled
     if not math.isfinite(mu) or mu <= 0.0:
@@ -230,7 +230,7 @@ def assemble(x0, factors: WQRFactors, gamma) -> np.ndarray:
     return x0 + factors.q[:, :k] @ eta
 
 
-def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k, exist_tol,
+def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k,
                       previous: ExtrapolationRecord | None):
     """Solves for the terminal stage, where the system is consistent.
 
@@ -242,7 +242,7 @@ def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k, exist_tol,
     undefined at its own terminal degree; the reduced-rank record then
     repeats the previous stage, extending the stagnation one step.
     """
-    _, mpe = _mpe(factors.r, coeffs, rnorm, exist_tol)
+    _, mpe = _mpe(factors.r, coeffs, rnorm)
     if mpe.exists:
         s = assemble(x0, factors, mpe.gamma)
         mpe = replace(mpe, s=s)
@@ -260,8 +260,7 @@ def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k, exist_tol,
 
 
 def run(iterates, weight, k_max: int | None = None,
-        rank_tol: float = RANK_TOL, exist_tol: float = EXIST_TOL
-        ) -> RunHistory:
+        rank_tol: float = RANK_TOL) -> RunHistory:
     """Run both extrapolation methods over an iterate sequence.
 
     Parameters
@@ -276,10 +275,10 @@ def run(iterates, weight, k_max: int | None = None,
         supports, capped at the space dimension N (at stage N the
         difference block has N+1 columns and is structurally
         dependent, so no run can go further).
-    rank_tol, exist_tol : float
-        Thresholds for rank loss and minimal-polynomial existence;
-        plain convergence of the underlying iteration is judged
-        against :data:`CONVERGE_ATOL`.
+    rank_tol : float
+        Threshold for rank loss; minimal-polynomial existence is judged
+        against :data:`EXIST_TOL` and plain convergence of the
+        underlying iteration against :data:`CONVERGE_ATOL`.
 
     Returns
     -------
@@ -322,7 +321,10 @@ def run(iterates, weight, k_max: int | None = None,
     x0 = x[0].copy()
     history = RunHistory(weight=weight, x0=x0, differences=diffs,
                          k_max=k_max)
-    factors = empty_factors(weight)
+    # Q, P and R for every stage, allocated once; each stage's factors
+    # are a leading view of them
+    room = _buffers(weight, k_max + 1)
+    factors = room.leading(0)
     h, mu = np.zeros(0, dtype=complex), 0.0
 
     for k in range(k_max + 1):
@@ -334,14 +336,14 @@ def run(iterates, weight, k_max: int | None = None,
         converged = u_norm <= CONVERGE_ATOL
         if converged or k == n or rnorm <= rank_tol * u_norm:
             history.records.append(_terminal_records(
-                x0, factors, coeffs, rnorm, u_norm, k, exist_tol, previous))
+                x0, factors, coeffs, rnorm, u_norm, k, previous))
             history.status = RunStatus.CONVERGED if converged \
                 else RunStatus.RANK_DEFICIENT
             history.detected_k0 = k
             break
 
-        mpe, rre, h, mu = _stage(factors.r, coeffs, rnorm, h, mu, exist_tol)
-        factors = _extend(factors, coeffs, w, mw, rnorm)
+        mpe, rre, h, mu = _stage(factors.r, coeffs, rnorm, h, mu)
+        factors = _append(room, coeffs, w, mw, rnorm)
         if mpe.exists:
             mpe = replace(mpe, s=assemble(x0, factors, mpe.gamma))
         rre = replace(rre, s=assemble(x0, factors, rre.gamma))

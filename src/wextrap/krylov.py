@@ -2,11 +2,14 @@
 
 Both methods search the affine Krylov space x_0 + K_k(A; r_0), with
 A = I - T applied as an operator and r_0 = d - A x_0.  The basis of
-K_k is built by one Arnoldi process, which deflates each new direction
-through the CGS2 kernel of :mod:`wextrap.qr` under the weighted inner
-product (keeping M v_j beside each v_j, one product with M per step),
-so the basis satisfies <v_i, v_j> = delta_ij and the projected problem
-is a small Hessenberg system:
+K_k is built by one Arnoldi process, and that process is the weighted
+QR factorization of :mod:`wextrap.qr` applied to the columns
+[r_0, A v_0, ..., A v_{k-1}], grown one column at a time with the same
+CGS2 kernel and in-place append as the extrapolation's factors (M v_j
+is kept beside each v_j, one product with M per step).  So
+V_{k+1} = Q satisfies <v_i, v_j> = delta_ij, beta = |||r_0||| = r_00,
+A V_k = V_{k+1} H~ with H~ the factor R without its first column, and
+the projected problem is a small Hessenberg system:
 
 * FOM imposes the Galerkin condition <z, r(w_k)> = 0 for all z in
   K_k, i.e. solves the square Hessenberg system H_k y = beta e_1.
@@ -45,23 +48,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientVectors
 from .extrapolate import run
-from .qr import _deflate
+from .qr import RANK_TOL, _append, _buffers, orthogonalize_column
 from .relations import _coupling_defects, _rel
 from .weights import validate
 
 __all__ = [
-    "BREAKDOWN_TOL",
     "FOM_TOL",
     "fom_solve",
     "gmr_solve",
     "KrylovComparison",
     "equivalence_check",
 ]
-
-#: an Arnoldi direction whose deflated weighted norm is at or below
-#: this fraction of |||A v_j||| lies in the current space (happy
-#: breakdown)
-BREAKDOWN_TOL = 1e-13
 
 #: FOM is undefined when the k-th Givens cosine magnitude is at or
 #: below this; chosen from the same relative-tolerance family as the
@@ -132,13 +129,14 @@ class _Stages:
     """The Krylov process run once to k steps; every stage 0..k reads
     its FOM and GMR solutions from the one basis and Givens sweep.
 
-    ``beta`` is |||r_0|||, ``basis`` the N x (k+1) weighted-orthonormal
-    basis and ``hess`` the (j+1) x j Hessenberg matrix of the j steps
-    taken.  On breakdown at step j the j-th Hessenberg column is kept
-    (its subdiagonal entry is the tiny deflated norm), so stage-j solves
-    remain available and exact, and later stages read them too; the
-    basis columns past j stay zero.  A zero initial residual takes no
-    step.
+    ``beta`` is |||r_0|||, ``basis`` the N x j weighted-orthonormal
+    basis (j = k + 1 without breakdown) and ``hess`` the (j+1) x j
+    Hessenberg matrix of the j steps taken.  A step breaks down when
+    A v_{j-1} fails the rank test of :data:`wextrap.qr.RANK_TOL`: it
+    lies in the current space (happy breakdown).  Its Hessenberg column
+    is kept (the subdiagonal entry is the tiny deflated norm), so
+    stage-j solves remain available and exact, and later stages read
+    them too.  A zero initial residual takes no step.
     """
 
     def __init__(self, t, d, x0, weight, k: int):
@@ -147,32 +145,26 @@ class _Stages:
         apply_t = _as_operator(t)
         d, x0 = _check_rhs(weight, d, x0)
         self.x0 = x0
-        r0 = apply_t(x0) + d - x0
-        m_r0 = weight.apply(r0)
-        self.beta = beta = weight._form_norm(r0, m_r0)
-
-        def apply_a(z):
-            return z - apply_t(z)
-
-        # rows keep each basis vector v_j, and M v_j, contiguous while
-        # the process grows; each step deflates A v_j through the kernel
-        rows = np.zeros((k + 1, weight.dimension), dtype=complex)
-        m_rows = np.zeros_like(rows)
-        hess = np.zeros((k + 1, k), dtype=complex)
-        steps = 0
-        if beta != 0.0:
-            rows[0], m_rows[0] = r0 / beta, m_r0 / beta
-            for steps in range(1, k + 1):
-                h, w, mw, hnorm = _deflate(weight, rows[:steps].T,
-                                           m_rows[:steps].T,
-                                           apply_a(rows[steps - 1]))
-                hess[:steps, steps - 1], hess[steps, steps - 1] = h, hnorm
-                # happy breakdown, against |||A v_j||| by Pythagoras
-                if hnorm <= BREAKDOWN_TOL * np.hypot(np.linalg.norm(h), hnorm):
-                    break
-                rows[steps], m_rows[steps] = w / hnorm, mw / hnorm
-        self.basis = np.ascontiguousarray(rows.T)
-        self.hess = hess[: steps + 1, :steps]
+        room = _buffers(weight, k + 1)
+        factors = room.leading(0)
+        for steps in range(k + 1):
+            if steps == 0:
+                column = apply_t(x0) + d - x0
+            else:
+                v = factors.q[:, steps - 1]
+                column = v - apply_t(v)
+            h, w, mw, hnorm = orthogonalize_column(factors, column)
+            # a zero r_0, or a happy breakdown against |||A v_j||| by
+            # Pythagoras: the column goes into R's buffer only (not Q
+            # or P), as the last column of H~
+            if hnorm <= RANK_TOL * np.hypot(np.linalg.norm(h), hnorm):
+                room.r[:steps, steps], room.r[steps, steps] = h, hnorm
+                break
+            factors = _append(room, h, w, mw, hnorm)
+        # r_00 = |||r_0|||, and stays 0 when r_0 = 0 took no step
+        self.beta = beta = float(room.r[0, 0].real)
+        self.basis = factors.q
+        self.hess = room.r[:steps + 1, 1:steps + 1]
         self.r, self.g, self.cosines, self.residuals = _triangularize(
             self.hess, beta)
 

@@ -11,10 +11,18 @@ The factors keep P = M Q beside Q.  The one kernel projects a new
 column a onto the whole basis, c = P* a, subtracts Q c, and projects
 once more ("twice is enough", Giraud, Langou and Rozloznik 2005).  Its
 one product with M gives both r_kk and the next column of P; |||a||| is
-hypot(||c||, r_kk) by Pythagoras.  :func:`mgs_factorize` is repeated
-:func:`append_column`, so incremental and one-shot factorization of
-the same columns give identical floats.  The Arnoldi process of
-:mod:`wextrap.krylov` runs the same kernel.
+hypot(||c||, r_kk) by Pythagoras.
+
+A factorization grows in place.  The loop that factors the columns
+allocates Q, P and R once (:func:`_buffers`), sized to the column count
+it already knows, and :func:`_append` writes each accepted column into
+them.  Every :class:`WQRFactors` a caller sees is a leading view of
+those buffers.  That loop is their only writer and never writes a
+column twice, so an earlier view keeps its values while the
+factorization grows.  :func:`wextrap.extrapolate.run`,
+:func:`mgs_factorize` (and so the history loader) and the Arnoldi
+process of :mod:`wextrap.krylov` all grow this way, so a run's factors
+and a one-shot factorization of the same columns are the same floats.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ __all__ = [
     "WQRFactors",
     "empty_factors",
     "orthogonalize_column",
-    "append_column",
     "mgs_factorize",
 ]
 
@@ -46,9 +53,9 @@ class WQRFactors:
 
     ``q`` has shape (N, k) with Q* M Q = I; ``r`` has shape (k, k),
     upper triangular with positive real diagonal; ``p`` is M Q, so that
-    projections onto the basis take no product with M.  Instances are
-    immutable; :func:`append_column` returns a new object whose leading
-    blocks are shared with (and bit-identical to) its predecessor.
+    projections onto the basis take no product with M.  The arrays are
+    leading views of buffers that only the loop growing them writes,
+    and it never rewrites the first k columns.
     """
 
     weight: WeightOperator
@@ -74,17 +81,37 @@ class WQRFactors:
 
     def orthonormality_defect(self) -> float:
         """max entry of |Q* M Q - I|."""
-        g = self.q.conj().T @ np.column_stack(
-            [self.weight.apply(self.q[:, i]) for i in range(self.k)]
-        ) if self.k else np.zeros((0, 0))
-        return float(np.max(np.abs(g - np.eye(self.k)))) if self.k else 0.0
+        if not self.k:
+            return 0.0
+        mq = np.array([self.weight.apply(col) for col in self.q.T]).T
+        return float(np.max(np.abs(self.q.conj().T @ mq - np.eye(self.k))))
+
+
+def _buffers(weight: WeightOperator, columns: int) -> WQRFactors:
+    """Zeroed room for ``columns`` columns, to be grown by :func:`_append`
+    from its empty leading view.  Q and P are column-major, so each of
+    their columns and every leading block is contiguous."""
+    n = weight.dimension
+    return WQRFactors(weight, np.zeros((n, columns), complex, order="F"),
+                      np.zeros((columns, columns), complex),
+                      np.zeros((n, columns), complex, order="F"))
+
+
+def _append(room: WQRFactors, coeffs, w, mw, rnorm) -> WQRFactors:
+    """Write one orthogonalized column into ``room`` after the
+    ``len(coeffs)`` columns already there, and return the grown leading
+    view.  ``(coeffs, w, mw, rnorm)`` is what :func:`orthogonalize_column`
+    gave against the current view; the caller has judged its rank."""
+    k = len(coeffs)
+    np.divide(w, rnorm, out=room.q[:, k])
+    np.divide(mw, rnorm, out=room.p[:, k])
+    room.r[:k, k] = coeffs
+    room.r[k, k] = rnorm
+    return room.leading(k + 1)
 
 
 def empty_factors(weight) -> WQRFactors:
-    weight = validate(weight)
-    n = weight.dimension
-    empty = np.zeros((n, 0), dtype=complex)
-    return WQRFactors(weight, empty, np.zeros((0, 0), dtype=complex), empty)
+    return _buffers(validate(weight), 0)
 
 
 def orthogonalize_column(factors: WQRFactors, a):
@@ -103,10 +130,7 @@ def orthogonalize_column(factors: WQRFactors, a):
         raise DimensionMismatch(
             f"column of shape {a.shape}, expected ({weight.dimension},)"
         )
-    return _deflate(weight, factors.q, factors.p, a)
-
-
-def _deflate(weight: WeightOperator, q, p, a):
+    q, p = factors.q, factors.p
     # CGS2 against the stored p = M q, q weighted-orthonormal; the one
     # product with M gives both the norm and the next p column
     c = (a.conj() @ p).conj()
@@ -118,51 +142,30 @@ def _deflate(weight: WeightOperator, q, p, a):
     return c, w, mw, weight._form_norm(w, mw)
 
 
-def _extend(factors: WQRFactors, coeffs, w, mw, rnorm) -> WQRFactors:
-    # assemble the k+1 column factorization from an orthogonalized column
-    k = factors.k
-    q = np.column_stack([factors.q, w / rnorm])
-    p = np.column_stack([factors.p, mw / rnorm])
-    r = np.zeros((k + 1, k + 1), dtype=complex)
-    r[:k, :k] = factors.r
-    r[:k, k] = coeffs
-    r[k, k] = rnorm
-    return WQRFactors(factors.weight, q, r, p)
-
-
-def append_column(factors: WQRFactors, a,
-                  rank_tol: float = RANK_TOL) -> WQRFactors:
-    """Extend the factorization by one column.
-
-    Raises :class:`RankDeficient` when the deflated column's weighted
-    norm is at or below ``rank_tol`` times the incoming column's
-    weighted norm, i.e. the new column lies (numerically) in the span
-    of the previous ones.
-    """
-    coeffs, w, mw, rnorm = orthogonalize_column(factors, a)
-    threshold = rank_tol * float(np.hypot(np.linalg.norm(coeffs), rnorm))
-    if rnorm <= threshold:
-        raise RankDeficient(factors.k, residual_norm=rnorm,
-                            threshold=threshold)
-    return _extend(factors, coeffs, w, mw, rnorm)
-
-
 def mgs_factorize(a, weight, rank_tol: float = RANK_TOL) -> WQRFactors:
     """Weighted QR factorization of the columns of ``a`` by the CGS2
-    kernel.
+    kernel, grown one column at a time as :func:`wextrap.extrapolate.run`
+    grows its factors, so the two give bit-identical floats.
 
-    Implemented as repeated :func:`append_column`, so the result is
-    bit-identical to building the factorization incrementally.
+    Raises :class:`RankDeficient` when a deflated column's weighted norm
+    is at or below ``rank_tol`` times that column's weighted norm, i.e.
+    the column lies (numerically) in the span of the previous ones.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D column matrix, got shape {a.shape}")
-    factors = empty_factors(weight)
-    if a.shape[0] != factors.dimension:
+    weight = validate(weight)
+    if a.shape[0] != weight.dimension:
         raise DimensionMismatch(
             f"columns of dimension {a.shape[0]}, weight of dimension "
-            f"{factors.dimension}"
+            f"{weight.dimension}"
         )
+    room = _buffers(weight, a.shape[1])
+    factors = room.leading(0)
     for j in range(a.shape[1]):
-        factors = append_column(factors, a[:, j], rank_tol)
+        coeffs, w, mw, rnorm = orthogonalize_column(factors, a[:, j])
+        threshold = rank_tol * float(np.hypot(np.linalg.norm(coeffs), rnorm))
+        if rnorm <= threshold:
+            raise RankDeficient(j, residual_norm=rnorm, threshold=threshold)
+        factors = _append(room, coeffs, w, mw, rnorm)
     return factors

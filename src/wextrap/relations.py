@@ -15,8 +15,8 @@ carries a short catalog label used in reports and CLI output:
     exists.  :func:`wextrap.extrapolate.run` builds its reduced-rank
     gamma by this very recursion (its unnormalized h_k is R_k^{-1}
     times the left side), yet the check stays independent: it
-    re-derives alpha_k with its own back substitution and never reads
-    the run's h_k or mu_k.
+    re-derives every alpha_k from the final R with one solve of its
+    own and never reads the run's h_k, mu_k or recorded alpha_k.
 ``3-1`` / ``3-15``
     stagnation equivalence: s_k^rre = s_{k-1}^rre exactly when the
     minimal-polynomial vector at k does not exist; the coefficients
@@ -120,8 +120,9 @@ class _Stage:
     """
 
     def __init__(self, history: RunHistory, rec, prev: "_Stage | None",
-                 use_recorded_phi: bool, stag_tol: float):
+                 use_recorded_phi: bool, stag_tol: float, cprimes):
         self.history, self.rec, self.prev = history, rec, prev
+        self.cprimes = cprimes
         weight = history.weight
         u = history.differences[:, :rec.k + 1]
         self.u_mpe = None if rec.mpe.gamma is None else u @ rec.mpe.gamma
@@ -154,13 +155,21 @@ class _Stage:
                 (self.phi_mpe, self.u_mpe, rec.mpe.s))
 
 
+def _cprimes(history: RunHistory):
+    """Column k holds stage k's c' with R_{k-1} c' = -rho_k in rows
+    0..k-1, and exact zeros below.  Every R_{k-1} is a leading block of
+    the final R, so one solve of R X = -triu(R, 1) serves every stage.
+    R is upper triangular with a positive diagonal, so
+    ``np.linalg.solve`` swaps no row and back-substitutes."""
+    r = history.factors.r
+    return np.linalg.solve(r, -np.triu(r, 1))
+
+
 def _master(st: _Stage) -> float | None:
     """3-8.  Both sides live in the triangular frame.  The left side
     uses the stage-k reduced-rank coefficients; the right side uses the
-    stage-(k-1) ones plus a fresh back-substitution for the
-    minimal-polynomial coefficient sum, so no cached scalar enters.
-    R_{k-1} is upper triangular with a positive diagonal, so
-    ``np.linalg.solve`` swaps no row and back-substitutes."""
+    stage-(k-1) ones plus the minimal-polynomial coefficient sum from
+    :func:`_cprimes`, so no cached scalar enters."""
     if not st.checked:
         return None
     k = st.rec.k
@@ -168,8 +177,7 @@ def _master(st: _Stage) -> float | None:
     lhs_vec = r @ st.rec.rre.gamma
     lhs = lhs_vec / (np.linalg.norm(lhs_vec) ** 2)
     prev_vec = r[:k, :k] @ st.prev.rec.rre.gamma
-    cprime = np.linalg.solve(r[:k, :k], -r[:k, k])
-    alpha = 1.0 + complex(cprime.sum())
+    alpha = 1.0 + complex(st.cprimes[:k, k].sum())
     rhs = np.empty(k + 1, dtype=complex)
     rhs[:k] = prev_vec / (np.linalg.norm(prev_vec) ** 2)
     rhs[k] = np.conj(alpha) / r[k, k].real
@@ -253,8 +261,9 @@ def _measure(history: RunHistory, use_recorded_phi: bool,
              stag_tol: float) -> list:
     """The one pass: a :class:`StageRelations` per record."""
     out, prev = [], None
+    cprimes = _cprimes(history)
     for rec in history.records:
-        st = _Stage(history, rec, prev, use_recorded_phi, stag_tol)
+        st = _Stage(history, rec, prev, use_recorded_phi, stag_tol, cprimes)
         consistent = noninc = monotone = None
         if st.checked:
             consistent = st.stagnates != rec.mpe.exists
@@ -277,14 +286,12 @@ def _measure(history: RunHistory, use_recorded_phi: bool,
 class PeakPlateau:
     """Maximal stage ranges (inclusive) where the minimal-polynomial
     estimate rises (or is undefined) and where the reduced-rank
-    estimate fails to decrease meaningfully, plus their intersection.
-    The ratio threshold is an editorial knob, included for the
-    record."""
+    estimate fails to decrease meaningfully (by :data:`PLATEAU_TOL`),
+    plus their intersection."""
 
     peaks: list
     plateaus: list
     overlap: list
-    plateau_tol: float
 
 
 def _true_ranges(flags: dict) -> list:
@@ -311,13 +318,12 @@ def _intersect_ranges(a: list, b: list) -> list:
     return sorted(out)
 
 
-def peak_plateau_report(history: RunHistory,
-                        plateau_tol: float = PLATEAU_TOL) -> PeakPlateau:
+def peak_plateau_report(history: RunHistory) -> PeakPlateau:
     """Locate peak and plateau ranges on the recorded estimates.
 
     A stage peaks when its minimal-polynomial estimate exceeds the
     last defined one before it, or is itself undefined; it plateaus
-    when phi_rre(k)/phi_rre(k-1) > 1 - plateau_tol.  A history with
+    when phi_rre(k)/phi_rre(k-1) > 1 - PLATEAU_TOL.  A history with
     fewer than two stages has empty ranges.
     """
     peak_flags, plateau_flags = {}, {}
@@ -331,14 +337,13 @@ def peak_plateau_report(history: RunHistory,
                 rec.mpe.phi is None
                 or (last_defined is not None and rec.mpe.phi > last_defined)
             )
-            plateau_flags[rec.k] = rec.rre.phi / prev_rre > 1.0 - plateau_tol
+            plateau_flags[rec.k] = rec.rre.phi / prev_rre > 1.0 - PLATEAU_TOL
         if rec.mpe.phi is not None:
             last_defined = rec.mpe.phi
         prev_rre = rec.rre.phi
     peaks = _true_ranges(peak_flags)
     plateaus = _true_ranges(plateau_flags)
-    return PeakPlateau(peaks, plateaus, _intersect_ranges(peaks, plateaus),
-                       plateau_tol)
+    return PeakPlateau(peaks, plateaus, _intersect_ranges(peaks, plateaus))
 
 
 @dataclass(frozen=True)
@@ -381,8 +386,7 @@ class RelationReport:
 
 def verify_history(history: RunHistory, use_recorded_phi: bool = False,
                    thresholds: dict | None = None,
-                   stag_tol: float = STAG_TOL,
-                   plateau_tol: float = PLATEAU_TOL) -> RelationReport:
+                   stag_tol: float = STAG_TOL) -> RelationReport:
     """Run every check and judge the defects against thresholds.
 
     Never raises on a violation; inconsistencies are folded into the
@@ -411,7 +415,7 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
                 failures.append((inf if math.isnan(ratio) else ratio,
                                  row.label, st.k, defect))
 
-    pp = peak_plateau_report(history, plateau_tol)
+    pp = peak_plateau_report(history)
     ok = all(f[0] <= 1.0 for f in failures)
     worst = None
     if failures:

@@ -20,6 +20,7 @@ from wextrap import (
     WQRFactors,
     cli,
     krylov,
+    relations,
 )
 
 MODULES = ["wextrap"] + sorted(
@@ -29,6 +30,7 @@ MODULES = ["wextrap"] + sorted(
 
 #: names the library once exported and no longer has
 REMOVED = [
+    "BREAKDOWN_TOL",
     "Breakdown",
     "CouplingEntry",
     "DifferenceMatrix",
@@ -36,6 +38,7 @@ REMOVED = [
     "StagnationEntry",
     "TheoremViolation",
     "VectorSequence",
+    "append_column",
     "arnoldi_step",
     "check_corollaries",
     "check_coupling",
@@ -74,7 +77,7 @@ def test_removed_methods_are_gone():
 def test_orthogonalization_switch_is_gone():
     # one kernel, with no user switch on it
     for fn in (wextrap.run, wextrap.orthogonalize_column,
-               wextrap.append_column, wextrap.mgs_factorize):
+               wextrap.mgs_factorize):
         assert "reorthogonalize" not in inspect.signature(fn).parameters
     assert "reorthogonalized" not in {
         f.name for f in dataclasses.fields(RunHistory)}
@@ -99,3 +102,14 @@ def test_unset_knobs_are_gone():
     # the verifier reports a violation; nothing raises one
     assert "raise_on_violation" not in inspect.signature(
         wextrap.verify_history).parameters
+    assert "exist_tol" not in inspect.signature(wextrap.run).parameters
+    for fn in (wextrap.verify_history, wextrap.peak_plateau_report):
+        assert "plateau_tol" not in inspect.signature(fn).parameters
+    assert "plateau_tol" not in {
+        f.name for f in dataclasses.fields(relations.PeakPlateau)}
+    parser = cli.build_parser()
+    for argv in (["accelerate", "--exist-tol", "1e-12"],
+                 ["verify-relations", "--exist-tol", "1e-12"],
+                 ["verify-relations", "--plateau-tol", "1e-6"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)

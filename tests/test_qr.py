@@ -5,14 +5,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from wextrap import (
     RankDeficient,
     WeightOperator,
-    append_column,
-    empty_factors,
     mgs_factorize,
     orthogonalize_column,
+    qr,
+    run,
 )
 
 from cgs_reference import gs_factorize
-from conftest import random_weight
+from conftest import random_sequence, random_weight
 
 SQ2 = np.sqrt(2.0)
 
@@ -47,34 +47,67 @@ def test_two_columns_hand_oracle(factorize):
 
 def test_append_column_orthogonal_complement():
     w = WeightOperator.identity(3)
-    f = empty_factors(w)
-    f = append_column(f, [1.0, 0.0, 0.0])
-    f = append_column(f, [1.0, 1.0, 0.0])
+    f = mgs_factorize(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]), w)
     assert_allclose(f.q[:, 1], [0.0, 1.0, 0.0], atol=1e-15)
     assert_allclose(f.r[0, 1], 1.0)  # rho_1
     assert_allclose(f.r[1, 1], 1.0)
 
 
 def test_append_collinear_column_raises():
-    f = empty_factors(WeightOperator.identity(3))
-    f = append_column(f, [1.0, 0.0, 0.0])
+    a = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(RankDeficient) as info:
-        append_column(f, [2.0, 0.0, 0.0])
+        mgs_factorize(a, WeightOperator.identity(3))
     assert info.value.index == 1
     assert info.value.residual_norm <= info.value.threshold
 
 
 def test_incremental_equals_one_shot():
+    # run grows its factors one stage at a time, mgs_factorize in one
+    # call: one append path, so the results are bit-identical
     rng = np.random.default_rng(31)
-    a = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
-    w = random_weight(rng, 9, "dense")
-    whole = mgs_factorize(a, w)
-    f = empty_factors(w)
-    for j in range(5):
-        f = append_column(f, a[:, j])
-    # one code path, so the incremental result is bit-identical
-    assert_array_equal(f.q, whole.q)
-    assert_array_equal(f.r, whole.r)
+    for kind in ("identity", "diag", "dense"):
+        w = random_weight(rng, 9, kind)
+        hist = run(random_sequence(rng, 9, 7, complex_=True), w)
+        assert hist.factors.k == 6
+        whole = mgs_factorize(hist.differences[:, :6], w)
+        assert_array_equal(hist.factors.q, whole.q)
+        assert_array_equal(hist.factors.r, whole.r)
+        assert_array_equal(hist.factors.p, whole.p)
+
+
+@pytest.mark.parametrize("grow", ["run", "mgs_factorize"])
+def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
+                                                           grow):
+    # every stage's factors are a leading view of the one set of
+    # buffers, and no later append writes into it
+    grown, append = [], qr._append
+
+    def recording(*args):
+        view = append(*args)
+        grown.append((view, view.q.copy(), view.r.copy(), view.p.copy()))
+        return view
+
+    monkeypatch.setattr(qr, "_append", recording)
+    monkeypatch.setattr("wextrap.extrapolate._append", recording)
+    rng = np.random.default_rng(32)
+    w = random_weight(rng, 8, "dense")
+    x = random_sequence(rng, 8, 7, complex_=True)
+    if grow == "run":
+        hist = run(x, w)
+        final = hist.factors
+        views = [hist.factors_at(j) for j in range(final.k)]
+    else:
+        final = mgs_factorize(x[1:].T - x[:-1].T, w)
+        views = [final.leading(j + 1) for j in range(final.k)]
+    assert len(grown) == final.k == 6
+    for view, (seen, q, r, p) in zip(views, grown):
+        for a, b in ((view.q, final.q), (view.r, final.r), (view.p, final.p),
+                     (seen.q, final.q)):
+            assert np.shares_memory(a, b)
+        for got in (view, seen):
+            assert_array_equal(got.q, q)
+            assert_array_equal(got.r, r)
+            assert_array_equal(got.p, p)
 
 
 def test_leading_views_restrict_bit_identically():
@@ -176,13 +209,12 @@ def test_cgs2_orthogonal_on_graded_columns():
 
 def test_rank_tolerance_is_relative_to_column_norm():
     w = WeightOperator.identity(3)
-    f = append_column(empty_factors(w), [1.0, 0.0, 0.0])
     # a tiny but independent column is fine ...
-    g = append_column(f, [0.0, 1e-100, 0.0])
+    g = mgs_factorize(np.array([[1.0, 0.0], [0.0, 1e-100], [0.0, 0.0]]), w)
     assert g.k == 2
     # ... while a huge nearly-dependent one is rejected
     with pytest.raises(RankDeficient):
-        append_column(f, [1e100, 1e85, 0.0])
+        mgs_factorize(np.array([[1.0, 1e100], [0.0, 1e85], [0.0, 0.0]]), w)
 
 
 def test_orthogonalize_column_reports_without_extending():
@@ -200,11 +232,10 @@ def test_orthogonalize_column_reports_without_extending():
 
 def test_more_columns_than_rows_rejected():
     rng = np.random.default_rng(8)
-    a = rng.standard_normal((3, 3))
-    w = WeightOperator.identity(3)
-    f = mgs_factorize(a, w)
-    with pytest.raises(RankDeficient):
-        append_column(f, rng.standard_normal(3))
+    a = rng.standard_normal((3, 4))
+    with pytest.raises(RankDeficient) as info:
+        mgs_factorize(a, WeightOperator.identity(3))
+    assert info.value.index == 3
 
 
 def test_timing_battery():
