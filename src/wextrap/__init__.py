@@ -66,7 +66,6 @@ from .qr import (
 from .relations import (
     RelationReport,
     StageRelations,
-    peak_plateau_report,
     verify_history,
 )
 from .weights import WeightOperator, validate
@@ -109,7 +108,6 @@ __all__ = [
     "make_near_stagnation_problem",
     "mgs_factorize",
     "orthogonalize_column",
-    "peak_plateau_report",
     "quadratic_problem",
     "read_matrix",
     "read_sequence",

@@ -109,36 +109,24 @@ def _resolve_problem(args):
     return problem, iterate(problem, iters), problem.dimension
 
 
-def _fmt(value, width=13):
-    if value is None:
-        return "—".center(width)
-    return f"{value:.6e}".rjust(width)
-
-
-def _print_history_table(history, methods, stag_tol, stream=None):
-    stream = sys.stdout if stream is None else stream
+def _print_history_table(history, methods):
     show_mpe = methods in ("both", "mpe")
     show_rre = methods in ("both", "rre")
-    prev_rre = None
     for rec in history.records:
         parts = [f"k={rec.k}", f"|u|={rec.u_norm:.6e}"]
         if show_mpe:
             parts.append("MPE: " + ("—" if not rec.mpe.exists
                                     else f"{rec.mpe.phi:.6e}"))
         if show_rre:
-            marker = ""
-            if prev_rre and rec.rre.phi is not None and not rec.terminal \
-                    and rec.rre.phi / prev_rre > 1.0 - stag_tol:
-                marker = " (stagnated)"
-            if rec.terminal:
-                marker = " (terminal)"
+            # RRE stagnates exactly where MPE does not exist (3-1)
+            marker = " (terminal)" if rec.terminal \
+                else "" if rec.mpe.exists else " (stagnated)"
             phi = "—" if rec.rre.phi is None else f"{rec.rre.phi:.6e}"
             parts.append("RRE: " + phi + marker)
-        prev_rre = rec.rre.phi
-        print("  ".join(parts), file=stream)
+        print("  ".join(parts))
     print(f"status: {history.status.value}"
           + ("" if history.detected_k0 is None
-             else f" (k0 = {history.detected_k0})"), file=stream)
+             else f" (k0 = {history.detected_k0})"))
 
 
 def _run_from_args(args):
@@ -149,7 +137,7 @@ def _run_from_args(args):
 
 def cmd_accelerate(args):
     history = _run_from_args(args)
-    _print_history_table(history, args.methods, args.stag_tol)
+    _print_history_table(history, args.methods)
     out = _out_path(args.out, "history.json")
     mmio.save_history(history, out)
     print(f"history written to {out}")
@@ -300,8 +288,6 @@ def _add_input_flags(sub, with_map=True):
     sub.add_argument("--k-max", dest="k_max", type=int, default=None)
     sub.add_argument("--rank-tol", dest="rank_tol", type=_positive,
                      default=RANK_TOL)
-    sub.add_argument("--stag-tol", dest="stag_tol", type=_positive,
-                     default=STAG_TOL)
 
 
 def build_parser():
@@ -326,6 +312,8 @@ def build_parser():
                      help="verify a stored history instead of running")
     ver.add_argument("--threshold", type=_positive, default=None,
                      help="defect threshold applied to every identity")
+    ver.add_argument("--stag-tol", dest="stag_tol", type=_positive,
+                     default=STAG_TOL)
     ver.add_argument("--report", default=None, help="write JSON report here")
     ver.set_defaults(func=cmd_verify)
 

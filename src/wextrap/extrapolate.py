@@ -350,6 +350,10 @@ def run(iterates, weight, k_max: int | None = None,
         history.records.append(ExtrapolationRecord(
             k, u_norm, float(rnorm), mpe, rre))
 
+    if factors.k < room.k:
+        # stopped early: keep the leading block, not the unused columns
+        factors = WQRFactors(weight, factors.q.copy(order="F"),
+                             factors.r.copy(), factors.p.copy(order="F"))
     history.factors = factors
     return history
 

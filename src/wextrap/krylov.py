@@ -35,8 +35,11 @@ step-by-step entry point: :func:`fom_solve`, :func:`gmr_solve` and
 Applied to the iterates x_{m+1} = T x_m + d, the two extrapolation
 methods of :mod:`wextrap.extrapolate` produce the same vectors as FOM
 and GMR stage by stage; :func:`equivalence_check` runs both pipelines
-once each and measures the difference, together with the exact-residual
-identities that hold in the linear case.
+once each and measures the difference.  It also checks that U_k gamma
+is the exact residual r(s_k), which holds for linear iterates because
+sum gamma = 1.  So the coupling identities that
+:func:`wextrap.relations.verify_history` measures on U_k gamma hold on
+the exact residuals too, and are not measured here a second time.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 from .errors import DimensionMismatch, InsufficientVectors
 from .extrapolate import run
 from .qr import RANK_TOL, _append, _buffers, orthogonalize_column
-from .relations import _coupling_defects, _rel
+from .relations import _rel
 from .weights import validate
 
 __all__ = [
@@ -214,14 +217,12 @@ def gmr_solve(t, d, x0, weight, k: int, with_residual: bool = False):
 @dataclass(frozen=True)
 class KrylovComparison:
     """Per-stage agreement between the solver and extrapolation
-    pipelines, plus the exact-residual identity defects.
+    pipelines.
 
     Lists are indexed by stage; None marks stages where a quantity
-    does not apply (undefined method, stage 0 for the two-stage
-    identities, terminal stage).  ``coupling_222/223/224`` are the
-    coupling defects of :mod:`wextrap.relations`, computed by the same
-    function on exact residuals and their norms in place of U_k gamma
-    and phi.
+    does not apply (undefined method).  ``residual_match_*`` is the
+    relative defect of U_k gamma = r(s_k), and ``gmr_estimate_defect``
+    that of the Givens residual estimate against |||r(s_k^rre)|||.
     """
 
     ks: list
@@ -233,10 +234,6 @@ class KrylovComparison:
     residual_match_mpe: list
     residual_match_rre: list
     gmr_estimate_defect: list
-    coupling_222: list
-    coupling_223: list
-    coupling_224: list
-    monotone_225: list
 
 
 def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
@@ -259,13 +256,11 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     hist = run(np.array(iters), weight, k_max=k_max)
     stages = _Stages(apply_t, d, x0, weight, hist.records[-1].k)
 
-    rre_parts = {}  # stage -> (exact rre residual norm, residual, s)
-
     def resid_scale(rnorm):
         return max(rnorm, 1e-14 * stages.beta)
 
     out = {f.name: [] for f in fields(KrylovComparison)}
-    for idx, rec in enumerate(hist.records):
+    for rec in hist.records:
         k = rec.k
         w_fom = stages.fom(k)
         w_gmr, gmr_res = stages.gmr(k)
@@ -291,7 +286,6 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         if rec.rre.s is not None:
             r_rre = res(rec.rre.s)
             nr_k = weight.norm(r_rre)
-            rre_parts[idx] = (nr_k, r_rre, rec.rre.s)
             out["residual_match_rre"].append(_rel(
                 weight.norm(u_k @ rec.rre.gamma - r_rre), resid_scale(nr_k)))
             out["gmr_estimate_defect"].append(_rel(
@@ -299,17 +293,4 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         else:
             out["residual_match_rre"].append(None)
             out["gmr_estimate_defect"].append(None)
-
-        # the extrapolation coupling identities, on exact residuals
-        coupling, monotone = (None, None, None), None
-        if idx > 0 and not rec.terminal and rec.mpe.exists \
-                and idx - 1 in rre_parts:
-            coupling = _coupling_defects(weight, rre_parts[idx],
-                                         rre_parts[idx - 1],
-                                         (nr_m, r_mpe, rec.mpe.s))
-            monotone = bool(rre_parts[idx][0] < rre_parts[idx - 1][0])
-        for name, value in zip(("coupling_222", "coupling_223",
-                                "coupling_224"), coupling):
-            out[name].append(value)
-        out["monotone_225"].append(monotone)
     return KrylovComparison(**out)

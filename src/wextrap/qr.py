@@ -23,6 +23,8 @@ factorization grows.  :func:`wextrap.extrapolate.run`,
 :func:`mgs_factorize` (and so the history loader) and the Arnoldi
 process of :mod:`wextrap.krylov` all grow this way, so a run's factors
 and a one-shot factorization of the same columns are the same floats.
+A run that stops before its last planned column keeps a copy of the
+leading block instead, so the unused columns are freed.
 """
 
 from __future__ import annotations

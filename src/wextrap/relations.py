@@ -41,8 +41,12 @@ requires).  The 3-1 and 3-55 flags are boolean and sit beside the
 table.  One pass over the records fills every :class:`StageRelations`,
 and :func:`verify_history` judges the defects against thresholds.  Its
 report keeps the raw measurements: ``report.stages[k].<field>`` is
-the one way to read a stage's defects and flags.  A violation is
-reported (``ok`` false), never raised.
+the one way to read a stage's defects and flags, and
+``report.peaks``/``plateaus``/``overlap`` the one way to read where
+the estimates peak and plateau.  A violation is reported (``ok``
+false), never raised.  For linear iterates U_k gamma is the exact
+residual r(s_k) (:func:`wextrap.krylov.equivalence_check` measures
+that), so these identities cover the Krylov solvers too.
 
 By default every check recomputes the quantities it relates directly
 from the difference columns and triangular factors, so the two sides
@@ -68,10 +72,8 @@ __all__ = [
     "Identity",
     "CATALOG",
     "DEFAULT_THRESHOLDS",
-    "PeakPlateau",
     "StageRelations",
     "RelationReport",
-    "peak_plateau_report",
     "verify_history",
 ]
 
@@ -92,11 +94,9 @@ def _rel(defect: float, scale: float) -> float:
 def _coupling_defects(weight, rre, prev, mpe):
     """Relative defects of identities 3-16, 3-17 and 3-18.
 
-    ``rre``, ``prev`` and ``mpe`` are (phi, residual, s) triples for
+    ``rre``, ``prev`` and ``mpe`` are (phi, U_k gamma, s) triples for
     the stage-k reduced-rank, stage-(k-1) reduced-rank and stage-k
-    minimal-polynomial results.  The residual is U_k gamma for the
-    extrapolation history and the exact residual of s in the linear
-    case, where phi is its weighted norm.
+    minimal-polynomial results.
     """
     (fr, r, s), (fp, rp, sp), (fm, rm, sm) = rre, prev, mpe
     d316 = _rel(abs(1.0 / fr ** 2 - 1.0 / fp ** 2 - 1.0 / fm ** 2),
@@ -282,18 +282,6 @@ def _measure(history: RunHistory, use_recorded_phi: bool,
     return out
 
 
-@dataclass(frozen=True)
-class PeakPlateau:
-    """Maximal stage ranges (inclusive) where the minimal-polynomial
-    estimate rises (or is undefined) and where the reduced-rank
-    estimate fails to decrease meaningfully (by :data:`PLATEAU_TOL`),
-    plus their intersection."""
-
-    peaks: list
-    plateaus: list
-    overlap: list
-
-
 def _true_ranges(flags: dict) -> list:
     ranges, start, prev = [], None, None
     for k in sorted(flags):
@@ -308,46 +296,18 @@ def _true_ranges(flags: dict) -> list:
     return ranges
 
 
-def _intersect_ranges(a: list, b: list) -> list:
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo <= hi:
-                out.append((lo, hi))
-    return sorted(out)
-
-
-def peak_plateau_report(history: RunHistory) -> PeakPlateau:
-    """Locate peak and plateau ranges on the recorded estimates.
-
-    A stage peaks when its minimal-polynomial estimate exceeds the
-    last defined one before it, or is itself undefined; it plateaus
-    when phi_rre(k)/phi_rre(k-1) > 1 - PLATEAU_TOL.  A history with
-    fewer than two stages has empty ranges.
-    """
-    peak_flags, plateau_flags = {}, {}
-    last_defined = None
-    prev_rre = None
-    for idx, rec in enumerate(history.records):
-        if rec.terminal:
-            break
-        if idx > 0:
-            peak_flags[rec.k] = (
-                rec.mpe.phi is None
-                or (last_defined is not None and rec.mpe.phi > last_defined)
-            )
-            plateau_flags[rec.k] = rec.rre.phi / prev_rre > 1.0 - PLATEAU_TOL
-        if rec.mpe.phi is not None:
-            last_defined = rec.mpe.phi
-        prev_rre = rec.rre.phi
-    peaks = _true_ranges(peak_flags)
-    plateaus = _true_ranges(plateau_flags)
-    return PeakPlateau(peaks, plateaus, _intersect_ranges(peaks, plateaus))
-
-
 @dataclass(frozen=True)
 class RelationReport:
+    """The verdict of :func:`verify_history` with its measurements.
+
+    ``peaks``, ``plateaus`` and ``overlap`` are maximal stage ranges
+    (inclusive) before the terminal stage, read from the recorded
+    estimates.  A stage k > 0 peaks when its minimal-polynomial
+    estimate exceeds the last defined one before it, or is itself
+    undefined; it plateaus when phi_rre(k)/phi_rre(k-1) >
+    1 - PLATEAU_TOL; the overlap is where both hold.
+    """
+
     stages: list
     peaks: list
     plateaus: list
@@ -415,11 +375,24 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
                 failures.append((inf if math.isnan(ratio) else ratio,
                                  row.label, st.k, defect))
 
-    pp = peak_plateau_report(history)
+    peak, plateau = {}, {}
+    last_defined = prev_rre = None
+    for idx, rec in enumerate(history.records):
+        if rec.terminal:
+            break
+        if idx > 0:
+            peak[rec.k] = rec.mpe.phi is None or (
+                last_defined is not None and rec.mpe.phi > last_defined)
+            plateau[rec.k] = rec.rre.phi / prev_rre > 1.0 - PLATEAU_TOL
+        if rec.mpe.phi is not None:
+            last_defined = rec.mpe.phi
+        prev_rre = rec.rre.phi
+    both = {k: peak[k] and plateau[k] for k in peak}
+
     ok = all(f[0] <= 1.0 for f in failures)
     worst = None
     if failures:
         ratio, label, k, defect = max(failures, key=lambda f: f[0])
         worst = (label, k, defect)
-    return RelationReport(stages, pp.peaks, pp.plateaus, pp.overlap,
-                          ok, worst, thr)
+    return RelationReport(stages, _true_ranges(peak), _true_ranges(plateau),
+                          _true_ranges(both), ok, worst, thr)

@@ -35,6 +35,7 @@ REMOVED = [
     "CouplingEntry",
     "DifferenceMatrix",
     "KrylovState",
+    "PeakPlateau",
     "StagnationEntry",
     "TheoremViolation",
     "VectorSequence",
@@ -47,6 +48,7 @@ REMOVED = [
     "gs_factorize",
     "initial_state",
     "mpe_coefficients",
+    "peak_plateau_report",
     "rre_coefficients",
 ]
 
@@ -103,13 +105,30 @@ def test_unset_knobs_are_gone():
     assert "raise_on_violation" not in inspect.signature(
         wextrap.verify_history).parameters
     assert "exist_tol" not in inspect.signature(wextrap.run).parameters
-    for fn in (wextrap.verify_history, wextrap.peak_plateau_report):
-        assert "plateau_tol" not in inspect.signature(fn).parameters
+    assert "plateau_tol" not in inspect.signature(
+        wextrap.verify_history).parameters
     assert "plateau_tol" not in {
-        f.name for f in dataclasses.fields(relations.PeakPlateau)}
+        f.name for f in dataclasses.fields(relations.RelationReport)}
     parser = cli.build_parser()
     for argv in (["accelerate", "--exist-tol", "1e-12"],
                  ["verify-relations", "--exist-tol", "1e-12"],
                  ["verify-relations", "--plateau-tol", "1e-6"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
+
+
+def test_krylov_copy_of_the_catalog_is_gone():
+    # verify_history measures 3-16, 3-17, 3-18 and 3-55 once, on U_k
+    # gamma; equivalence_check measures U_k gamma = r(s)
+    names = {f.name for f in dataclasses.fields(krylov.KrylovComparison)}
+    for name in ("coupling_222", "coupling_223", "coupling_224",
+                 "monotone_225"):
+        assert name not in names
+    assert not hasattr(relations, "_intersect_ranges")
+    # the "(stagnated)" marker reads MPE existence; only verify-relations,
+    # whose 3-1 and 3-15 checks detect stagnation, takes a tolerance
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["accelerate", "--stag-tol", "1e-3"])
+    args = parser.parse_args(["verify-relations", "--stag-tol", "1e-3"])
+    assert args.stag_tol == 1e-3

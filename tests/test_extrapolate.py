@@ -1,9 +1,10 @@
 import base64
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_triangular
 
 from wextrap import (
@@ -16,6 +17,7 @@ from wextrap import (
     WeightOperator,
     assemble,
     iterate,
+    mgs_factorize,
     residual,
     run,
 )
@@ -351,6 +353,36 @@ def test_run_one_mproduct_per_column(weight_calls):
     u_norms = [weight.norm(hist.differences[:, k]) for k in range(7)]
     assert_allclose([rec.u_norm for rec in hist.records], u_norms,
                     rtol=1e-13)
+
+
+def test_early_stop_frees_unused_factor_columns():
+    # T with three distinct eigenvalues: the run reaches its terminal
+    # stage at k = 3 of k_max = 100, and keeps a copy of the leading
+    # Q/P/R block, not buffers sized for 101 columns
+    rng = np.random.default_rng(62)
+    n, k_max = 500, 100
+    t = np.resize([0.5, -0.3, 0.2], n)
+    d = rng.standard_normal(n)
+    x = np.empty((k_max + 2, n), dtype=complex)
+    x[0] = rng.standard_normal(n)
+    for i in range(k_max + 1):
+        x[i + 1] = t * x[i] + d
+    weight = WeightOperator.identity(n)
+    tracemalloc.start()
+    try:
+        hist = run(x, weight, k_max=k_max)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert hist.detected_k0 == 3 and hist.factors.k == 3
+    assert held < 1.5 * hist.differences.nbytes
+    one_shot = mgs_factorize(hist.differences[:, :3], weight)
+    for got, want in ((hist.factors.q, one_shot.q),
+                      (hist.factors.r, one_shot.r),
+                      (hist.factors.p, one_shot.p)):
+        assert_array_equal(got, want)
+    assert hist.factors.q.flags.f_contiguous
+    assert hist.factors.p.flags.f_contiguous
 
 
 def test_run_kmax_clamped_to_dimension():

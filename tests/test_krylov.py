@@ -13,6 +13,7 @@ from wextrap import (
     make_mpe_failure_problem,
     residual,
     run,
+    verify_history,
 )
 from wextrap.krylov import _Stages
 from wextrap.qr import RANK_TOL
@@ -148,6 +149,13 @@ def test_gmr_residual_estimate_and_monotonicity():
         prev = est
 
 
+def coupled_stages(t, d, x0, weight, k_max):
+    """verify_history's stages on the run equivalence_check makes."""
+    problem = FixedPointProblem.linear(t, d, x0)
+    hist = run(iterate(problem, k_max + 2), weight, k_max=k_max)
+    return verify_history(hist).stages
+
+
 def test_equivalence_demo():
     cmp = equivalence_check(DEMO_T, DEMO_D, DEMO_X0,
                             WeightOperator.identity(2), 2)
@@ -158,10 +166,14 @@ def test_equivalence_demo():
         assert cmp.gmr_rre_defect[k] < 1e-10
     assert cmp.residual_match_rre[1] < 1e-10
     assert cmp.gmr_estimate_defect[1] < 1e-10
-    assert cmp.coupling_222[1] < 1e-9
-    assert cmp.coupling_223[1] < 1e-9
-    assert cmp.coupling_224[1] < 1e-9
-    assert cmp.monotone_225[1] is True
+    # U_k gamma is the exact residual (above), so the coupling
+    # identities on the same run are the exact-residual ones
+    st = coupled_stages(DEMO_T, DEMO_D, DEMO_X0,
+                        WeightOperator.identity(2), 2)[1]
+    assert st.identity_316_residual < 1e-9
+    assert st.identity_317_residual < 1e-9
+    assert st.identity_318_residual < 1e-9
+    assert st.monotone_355 is True
 
 
 def test_equivalence_random_weights():
@@ -177,10 +189,27 @@ def test_equivalence_random_weights():
             assert all(cmp.definedness_consistent)
             for value in cmp.fom_mpe_defect + cmp.gmr_rre_defect:
                 assert value is None or value < 1e-8
-            for value in (cmp.residual_match_mpe + cmp.residual_match_rre
-                          + cmp.coupling_222 + cmp.coupling_223
-                          + cmp.coupling_224):
+            for value in cmp.residual_match_mpe + cmp.residual_match_rre:
                 assert value is None or value < 1e-8
+            for st in coupled_stages(t, d, x0, w, 4):
+                for value in (st.identity_316_residual,
+                              st.identity_317_residual,
+                              st.identity_318_residual):
+                    assert value is None or value < 1e-8
+
+
+def test_equivalence_check_six_norms_per_stage(weight_calls):
+    # per stage with an MPE extrapolant: the FOM-MPE and GMR-RRE gaps,
+    # and for each method |||r(s)||| and |||U_k gamma - r(s)|||
+    rng = np.random.default_rng(250)
+    n = 10
+    t = random_contraction(rng, n)
+    d = rng.standard_normal(n)
+    w = WeightOperator.dense(random_pd_matrix(rng, n))
+    weight_calls.clear()
+    cmp = equivalence_check(t, d, np.zeros(n), w, 4)
+    assert all(cmp.mpe_exists) and len(cmp.ks) == 5
+    assert weight_calls.count("norm") == 6 * 5
 
 
 def test_equivalence_on_failure_problem():

@@ -10,7 +10,6 @@ from wextrap import (
     iterate,
     make_mpe_failure_sequence,
     make_near_stagnation_problem,
-    peak_plateau_report,
     run,
     verify_history,
 )
@@ -178,14 +177,14 @@ def test_verify_history_single_stage():
 
 
 def test_peak_plateau_monotone_history(demo_history):
-    report = peak_plateau_report(demo_history)
+    report = verify_history(demo_history)
     assert report.peaks == []
     assert report.plateaus == []
     assert report.overlap == []
 
 
 def test_peak_plateau_stagnation(stagnation_history):
-    report = peak_plateau_report(stagnation_history)
+    report = verify_history(stagnation_history)
     assert report.plateaus == [(1, 1)]
     assert report.peaks == [(1, 1)]      # undefined counts as peaking
     assert report.overlap == [(1, 1)]
@@ -195,7 +194,7 @@ def test_peak_plateau_near_defective():
     problem = make_near_stagnation_problem(6)
     xs = iterate(problem, 8)
     hist = run(np.asarray(xs), WeightOperator.identity(6), k_max=4)
-    report = peak_plateau_report(hist)
+    report = verify_history(hist)
     assert any(lo <= 1 <= hi for lo, hi in report.peaks)
     assert any(lo <= 1 <= hi for lo, hi in report.plateaus)
     assert report.overlap != []
