@@ -35,11 +35,14 @@ step-by-step entry point: :func:`fom_solve`, :func:`gmr_solve` and
 Applied to the iterates x_{m+1} = T x_m + d, the two extrapolation
 methods of :mod:`wextrap.extrapolate` produce the same vectors as FOM
 and GMR stage by stage; :func:`equivalence_check` runs both pipelines
-once each and measures the difference.  It also checks that U_k gamma
-is the exact residual r(s_k), which holds for linear iterates because
-sum gamma = 1.  So the coupling identities that
-:func:`wextrap.relations.verify_history` measures on U_k gamma hold on
-the exact residuals too, and are not measured here a second time.
+once each and measures the difference, taking every weighted norm it
+needs (per stage the FOM-MPE and GMR-RRE gaps, |||r(s)||| and
+|||U_k gamma - r(s)||| for both methods) from one block product with M
+over all stages.  It also checks that U_k gamma is the exact residual
+r(s_k), which holds for linear iterates because sum gamma = 1.  So the
+coupling identities that :func:`wextrap.relations.verify_history`
+measures on U_k gamma hold on the exact residuals too, and are not
+measured here a second time.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from .errors import DimensionMismatch, InsufficientVectors
 from .extrapolate import run
 from .qr import RANK_TOL, _append, _buffers, orthogonalize_column
-from .relations import _rel
+from .relations import _norms, _rel
 from .weights import validate
 
 __all__ = [
@@ -259,35 +262,47 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     def resid_scale(rnorm):
         return max(rnorm, 1e-14 * stages.beta)
 
-    out = {f.name: [] for f in fields(KrylovComparison)}
+    # every weighted norm below comes from one block product with M:
+    # each difference is formed as a vector first, then its column is
+    # added under (stage, name)
+    wanted, solves = {}, []
     for rec in hist.records:
         k = rec.k
         w_fom = stages.fom(k)
         w_gmr, gmr_res = stages.gmr(k)
-        fom_def = w_fom is not None
+        solves.append((rec, w_fom is not None, gmr_res))
+        if w_fom is not None and rec.mpe.exists:
+            wanted[k, "fom_mpe"] = w_fom - rec.mpe.s
+        u_k = hist.differences[:, :k + 1]
+        if rec.mpe.exists:
+            r_mpe = res(rec.mpe.s)
+            wanted[k, "r_mpe"] = r_mpe
+            wanted[k, "match_mpe"] = u_k @ rec.mpe.gamma - r_mpe
+        if rec.rre.s is not None:
+            wanted[k, "gmr_rre"] = w_gmr - rec.rre.s
+            r_rre = res(rec.rre.s)
+            wanted[k, "r_rre"] = r_rre
+            wanted[k, "match_rre"] = u_k @ rec.rre.gamma - r_rre
+    norm = _norms(weight, wanted)
+
+    out = {f.name: [] for f in fields(KrylovComparison)}
+    for rec, fom_def, gmr_res in solves:
+        k = rec.k
         out["ks"].append(k)
         out["fom_defined"].append(fom_def)
         out["mpe_exists"].append(rec.mpe.exists)
         out["definedness_consistent"].append(fom_def == rec.mpe.exists)
-        out["fom_mpe_defect"].append(
-            None if not (fom_def and rec.mpe.exists)
-            else weight.norm(w_fom - rec.mpe.s))
-        out["gmr_rre_defect"].append(
-            None if rec.rre.s is None else weight.norm(w_gmr - rec.rre.s))
-
-        u_k = hist.differences[:, :k + 1]
+        out["fom_mpe_defect"].append(norm.get((k, "fom_mpe")))
+        out["gmr_rre_defect"].append(norm.get((k, "gmr_rre")))
         if rec.mpe.exists:
-            r_mpe = res(rec.mpe.s)
-            nr_m = weight.norm(r_mpe)
             out["residual_match_mpe"].append(_rel(
-                weight.norm(u_k @ rec.mpe.gamma - r_mpe), resid_scale(nr_m)))
+                norm[k, "match_mpe"], resid_scale(norm[k, "r_mpe"])))
         else:
             out["residual_match_mpe"].append(None)
         if rec.rre.s is not None:
-            r_rre = res(rec.rre.s)
-            nr_k = weight.norm(r_rre)
+            nr_k = norm[k, "r_rre"]
             out["residual_match_rre"].append(_rel(
-                weight.norm(u_k @ rec.rre.gamma - r_rre), resid_scale(nr_k)))
+                norm[k, "match_rre"], resid_scale(nr_k)))
             out["gmr_estimate_defect"].append(_rel(
                 abs(gmr_res - nr_k), resid_scale(nr_k)))
         else:

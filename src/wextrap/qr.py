@@ -82,10 +82,10 @@ class WQRFactors:
                           self.p[:, :j])
 
     def orthonormality_defect(self) -> float:
-        """max entry of |Q* M Q - I|."""
+        """max entry of |Q* M Q - I|, with M Q from one block product."""
         if not self.k:
             return 0.0
-        mq = np.array([self.weight.apply(col) for col in self.q.T]).T
+        mq = self.weight.apply(self.q)
         return float(np.max(np.abs(self.q.conj().T @ mq - np.eye(self.k))))
 
 

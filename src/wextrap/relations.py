@@ -39,7 +39,12 @@ which returns None where the identity does not apply (stage 0,
 terminal stage, or nonexistent minimal-polynomial vector as the case
 requires).  The 3-1 and 3-55 flags are boolean and sit beside the
 table.  One pass over the records fills every :class:`StageRelations`,
-and :func:`verify_history` judges the defects against thresholds.  Its
+and :func:`verify_history` judges the defects against thresholds.
+Every weighted norm that pass needs comes from two block products with
+M over all stages, whatever their number
+(:meth:`wextrap.weights.WeightOperator.norm` on an N x m block): the
+first gives phi and the stagnation distances, the second the 3-17 and
+3-18 defects, which need the first's phi.  Its
 report keeps the raw measurements: ``report.stages[k].<field>`` is
 the one way to read a stage's defects and flags, and
 ``report.peaks``/``plateaus``/``overlap`` the one way to read where
@@ -91,22 +96,12 @@ def _rel(defect: float, scale: float) -> float:
     return float(defect / scale) if scale > 0 else float(defect)
 
 
-def _coupling_defects(weight, rre, prev, mpe):
-    """Relative defects of identities 3-16, 3-17 and 3-18.
-
-    ``rre``, ``prev`` and ``mpe`` are (phi, U_k gamma, s) triples for
-    the stage-k reduced-rank, stage-(k-1) reduced-rank and stage-k
-    minimal-polynomial results.
-    """
-    (fr, r, s), (fp, rp, sp), (fm, rm, sm) = rre, prev, mpe
-    d316 = _rel(abs(1.0 / fr ** 2 - 1.0 / fp ** 2 - 1.0 / fm ** 2),
-                1.0 / fr ** 2)
-    v = r / fr ** 2
-    d317 = _rel(weight.norm(v - rp / fp ** 2 - rm / fm ** 2), weight.norm(v))
-    lhs = s / fr ** 2
-    d318 = _rel(weight.norm(lhs - (sp / fp ** 2 + sm / fm ** 2)),
-                weight.norm(lhs))
-    return d316, d317, d318
+def _norms(weight, vectors: dict) -> dict:
+    """|||v||| for every ``key: v`` in ``vectors``, from one product
+    with M over the N x m block of their columns."""
+    block = np.array(list(vectors.values()), dtype=complex)
+    block = block.reshape(len(vectors), weight.dimension).T
+    return dict(zip(vectors, weight.norm(block).tolist()))
 
 
 class _Stage:
@@ -117,42 +112,61 @@ class _Stage:
     and at the terminal stage, where no two-stage identity applies;
     ``coupled`` adds that the minimal-polynomial vector exists, which
     is where the coupling identities apply.
+
+    The weighted norms come in two block products over every stage
+    (:func:`_measure`).  The constructor adds its pass-1 vectors to
+    ``first``: U_k gamma for both methods (unless the recorded phi is
+    used), and s_rre(k) - s_rre(k-1) with s_rre(k) for the stagnation
+    test.  :meth:`settle` reads them and adds the 3-17/3-18 numerators
+    and denominators, which need pass 1's phi, to ``second``.  Each
+    difference is formed as a vector first, so a defect is measured on
+    it and never by cancelling two separate norms.
     """
 
     def __init__(self, history: RunHistory, rec, prev: "_Stage | None",
-                 use_recorded_phi: bool, stag_tol: float, cprimes):
+                 use_recorded_phi: bool, cprimes, first: dict):
         self.history, self.rec, self.prev = history, rec, prev
         self.cprimes = cprimes
-        weight = history.weight
         u = history.differences[:, :rec.k + 1]
         self.u_mpe = None if rec.mpe.gamma is None else u @ rec.mpe.gamma
         self.u_rre = None if rec.rre.gamma is None else u @ rec.rre.gamma
         if use_recorded_phi:
             self.phi_mpe, self.phi_rre = rec.mpe.phi, rec.rre.phi
-        else:
-            self.phi_mpe = None if self.u_mpe is None \
-                else weight.norm(self.u_mpe)
-            self.phi_rre = None if self.u_rre is None \
-                else weight.norm(self.u_rre)
+        else:  # pass 1 sets each phi whose U_k gamma exists
+            self.phi_mpe = self.phi_rre = None
+            for name, v in (("phi_mpe", self.u_mpe), ("phi_rre", self.u_rre)):
+                if v is not None:
+                    first[self, name] = v
         self.checked = prev is not None and not rec.terminal
         self.coupled = self.checked and rec.mpe.exists
+        if self.checked:
+            first[self, "step"] = rec.rre.s - prev.rec.rre.s
+            first[self, "size"] = rec.rre.s
+        self.stagnates = None
+
+    def settle(self, stag_tol: float, second: dict) -> None:
+        """Judge stagnation and carry S_k from pass 1's norms; add the
+        pass-2 vectors of 3-17 and 3-18."""
+        rec, prev = self.rec, self.prev
         # S_k and the running sum of 1/phi_mpe^2 over it (identity 92)
         self.s_set, self.inv_sum = ((), 0.0) if prev is None \
             else (prev.s_set, prev.inv_sum)
         if rec.mpe.exists and not rec.terminal:
             self.s_set += (rec.k,)
             self.inv_sum += 1.0 / self.phi_mpe ** 2
-        self.stagnates = None
         if self.checked:
-            dist = weight.norm(rec.rre.s - prev.rec.rre.s)
             self.stagnates = bool(
-                dist <= stag_tol * (1.0 + weight.norm(rec.rre.s)))
-        self.coupling = None, None, None  # 3-16, 3-17, 3-18
+                self.step <= stag_tol * (1.0 + self.size))
         if self.coupled:
-            self.coupling = _coupling_defects(
-                weight, (self.phi_rre, self.u_rre, rec.rre.s),
-                (prev.phi_rre, prev.u_rre, prev.rec.rre.s),
-                (self.phi_mpe, self.u_mpe, rec.mpe.s))
+            fr, fp, fm = self.phi_rre, prev.phi_rre, self.phi_mpe
+            v = self.u_rre / fr ** 2
+            second[self, "num_317"] = \
+                v - prev.u_rre / fp ** 2 - self.u_mpe / fm ** 2
+            second[self, "den_317"] = v
+            lhs = rec.rre.s / fr ** 2
+            second[self, "num_318"] = \
+                lhs - (prev.rec.rre.s / fp ** 2 + rec.mpe.s / fm ** 2)
+            second[self, "den_318"] = lhs
 
 
 def _cprimes(history: RunHistory):
@@ -182,6 +196,15 @@ def _master(st: _Stage) -> float | None:
     rhs[:k] = prev_vec / (np.linalg.norm(prev_vec) ** 2)
     rhs[k] = np.conj(alpha) / r[k, k].real
     return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs))
+
+
+def _coupling(st: _Stage) -> float | None:
+    """3-16: 1/phi_rre(k)^2 = 1/phi_rre(k-1)^2 + 1/phi_mpe(k)^2."""
+    if not st.coupled:
+        return None
+    fr, fp, fm = st.phi_rre, st.prev.phi_rre, st.phi_mpe
+    return _rel(abs(1.0 / fr ** 2 - 1.0 / fp ** 2 - 1.0 / fm ** 2),
+                1.0 / fr ** 2)
 
 
 def _embedding(st: _Stage) -> float | None:
@@ -225,9 +248,11 @@ class Identity(NamedTuple):
 CATALOG = (
     Identity("3-8", "identity_38_residual", 1e-9, _master),
     Identity("3-15", "identity_315_residual", 1e-9, _embedding),
-    Identity("3-16", "identity_316_residual", 1e-9, lambda st: st.coupling[0]),
-    Identity("3-17", "identity_317_residual", 1e-9, lambda st: st.coupling[1]),
-    Identity("3-18", "identity_318_residual", 1e-9, lambda st: st.coupling[2]),
+    Identity("3-16", "identity_316_residual", 1e-9, _coupling),
+    Identity("3-17", "identity_317_residual", 1e-9,
+             lambda st: _rel(st.num_317, st.den_317) if st.coupled else None),
+    Identity("3-18", "identity_318_residual", 1e-9,
+             lambda st: _rel(st.num_318, st.den_318) if st.coupled else None),
     Identity("91", "eq91_defect", 1e-9, _eq91),
     Identity("92", "eq92_defect", 1e-9, _eq92),
 )
@@ -259,11 +284,23 @@ class StageRelations:
 
 def _measure(history: RunHistory, use_recorded_phi: bool,
              stag_tol: float) -> list:
-    """The one pass: a :class:`StageRelations` per record."""
-    out, prev = [], None
+    """The one pass: a :class:`StageRelations` per record, with every
+    weighted norm from two block products with M (see :class:`_Stage`)."""
+    weight = history.weight
     cprimes = _cprimes(history)
+    stages, prev, first, second = [], None, {}, {}
     for rec in history.records:
-        st = _Stage(history, rec, prev, use_recorded_phi, stag_tol, cprimes)
+        prev = _Stage(history, rec, prev, use_recorded_phi, cprimes, first)
+        stages.append(prev)
+    for (st, name), value in _norms(weight, first).items():
+        setattr(st, name, value)
+    for st in stages:
+        st.settle(stag_tol, second)
+    for (st, name), value in _norms(weight, second).items():
+        setattr(st, name, value)
+    out = []
+    for st in stages:
+        rec, prev = st.rec, st.prev
         consistent = noninc = monotone = None
         if st.checked:
             consistent = st.stagnates != rec.mpe.exists
@@ -278,7 +315,6 @@ def _measure(history: RunHistory, use_recorded_phi: bool,
             stagnation_consistent=consistent,
             monotone_355=monotone, nonincreasing=noninc, s_set=st.s_set,
             **{row.field: row.defect(st) for row in CATALOG}))
-        prev = st
     return out
 
 

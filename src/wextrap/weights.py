@@ -7,6 +7,18 @@ diagonal (positive weights, ``<y, z> = sum a_i conj(y_i) z_i``), and a
 general dense hermitian matrix.  A dense matrix must be finite and
 hermitian, and is validated by its Cholesky factorization, whose
 existence is the positive-definiteness test.
+
+:meth:`WeightOperator.apply` and :meth:`WeightOperator.norm` take an
+(N,) vector or an (N, m) block of column vectors.  A block costs one
+product with M for all of its columns (a GEMM when M is dense, where m
+vectors one at a time would be m GEMVs).  Its norms are then read
+column by column, each with the vector's checks, from one vdot of the
+column with its column of MV.  For the identity and a diagonal weight
+MV is formed entry by entry, so the norms of a column-major block are
+bit-identical to its columns' vector norms; a dense weight differs
+only by the GEMM's rounding.  Callers that need many weighted norms
+at once (:func:`wextrap.relations.verify_history`,
+:func:`wextrap.krylov.equivalence_check`) stack them into one block.
 """
 
 from __future__ import annotations
@@ -92,30 +104,41 @@ class WeightOperator:
 
     def _check_dim(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        if z.ndim != 1 or z.size != self.dimension:
+        if z.ndim not in (1, 2) or z.shape[0] != self.dimension:
             raise DimensionMismatch(
-                f"expected vector of dimension {self.dimension}, got shape {z.shape}"
+                f"expected vector of dimension {self.dimension} or an "
+                f"({self.dimension}, m) block, got shape {z.shape}"
             )
         return z
 
     def apply(self, z) -> np.ndarray:
-        """Return M z."""
+        """Return M z, for a vector z or column by column for an (N, m)
+        block in one product.  The identity weight copies a vector but
+        returns a block as it is (as a complex array)."""
         z = self._check_dim(z)
         if self.kind == "identity":
-            return z.copy()
+            return z.copy() if z.ndim == 1 else z
         if self.kind == "diagonal":
-            return self._diag * z
+            return self._diag * z if z.ndim == 1 else self._diag[:, None] * z
         return self._matrix @ z
 
-    def norm(self, z) -> float:
-        """Induced norm sqrt(z* M z) from one application of M; the
-        quadratic form must be real and nonnegative up to roundoff or
-        :class:`NegativeQuadraticForm` is raised."""
+    def norm(self, z):
+        """Induced norm sqrt(z* M z) from one application of M.
+
+        For an (N, m) block, the m column norms as an array, from one
+        block product.  Each quadratic form must be real and
+        nonnegative up to roundoff or :class:`NegativeQuadraticForm` is
+        raised."""
         mz = self.apply(z)
         return self._form_norm(np.asarray(z, dtype=complex), mz)
 
-    def _form_norm(self, z, mz) -> float:
+    def _form_norm(self, z, mz):
         # sqrt(z* M z) given mz = M z, with the quadratic-form checks
+        if z.ndim == 2:
+            # each column with the vector's checks; one vdot per column
+            # keeps no N x m temporary beside z and MV
+            return np.array([self._form_norm(z[:, j], mz[:, j])
+                             for j in range(z.shape[1])])
         q = complex(np.vdot(z, mz))
         if abs(q.imag) > _IMAG_RTOL * (1.0 + abs(q.real)):
             raise NegativeQuadraticForm(

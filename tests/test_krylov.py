@@ -198,18 +198,21 @@ def test_equivalence_random_weights():
                     assert value is None or value < 1e-8
 
 
-def test_equivalence_check_six_norms_per_stage(weight_calls):
-    # per stage with an MPE extrapolant: the FOM-MPE and GMR-RRE gaps,
-    # and for each method |||r(s)||| and |||U_k gamma - r(s)|||
+def test_equivalence_check_one_block_product_for_its_norms(weight_calls):
+    # k + 1 products in run, k + 1 in Arnoldi, and one block product for
+    # every stage's FOM-MPE and GMR-RRE gaps, |||r(s)||| and
+    # |||U_k gamma - r(s)|||, whatever k
     rng = np.random.default_rng(250)
     n = 10
     t = random_contraction(rng, n)
     d = rng.standard_normal(n)
     w = WeightOperator.dense(random_pd_matrix(rng, n))
-    weight_calls.clear()
-    cmp = equivalence_check(t, d, np.zeros(n), w, 4)
-    assert all(cmp.mpe_exists) and len(cmp.ks) == 5
-    assert weight_calls.count("norm") == 6 * 5
+    for k in (1, 4, 7):
+        weight_calls.clear()
+        cmp = equivalence_check(t, d, np.zeros(n), w, k)
+        assert all(cmp.mpe_exists) and len(cmp.ks) == k + 1
+        assert weight_calls.count("norm") == 1
+        assert weight_calls.count("apply") == 2 * (k + 1) + 1
 
 
 def test_equivalence_on_failure_problem():

@@ -273,6 +273,22 @@ def test_verify_history_random_linear_problems():
         assert report.ok, report.worst
 
 
+@pytest.mark.parametrize("use_recorded_phi", [False, True])
+def test_verify_history_two_block_products(weight_calls, use_recorded_phi):
+    # pass 1: phi (unless recorded) and the stagnation distances; pass 2:
+    # the 3-17/3-18 numerators and denominators; two products whatever k
+    rng = np.random.default_rng(293)
+    w = random_weight(rng, 12, "dense")
+    xs = np.asarray(iterate(random_linear_problem(rng, 12), 10))
+    for k in (1, 4, 8):
+        hist = run(xs, w, k_max=k)
+        weight_calls.clear()
+        report = verify_history(hist, use_recorded_phi=use_recorded_phi)
+        assert report.ok
+        assert report.stages[-1].identity_317_residual is not None
+        assert weight_calls == ["norm", "apply"] * 2
+
+
 def test_report_to_dict_keys(demo_history):
     doc = verify_history(demo_history).to_dict()
     assert doc["ok"] is True

@@ -187,6 +187,82 @@ def test_negative_quadratic_form_detects_corruption():
         bad.norm([0.0, 1.0])
 
 
+def three_weights(rng, n):
+    return (WeightOperator.identity(n),
+            WeightOperator.diagonal(rng.uniform(0.2, 3.0, n)),
+            WeightOperator.dense(random_pd_matrix(rng, n)))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_block_norm_matches_column_norms(complex_):
+    rng = np.random.default_rng(31)
+    n, m = 9, 5
+    for w in three_weights(rng, n):
+        block = rng.standard_normal((n, m))
+        if complex_:
+            block = block + 1j * rng.standard_normal((n, m))
+        # column-major, so every column is a contiguous vector
+        block = np.asfortranarray(block)
+        norms = w.norm(block)
+        assert norms.shape == (m,)
+        by_column = [w.norm(col) for col in block.T]
+        assert_allclose(norms, by_column, rtol=1e-14)
+        if w.kind != "dense":
+            # M V is formed entry by entry: the same vdot as for a vector
+            assert np.array_equal(norms, by_column)
+        assert_allclose(w.apply(block),
+                        np.column_stack([w.apply(col) for col in block.T]),
+                        rtol=1e-14)
+
+
+def test_block_norm_of_no_columns():
+    for w in three_weights(np.random.default_rng(37), 4):
+        assert w.norm(np.zeros((4, 0))).shape == (0,)
+
+
+@pytest.mark.parametrize("matrix, bad, match", [
+    # z*Mz < 0 for the second basis vector
+    ([[1.0, 0.0], [0.0, -1.0]], [0.0, 1.0], "< 0"),
+    # not hermitian: z*Mz = 2 + 1j for z = (1, 1j)
+    ([[1.0, 1.0], [0.0, 1.0]], [1.0, 1j], "imaginary"),
+], ids=["negative", "complex"])
+def test_block_norm_checks_every_column(matrix, bad, match):
+    corrupt = WeightOperator("dense", 2, matrix=np.array(matrix, complex))
+    block = np.array([[1.0, 0.0], [1.0, 0.0], bad, [1.0, 0.0]]).T
+    assert_allclose(corrupt.norm(block[:, [0, 1, 3]]), 1.0)
+    with pytest.raises(NegativeQuadraticForm, match=match):
+        corrupt.norm(block)
+    with pytest.raises(NegativeQuadraticForm, match=match):
+        corrupt.norm(bad)
+
+
+def test_block_dimension_mismatch():
+    for w in three_weights(np.random.default_rng(41), 3):
+        for shape in ((4, 2), (2, 3), (3, 2, 1)):
+            with pytest.raises(DimensionMismatch):
+                w.norm(np.ones(shape))
+            with pytest.raises(DimensionMismatch):
+                w.apply(np.ones(shape))
+
+
+def test_vector_norm_is_one_vdot():
+    # a vector keeps the route it had before blocks: one vdot with M z,
+    # so run's factors and every history byte stay the same
+    def vdot_norm(w, z):
+        q = complex(np.vdot(z, w.apply(z)))
+        return float(np.sqrt(max(q.real, 0.0)))
+
+    rng = np.random.default_rng(43)
+    n = 11
+    for w in three_weights(rng, n):
+        vectors = [np.zeros(n), rng.standard_normal(n),
+                   rng.standard_normal(n) + 1j * rng.standard_normal(n)]
+        for z in vectors:
+            got = w.norm(z)
+            assert type(got) is float
+            assert got == vdot_norm(w, np.asarray(z, complex))
+
+
 def test_validate_dispatch():
     assert validate(np.array([1.0, 2.0])).kind == "diagonal"
     assert validate(np.eye(3) * 2.0).kind == "dense"
