@@ -28,21 +28,55 @@ existence test: it vanishes exactly when H_k is singular, and it is
 scale-free, so one relative threshold covers all problems.
 
 The process runs once, to the last stage asked for, and one Givens
-sweep over its Hessenberg matrix serves every stage 0..k.  It has no
-step-by-step entry point: :func:`fom_solve`, :func:`gmr_solve` and
-:func:`equivalence_check` all run it through one driver.
+sweep and one triangular solve serve every stage 0..k.  Rotation j
+zeroes H~'s entry (j+1, j) and is applied once, to rows j and j+1 of
+every later column and of the right-hand side g (beta e_1 at the
+start).  Stage m's GMR coefficients solve R_m y = g[:m], with R_m the
+leading m x m block of the final triangular factor R and g[:m] a
+prefix of the final g.  So the one solve R X = diag(g[:k]) gives every
+stage: column j of X is stage j+1's step g_j R^-1 e_j (each leading
+block of R^-1 inverts the matching block of R), and stage m's
+coefficients are the sum of its first m steps.  In the same frame
+FOM's square system shares R_m's first m - 1 rows and g's first m - 1
+entries; its last equation keeps the unrotated pivot and right-hand
+side, which makes its last coefficient GMR's over |c_m|^2.  FOM's
+coefficients are therefore GMR's plus step * (1/|c_m|^2 - 1), i.e.
+
+    x^F_m = x^G_{m-1} + (x^G_m - x^G_{m-1}) / |c_m|^2
+
+(Brown, SIAM J. Sci. Stat. Comput. 12, 1991; Saad, Iterative Methods
+for Sparse Linear Systems, 2003, section 6.5).  This is the paper's
+coupling mu_k = mu_{k-1} + nu_k (3-16, 3-18) in the Krylov frame: with
+nu_m / mu_m = |c_m|^2, the new GMR (reduced-rank) result weighs the
+FOM (minimal-polynomial) one by |c_m|^2 and the previous GMR one by
+1 - |c_m|^2.  FOM's existence and its value read the one number |c_m|,
+and no stage takes a solve of its own.
+
+A zero Hessenberg column (A v_j = 0, as for T = I or r_0 on an
+eigenvector of T with eigenvalue 1) and, more generally, a column
+whose rotated pair on rows j and j+1 is at or below RANK_TOL times the
+column's norm (A v_j numerically in the span of the earlier A v_i)
+takes the rotation with c = 0, which swaps the row pair.  FOM is then
+not defined; g_j moves down unchanged, so GMR stagnates with step 0
+and keeps its residual estimate.  Such a column also fails the Arnoldi
+rank test, so it is the last one, and an exactly zero pivot it leaves
+in R is read as 1 in the solve, where it multiplies a zero g_j.
+
+The process has no step-by-step entry point: :func:`fom_solve`,
+:func:`gmr_solve` and :func:`equivalence_check` all run it through one
+driver.
 
 Applied to the iterates x_{m+1} = T x_m + d, the two extrapolation
 methods of :mod:`wextrap.extrapolate` produce the same vectors as FOM
 and GMR stage by stage; :func:`equivalence_check` runs both pipelines
 once each and measures the difference, taking every weighted norm it
-needs (per stage the FOM-MPE and GMR-RRE gaps, |||r(s)||| and
-|||U_k gamma - r(s)||| for both methods) from one block product with M
-over all stages.  It also checks that U_k gamma is the exact residual
-r(s_k), which holds for linear iterates because sum gamma = 1.  So the
-coupling identities that :func:`wextrap.relations.verify_history`
-measures on U_k gamma hold on the exact residuals too, and are not
-measured here a second time.
+needs (per stage the FOM-MPE and GMR-RRE gaps with |||s||| to make
+them relative, |||r(s)||| and |||U_k gamma - r(s)||| for both methods)
+from one block product with M over all stages.  It also checks that
+U_k gamma is the exact residual r(s_k), which holds for linear
+iterates because sum gamma = 1.  So the coupling identities that
+:func:`wextrap.relations.verify_history` measures on U_k gamma hold on
+the exact residuals too, and are not measured here a second time.
 """
 
 from __future__ import annotations
@@ -78,40 +112,39 @@ def _as_operator(t):
     return partial(np.matmul, np.asarray(t, dtype=complex))
 
 
-def _givens(a, b):
-    """Unitary 2x2 zeroing b; returns (rotation, |cosine|)."""
+def _givens(a, b, scale):
+    """Unitary 2x2 zeroing b; returns (rotation, |cosine|).  A pair at
+    or below RANK_TOL * scale (its column's norm) is a zero column in
+    the frame of the earlier ones: it takes the rotation with c = 0,
+    which swaps the row pair."""
     r = np.hypot(abs(a), abs(b))
-    if r == 0.0:
-        return np.eye(2, dtype=complex), 1.0
+    if r <= RANK_TOL * scale:
+        return np.array([[0, 1], [1, 0]], dtype=complex), 0.0
     g = np.array([[np.conj(a) / r, np.conj(b) / r],
                   [-b / r, a / r]], dtype=complex)
     return g, abs(a) / r
 
 
 def _triangularize(hess, beta):
-    """Apply Givens rotations column by column.
+    """One Givens sweep: rotation j zeroes hess[j+1, j] and is applied
+    once, to rows j and j+1 of every column from j on and of g.
 
     Returns (R, g, cosines, residuals): R the m x m triangular factor,
     g the rotated right-hand side of length m+1, cosines the
     per-column |c_j| and residuals[j] the stage-j least-squares
-    residual (beta at stage 0).  Rotation j touches only column j and
-    g[j:j+2], so stage j reads R[:j, :j] and g[:j] from the same sweep.
+    residual (beta at stage 0).  Stage j reads R[:j, :j] and g[:j].
     """
     m = hess.shape[1]
     r = hess.copy()
     g = np.zeros(m + 1, dtype=complex)
     g[0] = beta
-    rots = []
     cosines = []
     residuals = [float(beta)]
     for j in range(m):
-        for i, rot in enumerate(rots):
-            r[i:i + 2, j] = rot @ r[i:i + 2, j]
-        rot, cos = _givens(r[j, j], r[j + 1, j])
-        r[j:j + 2, j] = rot @ r[j:j + 2, j]
+        rot, cos = _givens(r[j, j], r[j + 1, j], np.linalg.norm(r[:, j]))
+        r[j:j + 2, j:] = rot @ r[j:j + 2, j:]
         r[j + 1, j] = 0.0
         g[j:j + 2] = rot @ g[j:j + 2]
-        rots.append(rot)
         cosines.append(cos)
         residuals.append(float(abs(g[j + 1])))
     return r[:m, :m], g, cosines, residuals
@@ -133,7 +166,8 @@ def _check_rhs(weight, d, x0):
 
 class _Stages:
     """The Krylov process run once to k steps; every stage 0..k reads
-    its FOM and GMR solutions from the one basis and Givens sweep.
+    its FOM and GMR solutions from the one basis, Givens sweep and
+    triangular solve (column m-1 of ``steps`` and ``gmr_y``).
 
     ``beta`` is |||r_0|||, ``basis`` the N x j weighted-orthonormal
     basis (j = k + 1 without breakdown) and ``hess`` the (j+1) x j
@@ -171,18 +205,24 @@ class _Stages:
         self.beta = beta = float(room.r[0, 0].real)
         self.basis = factors.q
         self.hess = room.r[:steps + 1, 1:steps + 1]
-        self.r, self.g, self.cosines, self.residuals = _triangularize(
-            self.hess, beta)
+        r, g, self.cosines, self.residuals = _triangularize(self.hess, beta)
+        # column j is stage j+1's GMR step g_j R^-1 e_j: R^-1 is upper
+        # triangular and each leading block inverts R's matching block.
+        # A zero pivot comes only from a zero pair (see _givens), whose
+        # swap left g_j = 0, so a unit pivot keeps its step 0 and R regular
+        self.steps = np.linalg.solve(r + np.diag(r.diagonal() == 0),
+                                     np.diag(g[:-1]))
+        self.gmr_y = np.cumsum(self.steps, axis=1)
 
     def fom(self, k: int):
         m = min(k, self.hess.shape[1])
         if m == 0:
             return self.x0.copy()
-        if self.cosines[m - 1] <= FOM_TOL:
+        cos = self.cosines[m - 1]
+        if cos <= FOM_TOL:
             return None
-        rhs = np.zeros(m, dtype=complex)
-        rhs[0] = self.beta
-        y = np.linalg.solve(self.hess[:m, :m], rhs)
+        # Brown's relation: FOM's last coefficient is GMR's over |c|^2
+        y = self.gmr_y[:m, m - 1] + self.steps[:m, m - 1] * (cos ** -2 - 1)
         return self.x0 + self.basis[:, :m] @ y
 
     def gmr(self, k: int):
@@ -190,9 +230,7 @@ class _Stages:
         m = min(k, self.hess.shape[1])
         if m == 0:
             return self.x0.copy(), self.residuals[0]
-        # R is triangular with a nonzero diagonal: no row is swapped,
-        # so the solve is a back substitution
-        y = np.linalg.solve(self.r[:m, :m], self.g[:m])
+        y = self.gmr_y[:m, m - 1]
         return self.x0 + self.basis[:, :m] @ y, self.residuals[m]
 
 
@@ -223,9 +261,12 @@ class KrylovComparison:
     pipelines.
 
     Lists are indexed by stage; None marks stages where a quantity
-    does not apply (undefined method).  ``residual_match_*`` is the
-    relative defect of U_k gamma = r(s_k), and ``gmr_estimate_defect``
-    that of the Givens residual estimate against |||r(s_k^rre)|||.
+    does not apply (undefined method).  Every defect is relative:
+    ``fom_mpe_defect`` is |||w_fom - s_mpe||| / |||s_mpe||| and
+    ``gmr_rre_defect`` the same for GMR against RRE (absolute when
+    |||s||| = 0), ``residual_match_*`` the defect of U_k gamma = r(s_k),
+    and ``gmr_estimate_defect`` that of the Givens residual estimate
+    against |||r(s_k^rre)|||.
     """
 
     ks: list
@@ -259,9 +300,6 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     hist = run(np.array(iters), weight, k_max=k_max)
     stages = _Stages(apply_t, d, x0, weight, hist.records[-1].k)
 
-    def resid_scale(rnorm):
-        return max(rnorm, 1e-14 * stages.beta)
-
     # every weighted norm below comes from one block product with M:
     # each difference is formed as a vector first, then its column is
     # added under (stage, name)
@@ -275,15 +313,25 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
             wanted[k, "fom_mpe"] = w_fom - rec.mpe.s
         u_k = hist.differences[:, :k + 1]
         if rec.mpe.exists:
+            wanted[k, "s_mpe"] = rec.mpe.s
             r_mpe = res(rec.mpe.s)
             wanted[k, "r_mpe"] = r_mpe
             wanted[k, "match_mpe"] = u_k @ rec.mpe.gamma - r_mpe
         if rec.rre.s is not None:
             wanted[k, "gmr_rre"] = w_gmr - rec.rre.s
+            wanted[k, "s_rre"] = rec.rre.s
             r_rre = res(rec.rre.s)
             wanted[k, "r_rre"] = r_rre
             wanted[k, "match_rre"] = u_k @ rec.rre.gamma - r_rre
     norm = _norms(weight, wanted)
+    floor = 1e-14 * stages.beta
+
+    def rel(k, name, by, floor=0.0):
+        """|||name||| over |||by||| (at least floor) at stage k; None
+        where name was not formed."""
+        if (k, name) not in norm:
+            return None
+        return _rel(norm[k, name], max(norm[k, by], floor))
 
     out = {f.name: [] for f in fields(KrylovComparison)}
     for rec, fom_def, gmr_res in solves:
@@ -292,20 +340,10 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         out["fom_defined"].append(fom_def)
         out["mpe_exists"].append(rec.mpe.exists)
         out["definedness_consistent"].append(fom_def == rec.mpe.exists)
-        out["fom_mpe_defect"].append(norm.get((k, "fom_mpe")))
-        out["gmr_rre_defect"].append(norm.get((k, "gmr_rre")))
-        if rec.mpe.exists:
-            out["residual_match_mpe"].append(_rel(
-                norm[k, "match_mpe"], resid_scale(norm[k, "r_mpe"])))
-        else:
-            out["residual_match_mpe"].append(None)
-        if rec.rre.s is not None:
-            nr_k = norm[k, "r_rre"]
-            out["residual_match_rre"].append(_rel(
-                norm[k, "match_rre"], resid_scale(nr_k)))
-            out["gmr_estimate_defect"].append(_rel(
-                abs(gmr_res - nr_k), resid_scale(nr_k)))
-        else:
-            out["residual_match_rre"].append(None)
-            out["gmr_estimate_defect"].append(None)
+        out["fom_mpe_defect"].append(rel(k, "fom_mpe", "s_mpe"))
+        out["gmr_rre_defect"].append(rel(k, "gmr_rre", "s_rre"))
+        out["residual_match_mpe"].append(rel(k, "match_mpe", "r_mpe", floor))
+        out["residual_match_rre"].append(rel(k, "match_rre", "r_rre", floor))
+        out["gmr_estimate_defect"].append(None if rec.rre.s is None else _rel(
+            abs(gmr_res - norm[k, "r_rre"]), max(norm[k, "r_rre"], floor)))
     return KrylovComparison(**out)

@@ -98,10 +98,11 @@ def _rel(defect: float, scale: float) -> float:
 
 def _norms(weight, vectors: dict) -> dict:
     """|||v||| for every ``key: v`` in ``vectors``, from one product
-    with M over the N x m block of their columns."""
+    with M over the N x m block of their columns.  The norms are numpy
+    floats, so 1/|||v|||^2 follows numpy's error state."""
     block = np.array(list(vectors.values()), dtype=complex)
     block = block.reshape(len(vectors), weight.dimension).T
-    return dict(zip(vectors, weight.norm(block).tolist()))
+    return dict(zip(vectors, weight.norm(block)))
 
 
 class _Stage:
@@ -116,11 +117,14 @@ class _Stage:
     The weighted norms come in two block products over every stage
     (:func:`_measure`).  The constructor adds its pass-1 vectors to
     ``first``: U_k gamma for both methods (unless the recorded phi is
-    used), and s_rre(k) - s_rre(k-1) with s_rre(k) for the stagnation
-    test.  :meth:`settle` reads them and adds the 3-17/3-18 numerators
-    and denominators, which need pass 1's phi, to ``second``.  Each
-    difference is formed as a vector first, so a defect is measured on
-    it and never by cancelling two separate norms.
+    used), and s_rre(k) - s_rre(k-1) with s_rre(k) and, at stage 0,
+    u_0 for the stagnation test, which scales with the data: stage k
+    stagnates when |||s_rre(k) - s_rre(k-1)||| <= stag_tol *
+    (|||u_0||| + |||s_rre(k)|||).  :meth:`settle` reads them and adds
+    the 3-17/3-18 numerators and denominators, which need pass 1's phi,
+    to ``second``.  Each difference is formed as a vector first, so a
+    defect is measured on it and never by cancelling two separate
+    norms.
     """
 
     def __init__(self, history: RunHistory, rec, prev: "_Stage | None",
@@ -130,13 +134,17 @@ class _Stage:
         u = history.differences[:, :rec.k + 1]
         self.u_mpe = None if rec.mpe.gamma is None else u @ rec.mpe.gamma
         self.u_rre = None if rec.rre.gamma is None else u @ rec.rre.gamma
-        if use_recorded_phi:
-            self.phi_mpe, self.phi_rre = rec.mpe.phi, rec.rre.phi
+        if use_recorded_phi:  # as numpy floats, like pass 1's
+            self.phi_mpe, self.phi_rre = (
+                None if phi is None else np.float64(phi)
+                for phi in (rec.mpe.phi, rec.rre.phi))
         else:  # pass 1 sets each phi whose U_k gamma exists
             self.phi_mpe = self.phi_rre = None
             for name, v in (("phi_mpe", self.u_mpe), ("phi_rre", self.u_rre)):
                 if v is not None:
                     first[self, name] = v
+        if prev is None:  # |||u_0|||, the data's scale for stagnation
+            first[self, "u0"] = u[:, 0]
         self.checked = prev is not None and not rec.terminal
         self.coupled = self.checked and rec.mpe.exists
         if self.checked:
@@ -149,14 +157,17 @@ class _Stage:
         pass-2 vectors of 3-17 and 3-18."""
         rec, prev = self.rec, self.prev
         # S_k and the running sum of 1/phi_mpe^2 over it (identity 92)
-        self.s_set, self.inv_sum = ((), 0.0) if prev is None \
-            else (prev.s_set, prev.inv_sum)
+        if prev is not None:
+            self.s_set, self.inv_sum, self.u0 = \
+                prev.s_set, prev.inv_sum, prev.u0
+        else:
+            self.s_set, self.inv_sum = (), 0.0
         if rec.mpe.exists and not rec.terminal:
             self.s_set += (rec.k,)
             self.inv_sum += 1.0 / self.phi_mpe ** 2
         if self.checked:
             self.stagnates = bool(
-                self.step <= stag_tol * (1.0 + self.size))
+                self.step <= stag_tol * (self.u0 + self.size))
         if self.coupled:
             fr, fp, fm = self.phi_rre, prev.phi_rre, self.phi_mpe
             v = self.u_rre / fr ** 2
@@ -341,7 +352,9 @@ class RelationReport:
     estimates.  A stage k > 0 peaks when its minimal-polynomial
     estimate exceeds the last defined one before it, or is itself
     undefined; it plateaus when phi_rre(k)/phi_rre(k-1) >
-    1 - PLATEAU_TOL; the overlap is where both hold.
+    1 - PLATEAU_TOL; the overlap is where both hold.  ``violations``
+    maps each label that fails to its worst (stage, defect), the first
+    such stage on a tie; ``ok`` is true when it is empty.
     """
 
     stages: list
@@ -351,6 +364,7 @@ class RelationReport:
     ok: bool
     worst: tuple | None  # (identity label, stage, defect)
     thresholds: dict
+    violations: dict  # label -> (stage, defect) where it fails worst
 
     def to_dict(self) -> dict:
         return {
@@ -393,7 +407,10 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
     thr = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         thr.update(thresholds)
-    stages = _measure(history, use_recorded_phi, stag_tol)
+    # a phi whose square leaves the float range (an edited file) gives
+    # inf or NaN defects, judged below, not an exception or a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        stages = _measure(history, use_recorded_phi, stag_tol)
 
     inf = float("inf")
     failures = []  # (threshold-relative defect, label, k, defect)
@@ -425,10 +442,15 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
         prev_rre = rec.rre.phi
     both = {k: peak[k] and plateau[k] for k in peak}
 
-    ok = all(f[0] <= 1.0 for f in failures)
+    violations = {}  # the first stage of each label's largest ratio > 1
+    for ratio, label, k, defect in sorted(failures, key=lambda f: f[0],
+                                          reverse=True):
+        if ratio > 1.0:
+            violations.setdefault(label, (k, defect))
+    ok = not violations
     worst = None
     if failures:
         ratio, label, k, defect = max(failures, key=lambda f: f[0])
         worst = (label, k, defect)
     return RelationReport(stages, _true_ranges(peak), _true_ranges(plateau),
-                          _true_ranges(both), ok, worst, thr)
+                          _true_ranges(both), ok, worst, thr, violations)

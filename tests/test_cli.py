@@ -177,6 +177,23 @@ def test_verify_detects_tampered_phi(tmp_path, capsys):
     assert "(3-16)" in fails[0]
 
 
+@pytest.mark.parametrize("phi", [1e-170, 1e170])
+def test_verify_phi_out_of_float_range_exit_1(tmp_path, capsys, phi):
+    # phi^2 underflows or overflows: the edited file still loads, and the
+    # verdict is a FAIL line per identity, not a traceback or a warning
+    doc = json.loads((DATA / "history_v2.json").read_text())
+    doc["records"][1]["rre"]["phi"] = phi
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    rc = cli.main(["verify-relations", "--history", str(edited)])
+    assert rc == 1
+    fails = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("FAIL")]
+    assert any(ln.startswith("FAIL: identity (3-16) at k=") for ln in fails)
+    assert any(ln.startswith("FAIL: identity (3-18) at k=1:")
+               for ln in fails)
+
+
 def _drop_difference_columns(doc):
     # 6 records need 6 difference columns; keep 5 of the 7
     block = doc["differences"]
@@ -320,6 +337,33 @@ def test_krylov_compare_linear_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "max defect" in out
     assert out.count("FOM-MPE") == 5  # stages 0..4
+
+
+def test_krylov_compare_zero_hessenberg_column_exit_0(tmp_path, capsys):
+    # T = I: A v_0 = 0, so FOM is not defined at stage 1 and GMR stays
+    # at x0, as the extrapolation side stops there
+    t_path, d_path = tmp_path / "I.mtx", tmp_path / "ones.vec"
+    write_matrix(t_path, np.eye(3))
+    write_vector(d_path, np.ones(3))
+    rc = cli.main(["krylov-compare", "--linear", str(t_path), str(d_path),
+                   "--k-max", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "k=1  FOM-MPE: (not defined)  GMR-RRE: 0.000e+00" in out
+    assert "MISMATCH" not in out
+
+
+def test_krylov_compare_gaps_are_relative(tmp_path, capsys):
+    # near stagnation |||s_mpe(1)||| is about 1e7; an absolute FOM-MPE
+    # gap of 2e-2 is 2e-9 relative to it, below the 1e-8 threshold
+    problem = make_near_stagnation_problem(6, eps=1e-7)
+    t_path, d_path = tmp_path / "Tns.mtx", tmp_path / "dns.vec"
+    write_matrix(t_path, problem.t)
+    write_vector(d_path, problem.d)
+    rc = cli.main(["krylov-compare", "--linear", str(t_path), str(d_path),
+                   "--k-max", "4"])
+    assert rc == 0
+    assert "max defect" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("d", [[0.5, 0.75, 1.0], [0.5]])

@@ -11,6 +11,7 @@ from wextrap import (
     gmr_solve,
     iterate,
     make_mpe_failure_problem,
+    make_near_stagnation_problem,
     residual,
     run,
     verify_history,
@@ -325,3 +326,136 @@ def test_equivalence_check_applies_t_linearly_often():
         calls.clear()
         solve(counting_t, d, x0, w, k)
         assert len(calls) <= k + 1
+
+
+def _per_stage_solves(stages, k):
+    """Stage-k FOM and GMR by the per-stage route: the square Hessenberg
+    system H_m y = beta e_1 and the (m+1) x m least-squares problem."""
+    m = min(k, stages.hess.shape[1])
+    h = stages.hess[:m + 1, :m]
+    rhs = np.zeros(m + 1, dtype=complex)
+    rhs[0] = stages.beta
+    y_fom = np.linalg.solve(h[:m], rhs[:m])
+    y_gmr = np.linalg.lstsq(h, rhs, rcond=None)[0]
+    return [stages.x0 + stages.basis[:, :m] @ y for y in (y_fom, y_gmr)]
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", ["identity", "diag", "dense", "breakdown"])
+def test_one_solve_matches_per_stage_solves(case):
+    """FOM and GMR read from the one triangular solve agree with the
+    square Hessenberg solve and the least-squares solve of each stage."""
+    t, d, x0, w, k_max = _single_pass_problem(case)
+    stages = _Stages(t, d, x0, w, k_max)
+    for k in range(1, k_max + 1):
+        fom_ref, gmr_ref = _per_stage_solves(stages, k)
+        assert _rel_err(stages.fom(k), fom_ref) <= 1e-12
+        assert _rel_err(stages.gmr(k)[0], gmr_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+def test_near_stagnation_fom_against_rational_oracle(eps):
+    # the FOM step is scaled by 1/|c|^2, large as eps shrinks; against
+    # the exact minimal-polynomial extrapolant of the same iterates it
+    # must be as accurate as the square Hessenberg solve
+    problem = make_near_stagnation_problem(6, eps=eps)
+    xs = np.asarray(iterate(problem, 3))
+    assert not np.any(xs.imag)
+    # the Krylov space is invariant from stage 2
+    stages = _Stages(problem.t, problem.d, problem.x0,
+                     WeightOperator.identity(6), 2)
+    for k in (1, 2):
+        exact = ro.as_float(
+            ro.mpe_stage(ro.frac_vectors(xs.real.tolist()), k)["s"])
+        fom_ref, _ = _per_stage_solves(stages, k)
+        assert _rel_err(stages.fom(k), exact) \
+            <= max(2.0 * _rel_err(fom_ref, exact), 1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_stages_take_one_solve(monkeypatch, k):
+    # every stage's FOM and GMR are read from one triangular solve
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    rng = np.random.default_rng(270)
+    n = 12
+    stages = _Stages(random_contraction(rng, n), rng.standard_normal(n),
+                     np.zeros(n), WeightOperator.identity(n), k)
+    for j in range(k + 1):
+        assert stages.fom(j) is not None
+        stages.gmr(j)
+    assert len(calls) == 1
+
+
+def _zero_column_problem(case):
+    n = 4
+    if case == "identity":
+        # T = I: A = 0, so A r_0 = 0
+        return np.eye(n), np.ones(n), np.zeros(n)
+    t = np.diag([1.0, 0.5, 0.25, 0.125])
+    if case == "unit_eigenvector":
+        # r_0 = 2 e_1 lies on T's eigenvalue 1
+        return t, 2.0 * np.eye(n)[0], np.zeros(n)
+    # A = diag(0, 1/2, 1/2, 1/2) is singular on K_2 = span{e_1, (0,1,1,1)}:
+    # the second column is zero only in the frame of the first
+    return np.diag([1.0, 0.5, 0.5, 0.5]), np.ones(n), np.zeros(n)
+
+
+@pytest.mark.parametrize("case", ["identity", "unit_eigenvector",
+                                  "singular_on_krylov_space"])
+def test_zero_column_makes_fom_undefined_and_gmr_stagnate(case):
+    t, d, x0 = _zero_column_problem(case)
+    w = WeightOperator.identity(len(d))
+    stages = _Stages(t, d, x0, w, 3)
+    last = stages.hess.shape[1]
+    assert stages.cosines[last - 1] == 0.0
+    assert fom_solve(t, d, x0, w, last) is None
+    w_prev, est_prev = gmr_solve(t, d, x0, w, last - 1, with_residual=True)
+    for k in (last, last + 1):
+        w_k, est = gmr_solve(t, d, x0, w, k, with_residual=True)
+        assert np.array_equal(w_k, w_prev)
+        assert est == est_prev > 0.0
+    cmp = equivalence_check(t, d, x0, w, 3)
+    assert all(cmp.definedness_consistent)
+    assert cmp.fom_defined[-1] is False and cmp.mpe_exists[-1] is False
+    for name in ("fom_mpe_defect", "gmr_rre_defect", "residual_match_mpe",
+                 "residual_match_rre", "gmr_estimate_defect"):
+        assert all(v is None or v < 1e-12 for v in getattr(cmp, name))
+
+
+def test_zero_column_identity_values():
+    w = WeightOperator.identity(4)
+    args = (np.eye(4), np.ones(4), np.zeros(4), w)
+    assert fom_solve(*args, 1) is None
+    w1, est = gmr_solve(*args, 1, with_residual=True)
+    assert np.array_equal(w1, np.zeros(4)) and est == 2.0
+
+
+def test_fom_gmr_gaps_are_relative():
+    # near stagnation |||s_mpe(1)||| is about 1/eps: the FOM-MPE gap is
+    # measured against it, not as an absolute weighted norm
+    eps = 1e-7
+    problem = make_near_stagnation_problem(6, eps=eps)
+    w = WeightOperator.identity(6)
+    args = (problem.t, problem.d, problem.x0, w)
+    cmp = equivalence_check(*args, 2)
+    hist = run(np.asarray(iterate(problem, 3)), w, k_max=2)
+    for k in (1, 2):
+        rec = hist.records[k]
+        w_fom = fom_solve(*args, k)
+        w_gmr = gmr_solve(*args, k)
+        assert cmp.fom_mpe_defect[k] == pytest.approx(
+            w.norm(w_fom - rec.mpe.s) / w.norm(rec.mpe.s), rel=1e-6)
+        assert cmp.gmr_rre_defect[k] == pytest.approx(
+            w.norm(w_gmr - rec.rre.s) / w.norm(rec.rre.s), rel=1e-6, abs=1e-15)
+    assert w.norm(hist.records[1].mpe.s) > 0.1 / eps
+    assert max(cmp.fom_mpe_defect + cmp.gmr_rre_defect) < 1e-8

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wextrap import (
+    FixedPointProblem,
     WeightOperator,
     iterate,
     make_mpe_failure_sequence,
@@ -13,7 +14,7 @@ from wextrap import (
     run,
     verify_history,
 )
-from wextrap.relations import DEFAULT_THRESHOLDS
+from wextrap.relations import CATALOG, DEFAULT_THRESHOLDS
 
 import rational_oracle as ro
 from conftest import random_linear_problem, random_sequence, random_weight
@@ -260,6 +261,45 @@ def test_verify_history_fails_on_nan_defect(demo_history, method):
     assert report.ok is False
     label, k, defect = report.worst
     assert (label, k) == ("3-18", 1) and np.isnan(defect)
+
+
+@pytest.mark.parametrize("phi", [1e-170, 1e170])
+def test_verify_history_flags_phi_out_of_float_range(demo_history, phi):
+    # 1/phi^2 underflows or overflows: the defects turn inf or NaN and
+    # are judged as violations, with no exception and no RuntimeWarning
+    rec = demo_history.records[1]
+    demo_history.records[1] = replace(rec, rre=replace(rec.rre, phi=phi))
+    report = verify_history(demo_history, use_recorded_phi=True)
+    assert report.ok is False
+    assert report.violations["3-16"][0] == 1
+    assert report.worst[1] == 1
+
+
+def test_violations_name_each_failing_label_at_its_worst_stage(demo_history):
+    report = verify_history(demo_history,
+                            thresholds={k: 1e-30 for k in DEFAULT_THRESHOLDS})
+    for label, (k, defect) in report.violations.items():
+        row = [r for r in CATALOG if r.label == label][0]
+        measured = {st.k: getattr(st, row.field) for st in report.stages}
+        assert defect == measured[k] > 1e-30
+        assert defect == max(v for v in measured.values() if v is not None)
+    assert verify_history(demo_history).violations == {}
+
+
+@pytest.mark.parametrize("use_recorded_phi", [False, True])
+def test_stagnation_test_is_scale_invariant(use_recorded_phi):
+    # the stagnation distance is judged against |||u_0||| + |||s|||, so
+    # scaling the iterates changes no verdict
+    rng = np.random.default_rng(0)
+    problem = FixedPointProblem.linear(np.diag(rng.uniform(0.1, 0.9, 6)),
+                                       rng.standard_normal(6), np.zeros(6))
+    xs = np.asarray(iterate(problem, 6))
+    w = WeightOperator.identity(6)
+    for scale in (1e12, 1.0, 1e-9, 1e-10, 1e-12, 1e-50, 1e-100):
+        report = verify_history(run(xs * scale, w, k_max=4),
+                                use_recorded_phi=use_recorded_phi)
+        assert report.ok, (scale, report.worst)
+        assert not any(st.stagnation_detected for st in report.stages)
 
 
 def test_verify_history_random_linear_problems():
