@@ -69,19 +69,20 @@ driver.
 Applied to the iterates x_{m+1} = T x_m + d, the two extrapolation
 methods of :mod:`wextrap.extrapolate` produce the same vectors as FOM
 and GMR stage by stage; :func:`equivalence_check` runs both pipelines
-once each and measures the difference, taking every weighted norm it
-needs (per stage the FOM-MPE and GMR-RRE gaps with |||s||| to make
-them relative, |||r(s)||| and |||U_k gamma - r(s)||| for both methods)
-from one block product with M over all stages.  It also checks that
-U_k gamma is the exact residual r(s_k), which holds for linear
-iterates because sum gamma = 1.  So the coupling identities that
+once each and measures the difference on arrays with one column per
+stage, the terminal one included (U_k gamma is one product with the
+zero-padded gammas).  Every weighted norm it needs (the FOM-MPE and
+GMR-RRE gaps with |||s||| to make them relative, |||r(s)||| and
+|||U_k gamma - r(s)||| for both methods) comes from one block product
+with M.  U_k gamma is the exact residual r(s_k) for linear iterates
+because sum gamma = 1, so the coupling identities that
 :func:`wextrap.relations.verify_history` measures on U_k gamma hold on
 the exact residuals too, and are not measured here a second time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -89,7 +90,7 @@ import numpy as np
 from .errors import DimensionMismatch, InsufficientVectors
 from .extrapolate import run
 from .qr import RANK_TOL, _append, _buffers, orthogonalize_column
-from .relations import _norms, _rel
+from .relations import _norms, _rel, _spread, _stage_arrays, _stage_list
 from .weights import validate
 
 __all__ = [
@@ -106,10 +107,15 @@ __all__ = [
 FOM_TOL = 1e-12
 
 
-def _as_operator(t):
+def _as_operator(t, n: int):
+    """T as a callable; a matrix T must be n x n (a callable is taken
+    as it is)."""
     if callable(t):
         return t
-    return partial(np.matmul, np.asarray(t, dtype=complex))
+    t = np.asarray(t, dtype=complex)
+    if t.shape != (n, n):
+        raise DimensionMismatch(f"T of shape {t.shape}, expected ({n}, {n})")
+    return partial(np.matmul, t)
 
 
 def _givens(a, b, scale):
@@ -182,7 +188,7 @@ class _Stages:
     def __init__(self, t, d, x0, weight, k: int):
         _check_stage(k, "k")
         weight = validate(weight)
-        apply_t = _as_operator(t)
+        apply_t = _as_operator(t, weight.dimension)
         d, x0 = _check_rhs(weight, d, x0)
         self.x0 = x0
         room = _buffers(weight, k + 1)
@@ -288,62 +294,56 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     """
     _check_stage(k_max, "k_max")
     weight = validate(weight)
-    apply_t = _as_operator(t)
+    apply_t = _as_operator(t, weight.dimension)
     d, x0 = _check_rhs(weight, d, x0)
-
-    def res(x):
-        return apply_t(x) + d - x
 
     iters = [x0]
     for _ in range(k_max + 1):
         iters.append(apply_t(iters[-1]) + d)
     hist = run(np.array(iters), weight, k_max=k_max)
-    stages = _Stages(apply_t, d, x0, weight, hist.records[-1].k)
+    records = hist.records
+    stages = _Stages(apply_t, d, x0, weight, records[-1].k)
 
-    # every weighted norm below comes from one block product with M:
-    # each difference is formed as a vector first, then its column is
-    # added under (stage, name)
-    wanted, solves = {}, []
-    for rec in hist.records:
-        k = rec.k
-        w_fom = stages.fom(k)
-        w_gmr, gmr_res = stages.gmr(k)
-        solves.append((rec, w_fom is not None, gmr_res))
-        if w_fom is not None and rec.mpe.exists:
-            wanted[k, "fom_mpe"] = w_fom - rec.mpe.s
-        u_k = hist.differences[:, :k + 1]
-        if rec.mpe.exists:
-            wanted[k, "s_mpe"] = rec.mpe.s
-            r_mpe = res(rec.mpe.s)
-            wanted[k, "r_mpe"] = r_mpe
-            wanted[k, "match_mpe"] = u_k @ rec.mpe.gamma - r_mpe
-        if rec.rre.s is not None:
-            wanted[k, "gmr_rre"] = w_gmr - rec.rre.s
-            wanted[k, "s_rre"] = rec.rre.s
-            r_rre = res(rec.rre.s)
-            wanted[k, "r_rre"] = r_rre
-            wanted[k, "match_rre"] = u_k @ rec.rre.gamma - r_rre
-    norm = _norms(weight, wanted)
-    floor = 1e-14 * stages.beta
+    # stage-column arrays: column j is stage j, the terminal one included
+    n, count = weight.dimension, len(records)
+    u = hist.differences[:, :count]
 
-    def rel(k, name, by, floor=0.0):
-        """|||name||| over |||by||| (at least floor) at stage k; None
-        where name was not formed."""
-        if (k, name) not in norm:
-            return None
-        return _rel(norm[k, name], max(norm[k, by], floor))
+    def columns(solves, mask):
+        """s, the exact residual r(s) = T s + d - s and U_k gamma - r(s)
+        of every stage ``mask`` selects; zero columns elsewhere."""
+        g, s = _stage_arrays(solves, mask, n)
+        r = np.zeros((n, count), dtype=complex)
+        for j in np.flatnonzero(mask):
+            r[:, j] = apply_t(solves[j].s) + d - solves[j].s
+        return s, r, u @ g - r
 
-    out = {f.name: [] for f in fields(KrylovComparison)}
-    for rec, fom_def, gmr_res in solves:
-        k = rec.k
-        out["ks"].append(k)
-        out["fom_defined"].append(fom_def)
-        out["mpe_exists"].append(rec.mpe.exists)
-        out["definedness_consistent"].append(fom_def == rec.mpe.exists)
-        out["fom_mpe_defect"].append(rel(k, "fom_mpe", "s_mpe"))
-        out["gmr_rre_defect"].append(rel(k, "gmr_rre", "s_rre"))
-        out["residual_match_mpe"].append(rel(k, "match_mpe", "r_mpe", floor))
-        out["residual_match_rre"].append(rel(k, "match_rre", "r_rre", floor))
-        out["gmr_estimate_defect"].append(None if rec.rre.s is None else _rel(
-            abs(gmr_res - norm[k, "r_rre"]), max(norm[k, "r_rre"], floor)))
-    return KrylovComparison(**out)
+    mpe = np.array([rec.mpe.exists for rec in records], dtype=bool)
+    rre = np.array([rec.rre.s is not None for rec in records], dtype=bool)
+    s_mpe, r_mpe, gap_mpe = columns([rec.mpe for rec in records], mpe)
+    s_rre, r_rre, gap_rre = columns([rec.rre for rec in records], rre)
+    fom = [stages.fom(rec.k) for rec in records]
+    defined = np.array([w is not None for w in fom], dtype=bool)
+    paired = defined & mpe
+    w_fom = np.column_stack([x0 if w is None else w for w in fom])
+    w_gmr, estimate = zip(*(stages.gmr(rec.k) for rec in records))
+    # every weighted norm from one block product with M; each
+    # difference is formed as a vector first
+    wanted = ((paired, w_fom - s_mpe), (rre, np.column_stack(w_gmr) - s_rre),
+              (mpe, s_mpe), (rre, s_rre), (mpe, r_mpe), (rre, r_rre),
+              (mpe, gap_mpe), (rre, gap_rre))
+    fom_mpe, gmr_rre, size_mpe, size_rre, res_mpe, res_rre, match_mpe, \
+        match_rre = (_spread(mask, norms) for (mask, _), norms in zip(
+            wanted, _norms(weight, [v[:, mask] for mask, v in wanted])))
+    floor_mpe, floor_rre = (np.maximum(res, 1e-14 * stages.beta)
+                            for res in (res_mpe, res_rre))
+    return KrylovComparison(
+        ks=[rec.k for rec in records],
+        fom_defined=defined.tolist(),
+        mpe_exists=mpe.tolist(),
+        definedness_consistent=(defined == mpe).tolist(),
+        fom_mpe_defect=_stage_list(_rel(fom_mpe, size_mpe), paired),
+        gmr_rre_defect=_stage_list(_rel(gmr_rre, size_rre), rre),
+        residual_match_mpe=_stage_list(_rel(match_mpe, floor_mpe), mpe),
+        residual_match_rre=_stage_list(_rel(match_rre, floor_rre), rre),
+        gmr_estimate_defect=_stage_list(_rel(
+            abs(np.array(estimate) - res_rre), floor_rre), rre))

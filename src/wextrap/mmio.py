@@ -501,6 +501,13 @@ def load_history(path) -> RunHistory:
                 terminal=bool(rdoc["terminal"]),
             ))
         status = RunStatus(doc["status"])
+        k_max = doc.get("k_max", len(records) - 1)
+        detected_k0 = doc.get("detected_k0")
+        if type(k_max) is not int:
+            _fail(f"k_max = {k_max!r} is not an integer", path)
+        if detected_k0 is not None and type(detected_k0) is not int:
+            _fail(f"detected_k0 = {detected_k0!r} is neither an integer nor "
+                  "null", path)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"history file structure invalid: {exc!r}",
                          path=str(path)) from None
@@ -523,6 +530,6 @@ def load_history(path) -> RunHistory:
         records=records,
         factors=factors,
         status=status,
-        detected_k0=doc.get("detected_k0"),
-        k_max=int(doc.get("k_max", len(records) - 1)),
+        detected_k0=detected_k0,
+        k_max=k_max,
     )

@@ -33,25 +33,31 @@ carries a short catalog label used in reports and CLI output:
     the stages i <= k where the minimal-polynomial vector exists.
 
 The identities measured by a relative defect form :data:`CATALOG`, one
-row per label: the :class:`StageRelations` field that holds the
-defect, the default threshold, and the per-stage defect function,
-which returns None where the identity does not apply (stage 0,
-terminal stage, or nonexistent minimal-polynomial vector as the case
-requires).  The 3-1 and 3-55 flags are boolean and sit beside the
-table.  One pass over the records fills every :class:`StageRelations`,
-and :func:`verify_history` judges the defects against thresholds.
-Every weighted norm that pass needs comes from two block products with
-M over all stages, whatever their number
+row per label: the :class:`StageRelations` field that holds the defect
+and the default threshold.  The 3-1 and 3-55 flags are boolean and sit
+beside the table.  :func:`verify_history` measures the whole history at
+once, as arrays with one column per stage: the m non-terminal stages'
+gamma, zero-padded into m x m blocks G, and their s vectors as N x m
+blocks.  U_k gamma for every stage is the one product U G, column k of
+R G is R_k g_k, and each row's defect is one array expression over
+stage k and stage k - 1.  Where a row applies (past stage 0, and where
+the minimal-polynomial vector exists or the reduced-rank one
+stagnates, as the row requires) is a boolean mask, and the report reads
+None elsewhere; the terminal stage checks nothing and carries S_k
+over.  3-8 stays independent of the run's own recursion: it reads
+R G and takes every alpha_k from one solve against the final R, never
+the run's h_k, mu_k or recorded alpha_k.  Every weighted norm comes
+from two block products with M, whatever the number of stages
 (:meth:`wextrap.weights.WeightOperator.norm` on an N x m block): the
 first gives phi and the stagnation distances, the second the 3-17 and
-3-18 defects, which need the first's phi.  Its
-report keeps the raw measurements: ``report.stages[k].<field>`` is
-the one way to read a stage's defects and flags, and
-``report.peaks``/``plateaus``/``overlap`` the one way to read where
-the estimates peak and plateau.  A violation is reported (``ok``
-false), never raised.  For linear iterates U_k gamma is the exact
-residual r(s_k) (:func:`wextrap.krylov.equivalence_check` measures
-that), so these identities cover the Krylov solvers too.
+3-18 defects, which need the first's phi.  The report keeps the raw
+measurements: ``report.stages[k].<field>`` is the one way to read a
+stage's defects and flags, and ``report.peaks``/``plateaus``/
+``overlap`` the one way to read where the estimates peak and plateau.
+A violation is reported (``ok`` false), never raised.  For linear
+iterates U_k gamma is the exact residual r(s_k)
+(:func:`wextrap.krylov.equivalence_check` measures that), so these
+identities cover the Krylov solvers too.
 
 By default every check recomputes the quantities it relates directly
 from the difference columns and triangular factors, so the two sides
@@ -64,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,156 +98,47 @@ PLATEAU_TOL = 1e-6
 MONOTONE_SLACK = 1e-12
 
 
-def _rel(defect: float, scale: float) -> float:
-    return float(defect / scale) if scale > 0 else float(defect)
+def _rel(defect, scale):
+    """defect / scale, or the defect itself where the scale is not
+    positive (NaN included), elementwise without a warning."""
+    return np.divide(defect, scale, out=np.array(defect, dtype=float),
+                     where=scale > 0)
 
 
-def _norms(weight, vectors: dict) -> dict:
-    """|||v||| for every ``key: v`` in ``vectors``, from one product
-    with M over the N x m block of their columns.  The norms are numpy
+def _norms(weight, blocks: list) -> list:
+    """The column norms of each N x m_i block in ``blocks``, from one
+    product with M over all of them.  The joint block is column-major,
+    so each norm reads a contiguous column.  The norms are numpy
     floats, so 1/|||v|||^2 follows numpy's error state."""
-    block = np.array(list(vectors.values()), dtype=complex)
-    block = block.reshape(len(vectors), weight.dimension).T
-    return dict(zip(vectors, weight.norm(block)))
+    widths = np.cumsum([b.shape[1] for b in blocks])
+    joint = np.empty((weight.dimension, widths[-1]), dtype=complex, order="F")
+    norms = weight.norm(np.concatenate(blocks, axis=1, out=joint))
+    return np.split(norms, widths[:-1])
 
 
-class _Stage:
-    """One record as the catalog's defect functions see it.
-
-    The residual vectors U_k gamma are formed once and serve both the
-    phi estimates and identity 3-17.  ``checked`` is false at stage 0
-    and at the terminal stage, where no two-stage identity applies;
-    ``coupled`` adds that the minimal-polynomial vector exists, which
-    is where the coupling identities apply.
-
-    The weighted norms come in two block products over every stage
-    (:func:`_measure`).  The constructor adds its pass-1 vectors to
-    ``first``: U_k gamma for both methods (unless the recorded phi is
-    used), and s_rre(k) - s_rre(k-1) with s_rre(k) and, at stage 0,
-    u_0 for the stagnation test, which scales with the data: stage k
-    stagnates when |||s_rre(k) - s_rre(k-1)||| <= stag_tol *
-    (|||u_0||| + |||s_rre(k)|||).  :meth:`settle` reads them and adds
-    the 3-17/3-18 numerators and denominators, which need pass 1's phi,
-    to ``second``.  Each difference is formed as a vector first, so a
-    defect is measured on it and never by cancelling two separate
-    norms.
-    """
-
-    def __init__(self, history: RunHistory, rec, prev: "_Stage | None",
-                 use_recorded_phi: bool, cprimes, first: dict):
-        self.history, self.rec, self.prev = history, rec, prev
-        self.cprimes = cprimes
-        u = history.differences[:, :rec.k + 1]
-        self.u_mpe = None if rec.mpe.gamma is None else u @ rec.mpe.gamma
-        self.u_rre = None if rec.rre.gamma is None else u @ rec.rre.gamma
-        if use_recorded_phi:  # as numpy floats, like pass 1's
-            self.phi_mpe, self.phi_rre = (
-                None if phi is None else np.float64(phi)
-                for phi in (rec.mpe.phi, rec.rre.phi))
-        else:  # pass 1 sets each phi whose U_k gamma exists
-            self.phi_mpe = self.phi_rre = None
-            for name, v in (("phi_mpe", self.u_mpe), ("phi_rre", self.u_rre)):
-                if v is not None:
-                    first[self, name] = v
-        if prev is None:  # |||u_0|||, the data's scale for stagnation
-            first[self, "u0"] = u[:, 0]
-        self.checked = prev is not None and not rec.terminal
-        self.coupled = self.checked and rec.mpe.exists
-        if self.checked:
-            first[self, "step"] = rec.rre.s - prev.rec.rre.s
-            first[self, "size"] = rec.rre.s
-        self.stagnates = None
-
-    def settle(self, stag_tol: float, second: dict) -> None:
-        """Judge stagnation and carry S_k from pass 1's norms; add the
-        pass-2 vectors of 3-17 and 3-18."""
-        rec, prev = self.rec, self.prev
-        # S_k and the running sum of 1/phi_mpe^2 over it (identity 92)
-        if prev is not None:
-            self.s_set, self.inv_sum, self.u0 = \
-                prev.s_set, prev.inv_sum, prev.u0
-        else:
-            self.s_set, self.inv_sum = (), 0.0
-        if rec.mpe.exists and not rec.terminal:
-            self.s_set += (rec.k,)
-            self.inv_sum += 1.0 / self.phi_mpe ** 2
-        if self.checked:
-            self.stagnates = bool(
-                self.step <= stag_tol * (self.u0 + self.size))
-        if self.coupled:
-            fr, fp, fm = self.phi_rre, prev.phi_rre, self.phi_mpe
-            v = self.u_rre / fr ** 2
-            second[self, "num_317"] = \
-                v - prev.u_rre / fp ** 2 - self.u_mpe / fm ** 2
-            second[self, "den_317"] = v
-            lhs = rec.rre.s / fr ** 2
-            second[self, "num_318"] = \
-                lhs - (prev.rec.rre.s / fp ** 2 + rec.mpe.s / fm ** 2)
-            second[self, "den_318"] = lhs
+def _stage_arrays(solves, mask, n: int):
+    """(G, S): stage j's gamma zero-padded as column j of the m x m
+    array G, and its s as column j of the n x m array S, for every
+    stage j that ``mask`` selects; zero columns elsewhere."""
+    m = len(solves)
+    g = np.zeros((m, m), dtype=complex)
+    s = np.zeros((n, m), dtype=complex)
+    for j in np.flatnonzero(mask):
+        g[:j + 1, j], s[:, j] = solves[j].gamma, solves[j].s
+    return g, s
 
 
-def _cprimes(history: RunHistory):
-    """Column k holds stage k's c' with R_{k-1} c' = -rho_k in rows
-    0..k-1, and exact zeros below.  Every R_{k-1} is a leading block of
-    the final R, so one solve of R X = -triu(R, 1) serves every stage.
-    R is upper triangular with a positive diagonal, so
-    ``np.linalg.solve`` swaps no row and back-substitutes."""
-    r = history.factors.r
-    return np.linalg.solve(r, -np.triu(r, 1))
+def _spread(mask, values):
+    """``values`` at the True entries of ``mask``, NaN elsewhere."""
+    out = np.full(mask.shape, np.nan)
+    out[mask] = values
+    return out
 
 
-def _master(st: _Stage) -> float | None:
-    """3-8.  Both sides live in the triangular frame.  The left side
-    uses the stage-k reduced-rank coefficients; the right side uses the
-    stage-(k-1) ones plus the minimal-polynomial coefficient sum from
-    :func:`_cprimes`, so no cached scalar enters."""
-    if not st.checked:
-        return None
-    k = st.rec.k
-    r = st.history.factors_at(k).r
-    lhs_vec = r @ st.rec.rre.gamma
-    lhs = lhs_vec / (np.linalg.norm(lhs_vec) ** 2)
-    prev_vec = r[:k, :k] @ st.prev.rec.rre.gamma
-    alpha = 1.0 + complex(st.cprimes[:k, k].sum())
-    rhs = np.empty(k + 1, dtype=complex)
-    rhs[:k] = prev_vec / (np.linalg.norm(prev_vec) ** 2)
-    rhs[k] = np.conj(alpha) / r[k, k].real
-    return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs))
-
-
-def _coupling(st: _Stage) -> float | None:
-    """3-16: 1/phi_rre(k)^2 = 1/phi_rre(k-1)^2 + 1/phi_mpe(k)^2."""
-    if not st.coupled:
-        return None
-    fr, fp, fm = st.phi_rre, st.prev.phi_rre, st.phi_mpe
-    return _rel(abs(1.0 / fr ** 2 - 1.0 / fp ** 2 - 1.0 / fm ** 2),
-                1.0 / fr ** 2)
-
-
-def _embedding(st: _Stage) -> float | None:
-    """3-15, on stagnating stages only."""
-    if not st.stagnates:
-        return None
-    gamma = st.rec.rre.gamma
-    padded = np.append(st.prev.rec.rre.gamma, 0.0)
-    return _rel(np.linalg.norm(gamma - padded), np.linalg.norm(gamma))
-
-
-def _eq91(st: _Stage) -> float | None:
-    if not st.coupled:
-        return None
-    ratio = st.phi_rre / st.prev.phi_rre
-    if ratio >= 1.0:
-        return float("inf")
-    recovered = st.phi_rre / np.sqrt(1.0 - ratio ** 2)
-    return _rel(abs(st.phi_mpe - recovered), st.phi_mpe)
-
-
-def _eq92(st: _Stage) -> float | None:
-    if st.rec.terminal:
-        return None
-    return _rel(abs(1.0 / st.phi_rre ** 2 - st.inv_sum),
-                1.0 / st.phi_rre ** 2)
+def _stage_list(values, mask) -> list:
+    """Python values per stage, None where ``mask`` is False."""
+    return [v if ok else None
+            for v, ok in zip(np.asarray(values).tolist(), mask.tolist())]
 
 
 class Identity(NamedTuple):
@@ -250,22 +147,19 @@ class Identity(NamedTuple):
     label: str
     field: str  # the StageRelations attribute holding the defect
     threshold: float
-    defect: Callable  # _Stage -> relative defect, None where inapplicable
 
 
 #: the thresholded identities, in report order; the thresholds are
 #: editorial choices (the identities are exact, floating point is not),
 #: surfaced in the report and overridable
 CATALOG = (
-    Identity("3-8", "identity_38_residual", 1e-9, _master),
-    Identity("3-15", "identity_315_residual", 1e-9, _embedding),
-    Identity("3-16", "identity_316_residual", 1e-9, _coupling),
-    Identity("3-17", "identity_317_residual", 1e-9,
-             lambda st: _rel(st.num_317, st.den_317) if st.coupled else None),
-    Identity("3-18", "identity_318_residual", 1e-9,
-             lambda st: _rel(st.num_318, st.den_318) if st.coupled else None),
-    Identity("91", "eq91_defect", 1e-9, _eq91),
-    Identity("92", "eq92_defect", 1e-9, _eq92),
+    Identity("3-8", "identity_38_residual", 1e-9),
+    Identity("3-15", "identity_315_residual", 1e-9),
+    Identity("3-16", "identity_316_residual", 1e-9),
+    Identity("3-17", "identity_317_residual", 1e-9),
+    Identity("3-18", "identity_318_residual", 1e-9),
+    Identity("91", "eq91_defect", 1e-9),
+    Identity("92", "eq92_defect", 1e-9),
 )
 
 #: per-identity defect thresholds used by verify_history
@@ -295,38 +189,93 @@ class StageRelations:
 
 def _measure(history: RunHistory, use_recorded_phi: bool,
              stag_tol: float) -> list:
-    """The one pass: a :class:`StageRelations` per record, with every
-    weighted norm from two block products with M (see :class:`_Stage`)."""
-    weight = history.weight
-    cprimes = _cprimes(history)
-    stages, prev, first, second = [], None, {}, {}
-    for rec in history.records:
-        prev = _Stage(history, rec, prev, use_recorded_phi, cprimes, first)
-        stages.append(prev)
-    for (st, name), value in _norms(weight, first).items():
-        setattr(st, name, value)
-    for st in stages:
-        st.settle(stag_tol, second)
-    for (st, name), value in _norms(weight, second).items():
-        setattr(st, name, value)
-    out = []
-    for st in stages:
-        rec, prev = st.rec, st.prev
-        consistent = noninc = monotone = None
-        if st.checked:
-            consistent = st.stagnates != rec.mpe.exists
-            if st.phi_rre is not None and prev.phi_rre is not None:
-                noninc = bool(
-                    st.phi_rre <= prev.phi_rre * (1.0 + MONOTONE_SLACK))
-        if st.coupled:
-            monotone = bool(st.phi_rre < prev.phi_rre * (1.0 + MONOTONE_SLACK))
-        out.append(StageRelations(
-            k=rec.k, mpe_exists=rec.mpe.exists, terminal=rec.terminal,
-            stagnation_detected=st.stagnates,
-            stagnation_consistent=consistent,
-            monotone_355=monotone, nonincreasing=noninc, s_set=st.s_set,
-            **{row.field: row.defect(st) for row in CATALOG}))
-    return out
+    """A :class:`StageRelations` per record, measured on stage-column
+    arrays: column k of every array below is stage k, for the m
+    non-terminal stages, and column ``prev[k]`` its predecessor (stage
+    0, its own, is never checked)."""
+    weight, records = history.weight, history.records
+    m = sum(not rec.terminal for rec in records)
+    recs, n = records[:m], weight.dimension
+    every = np.ones(m, dtype=bool)
+    exists = np.array([rec.mpe.exists for rec in recs], dtype=bool)
+    g_rre, s_rre = _stage_arrays([rec.rre for rec in recs], every, n)
+    g_mpe, s_mpe = _stage_arrays([rec.mpe for rec in recs], exists, n)
+    u = history.differences[:, :m]
+    ug_rre, ug_mpe = u @ g_rre, u @ g_mpe  # U_k gamma for every stage
+    prev = np.maximum(np.arange(m) - 1, 0)
+    checked = np.arange(m) > 0
+    coupled = checked & exists
+
+    # pass 1: phi (unless recorded) and the stagnation test, which
+    # scales with the data: |||s_rre(k) - s_rre(k-1)||| <= stag_tol *
+    # (|||u_0||| + |||s_rre(k)|||)
+    first = [history.differences[:, :1], s_rre - s_rre[:, prev], s_rre]
+    if not use_recorded_phi:
+        first += [ug_rre, ug_mpe[:, exists]]
+    u0, step, size, *phi = _norms(weight, first)
+    if use_recorded_phi:  # None, where MPE does not exist, reads NaN
+        phi_rre = np.array([rec.rre.phi for rec in recs], dtype=float)
+        phi_mpe = np.array([rec.mpe.phi for rec in recs], dtype=float)
+    else:
+        phi_rre, phi_mpe = phi[0], _spread(exists, phi[1])
+    stagnates = step <= stag_tol * (u0 + size)
+    fr, fp, fm = phi_rre, phi_rre[prev], phi_mpe
+
+    # pass 2: the vector couplings 3-17 (U_k gamma / phi^2) and 3-18
+    # (s / phi^2) on the coupled stages; each difference is formed as a
+    # vector, never by cancelling two norms
+    c = np.flatnonzero(coupled)
+    v, lhs = ug_rre[:, c] / fr[c] ** 2, s_rre[:, c] / fr[c] ** 2
+    num317, den317, num318, den318 = _norms(weight, [
+        v - ug_rre[:, c - 1] / fp[c] ** 2 - ug_mpe[:, c] / fm[c] ** 2, v,
+        lhs - (s_rre[:, c - 1] / fp[c] ** 2 + s_mpe[:, c] / fm[c] ** 2), lhs])
+
+    # 3-8 in the triangular frame, independent of the run's h_k, mu_k
+    # and recorded alpha_k: column k of R G is R_k g_k, and alpha_k is
+    # 1 + sum(c'), with R_{k-1} c' = -rho_k from one solve against the
+    # final R (every R_{k-1} is a leading block of it, and the solve is
+    # a back substitution)
+    r = history.factors.r[:m, :m]
+    rg = r @ g_rre
+    lhs38 = rg / np.linalg.norm(rg, axis=0) ** 2
+    alpha = 1.0 + np.linalg.solve(r, -np.triu(r, 1)).sum(axis=0)
+    gap = lhs38 - lhs38[:, prev]
+    ks = np.flatnonzero(checked)
+    gap[ks, ks] -= alpha[ks].conj() / r.diagonal().real[ks]
+
+    inv_fr = 1.0 / fr ** 2
+    ratio = fr / fp
+    slack = fp * (1.0 + MONOTONE_SLACK)
+    columns = {  # field: (value per stage, where it applies)
+        "identity_38_residual": (_rel(np.linalg.norm(gap, axis=0),
+                                      np.linalg.norm(lhs38, axis=0)), checked),
+        "identity_315_residual": (_rel(
+            np.linalg.norm(g_rre - g_rre[:, prev], axis=0),
+            np.linalg.norm(g_rre, axis=0)), checked & stagnates),
+        "identity_316_residual": (_rel(
+            abs(inv_fr - 1.0 / fp ** 2 - 1.0 / fm ** 2), inv_fr), coupled),
+        "identity_317_residual": (
+            _spread(coupled, _rel(num317, den317)), coupled),
+        "identity_318_residual": (
+            _spread(coupled, _rel(num318, den318)), coupled),
+        "eq91_defect": (np.where(ratio >= 1.0, np.inf, _rel(
+            abs(fm - fr / np.sqrt(1.0 - ratio ** 2)), fm)), coupled),
+        # 1/phi_rre^2 against the running sum of 1/phi_mpe^2 over S_k
+        "eq92_defect": (_rel(abs(inv_fr - np.cumsum(
+            np.where(exists, 1.0 / fm ** 2, 0.0))), inv_fr), every),
+        "stagnation_detected": (stagnates, checked),
+        "stagnation_consistent": (stagnates != exists, checked),
+        "monotone_355": (fr < slack, coupled),
+        "nonincreasing": (fr <= slack, checked),
+    }
+    # the terminal stage checks nothing and carries S_k over
+    values = {name: _stage_list(*col) + [None] * (len(records) - m)
+              for name, col in columns.items()}
+    return [StageRelations(
+        k=rec.k, mpe_exists=rec.mpe.exists, terminal=rec.terminal,
+        s_set=tuple(np.flatnonzero(exists[:j + 1]).tolist()),
+        **{name: column[j] for name, column in values.items()})
+        for j, rec in enumerate(records)]
 
 
 def _true_ranges(flags: dict) -> list:
@@ -403,10 +352,14 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
     report (``ok`` false, ``worst`` naming the identity label and
     stage of the largest threshold-relative defect).  A NaN defect
     counts as an infinite one: it fails, and it is the worst.
+    ``thresholds`` overrides catalog labels only; any other key raises
+    ValueError.
     """
-    thr = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        thr.update(thresholds)
+    unknown = sorted(set(thresholds or ()) - set(DEFAULT_THRESHOLDS))
+    if unknown:
+        raise ValueError(f"unknown identity label(s) {unknown}; the "
+                         f"catalog's labels are {list(DEFAULT_THRESHOLDS)}")
+    thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     # a phi whose square leaves the float range (an edited file) gives
     # inf or NaN defects, judged below, not an exception or a warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -251,6 +251,9 @@ MALFORMED_EDITS = {
     "mpe-s-nan": lambda doc: _poison(_solve(doc, "mpe")["s"]),
     "rre-s-nan": lambda doc: _poison(_solve(doc, "rre")["s"]),
     "rre-s-inf": lambda doc: _poison(_solve(doc, "rre")["s"], float("-inf")),
+    "k-max-string": lambda doc: doc.update(k_max="abc"),
+    "k-max-null": lambda doc: doc.update(k_max=None),
+    "detected-k0-string": lambda doc: doc.update(detected_k0="5"),
 }
 
 
@@ -376,6 +379,17 @@ def test_krylov_compare_wrong_length_d_exit_3(tmp_path, capsys, d):
     rc = cli.main(["krylov-compare", "--linear", t_path, str(d_path)])
     assert rc == 3
     assert "dimension" in capsys.readouterr().err
+
+
+def test_krylov_compare_non_square_t_exit_3(tmp_path, capsys):
+    # a 3 x 4 T cannot act on the 3-vectors of d and x0: a dimension
+    # error (3), never the defect code 1 or a traceback
+    t_path, d_path = tmp_path / "T34.mtx", tmp_path / "d.vec"
+    write_matrix(t_path, np.ones((3, 4)))
+    write_vector(d_path, np.ones(3))
+    rc = cli.main(["krylov-compare", "--linear", str(t_path), str(d_path)])
+    assert rc == 3
+    assert "T of shape (3, 4)" in capsys.readouterr().err
 
 
 def test_krylov_compare_rejects_nonlinear_map(capsys):

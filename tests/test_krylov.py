@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wextrap import (
+    DimensionMismatch,
     FixedPointProblem,
     InsufficientVectors,
     WeightOperator,
@@ -214,6 +215,28 @@ def test_equivalence_check_one_block_product_for_its_norms(weight_calls):
         assert all(cmp.mpe_exists) and len(cmp.ks) == k + 1
         assert weight_calls.count("norm") == 1
         assert weight_calls.count("apply") == 2 * (k + 1) + 1
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4, 4)])
+@pytest.mark.parametrize("solve", [fom_solve, gmr_solve, equivalence_check])
+def test_matrix_t_must_be_n_by_n(shape, solve):
+    with pytest.raises(DimensionMismatch, match=r"T of shape"):
+        solve(np.ones(shape), np.ones(3), np.zeros(3),
+              WeightOperator.identity(3), 2)
+
+
+def test_equivalence_check_converged_at_stage_zero():
+    # T = 0 and d = 0 from x0 = 0: x_1 = x_0, so the run's only record
+    # is terminal at k = 0 and both sides sit at x0 with no residual
+    cmp = equivalence_check(np.zeros((3, 3)), np.zeros(3), np.zeros(3),
+                            WeightOperator.identity(3), 3)
+    assert cmp.ks == [0]
+    assert cmp.fom_defined == cmp.mpe_exists == [True]
+    assert cmp.definedness_consistent == [True]
+    for defects in (cmp.fom_mpe_defect, cmp.gmr_rre_defect,
+                    cmp.residual_match_mpe, cmp.residual_match_rre,
+                    cmp.gmr_estimate_defect):
+        assert defects == [0.0]
 
 
 def test_equivalence_on_failure_problem():

@@ -597,6 +597,30 @@ def test_history_rejects_unknown_version(tmp_path):
     _load_fails(path, "unsupported history version 3")
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("k_max", "abc", "k_max = 'abc' is not an integer"),
+    ("k_max", None, "k_max = None is not an integer"),
+    ("k_max", 3.5, "k_max = 3.5 is not an integer"),
+    ("k_max", True, "k_max = True is not an integer"),
+    ("detected_k0", "2", "detected_k0 = '2' is neither"),
+    ("detected_k0", [2], r"detected_k0 = \[2\] is neither"),
+])
+def test_history_rejects_malformed_run_scalars(tmp_path, key, value, match):
+    # read inside the structure check, so a bad value is a ParseError
+    # (exit 2), not a ValueError/TypeError traceback
+    path = _tampered_v2(tmp_path, lambda doc: doc.update({key: value}))
+    _load_fails(path, match)
+
+
+def test_history_keeps_valid_run_scalars(tmp_path):
+    def edit(doc):
+        doc["detected_k0"] = None
+        del doc["k_max"]  # defaults to the last record's stage
+    back = load_history(_tampered_v2(tmp_path, edit))
+    assert back.detected_k0 is None
+    assert type(back.k_max) is int and back.k_max == back.stages - 1
+
+
 def test_history_v2_ignores_unknown_keys(tmp_path):
     def extend(doc):
         doc["notes"] = "added by a later writer"

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +8,13 @@ from numpy.testing import assert_allclose
 from wextrap import (
     FixedPointProblem,
     WeightOperator,
+    RunStatus,
     iterate,
+    load_history,
     make_mpe_failure_sequence,
     make_near_stagnation_problem,
     run,
+    save_history,
     verify_history,
 )
 from wextrap.relations import CATALOG, DEFAULT_THRESHOLDS
@@ -353,3 +356,48 @@ def test_weighted_failure_sequence_relations():
         assert entry.stagnation_consistent is True
         dist = w.norm(hist.record(1).rre.s - hist.record(0).rre.s)
         assert dist <= 1e-12
+
+
+def test_thresholds_reject_unknown_labels(demo_history):
+    with pytest.raises(ValueError, match=r"'3_16'.*'3-16'"):
+        verify_history(demo_history, thresholds={"3_16": 1e-30})
+    report = verify_history(demo_history, thresholds={"3-16": 1e-30})
+    assert report.thresholds == {**DEFAULT_THRESHOLDS, "3-16": 1e-30}
+
+
+E1 = np.array([1.0, 0.0, 0.0])
+
+#: (iterates, status, s_set of the terminal stage): x_1 = x_0 converges
+#: at k = 0 (no non-terminal stage, a 0 x 0 R); [0, e1, 2 e1] loses rank
+#: at k = 1 where MPE does not exist, so RRE repeats stage 0
+EDGE_RUNS = {
+    "terminal_only": (np.zeros((2, 3)), RunStatus.CONVERGED, ()),
+    "rank_deficient": (np.array([0 * E1, E1, 2 * E1]),
+                       RunStatus.RANK_DEFICIENT, (0,)),
+}
+
+
+@pytest.mark.parametrize("reloaded", [False, True])
+@pytest.mark.parametrize("use_recorded_phi", [False, True])
+@pytest.mark.parametrize("case", sorted(EDGE_RUNS))
+def test_terminal_stage_checks_nothing(tmp_path, case, use_recorded_phi,
+                                       reloaded):
+    x, status, s_set = EDGE_RUNS[case]
+    hist = run(x, WeightOperator.identity(3))
+    if reloaded:
+        save_history(hist, tmp_path / "h.json")
+        hist = load_history(tmp_path / "h.json")
+    assert hist.status is status
+    report = verify_history(hist, use_recorded_phi=use_recorded_phi)
+    assert report.ok and report.violations == {}
+    *before, last = report.stages
+    assert last.terminal and last.k == len(before) and not any(
+        st.terminal for st in before)
+    for f in fields(last):
+        if f.name not in ("k", "mpe_exists", "terminal", "s_set"):
+            assert getattr(last, f.name) is None, f.name
+    assert last.s_set == s_set == (before[-1].s_set if before else ())
+    if case == "rank_deficient":
+        assert last.mpe_exists is False
+        assert list(hist.records[-1].rre.gamma) == [1.0, 0.0]
+        assert before[0].eq92_defect == 0.0
