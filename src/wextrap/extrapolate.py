@@ -47,6 +47,12 @@ iteration converged on its own) or when the difference block loses
 rank -- the latter signals the terminal degree: there the
 least-squares system is consistent, the two methods coincide, and the
 extrapolated vector is exact for linear problems.
+
+:func:`run` computes in the field of its inputs: float64 when the
+weight and the iterates hold no nonzero imaginary part (a complex array
+of real values included, as :func:`wextrap.problems.iterate` returns),
+complex128 otherwise.  The differences, the factors, h_k and every
+gamma and s take that dtype; ``alpha`` is a Python complex in both.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from .errors import (
 )
 from .qr import RANK_TOL, WQRFactors, _append, _buffers, \
     orthogonalize_column
-from .weights import validate
+from .weights import _in_field, validate
 
 __all__ = [
     "EXIST_TOL",
@@ -177,11 +183,12 @@ def _mpe(r, rho, rdiag):
     ``np.linalg.solve`` never swaps a row: it is a back substitution.
     """
     c = np.append(np.linalg.solve(r, -rho), 1.0)
-    alpha = complex(c.sum())
+    total = c.sum()
+    alpha = complex(total)
     exists = abs(alpha) > EXIST_TOL * float(np.abs(c).sum())
     if not exists:
         return c, CoefficientSolve("mpe", False, None, None, alpha=alpha)
-    gamma = c / alpha
+    gamma = c / total
     phi = float(rdiag) * abs(gamma[-1])
     return c, CoefficientSolve("mpe", True, gamma, phi, alpha=alpha)
 
@@ -200,7 +207,9 @@ def _stage(r, rho, rdiag, h, mu):
         raise LambdaNotPositive(
             f"mu = sum(h) = {mu!r} is not finite and positive; the "
             "factors are not a valid weighted QR")
-    h = np.append(h, 0.0) + (mpe.alpha.conjugate() / rdiag / rdiag) * c
+    step = mpe.alpha.conjugate() / rdiag / rdiag
+    # alpha of real data is real: keep h in its field
+    h = np.append(h, 0.0) + (step if h.dtype == complex else step.real) * c
     lam = 1.0 / mu
     rre = CoefficientSolve("rre", True, h * lam, math.sqrt(lam), lam=lam)
     return mpe, rre, h, mu
@@ -216,8 +225,8 @@ def assemble(x0, factors: WQRFactors, gamma) -> np.ndarray:
     if gamma is None:
         raise MpeNonexistent("cannot assemble an extrapolant without "
                              "coefficients (alpha was numerically zero)")
-    gamma = np.asarray(gamma, dtype=complex)
-    x0 = np.asarray(x0, dtype=complex)
+    dtype = np.result_type(gamma, x0, factors.q)
+    gamma, x0 = np.asarray(gamma, dtype), np.asarray(x0, dtype)
     k = gamma.size - 1
     if k == 0:
         return x0.copy()
@@ -286,7 +295,7 @@ def run(iterates, weight, k_max: int | None = None,
         One record per computed stage; ``status`` tells how the run
         ended and ``detected_k0`` the terminal stage if one was hit.
     """
-    x = np.asarray(iterates, dtype=complex)
+    x = np.asarray(iterates)
     if x.ndim != 2:
         raise DimensionMismatch(
             f"iterates must form a 2-D (count, dimension) array, got {x.shape}"
@@ -304,6 +313,7 @@ def run(iterates, weight, k_max: int | None = None,
         raise InsufficientVectors(
             f"need at least 2 iterates to difference, got {x.shape[0]}"
         )
+    x, = _in_field(weight, x)
     diffs = np.ascontiguousarray((x[1:] - x[:-1]).T)
     n = weight.dimension
     available = diffs.shape[1] - 1  # stage k consumes differences u_0..u_k
@@ -323,9 +333,9 @@ def run(iterates, weight, k_max: int | None = None,
                          k_max=k_max)
     # Q, P and R for every stage, allocated once; each stage's factors
     # are a leading view of them
-    room = _buffers(weight, k_max + 1)
+    room = _buffers(weight, k_max + 1, x.dtype)
     factors = room.leading(0)
-    h, mu = np.zeros(0, dtype=complex), 0.0
+    h, mu = np.zeros(0, dtype=x.dtype), 0.0
 
     for k in range(k_max + 1):
         u = diffs[:, k]
@@ -404,7 +414,7 @@ def history_to_dict(history: RunHistory) -> dict:
     elif w.kind == "diagonal":
         # M applied to ones is the stored weights, exactly
         weight_spec = {"kind": "diagonal",
-                       "weights": _block(w.apply(np.ones(w.dimension)).real)}
+                       "weights": _block(w.apply(np.ones(w.dimension)))}
     else:
         weight_spec = {"kind": "dense", "matrix": _block(w.matrix())}
     return {

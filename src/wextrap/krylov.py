@@ -21,7 +21,7 @@ the projected problem is a small Hessenberg system:
   the basis is orthonormal in <., .>, the weighted norm of
   V_{k+1}(beta e_1 - H~ y) equals the Euclidean norm of the
   coordinate vector, and the minimization reduces to a (k+1) x k
-  least-squares problem solved with complex Givens rotations.
+  least-squares problem solved with Givens rotations.
 
 The absolute value of the k-th Givens cosine doubles as the FOM
 existence test: it vanishes exactly when H_k is singular, and it is
@@ -62,6 +62,16 @@ and keeps its residual estimate.  Such a column also fails the Arnoldi
 rank test, so it is the last one, and an exactly zero pivot it leaves
 in R is read as 1 in the solve, where it multiplies a zero g_j.
 
+The whole check runs in the problem's field: float64 when the weight,
+d, x0 and a matrix T hold no nonzero imaginary part, complex128
+otherwise (the rule of :mod:`wextrap.weights`).  A callable T cannot
+be inspected, so it makes the field complex.  The basis, the Hessenberg
+matrix, the rotations and every residual column take that dtype, and a
+real rotation is real (its cosine and sine real).  Each rotation is
+applied entry by entry, as two row updates, so every entry of R and g
+rounds the same whatever the number of columns: a run to k steps and a
+run to fewer agree bit for bit on the stages they share.
+
 The process has no step-by-step entry point: :func:`fom_solve`,
 :func:`gmr_solve` and :func:`equivalence_check` all run it through one
 driver.
@@ -91,7 +101,7 @@ from .errors import DimensionMismatch, InsufficientVectors
 from .extrapolate import run
 from .qr import RANK_TOL, _append, _buffers, orthogonalize_column
 from .relations import _norms, _rel, _spread, _stage_arrays, _stage_list
-from .weights import validate
+from .weights import _in_field, validate
 
 __all__ = [
     "FOM_TOL",
@@ -107,33 +117,43 @@ __all__ = [
 FOM_TOL = 1e-12
 
 
-def _as_operator(t, n: int):
-    """T as a callable; a matrix T must be n x n (a callable is taken
-    as it is)."""
+def _problem(t, d, x0, weight):
+    """(T, apply_t, d, x0, weight) in the problem's field: a matrix T
+    must be n x n and is applied in that field; a callable T is taken as
+    it is and makes the field complex."""
+    weight = validate(weight)
+    n = weight.dimension
+    if not callable(t):
+        t = np.asarray(t)
+        if t.shape != (n, n):
+            raise DimensionMismatch(
+                f"T of shape {t.shape}, expected ({n}, {n})")
+    d, x0 = np.asarray(d), np.asarray(x0)
+    if d.shape != (n,) or x0.shape != d.shape:
+        raise DimensionMismatch(f"d and x0 must have dimension {n}")
     if callable(t):
-        return t
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (n, n):
-        raise DimensionMismatch(f"T of shape {t.shape}, expected ({n}, {n})")
-    return partial(np.matmul, t)
+        d, x0 = np.asarray(d, complex), np.asarray(x0, complex)
+        return t, t, d, x0, weight
+    t, d, x0 = _in_field(weight, t, d, x0)
+    return t, partial(np.matmul, t), d, x0, weight
 
 
 def _givens(a, b, scale):
-    """Unitary 2x2 zeroing b; returns (rotation, |cosine|).  A pair at
-    or below RANK_TOL * scale (its column's norm) is a zero column in
-    the frame of the earlier ones: it takes the rotation with c = 0,
-    which swaps the row pair."""
+    """The unitary 2x2 [[p, q], [u, v]] zeroing b, as ((p, q, u, v),
+    |cosine|), real for a real pair.  A pair at or below RANK_TOL *
+    scale (its column's norm) is a zero column in the frame of the
+    earlier ones: it takes the rotation with c = 0, which swaps the row
+    pair."""
     r = np.hypot(abs(a), abs(b))
     if r <= RANK_TOL * scale:
-        return np.array([[0, 1], [1, 0]], dtype=complex), 0.0
-    g = np.array([[np.conj(a) / r, np.conj(b) / r],
-                  [-b / r, a / r]], dtype=complex)
-    return g, abs(a) / r
+        return (0.0, 1.0, 1.0, 0.0), 0.0
+    return (np.conj(a) / r, np.conj(b) / r, -b / r, a / r), abs(a) / r
 
 
 def _triangularize(hess, beta):
-    """One Givens sweep: rotation j zeroes hess[j+1, j] and is applied
-    once, to rows j and j+1 of every column from j on and of g.
+    """One Givens sweep over [H~ | beta e_1]: rotation j zeroes
+    hess[j+1, j] and is applied once, entry by entry, to rows j and j+1
+    of every column from j on, the right-hand side g included.
 
     Returns (R, g, cosines, residuals): R the m x m triangular factor,
     g the rotated right-hand side of length m+1, cosines the
@@ -141,33 +161,25 @@ def _triangularize(hess, beta):
     residual (beta at stage 0).  Stage j reads R[:j, :j] and g[:j].
     """
     m = hess.shape[1]
-    r = hess.copy()
-    g = np.zeros(m + 1, dtype=complex)
-    g[0] = beta
+    rg = np.zeros((m + 1, m + 1), dtype=hess.dtype)
+    rg[:, :m], rg[0, m] = hess, beta
     cosines = []
     residuals = [float(beta)]
     for j in range(m):
-        rot, cos = _givens(r[j, j], r[j + 1, j], np.linalg.norm(r[:, j]))
-        r[j:j + 2, j:] = rot @ r[j:j + 2, j:]
-        r[j + 1, j] = 0.0
-        g[j:j + 2] = rot @ g[j:j + 2]
+        (p, q, u, v), cos = _givens(rg[j, j], rg[j + 1, j],
+                                    np.linalg.norm(rg[:, j]))
+        top, bottom = rg[j, j:].copy(), rg[j + 1, j:]
+        rg[j, j:] = p * top + q * bottom
+        rg[j + 1, j:] = u * top + v * bottom
+        rg[j + 1, j] = 0.0
         cosines.append(cos)
-        residuals.append(float(abs(g[j + 1])))
-    return r[:m, :m], g, cosines, residuals
+        residuals.append(float(abs(rg[j + 1, m])))
+    return rg[:m, :m], rg[:, m], cosines, residuals
 
 
 def _check_stage(k, name):
     if k < 0:
         raise InsufficientVectors(f"{name} must be nonnegative")
-
-
-def _check_rhs(weight, d, x0):
-    """d and x0 as complex vectors of the weight's dimension."""
-    d, x0 = np.asarray(d, dtype=complex), np.asarray(x0, dtype=complex)
-    if d.shape != (weight.dimension,) or x0.shape != d.shape:
-        raise DimensionMismatch(
-            f"d and x0 must have dimension {weight.dimension}")
-    return d, x0
 
 
 class _Stages:
@@ -187,11 +199,9 @@ class _Stages:
 
     def __init__(self, t, d, x0, weight, k: int):
         _check_stage(k, "k")
-        weight = validate(weight)
-        apply_t = _as_operator(t, weight.dimension)
-        d, x0 = _check_rhs(weight, d, x0)
+        _, apply_t, d, x0, weight = _problem(t, d, x0, weight)
         self.x0 = x0
-        room = _buffers(weight, k + 1)
+        room = _buffers(weight, k + 1, d.dtype)
         factors = room.leading(0)
         for steps in range(k + 1):
             if steps == 0:
@@ -293,16 +303,14 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     from the same x0.  All residuals here are exact: r(x) = Tx + d - x.
     """
     _check_stage(k_max, "k_max")
-    weight = validate(weight)
-    apply_t = _as_operator(t, weight.dimension)
-    d, x0 = _check_rhs(weight, d, x0)
+    t, apply_t, d, x0, weight = _problem(t, d, x0, weight)
 
     iters = [x0]
     for _ in range(k_max + 1):
         iters.append(apply_t(iters[-1]) + d)
     hist = run(np.array(iters), weight, k_max=k_max)
     records = hist.records
-    stages = _Stages(apply_t, d, x0, weight, records[-1].k)
+    stages = _Stages(t, d, x0, weight, records[-1].k)
 
     # stage-column arrays: column j is stage j, the terminal one included
     n, count = weight.dimension, len(records)
@@ -312,7 +320,7 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         """s, the exact residual r(s) = T s + d - s and U_k gamma - r(s)
         of every stage ``mask`` selects; zero columns elsewhere."""
         g, s = _stage_arrays(solves, mask, n)
-        r = np.zeros((n, count), dtype=complex)
+        r = np.zeros((n, count), dtype=d.dtype)
         for j in np.flatnonzero(mask):
             r[:, j] = apply_t(solves[j].s) + d - solves[j].s
         return s, r, u @ g - r

@@ -361,10 +361,11 @@ def save_history(history: RunHistory, path) -> None:
 
 
 def _array(obj, path) -> np.ndarray:
-    """A stored array as a fresh complex array.
+    """A stored array as a fresh array in its stored field.
 
-    ``obj`` is a version-2 block ``{"dtype", "shape", "b64"}`` or a
-    version-1 nested list of ``[re, im]`` pairs.  A NaN or infinite
+    ``obj`` is a version-2 block ``{"dtype", "shape", "b64"}``, read as
+    float64 (``"<f8"``) or complex128 (``"<c16"``), or a version-1
+    nested list of ``[re, im]`` pairs, read as complex128.  A NaN or infinite
     entry is a parse error: no run writes one, and the verifier could
     not judge it.
     """
@@ -386,9 +387,9 @@ def _array(obj, path) -> np.ndarray:
     if len(raw) != needed:
         _fail(f"array block holds {len(raw)} bytes, shape {shape} of "
               f"{dtype} needs {needed}", path)
-    # astype copies out of the read-only buffer
+    # astype copies out of the read-only buffer, into native byte order
     return _finite(np.frombuffer(raw, dtype=dtype).reshape(shape)
-                   .astype(complex), path)
+                   .astype(float if dtype == "<f8" else complex), path)
 
 
 def _finite(a, path) -> np.ndarray:

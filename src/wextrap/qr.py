@@ -25,6 +25,13 @@ process of :mod:`wextrap.krylov` all grow this way, so a run's factors
 and a one-shot factorization of the same columns are the same floats.
 A run that stops before its last planned column keeps a copy of the
 leading block instead, so the unused columns are freed.
+
+The buffers take the field of the factored columns and the weight
+(:func:`wextrap.weights._in_field`): float64 when both are real by
+value, so a real factorization costs real GEMVs, and complex128
+otherwise.  :func:`mgs_factorize` decides it from its input, as
+:func:`wextrap.extrapolate.run` does, so a reloaded history regrows its
+factors in the field of the run that wrote it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
-from .weights import WeightOperator, validate
+from .weights import WeightOperator, _in_field, validate
 
 __all__ = [
     "RANK_TOL",
@@ -89,14 +96,15 @@ class WQRFactors:
         return float(np.max(np.abs(self.q.conj().T @ mq - np.eye(self.k))))
 
 
-def _buffers(weight: WeightOperator, columns: int) -> WQRFactors:
-    """Zeroed room for ``columns`` columns, to be grown by :func:`_append`
-    from its empty leading view.  Q and P are column-major, so each of
-    their columns and every leading block is contiguous."""
+def _buffers(weight: WeightOperator, columns: int, dtype) -> WQRFactors:
+    """Zeroed room of ``dtype`` for ``columns`` columns, to be grown by
+    :func:`_append` from its empty leading view.  Q and P are
+    column-major, so each of their columns and every leading block is
+    contiguous."""
     n = weight.dimension
-    return WQRFactors(weight, np.zeros((n, columns), complex, order="F"),
-                      np.zeros((columns, columns), complex),
-                      np.zeros((n, columns), complex, order="F"))
+    return WQRFactors(weight, np.zeros((n, columns), dtype, order="F"),
+                      np.zeros((columns, columns), dtype),
+                      np.zeros((n, columns), dtype, order="F"))
 
 
 def _append(room: WQRFactors, coeffs, w, mw, rnorm) -> WQRFactors:
@@ -113,7 +121,8 @@ def _append(room: WQRFactors, coeffs, w, mw, rnorm) -> WQRFactors:
 
 
 def empty_factors(weight) -> WQRFactors:
-    return _buffers(validate(weight), 0)
+    weight = validate(weight)
+    return _buffers(weight, 0, weight._dtype)
 
 
 def orthogonalize_column(factors: WQRFactors, a):
@@ -127,7 +136,8 @@ def orthogonalize_column(factors: WQRFactors, a):
     small ``rnorm`` means.
     """
     weight = factors.weight
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = np.asarray(a, dtype=np.result_type(a, factors.q))
     if a.shape != (weight.dimension,):
         raise DimensionMismatch(
             f"column of shape {a.shape}, expected ({weight.dimension},)"
@@ -153,7 +163,7 @@ def mgs_factorize(a, weight, rank_tol: float = RANK_TOL) -> WQRFactors:
     is at or below ``rank_tol`` times that column's weighted norm, i.e.
     the column lies (numerically) in the span of the previous ones.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D column matrix, got shape {a.shape}")
     weight = validate(weight)
@@ -162,7 +172,8 @@ def mgs_factorize(a, weight, rank_tol: float = RANK_TOL) -> WQRFactors:
             f"columns of dimension {a.shape[0]}, weight of dimension "
             f"{weight.dimension}"
         )
-    room = _buffers(weight, a.shape[1])
+    a, = _in_field(weight, a)
+    room = _buffers(weight, a.shape[1], a.dtype)
     factors = room.leading(0)
     for j in range(a.shape[1]):
         coeffs, w, mw, rnorm = orthogonalize_column(factors, a[:, j])

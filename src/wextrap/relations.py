@@ -111,7 +111,8 @@ def _norms(weight, blocks: list) -> list:
     so each norm reads a contiguous column.  The norms are numpy
     floats, so 1/|||v|||^2 follows numpy's error state."""
     widths = np.cumsum([b.shape[1] for b in blocks])
-    joint = np.empty((weight.dimension, widths[-1]), dtype=complex, order="F")
+    joint = np.empty((weight.dimension, widths[-1]),
+                     dtype=np.result_type(*blocks), order="F")
     norms = weight.norm(np.concatenate(blocks, axis=1, out=joint))
     return np.split(norms, widths[:-1])
 
@@ -119,11 +120,15 @@ def _norms(weight, blocks: list) -> list:
 def _stage_arrays(solves, mask, n: int):
     """(G, S): stage j's gamma zero-padded as column j of the m x m
     array G, and its s as column j of the n x m array S, for every
-    stage j that ``mask`` selects; zero columns elsewhere."""
-    m = len(solves)
-    g = np.zeros((m, m), dtype=complex)
-    s = np.zeros((n, m), dtype=complex)
-    for j in np.flatnonzero(mask):
+    stage j that ``mask`` selects; zero columns elsewhere.  Both are
+    complex when any selected gamma or s is, else real."""
+    m, picked = len(solves), np.flatnonzero(mask)
+    dtype = complex if any(np.iscomplexobj(solves[j].gamma)
+                           or np.iscomplexobj(solves[j].s)
+                           for j in picked) else float
+    g = np.zeros((m, m), dtype=dtype)
+    s = np.zeros((n, m), dtype=dtype)
+    for j in picked:
         g[:j + 1, j], s[:, j] = solves[j].gamma, solves[j].s
     return g, s
 

@@ -8,16 +8,33 @@ general dense hermitian matrix.  A dense matrix must be finite and
 hermitian, and is validated by its Cholesky factorization, whose
 existence is the positive-definiteness test.
 
+The field.  The paper's relations hold over C^N, but real data is the
+common case, and real arithmetic costs less: a real GEMV about half a
+complex one, a real Cholesky about a third.
+So every computation runs in float64 when the weight and every data
+array it touches hold no nonzero imaginary part, and in complex128
+otherwise (:func:`_field`).  The rule reads values, not dtypes: a
+complex array whose imaginary parts are all zero is real data.  The
+identity and a diagonal weight are real; a dense M is kept as float64
+when its entries are real and as complex128 otherwise, and
+:meth:`WeightOperator.matrix` returns it in that field.
+
 :meth:`WeightOperator.apply` and :meth:`WeightOperator.norm` take an
-(N,) vector or an (N, m) block of column vectors.  A block costs one
-product with M for all of its columns (a GEMM when M is dense, where m
-vectors one at a time would be m GEMVs).  Its norms are then read
-column by column, each with the vector's checks, from one vdot of the
-column with its column of MV.  For the identity and a diagonal weight
-MV is formed entry by entry, so the norms of a column-major block are
-bit-identical to its columns' vector norms; a dense weight differs
-only by the GEMM's rounding.  Callers that need many weighted norms
-at once (:func:`wextrap.relations.verify_history`,
+(N,) vector or an (N, m) block of column vectors, real or complex.  A
+complex vector under a real weight is complex data, and M z stays
+complex.  A real dense M applies to it as one real product with its
+real and imaginary parts side by side (N x 2m), never by a complex copy
+of M.  A block costs one product with M for all of its columns (a GEMM
+when M is dense, where m vectors one at a time would be m GEMVs).  Its
+norms are then read column by column, each with the vector's checks,
+from one vdot of the column with its column of MV.  That vdot is summed
+in complex arithmetic in either field, so a real vector's norm is the
+same float whether it is stored as float64 or as complex128.  For the
+identity and a diagonal weight MV is formed entry by entry, so the
+norms of a column-major block are bit-identical to its columns' vector
+norms; a dense weight differs only by the GEMM's rounding.  Callers
+that need many weighted norms at once
+(:func:`wextrap.relations.verify_history`,
 :func:`wextrap.krylov.equivalence_check`) stack them into one block.
 """
 
@@ -83,7 +100,10 @@ class WeightOperator:
 
     @classmethod
     def dense(cls, matrix) -> "WeightOperator":
-        m = np.asarray(matrix, dtype=complex)
+        m = np.asarray(matrix)
+        # a copy in M's field: a real M is float64 whatever its dtype was
+        field = _field(m)
+        m = np.array(m.real if field is float else m, dtype=field)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"weight matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -102,8 +122,15 @@ class WeightOperator:
 
     # -- application -------------------------------------------------
 
+    @property
+    def _dtype(self):
+        """float, or complex for a dense M with a nonzero imaginary part."""
+        return complex if np.iscomplexobj(self._matrix) else float
+
     def _check_dim(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+        # z keeps its field under a real M, and is complex under a complex M
+        z = np.asarray(z)
+        z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else self._dtype)
         if z.ndim not in (1, 2) or z.shape[0] != self.dimension:
             raise DimensionMismatch(
                 f"expected vector of dimension {self.dimension} or an "
@@ -113,13 +140,19 @@ class WeightOperator:
 
     def apply(self, z) -> np.ndarray:
         """Return M z, for a vector z or column by column for an (N, m)
-        block in one product.  The identity weight copies a vector but
-        returns a block as it is (as a complex array)."""
+        block in one product, in the field of M and z.  The identity
+        weight copies a vector but returns a block as it is."""
         z = self._check_dim(z)
         if self.kind == "identity":
             return z.copy() if z.ndim == 1 else z
         if self.kind == "diagonal":
             return self._diag * z if z.ndim == 1 else self._diag[:, None] * z
+        if self._dtype is float and z.dtype == complex:
+            # real M on [re, im] of every entry: one real N x 2m product
+            parts = np.ascontiguousarray(z).view(float)
+            if z.ndim == 1:
+                parts = parts.reshape(-1, 2)
+            return (self._matrix @ parts).view(complex).reshape(z.shape)
         return self._matrix @ z
 
     def norm(self, z):
@@ -129,8 +162,8 @@ class WeightOperator:
         block product.  Each quadratic form must be real and
         nonnegative up to roundoff or :class:`NegativeQuadraticForm` is
         raised."""
-        mz = self.apply(z)
-        return self._form_norm(np.asarray(z, dtype=complex), mz)
+        z = self._check_dim(z)
+        return self._form_norm(z, self.apply(z))
 
     def _form_norm(self, z, mz):
         # sqrt(z* M z) given mz = M z, with the quadratic-form checks
@@ -139,7 +172,9 @@ class WeightOperator:
             # keeps no N x m temporary beside z and MV
             return np.array([self._form_norm(z[:, j], mz[:, j])
                              for j in range(z.shape[1])])
-        q = complex(np.vdot(z, mz))
+        # summed in complex arithmetic in either field (see the module
+        # docstring); the casts cost O(N) beside the product with M
+        q = complex(np.vdot(np.asarray(z, complex), np.asarray(mz, complex)))
         if abs(q.imag) > _IMAG_RTOL * (1.0 + abs(q.real)):
             raise NegativeQuadraticForm(
                 f"quadratic form has imaginary residue {q.imag:.3e}"
@@ -150,12 +185,13 @@ class WeightOperator:
         return float(np.sqrt(max(q.real, 0.0)))
 
     def matrix(self) -> np.ndarray:
-        """Dense N x N representation of M; for a dense weight, a
-        read-only view of the stored matrix rather than a copy."""
+        """Dense N x N representation of M in its field (float64 unless
+        a dense M is complex); for a dense weight, a read-only view of the
+        stored matrix rather than a copy."""
         if self.kind == "identity":
-            return np.eye(self.dimension, dtype=complex)
+            return np.eye(self.dimension)
         if self.kind == "diagonal":
-            return np.diag(self._diag).astype(complex)
+            return np.diag(self._diag)
         view = self._matrix.view()
         view.flags.writeable = False
         return view
@@ -179,3 +215,23 @@ def validate(raw) -> WeightOperator:
     if arr.ndim == 2:
         return WeightOperator.dense(arr)
     raise DimensionMismatch(f"cannot interpret array of shape {arr.shape} as a weight")
+
+
+def _field(*arrays):
+    """float when no array holds a nonzero imaginary part, else complex:
+    the field a computation on these arrays runs in (the module
+    docstring's rule, applied to values, not dtypes)."""
+    if any(np.iscomplexobj(a) and a.imag.any() for a in arrays):
+        return complex
+    return float
+
+
+def _in_field(weight, *arrays):
+    """``arrays`` in the field of ``weight`` and themselves: all float64
+    when M and every array are real by value, else all complex128.  A
+    complex array made float is a copy of its real part (all it holds),
+    laid out as the array was, so BLAS reads it contiguously."""
+    arrays = [np.asarray(a) for a in arrays]
+    dtype = complex if weight._dtype is complex else _field(*arrays)
+    return [np.array(a.real) if dtype is float and np.iscomplexobj(a)
+            else np.asarray(a, dtype=dtype) for a in arrays]

@@ -22,14 +22,20 @@ from numpy.testing import assert_allclose
 
 import wextrap
 from wextrap import cli
-from wextrap.mmio import read_matrix, write_matrix, write_sequence, write_vector
+from wextrap.mmio import (
+    read_matrix,
+    read_vector,
+    write_matrix,
+    write_sequence,
+    write_vector,
+)
 from wextrap.problems import (
     make_mpe_failure_sequence,
     make_near_stagnation_problem,
 )
 from wextrap.relations import CATALOG
 
-from conftest import random_contraction
+from conftest import random_contraction, random_pd_matrix
 
 
 def demo_files(tmp_path):
@@ -66,6 +72,44 @@ def test_committed_matrix_market_inputs_run_and_verify(tmp_path, capsys):
                      "--out", str(out)]) == 0
     assert cli.main(["verify-relations", "--history", str(out)]) == 0
     assert json.loads(out.read_text())["weight"]["kind"] == "dense"
+
+
+def complex_problem_files(tmp_path):
+    """T = 0.5 diag(exp(i theta_j)) with distinct angles, a complex d and
+    a complex hermitian positive definite M: a complex-field problem."""
+    rng = np.random.default_rng(12)
+    n = 6
+    paths = [tmp_path / name for name in ("Tc.mtx", "dc.vec", "Mc.mtx")]
+    write_matrix(paths[0], 0.5 * np.diag(np.exp(1j * np.linspace(0.3, 2.8, n))))
+    write_vector(paths[1], rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    write_matrix(paths[2], random_pd_matrix(rng, n))
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("case", ["real", "real_float64", "complex"])
+def test_cli_history_matches_library_bytes(tmp_path, case):
+    # the CLI reads complex arrays of real values where a library caller
+    # may hold float64 ones; both decide the field by values, so both
+    # compute in the same field and write the same bytes
+    if case == "complex":
+        t_path, d_path, m_path = complex_problem_files(tmp_path)
+    else:
+        t_path, d_path, m_path = (str(DATA / name)
+                                  for name in ("T.mtx", "d.vec", "M.mtx"))
+    t, d, m = read_matrix(t_path), read_vector(d_path), read_matrix(m_path)
+    if case == "real_float64":
+        t, d, m = t.real.copy(), d.real.copy(), m.real.copy()
+    # as cli._resolve_problem builds it: x0 zero, k_max + 1 iterates
+    x0 = np.zeros(t.shape[0], dtype=t.dtype)
+    hist = wextrap.run(wextrap.iterate(wextrap.FixedPointProblem.linear(
+        t, d, x0), 7), wextrap.WeightOperator.dense(m), k_max=6)
+    assert hist.factors.q.dtype == (complex if case == "complex" else float)
+    library, out = tmp_path / "library.json", tmp_path / "cli.json"
+    wextrap.save_history(hist, library)
+    assert cli.main(["accelerate", "--linear", t_path, d_path, "--weight",
+                     f"dense:{m_path}", "--k-max", "6",
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == library.read_bytes()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
