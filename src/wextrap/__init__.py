@@ -59,7 +59,6 @@ from .problems import (
 )
 from .qr import (
     WQRFactors,
-    empty_factors,
     mgs_factorize,
     orthogonalize_column,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "WextrapError",
     "assemble",
     "cosine_problem",
-    "empty_factors",
     "equivalence_check",
     "fom_solve",
     "gmr_solve",

@@ -31,13 +31,8 @@ from .errors import (
 from .extrapolate import history_rows, run
 from .krylov import equivalence_check
 from .problems import BUILTIN_MAPS, FixedPointProblem, iterate
-from .qr import RANK_TOL, mgs_factorize
-from .relations import (
-    CATALOG,
-    DEFAULT_THRESHOLDS,
-    STAG_TOL,
-    verify_history,
-)
+from .qr import mgs_factorize
+from .relations import CATALOG, DEFAULT_THRESHOLDS, verify_history
 from .weights import WeightOperator
 
 
@@ -132,7 +127,7 @@ def _print_history_table(history, methods):
 def _run_from_args(args):
     _, x, dim = _resolve_problem(args)
     weight = _load_weight(args.weight, dim)
-    return run(x, weight, k_max=args.k_max, rank_tol=args.rank_tol)
+    return run(x, weight, k_max=args.k_max)
 
 
 def cmd_accelerate(args):
@@ -167,7 +162,7 @@ def cmd_verify(args):
     if args.threshold is not None:
         thresholds = {label: args.threshold for label in DEFAULT_THRESHOLDS}
     report = verify_history(history, use_recorded_phi=recorded,
-                            thresholds=thresholds, stag_tol=args.stag_tol)
+                            thresholds=thresholds)
     for st in report.stages:
         cells = [f"k={st.k}", f"mpe={'yes' if st.mpe_exists else 'no'}"]
         for row in CATALOG:
@@ -193,22 +188,27 @@ def cmd_verify(args):
     return 0
 
 
+#: the FAIL line of each boolean label of ``report.violations``
+_FLAG_FAILURES = {
+    "3-1": "stagnation/existence mismatch (3-1) at k={k}",
+    "3-55": "residual-norm decrease (3-55) violated at k={k}",
+}
+
+
 def _print_failures(report):
-    """One FAIL line per identity verify_history judged violated, at its
-    worst stage (a NaN defect fails there as an infinite one)."""
-    for row in CATALOG:
-        if row.label in report.violations:
-            k, defect = report.violations[row.label]
-            print(f"FAIL: identity ({row.label}) at k={k}: defect "
-                  f"{defect:.3e} exceeds threshold "
-                  f"{report.thresholds[row.label]:g}", file=sys.stderr)
-    for st in report.stages:
-        if st.stagnation_consistent is False:
-            print(f"FAIL: stagnation/existence mismatch (3-1) at k={st.k}",
-                  file=sys.stderr)
-        if st.monotone_355 is False or st.nonincreasing is False:
-            print(f"FAIL: residual-norm decrease (3-55) violated at k={st.k}",
-                  file=sys.stderr)
+    """One FAIL line per label verify_history judged violated, at its
+    worst stage (a NaN defect fails there as an infinite one), in
+    catalog order, then 3-1 and 3-55."""
+    for label in [row.label for row in CATALOG] + list(_FLAG_FAILURES):
+        if label not in report.violations:
+            continue
+        k, defect = report.violations[label]
+        if label in _FLAG_FAILURES:
+            line = _FLAG_FAILURES[label].format(k=k)
+        else:
+            line = (f"identity ({label}) at k={k}: defect {defect:.3e} "
+                    f"exceeds threshold {report.thresholds[label]:g}")
+        print("FAIL: " + line, file=sys.stderr)
 
 
 def cmd_krylov_compare(args):
@@ -233,8 +233,8 @@ def cmd_krylov_compare(args):
         flag = "" if cmp.definedness_consistent[i] else "  MISMATCH"
         print(f"k={k}  FOM-MPE: {fom_text}  GMR-RRE: {gmr_text}{flag}")
         for value in (fom, gmr):
-            if value is not None:
-                bad = max(bad, value)
+            if value is not None:  # a NaN gap fails as an infinite one
+                bad = max(bad, float("inf") if np.isnan(value) else value)
         if not cmp.definedness_consistent[i]:
             bad = float("inf")
     if bad >= args.threshold:
@@ -249,7 +249,7 @@ def cmd_qr(args):
     a = mmio.read_matrix(args.matrix)
     weight = _load_weight(args.weight, a.shape[0])
     try:
-        factors = mgs_factorize(a, weight, rank_tol=args.rank_tol)
+        factors = mgs_factorize(a, weight)
     except RankDeficient as exc:
         print(f"rank deficiency: column {exc.index} is dependent "
               f"(residual {exc.residual_norm:.3e}, threshold "
@@ -282,8 +282,6 @@ def _add_input_flags(sub, with_map=True):
     sub.add_argument("--weight", default=None,
                      metavar="identity|diag:FILE|dense:FILE")
     sub.add_argument("--k-max", dest="k_max", type=int, default=None)
-    sub.add_argument("--rank-tol", dest="rank_tol", type=_positive,
-                     default=RANK_TOL)
 
 
 def build_parser():
@@ -308,8 +306,6 @@ def build_parser():
                      help="verify a stored history instead of running")
     ver.add_argument("--threshold", type=_positive, default=None,
                      help="defect threshold applied to every identity")
-    ver.add_argument("--stag-tol", dest="stag_tol", type=_positive,
-                     default=STAG_TOL)
     ver.add_argument("--report", default=None, help="write JSON report here")
     ver.set_defaults(func=cmd_verify)
 
@@ -327,8 +323,6 @@ def build_parser():
     qr = subs.add_parser("qr", help="weighted QR factorization of a matrix")
     qr.add_argument("matrix", help="MatrixMarket file to factor")
     qr.add_argument("--weight", default=None)
-    qr.add_argument("--rank-tol", dest="rank_tol", type=_positive,
-                    default=RANK_TOL)
     qr.add_argument("--check", action="store_true",
                     help="print the orthonormality deviation")
     qr.add_argument("--q-out", default=None)

@@ -268,8 +268,7 @@ def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k,
     return ExtrapolationRecord(k, u_norm, float(rnorm), mpe, rre, terminal=True)
 
 
-def run(iterates, weight, k_max: int | None = None,
-        rank_tol: float = RANK_TOL) -> RunHistory:
+def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     """Run both extrapolation methods over an iterate sequence.
 
     Parameters
@@ -284,10 +283,11 @@ def run(iterates, weight, k_max: int | None = None,
         supports, capped at the space dimension N (at stage N the
         difference block has N+1 columns and is structurally
         dependent, so no run can go further).
-    rank_tol : float
-        Threshold for rank loss; minimal-polynomial existence is judged
-        against :data:`EXIST_TOL` and plain convergence of the
-        underlying iteration against :data:`CONVERGE_ATOL`.
+
+    Rank loss is judged against :data:`wextrap.qr.RANK_TOL`,
+    minimal-polynomial existence against :data:`EXIST_TOL` and plain
+    convergence of the underlying iteration against
+    :data:`CONVERGE_ATOL`.
 
     Returns
     -------
@@ -344,7 +344,7 @@ def run(iterates, weight, k_max: int | None = None,
         previous = history.records[-1] if history.records else None
 
         converged = u_norm <= CONVERGE_ATOL
-        if converged or k == n or rnorm <= rank_tol * u_norm:
+        if converged or k == n or rnorm <= RANK_TOL * u_norm:
             history.records.append(_terminal_records(
                 x0, factors, coeffs, rnorm, u_norm, k, previous))
             history.status = RunStatus.CONVERGED if converged \

@@ -55,7 +55,7 @@ from .extrapolate import (
     RunStatus,
     history_to_dict,
 )
-from .qr import empty_factors, mgs_factorize
+from .qr import mgs_factorize
 from .weights import WeightOperator
 
 __all__ = [
@@ -518,12 +518,13 @@ def load_history(path) -> RunHistory:
             f"dimension {weight.dimension}")
     _check_records(records, columns, weight.dimension, path)
     appended = len(records) - (1 if records and records[-1].terminal else 0)
-    if appended > 0:
-        # the run already accepted these columns under its own rank_tol,
-        # which the file does not record: regrow them without a rank test
-        factors = mgs_factorize(columns[:, :appended], weight, rank_tol=0.0)
-    else:
-        factors = empty_factors(weight)
+    # the run already accepted these columns under its rank test, which
+    # older versions let a caller loosen and no file records: regrow
+    # them without one.  With none appended the factors are N x 0,
+    # whatever the shape of an empty block
+    factors = mgs_factorize(
+        columns[:, :appended] if appended
+        else np.zeros((weight.dimension, 0)), weight, rank_tol=0.0)
     return RunHistory(
         weight=weight,
         x0=x0,

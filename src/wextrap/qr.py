@@ -46,7 +46,6 @@ from .weights import WeightOperator, _in_field, validate
 __all__ = [
     "RANK_TOL",
     "WQRFactors",
-    "empty_factors",
     "orthogonalize_column",
     "mgs_factorize",
 ]
@@ -76,10 +75,6 @@ class WQRFactors:
     def k(self) -> int:
         """Number of factored columns."""
         return self.q.shape[1]
-
-    @property
-    def dimension(self) -> int:
-        return self.weight.dimension
 
     def leading(self, j: int) -> "WQRFactors":
         """Factors of the first ``j`` columns (a view, not a copy)."""
@@ -118,11 +113,6 @@ def _append(room: WQRFactors, coeffs, w, mw, rnorm) -> WQRFactors:
     room.r[:k, k] = coeffs
     room.r[k, k] = rnorm
     return room.leading(k + 1)
-
-
-def empty_factors(weight) -> WQRFactors:
-    weight = validate(weight)
-    return _buffers(weight, 0, weight._dtype)
 
 
 def orthogonalize_column(factors: WQRFactors, a):

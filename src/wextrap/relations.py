@@ -88,7 +88,8 @@ __all__ = [
     "verify_history",
 ]
 
-#: relative threshold declaring two consecutive reduced-rank vectors equal
+#: stage k's reduced-rank vector stagnates (3-1, 3-15) when
+#: |||s_k - s_{k-1}||| <= STAG_TOL * (|||u_0||| + |||s_k|||)
 STAG_TOL = 1e-10
 
 #: a stage with phi_rre ratio above 1 - PLATEAU_TOL counts as plateau
@@ -192,8 +193,7 @@ class StageRelations:
     s_set: tuple
 
 
-def _measure(history: RunHistory, use_recorded_phi: bool,
-             stag_tol: float) -> list:
+def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     """A :class:`StageRelations` per record, measured on stage-column
     arrays: column k of every array below is stage k, for the m
     non-terminal stages, and column ``prev[k]`` its predecessor (stage
@@ -212,7 +212,7 @@ def _measure(history: RunHistory, use_recorded_phi: bool,
     coupled = checked & exists
 
     # pass 1: phi (unless recorded) and the stagnation test, which
-    # scales with the data: |||s_rre(k) - s_rre(k-1)||| <= stag_tol *
+    # scales with the data: |||s_rre(k) - s_rre(k-1)||| <= STAG_TOL *
     # (|||u_0||| + |||s_rre(k)|||)
     first = [history.differences[:, :1], s_rre - s_rre[:, prev], s_rre]
     if not use_recorded_phi:
@@ -223,7 +223,7 @@ def _measure(history: RunHistory, use_recorded_phi: bool,
         phi_mpe = np.array([rec.mpe.phi for rec in recs], dtype=float)
     else:
         phi_rre, phi_mpe = phi[0], _spread(exists, phi[1])
-    stagnates = step <= stag_tol * (u0 + size)
+    stagnates = step <= STAG_TOL * (u0 + size)
     fr, fp, fm = phi_rre, phi_rre[prev], phi_mpe
 
     # pass 2: the vector couplings 3-17 (U_k gamma / phi^2) and 3-18
@@ -349,8 +349,7 @@ class RelationReport:
 
 
 def verify_history(history: RunHistory, use_recorded_phi: bool = False,
-                   thresholds: dict | None = None,
-                   stag_tol: float = STAG_TOL) -> RelationReport:
+                   thresholds: dict | None = None) -> RelationReport:
     """Run every check and judge the defects against thresholds.
 
     Never raises on a violation; inconsistencies are folded into the
@@ -368,7 +367,7 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
     # a phi whose square leaves the float range (an edited file) gives
     # inf or NaN defects, judged below, not an exception or a warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        stages = _measure(history, use_recorded_phi, stag_tol)
+        stages = _measure(history, use_recorded_phi)
 
     inf = float("inf")
     failures = []  # (threshold-relative defect, label, k, defect)

@@ -45,6 +45,7 @@ REMOVED = [
     "check_coupling",
     "check_master_identity",
     "check_stagnation",
+    "empty_factors",
     "gs_factorize",
     "initial_state",
     "mpe_coefficients",
@@ -74,6 +75,7 @@ def test_removed_methods_are_gone():
     assert not hasattr(WeightOperator, "cholesky_lower")
     assert not hasattr(WeightOperator, "inner")
     assert not hasattr(WQRFactors, "reconstruct")
+    assert not hasattr(WQRFactors, "dimension")
 
 
 def test_orthogonalization_switch_is_gone():
@@ -109,10 +111,20 @@ def test_unset_knobs_are_gone():
         wextrap.verify_history).parameters
     assert "plateau_tol" not in {
         f.name for f in dataclasses.fields(relations.RelationReport)}
+    # the rank and stagnation tolerances are qr.RANK_TOL and
+    # relations.STAG_TOL, read at call time
+    assert "rank_tol" not in inspect.signature(wextrap.run).parameters
+    assert "stag_tol" not in inspect.signature(
+        wextrap.verify_history).parameters
+    assert "stag_tol" not in inspect.signature(relations._measure).parameters
     parser = cli.build_parser()
     for argv in (["accelerate", "--exist-tol", "1e-12"],
                  ["verify-relations", "--exist-tol", "1e-12"],
-                 ["verify-relations", "--plateau-tol", "1e-6"]):
+                 ["verify-relations", "--plateau-tol", "1e-6"],
+                 ["accelerate", "--rank-tol", "1e-13"],
+                 ["verify-relations", "--rank-tol", "1e-13"],
+                 ["qr", "A.mtx", "--rank-tol", "1e-13"],
+                 ["verify-relations", "--stag-tol", "1e-10"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
 
@@ -125,10 +137,10 @@ def test_krylov_copy_of_the_catalog_is_gone():
                  "monotone_225"):
         assert name not in names
     assert not hasattr(relations, "_intersect_ranges")
-    # the "(stagnated)" marker reads MPE existence; only verify-relations,
-    # whose 3-1 and 3-15 checks detect stagnation, takes a tolerance
+    # the "(stagnated)" marker reads MPE existence, and the 3-1 and
+    # 3-15 checks of verify-relations read relations.STAG_TOL: neither
+    # subcommand takes a stagnation tolerance
     parser = cli.build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["accelerate", "--stag-tol", "1e-3"])
-    args = parser.parse_args(["verify-relations", "--stag-tol", "1e-3"])
-    assert args.stag_tol == 1e-3
+    for command in ("accelerate", "verify-relations"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--stag-tol", "1e-3"])

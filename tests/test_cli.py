@@ -21,7 +21,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import wextrap
-from wextrap import cli
+from wextrap import cli, relations
+from wextrap.krylov import equivalence_check
 from wextrap.mmio import (
     read_matrix,
     read_vector,
@@ -30,6 +31,7 @@ from wextrap.mmio import (
     write_vector,
 )
 from wextrap.problems import (
+    BUILTIN_MAPS,
     make_mpe_failure_sequence,
     make_near_stagnation_problem,
 )
@@ -344,6 +346,26 @@ def test_verify_tight_threshold_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_verify_doctored_flags_one_fail_line(tmp_path, capsys):
+    # MPE declared missing at stages 2 and 3, where RRE progresses: 3-1
+    # fails at both, and is reported once, at its first such stage
+    out = tmp_path / "h.json"
+    assert cli.main(["accelerate", "--linear", *big_files(tmp_path),
+                     "--k-max", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for k in (2, 3):
+        doc["records"][k]["mpe"].update(exists=False, phi=None, gamma=None,
+                                        s=None)
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["verify-relations", "--history", str(doctored)])
+    assert rc == 1
+    fails = [ln for ln in capsys.readouterr().err.splitlines()
+             if "(3-1)" in ln]
+    assert fails == ["FAIL: stagnation/existence mismatch (3-1) at k=2"]
+
+
 def near_stagnation_files(tmp_path):
     problem = make_near_stagnation_problem(6)
     t_path = tmp_path / "Tns.mtx"
@@ -354,13 +376,15 @@ def near_stagnation_files(tmp_path):
 
 
 @pytest.mark.parametrize("row", CATALOG, ids=[row.label for row in CATALOG])
-def test_verify_reports_every_catalog_identity(tmp_path, capsys, row):
+def test_verify_reports_every_catalog_identity(tmp_path, capsys,
+                                               monkeypatch, row):
     if row.label == "3-15":
         # 3-15 applies on stagnating stages only; a loose stagnation
         # tolerance makes the near-stagnating stage 1 count, leaving a
         # genuine embedding defect of about 1e-3
+        monkeypatch.setattr(relations, "STAG_TOL", 1e-3)
         args = ["--linear", *near_stagnation_files(tmp_path),
-                "--k-max", "3", "--stag-tol", "1e-3"]
+                "--k-max", "3"]
     else:
         args = ["--linear", *big_files(tmp_path), "--k-max", "4"]
     report = tmp_path / "rep.json"
@@ -411,6 +435,29 @@ def test_krylov_compare_gaps_are_relative(tmp_path, capsys):
                    "--k-max", "4"])
     assert rc == 0
     assert "max defect" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cmp: cmp.gmr_rre_defect.__setitem__(2, float("nan")),
+    lambda cmp: cmp.definedness_consistent.__setitem__(2, False),
+], ids=["nan-gap", "definedness-mismatch"])
+def test_krylov_compare_defect_exit_1(tmp_path, capsys, monkeypatch, edit):
+    # a NaN gap fails as an infinite one, as does a stage where FOM and
+    # MPE disagree on definedness; equivalence_check runs as the CLI
+    # calls it, with stage 2 of its result edited
+    def doctored(*args):
+        cmp = equivalence_check(*args)
+        edit(cmp)
+        return cmp
+    monkeypatch.setattr(cli, "equivalence_check", doctored)
+    t_path, d_path = big_files(tmp_path)
+    rc = cli.main(["krylov-compare", "--linear", t_path, d_path,
+                   "--k-max", "4"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "max defect" not in captured.out
+    assert captured.err.splitlines() == [
+        "FAIL: worst solver/extrapolation defect inf at or above 1e-08"]
 
 
 @pytest.mark.parametrize("d", [[0.5, 0.75, 1.0], [0.5]])
@@ -486,6 +533,18 @@ def test_dimension_mismatch_exit_3(tmp_path, capsys):
     write_vector(bad_d, np.array([1.0, 2.0, 3.0]))
     rc = cli.main(["accelerate", "--linear", t_path, str(bad_d)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MAPS))
+def test_builtin_map_accelerates_and_verifies(tmp_path, monkeypatch, capsys,
+                                              name):
+    # the README example, run to completion and verified from its file
+    monkeypatch.setenv("WEXTRAP_OUTPUT_DIR", str(tmp_path))
+    assert cli.main(["accelerate", "--map", name, "--dim", "8",
+                     "--iters", "12"]) == 0
+    assert cli.main(["verify-relations", "--history",
+                     str(tmp_path / "history.json")]) == 0
+    assert "all relation checks passed" in capsys.readouterr().out
 
 
 def test_map_without_dim_exit_2(capsys):

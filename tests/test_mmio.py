@@ -14,6 +14,7 @@ from wextrap import (
     FixedPointProblem,
     ParseError,
     WeightOperator,
+    extrapolate,
     history_to_dict,
     iterate,
     load_history,
@@ -399,15 +400,17 @@ def test_history_round_trip(tmp_path):
     assert report.ok
 
 
-def test_history_round_trip_below_default_rank_tol(tmp_path):
-    # a run may accept columns under a rank_tol below the default; the
-    # file does not record it, and loading must not reject them
+def test_history_round_trip_below_default_rank_tol(tmp_path, monkeypatch):
+    # older versions let a run accept columns under a rank tolerance
+    # below RANK_TOL; no file records it, and loading must not reject
+    # them
+    monkeypatch.setattr(extrapolate, "RANK_TOL", 1e-16)
     rng = np.random.default_rng(0)
     n = 50
     t = np.diag(0.95 * rng.uniform(0.1, 1.0, n))
     d = rng.standard_normal(n)
     xs = np.asarray(iterate(FixedPointProblem.linear(t, d, np.zeros(n)), 31))
-    hist = run(xs, WeightOperator.identity(n), k_max=30, rank_tol=1e-16)
+    hist = run(xs, WeightOperator.identity(n), k_max=30)
     assert hist.stages == 31
     path = tmp_path / "hist.json"
     save_history(hist, path)
@@ -628,6 +631,32 @@ def test_history_v2_ignores_unknown_keys(tmp_path):
             rec["diagnostics"] = {"cond_r": 1.0}
     back = load_history(_tampered_v2(tmp_path, extend))
     assert back.stages == 4
+
+
+def _no_records(doc):
+    doc.update(records=[], detected_k0=None,
+               differences={"dtype": "<f8", "shape": [0, 0], "b64": ""})
+
+
+@pytest.mark.parametrize("source, dtype", [
+    ("real-identity", np.float64), ("complex-dense", np.complex128)])
+def test_history_with_empty_difference_block_loads(tmp_path, source, dtype):
+    # a file with no records may store its differences as a [0, 0]
+    # block: it loads as it is, with N x 0 factors in the weight's field
+    if source == "real-identity":
+        path = _tampered_v2(tmp_path, _no_records)
+    else:
+        doc = json.loads((Path(__file__).parent / "data"
+                          / "history_v2.json").read_text())
+        _no_records(doc)
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+    back = load_history(path)
+    n = back.weight.dimension
+    assert back.records == [] and back.differences.shape == (0, 0)
+    f = back.factors
+    assert (f.q.shape, f.r.shape, f.p.shape) == ((n, 0), (0, 0), (n, 0))
+    assert f.q.dtype == f.r.dtype == f.p.dtype == dtype
 
 
 def test_history_rejects_foreign_json(tmp_path):
