@@ -69,7 +69,7 @@ reloaded history file instead uses the recorded values
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -200,6 +200,12 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     0, its own, is never checked)."""
     weight, records = history.weight, history.records
     m = sum(not rec.terminal for rec in records)
+    if not m:  # no stage to measure (nor, maybe, a row of U): all None
+        blank = dict.fromkeys(f.name for f in fields(StageRelations))
+        return [StageRelations(**{**blank, "k": rec.k, "s_set": (),
+                                  "mpe_exists": rec.mpe.exists,
+                                  "terminal": rec.terminal})
+                for rec in records]
     recs, n = records[:m], weight.dimension
     every = np.ones(m, dtype=bool)
     exists = np.array([rec.mpe.exists for rec in recs], dtype=bool)

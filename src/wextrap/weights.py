@@ -25,15 +25,20 @@ complex vector under a real weight is complex data, and M z stays
 complex.  A real dense M applies to it as one real product with its
 real and imaginary parts side by side (N x 2m), never by a complex copy
 of M.  A block costs one product with M for all of its columns (a GEMM
-when M is dense, where m vectors one at a time would be m GEMVs).  Its
-norms are then read column by column, each with the vector's checks,
-from one vdot of the column with its column of MV.  That vdot is summed
-in complex arithmetic in either field, so a real vector's norm is the
-same float whether it is stored as float64 or as complex128.  For the
-identity and a diagonal weight MV is formed entry by entry, so the
-norms of a column-major block are bit-identical to its columns' vector
-norms; a dense weight differs only by the GEMM's rounding.  Callers
-that need many weighted norms at once
+when M is dense, where m vectors one at a time would be m GEMVs).  A
+vector's norm is one vdot of z with M z, summed in complex arithmetic
+in either field, so a real vector's norm is the same float whether it
+is stored as float64 or as complex128.  A block's norms are one
+``np.vecdot`` sweep over its columns, which calls the same BLAS dot on
+each column as vdot does on a vector, and the vector's checks are made
+on all the columns at once; a failing column raises what the vector
+path raises for it.  Real columns are cast to complex128 in chunks of
+64 columns, column-major, so the casts stay in cache and each column is
+the contiguous vector vdot would read.  So a block's norms are
+bit-identical to the vector norms of its columns against its MV; for
+the identity and a diagonal weight MV is formed entry by entry, so they
+are the columns' own vector norms, and a dense weight differs only by
+the GEMM's rounding.  Callers that need many weighted norms at once
 (:func:`wextrap.relations.verify_history`,
 :func:`wextrap.krylov.equivalence_check`) stack them into one block.
 """
@@ -57,6 +62,10 @@ HERMITICITY_ATOL = 1e-12
 
 #: relative bound on the imaginary residue of a quadratic form z*Mz
 _IMAG_RTOL = 1e-12
+
+#: columns of a block cast to complex128 at a time: a whole wide block's
+#: cast leaves the cache, and costs more than the vecdot sweep it feeds
+_CHUNK = 64
 
 
 class WeightOperator:
@@ -168,10 +177,7 @@ class WeightOperator:
     def _form_norm(self, z, mz):
         # sqrt(z* M z) given mz = M z, with the quadratic-form checks
         if z.ndim == 2:
-            # each column with the vector's checks; one vdot per column
-            # keeps no N x m temporary beside z and MV
-            return np.array([self._form_norm(z[:, j], mz[:, j])
-                             for j in range(z.shape[1])])
+            return self._block_norms(z, mz)
         # summed in complex arithmetic in either field (see the module
         # docstring); the casts cost O(N) beside the product with M
         q = complex(np.vdot(np.asarray(z, complex), np.asarray(mz, complex)))
@@ -183,6 +189,30 @@ class WeightOperator:
         if q.real < -1e-12 * max(scale, abs(q.real)):
             raise NegativeQuadraticForm(f"z*Mz = {q.real:.3e} < 0")
         return float(np.sqrt(max(q.real, 0.0)))
+
+    def _block_norms(self, z, mz):
+        # the vector path's arithmetic on every column at once: vecdot
+        # along a column is the BLAS dot that vdot calls on the column,
+        # and the checks are its scalar ones elementwise
+        m = z.shape[1]
+        q, zz = np.empty(m, complex), np.empty(m)
+        # the vector path's Python floats overflow to inf silently, so
+        # the ufuncs here do too
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(0, m, _CHUNK):
+                zk = z[:, a:a + _CHUNK]
+                zc = _complex_columns(zk)
+                mzc = zc if mz is z else _complex_columns(mz[:, a:a + _CHUNK])
+                q[a:a + _CHUNK] = np.vecdot(zc, mzc, axis=0)
+                zz[a:a + _CHUNK] = np.vecdot(zk, zk, axis=0).real
+            re = q.real
+            bad = np.flatnonzero(
+                (abs(q.imag) > _IMAG_RTOL * (1.0 + abs(re)))
+                | (re < -1e-12 * np.maximum(self._scale * zz, abs(re))))
+            if bad.size:  # the vector path raises its error for the first
+                self._form_norm(z[:, bad[0]], mz[:, bad[0]])
+            # Python's max(q.real, 0.0): keeps -0.0 and NaN as they are
+            return np.sqrt(np.where(re < 0.0, 0.0, re))
 
     def matrix(self) -> np.ndarray:
         """Dense N x N representation of M in its field (float64 unless
@@ -215,6 +245,17 @@ def validate(raw) -> WeightOperator:
     if arr.ndim == 2:
         return WeightOperator.dense(arr)
     raise DimensionMismatch(f"cannot interpret array of shape {arr.shape} as a weight")
+
+
+def _complex_columns(block):
+    """``block``'s columns as the vector path's vdot reads them: a
+    complex column where it lies, a real one as a contiguous complex
+    copy.  A real block cast in its own layout would leave a C-ordered
+    block's columns strided, summed by another BLAS kernel in another
+    rounding."""
+    if block.dtype == complex:
+        return block
+    return np.asarray(block, complex, order="F")
 
 
 def _field(*arrays):

@@ -316,6 +316,21 @@ def test_verify_malformed_history_exits_2(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("rows", ["none", "n"])
+def test_verify_history_with_no_records_passes(tmp_path, capsys, rows):
+    # a file with no records has no stage to check, whether its
+    # differences block is stored as [0, 0] or as [N, 0]
+    fixture = Path(__file__).parent / "data" / "history_v2.json"
+    doc = json.loads(fixture.read_text())
+    n = doc["x0"]["shape"][0] if rows == "n" else 0
+    doc.update(records=[], detected_k0=None,
+               differences={"dtype": "<f8", "shape": [n, 0], "b64": ""})
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify-relations", "--history", str(path)]) == 0
+    assert "all relation checks passed" in capsys.readouterr().out
+
+
 def test_verify_untampered_history_file_passes(tmp_path, capsys):
     t_path, d_path = big_files(tmp_path)
     out = tmp_path / "h.json"

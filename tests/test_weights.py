@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -234,6 +236,61 @@ def test_block_norm_checks_every_column(matrix, bad, match):
         corrupt.norm(block)
     with pytest.raises(NegativeQuadraticForm, match=match):
         corrupt.norm(bad)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_block_norms_are_the_vector_norms_bit_for_bit(complex_):
+    # wider than one cast chunk; a dense M returns a C-ordered M V, and
+    # a real one needs its columns cast to contiguous complex vectors
+    rng = np.random.default_rng(53)
+    n, m = 300, 150
+    assert m > weights._CHUNK
+    weights_ = (*three_weights(rng, n),
+                WeightOperator.dense(random_pd_matrix(rng, n, complex_=False)))
+    for w in weights_:
+        for order in "FC":
+            block = rng.standard_normal((n, m))
+            if complex_:
+                block = block + 1j * rng.standard_normal((n, m))
+            z = w._check_dim(np.asarray(block, order=order))
+            mz = w.apply(z)
+            by_column = np.array([w._form_norm(z[:, j], mz[:, j])
+                                  for j in range(m)])
+            assert w._form_norm(z, mz).tobytes() == by_column.tobytes()
+
+
+@pytest.mark.parametrize("first, then", [("negative", "complex"),
+                                         ("complex", "negative")])
+def test_block_norm_raises_at_the_first_bad_column(first, then):
+    # z*Mz is -1 for (0, 1) and 1j for (1, 1j); both bad columns sit past
+    # the first cast chunk, and the block raises what the vector path
+    # raises for the first of them
+    corrupt = WeightOperator("dense", 2,
+                             matrix=np.array([[1.0, 1.0], [0.0, -1.0]], complex))
+    bad = {"negative": [0.0, 1.0], "complex": [1.0, 1j]}
+    block = np.zeros((2, 150), complex)
+    block[0] = 1.0
+    block[:, 100], block[:, 130] = bad[first], bad[then]
+    assert_allclose(corrupt.norm(block[:, :100]), 1.0)
+    with pytest.raises(NegativeQuadraticForm) as by_vector:
+        corrupt.norm(np.array(bad[first]))
+    with pytest.raises(NegativeQuadraticForm) as by_block:
+        corrupt.norm(block)
+    assert str(by_block.value) == str(by_vector.value)
+
+
+def test_block_norm_casts_no_whole_block():
+    # the complex casts are made a chunk of columns at a time: the peak
+    # stays below one complex copy of the block
+    block = np.asfortranarray(np.random.default_rng(59).standard_normal((300, 648)))
+    w = WeightOperator.identity(300)
+    tracemalloc.start()
+    try:
+        w.norm(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block.size * 16
 
 
 def test_block_dimension_mismatch():
