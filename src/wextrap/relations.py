@@ -69,7 +69,7 @@ reloaded history file instead uses the recorded values
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -200,18 +200,14 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     0, its own, is never checked)."""
     weight, records = history.weight, history.records
     m = sum(not rec.terminal for rec in records)
-    if not m:  # no stage to measure (nor, maybe, a row of U): all None
-        blank = dict.fromkeys(f.name for f in fields(StageRelations))
-        return [StageRelations(**{**blank, "k": rec.k, "s_set": (),
-                                  "mpe_exists": rec.mpe.exists,
-                                  "terminal": rec.terminal})
-                for rec in records]
     recs, n = records[:m], weight.dimension
     every = np.ones(m, dtype=bool)
     exists = np.array([rec.mpe.exists for rec in recs], dtype=bool)
     g_rre, s_rre = _stage_arrays([rec.rre for rec in recs], every, n)
     g_mpe, s_mpe = _stage_arrays([rec.mpe for rec in recs], exists, n)
-    u = history.differences[:, :m]
+    # N x m even where a history with no non-terminal stage stores U
+    # as [0, 0]
+    u = history.differences[:, :m].reshape(n, m)
     ug_rre, ug_mpe = u @ g_rre, u @ g_mpe  # U_k gamma for every stage
     prev = np.maximum(np.arange(m) - 1, 0)
     checked = np.arange(m) > 0
@@ -220,7 +216,7 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     # pass 1: phi (unless recorded) and the stagnation test, which
     # scales with the data: |||s_rre(k) - s_rre(k-1)||| <= STAG_TOL *
     # (|||u_0||| + |||s_rre(k)|||)
-    first = [history.differences[:, :1], s_rre - s_rre[:, prev], s_rre]
+    first = [u[:, :1], s_rre - s_rre[:, prev], s_rre]
     if not use_recorded_phi:
         first += [ug_rre, ug_mpe[:, exists]]
     u0, step, size, *phi = _norms(weight, first)

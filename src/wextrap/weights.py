@@ -210,7 +210,13 @@ class WeightOperator:
                 (abs(q.imag) > _IMAG_RTOL * (1.0 + abs(re)))
                 | (re < -1e-12 * np.maximum(self._scale * zz, abs(re))))
             if bad.size:  # the vector path raises its error for the first
-                self._form_norm(z[:, bad[0]], mz[:, bad[0]])
+                j = bad[0]
+                self._form_norm(z[:, j], mz[:, j])
+                # and should it read the column otherwise, a flagged
+                # column still never returns a norm
+                raise NegativeQuadraticForm(
+                    f"column {j}: z*Mz = {complex(q[j]):.3e} fails the "
+                    "quadratic-form checks")
             # Python's max(q.real, 0.0): keeps -0.0 and NaN as they are
             return np.sqrt(np.where(re < 0.0, 0.0, re))
 

@@ -279,6 +279,20 @@ def test_block_norm_raises_at_the_first_bad_column(first, then):
     assert str(by_block.value) == str(by_vector.value)
 
 
+def test_flagged_block_column_never_returns_a_norm(monkeypatch):
+    # should the vector path accept a column the block checks flag (two
+    # BLAS builds summing it in another rounding), the block still raises
+    form_norm = WeightOperator._form_norm
+    monkeypatch.setattr(
+        WeightOperator, "_form_norm",
+        lambda self, z, mz: form_norm(self, z, mz) if z.ndim == 2 else 0.0)
+    z = np.ones((4, 3))
+    mz = z.copy()
+    mz[:, 1] = -1.0
+    with pytest.raises(NegativeQuadraticForm, match="column 1"):
+        WeightOperator.identity(4)._form_norm(z, mz)
+
+
 def test_block_norm_casts_no_whole_block():
     # the complex casts are made a chunk of columns at a time: the peak
     # stays below one complex copy of the block
