@@ -375,27 +375,35 @@ def _pair(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _block(a) -> dict:
+def _block(a, payloads=None) -> dict:
     """One array as its little-endian IEEE-754 bytes in base64: exact,
     byte-deterministic and platform-independent.  Stored as ``"<f8"``
-    when every imaginary part is zero, else as ``"<c16"``."""
+    when every imaginary part is zero, else as ``"<c16"``.
+
+    With a ``payloads`` list the base64 bytes are appended to it and
+    ``"b64"`` holds the slot ``"#i"`` of their index instead."""
     a = np.asarray(a)
     dtype = "<c16" if np.iscomplexobj(a) and a.imag.any() else "<f8"
     # the contiguous copy is freed before the decode: it, the base64
     # bytes and their str are never alive at once
     encoded = base64.b64encode(
         np.ascontiguousarray(a.real if dtype == "<f8" else a, dtype=dtype))
-    return {"dtype": dtype, "shape": list(a.shape),
-            "b64": encoded.decode("ascii")}
+    if payloads is None:
+        b64 = encoded.decode("ascii")
+    else:
+        b64 = f"#{len(payloads)}"
+        payloads.append(encoded)
+    return {"dtype": dtype, "shape": list(a.shape), "b64": b64}
 
 
-def _solve_to_dict(solve: CoefficientSolve) -> dict:
+def _solve_to_dict(solve: CoefficientSolve, payloads) -> dict:
     out = {"method": solve.method, "exists": bool(solve.exists)}
-    out["gamma"] = None if solve.gamma is None else _block(solve.gamma)
+    out["gamma"] = (None if solve.gamma is None
+                    else _block(solve.gamma, payloads))
     out["phi"] = None if solve.phi is None else float(solve.phi)
     out["alpha"] = None if solve.alpha is None else _pair(solve.alpha)
     out["lam"] = None if solve.lam is None else float(solve.lam)
-    out["s"] = None if solve.s is None else _block(solve.s)
+    out["s"] = None if solve.s is None else _block(solve.s, payloads)
     return out
 
 
@@ -408,15 +416,23 @@ def history_to_dict(history: RunHistory) -> dict:
     ``alpha`` an ``[re, im]`` pair.  Key order is irrelevant: serialize
     with sort_keys for byte-stable output.
     """
+    return _history_doc(history, None)
+
+
+def _history_doc(history: RunHistory, payloads) -> dict:
+    """:func:`history_to_dict`, or with a ``payloads`` list its skeleton:
+    each block's base64 bytes go to the list and its ``"b64"`` holds the
+    slot ``"#i"`` of their index (see :func:`_block`)."""
     w = history.weight
     if w.kind == "identity":
         weight_spec = {"kind": "identity"}
     elif w.kind == "diagonal":
         # M applied to ones is the stored weights, exactly
-        weight_spec = {"kind": "diagonal",
-                       "weights": _block(w.apply(np.ones(w.dimension)))}
+        weight_spec = {"kind": "diagonal", "weights": _block(
+            w.apply(np.ones(w.dimension)), payloads)}
     else:
-        weight_spec = {"kind": "dense", "matrix": _block(w.matrix())}
+        weight_spec = {"kind": "dense",
+                       "matrix": _block(w.matrix(), payloads)}
     return {
         "format": "wextrap-history",
         "version": 2,
@@ -425,16 +441,16 @@ def history_to_dict(history: RunHistory) -> dict:
         "status": history.status.value,
         "detected_k0": history.detected_k0,
         "weight": weight_spec,
-        "x0": _block(history.x0),
-        "differences": _block(history.differences),
+        "x0": _block(history.x0, payloads),
+        "differences": _block(history.differences, payloads),
         "records": [
             {
                 "k": rec.k,
                 "u_norm": float(rec.u_norm),
                 "rdiag": float(rec.rdiag),
                 "terminal": bool(rec.terminal),
-                "mpe": _solve_to_dict(rec.mpe),
-                "rre": _solve_to_dict(rec.rre),
+                "mpe": _solve_to_dict(rec.mpe, payloads),
+                "rre": _solve_to_dict(rec.rre, payloads),
             }
             for rec in history.records
         ],

@@ -30,9 +30,11 @@ is a block ``{"dtype", "shape", "b64"}`` holding its little-endian
 IEEE-754 bytes (``"<f8"`` when every imaginary part is zero, else
 ``"<c16"``), which is exact and platform-independent; scalars are JSON
 numbers, and the complex ``alpha`` is a ``[real, imag]`` pair.
-:func:`save_history` writes version 2; :func:`load_history` also reads
-version 1, where every complex entry is a ``[real, imag]`` pair, and
-ignores keys it does not know.  Loading reconstructs a full
+:func:`save_history` writes version 2: exactly the compact sorted-key
+JSON of :func:`~wextrap.extrapolate.history_to_dict`, with the base64
+payloads written as they are, never re-escaped.  :func:`load_history`
+also reads version 1, where every complex entry is a ``[real, imag]``
+pair, and ignores keys it does not know.  Loading reconstructs a full
 :class:`~wextrap.extrapolate.RunHistory`, refactorizing the stored
 difference columns so the triangular factors match the original run
 bit for bit.
@@ -44,6 +46,7 @@ import base64
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 
@@ -53,7 +56,7 @@ from .extrapolate import (
     ExtrapolationRecord,
     RunHistory,
     RunStatus,
-    history_to_dict,
+    _history_doc,
 )
 from .qr import mgs_factorize
 from .weights import WeightOperator
@@ -353,11 +356,32 @@ def write_sequence(path, vectors) -> None:
 
 def save_history(history: RunHistory, path) -> None:
     """Write the version-2 history format: compact JSON with sorted
-    keys, so identical runs give identical bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(history_to_dict(history), sort_keys=True,
-                            separators=(",", ":")))
-        fh.write("\n")
+    keys, so identical runs give identical bytes.
+
+    The file is exactly ``json.dumps(history_to_dict(history),
+    sort_keys=True, separators=(",", ":"))`` and a newline, but the
+    base64 payloads, which never need escaping, are written as they
+    are: the JSON encoder sees only the skeleton, whose slots mark
+    where each payload goes.  The whole content is built before the
+    file is opened, so a save that fails leaves an existing file as it
+    was.
+    """
+    payloads = []
+    skeleton = json.dumps(_history_doc(history, payloads), sort_keys=True,
+                          separators=(",", ":")).encode("ascii")
+    # pieces of the skeleton alternate with the index in a slot; a "#"
+    # elsewhere in the skeleton would fail the check below
+    pieces = re.split(rb'#(\d+)(?=")', skeleton)
+    slots = [int(i) for i in pieces[1::2]]
+    if sorted(slots) != list(range(len(payloads))):
+        raise RuntimeError(f"history skeleton holds {len(slots)} payload "
+                           f"slots for {len(payloads)} payloads")
+    with open(path, "wb") as fh:
+        fh.write(pieces[0])
+        for slot, text in zip(slots, pieces[2::2]):
+            fh.write(payloads[slot])
+            fh.write(text)
+        fh.write(b"\n")
 
 
 def _array(obj, path) -> np.ndarray:

@@ -278,9 +278,12 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     # the terminal stage checks nothing and carries S_k over
     values = {name: _stage_list(*col) + [None] * (len(records) - m)
               for name, col in columns.items()}
+    # S_k is a prefix of the stages where MPE exists, ends[k] long
+    s_all = np.flatnonzero(exists).tolist()
+    ends = np.cumsum(exists).tolist() + [len(s_all)]
     return [StageRelations(
         k=rec.k, mpe_exists=rec.mpe.exists, terminal=rec.terminal,
-        s_set=tuple(np.flatnonzero(exists[:j + 1]).tolist()),
+        s_set=tuple(s_all[:ends[j]]),
         **{name: column[j] for name, column in values.items()})
         for j, rec in enumerate(records)]
 

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import itertools
 import json
 import re
@@ -556,6 +557,101 @@ def test_history_to_dict_dense_weight_peak():
     assert peak < 3.2 * matrix.nbytes
     assert doc["weight"]["matrix"]["dtype"] == "<f8"
     assert np.array_equal(_decoded(doc["weight"]["matrix"]), matrix)
+
+
+def _compact_json(hist) -> bytes:
+    return (json.dumps(history_to_dict(hist), sort_keys=True,
+                       separators=(",", ":")) + "\n").encode()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+def test_save_history_is_the_compact_json_of_history_to_dict(tmp_path, kind,
+                                                             field):
+    rng = np.random.default_rng(52)
+    n = 7
+    if kind == "dense" and field == "real":
+        weight = WeightOperator.dense(random_pd_matrix(rng, n, complex_=False))
+    else:
+        weight = random_weight(rng, n, kind)
+    hist = run(random_sequence(rng, n, 7, complex_=field == "complex"),
+               weight, k_max=5)
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    assert path.read_bytes() == _compact_json(hist)
+
+
+@pytest.mark.parametrize("status", ["rank_deficient", "converged"])
+def test_save_history_of_an_early_stop_is_the_compact_json(tmp_path, status):
+    if status == "converged":  # u_0 = 0: the run ends at stage 0
+        xs = np.tile([2.0, 3.0], (4, 1))
+    else:  # four distinct eigenvalues: the block loses rank at k = 4
+        rng = np.random.default_rng(53)
+        problem = FixedPointProblem.linear(
+            np.diag(rng.uniform(0.1, 0.9, 4)), rng.standard_normal(4),
+            np.zeros(4))
+        xs = np.asarray(iterate(problem, 9))
+    hist = run(xs, WeightOperator.identity(xs.shape[1]), k_max=8)
+    assert hist.status.value == status
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    assert path.read_bytes() == _compact_json(hist)
+
+
+def test_save_history_dense_weight_peak(tmp_path):
+    # the payloads go to the file as they are: neither their str nor an
+    # escaped copy of the whole text is ever made
+    rng = np.random.default_rng(51)
+    n = 2000
+    b = rng.uniform(-1.0, 1.0, (n, n))
+    matrix = 2.0 * np.eye(n) + (b + b.T) / (2 * n)
+    hist = run(random_sequence(rng, n, 4), WeightOperator.dense(matrix),
+               k_max=2)
+    path = tmp_path / "hist.json"
+    tracemalloc.start()
+    try:
+        save_history(hist, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * matrix.nbytes
+    assert path.read_bytes() == _compact_json(hist)
+
+
+def test_failed_save_leaves_the_existing_file(tmp_path):
+    rng = np.random.default_rng(54)
+    hist = run(random_sequence(rng, 6, 5), WeightOperator.identity(6),
+               k_max=3)
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    before = path.read_bytes()
+    rec = hist.records[1]
+    hist.records[1] = dataclasses.replace(rec, mpe=dataclasses.replace(
+        rec.mpe, gamma=np.array(["a", "b"], dtype=object)))
+    with pytest.raises(ValueError):
+        save_history(hist, path)
+    assert path.read_bytes() == before
+
+
+def test_save_history_checks_its_payload_slots(tmp_path, monkeypatch):
+    # a block whose payload is listed twice leaves one payload without
+    # a slot: the save must raise before it opens the file
+    block = extrapolate._block
+
+    def doubled(a, payloads=None):
+        out = block(a, payloads)
+        if payloads is not None:
+            payloads.append(payloads[-1])
+        return out
+
+    monkeypatch.setattr(extrapolate, "_block", doubled)
+    rng = np.random.default_rng(55)
+    hist = run(random_sequence(rng, 6, 5), WeightOperator.identity(6),
+               k_max=3)
+    path = tmp_path / "hist.json"
+    with pytest.raises(RuntimeError, match="payload slots"):
+        save_history(hist, path)
+    assert not path.exists()
 
 
 def _tampered_v2(tmp_path, edit):
