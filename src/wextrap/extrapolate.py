@@ -15,7 +15,7 @@ the cost of one back substitution per stage:
   R_{k-1} c' = -rho_k, where rho_k is the last column of R_k above the
   diagonal; set c_k = (c', 1) and gamma = c_k / alpha_k with
   alpha_k = sum(c_k).  The method is defined only when alpha_k is
-  nonzero; numerically, when |alpha_k| > EXIST_TOL * sum|c_i|.
+  nonzero; numerically, when sigma_k below exceeds EXIST_TOL.
 
 * reduced-rank coefficients (``rre``): minimize ||| U_k gamma |||
   subject to sum gamma_i = 1.  The minimizer is lam * h_k with
@@ -28,7 +28,10 @@ the cost of one back substitution per stage:
   with mu_k = sum(h_k) = 1 / lam.  So the reduced-rank result follows
   from the minimal-polynomial c_k in O(k) work, with no solve of its
   own and no division by alpha_k; mu_k is real and positive whenever
-  R_k is nonsingular.
+  R_k is nonsingular.  sigma_k = sqrt(nu_k / mu_k) is 0 exactly where
+  the minimal-polynomial vector does not exist and the reduced-rank one
+  stagnates.  The one exception is the terminal stage, whose r_kk is a
+  rejected trial value: existence there is |alpha_k| > EXIST_TOL * sum|c_i|.
 
 Cheap residual estimates come for free from the same factors:
 phi = ||| U_k gamma ||| equals r_kk |gamma_k| for ``mpe`` and
@@ -88,8 +91,8 @@ __all__ = [
     "history_rows",
 ]
 
-#: existence threshold: mpe is declared undefined when
-#: |sum c_i| <= EXIST_TOL * sum |c_i|
+#: stage k adds a direction (mpe exists, rre moves, FOM is defined)
+#: when sigma_k > EXIST_TOL; see the module docstring
 EXIST_TOL = 1e-12
 
 #: an incoming difference with weighted norm at or below this absolute
@@ -174,23 +177,29 @@ class RunHistory:
         return self.factors.leading(k + 1)
 
 
-def _mpe(r, rho, rdiag):
-    """The minimal-polynomial half of a stage: ``(c, solve)``.
+def _mpe(r, rho, rdiag, mu=None):
+    """The minimal-polynomial half of a stage: ``(c, solve, mu)``.
 
     ``r`` is R_{k-1} (k x k), ``rho`` the k projection coefficients of
-    u_k on the basis, ``rdiag`` the deflated norm.  R_{k-1} is upper
+    u_k on the basis, ``rdiag`` the deflated norm and ``mu`` mu_{k-1}
+    (None at the terminal stage), returned as mu_k.  R_{k-1} is upper
     triangular with a positive diagonal, so the partial pivoting in
     ``np.linalg.solve`` never swaps a row: it is a back substitution.
     """
     c = np.append(np.linalg.solve(r, -rho), 1.0)
     total = c.sum()
     alpha = complex(total)
-    exists = abs(alpha) > EXIST_TOL * float(np.abs(c).sum())
+    if mu is None:
+        exists = abs(alpha) > EXIST_TOL * float(np.abs(c).sum())
+    else:  # sigma_k = sqrt(nu_k / mu_k) > EXIST_TOL
+        scaled = abs(alpha) / rdiag
+        mu = mu + scaled * scaled
+        exists = scaled > EXIST_TOL * math.sqrt(mu)
     if not exists:
-        return c, CoefficientSolve("mpe", False, None, None, alpha=alpha)
+        return c, CoefficientSolve("mpe", False, None, None, alpha=alpha), mu
     gamma = c / total
     phi = float(rdiag) * abs(gamma[-1])
-    return c, CoefficientSolve("mpe", True, gamma, phi, alpha=alpha)
+    return c, CoefficientSolve("mpe", True, gamma, phi, alpha=alpha), mu
 
 
 def _stage(r, rho, rdiag, h, mu):
@@ -200,9 +209,7 @@ def _stage(r, rho, rdiag, h, mu):
     docstring, carried in the unnormalized h_{k-1} and mu_{k-1}
     (empty and 0 before stage 0).
     """
-    c, mpe = _mpe(r, rho, rdiag)
-    scaled = abs(mpe.alpha) / rdiag
-    mu = mu + scaled * scaled
+    c, mpe, mu = _mpe(r, rho, rdiag, mu)
     if not math.isfinite(mu) or mu <= 0.0:
         raise LambdaNotPositive(
             f"mu = sum(h) = {mu!r} is not finite and positive; the "
@@ -251,7 +258,7 @@ def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k,
     undefined at its own terminal degree; the reduced-rank record then
     repeats the previous stage, extending the stagnation one step.
     """
-    _, mpe = _mpe(factors.r, coeffs, rnorm)
+    _, mpe, _ = _mpe(factors.r, coeffs, rnorm)
     if mpe.exists:
         s = assemble(x0, factors, mpe.gamma)
         mpe = replace(mpe, s=s)

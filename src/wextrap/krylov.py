@@ -25,7 +25,7 @@ the projected problem is a small Hessenberg system:
 
 The absolute value of the k-th Givens cosine doubles as the FOM
 existence test: it vanishes exactly when H_k is singular, and it is
-scale-free, so one relative threshold covers all problems.
+scale-free: FOM is defined when |c_k| > extrapolate.EXIST_TOL.
 
 The process runs once, to the last stage asked for, and one Givens
 sweep and one triangular solve serve every stage 0..k.  Rotation j
@@ -49,8 +49,8 @@ for Sparse Linear Systems, 2003, section 6.5).  This is the paper's
 coupling mu_k = mu_{k-1} + nu_k (3-16, 3-18) in the Krylov frame: with
 nu_m / mu_m = |c_m|^2, the new GMR (reduced-rank) result weighs the
 FOM (minimal-polynomial) one by |c_m|^2 and the previous GMR one by
-1 - |c_m|^2.  FOM's existence and its value read the one number |c_m|,
-and no stage takes a solve of its own.
+1 - |c_m|^2.  FOM's existence and its value read the one number
+|c_m| = sigma_m, and no stage takes a solve of its own.
 
 A zero Hessenberg column (A v_j = 0, as for T = I or r_0 on an
 eigenvector of T with eigenvalue 1) and, more generally, a column
@@ -98,23 +98,17 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientVectors
-from .extrapolate import run
+from . import extrapolate
 from .qr import RANK_TOL, _append, _buffers, orthogonalize_column
 from .relations import _norms, _rel, _spread, _stage_arrays, _stage_list
 from .weights import _in_field, validate
 
 __all__ = [
-    "FOM_TOL",
     "fom_solve",
     "gmr_solve",
     "KrylovComparison",
     "equivalence_check",
 ]
-
-#: FOM is undefined when the k-th Givens cosine magnitude is at or
-#: below this; chosen from the same relative-tolerance family as the
-#: extrapolation existence test so the two notions line up
-FOM_TOL = 1e-12
 
 
 def _problem(t, d, x0, weight):
@@ -235,7 +229,7 @@ class _Stages:
         if m == 0:
             return self.x0.copy()
         cos = self.cosines[m - 1]
-        if cos <= FOM_TOL:
+        if cos <= extrapolate.EXIST_TOL:
             return None
         # Brown's relation: FOM's last coefficient is GMR's over |c|^2
         y = self.gmr_y[:m, m - 1] + self.steps[:m, m - 1] * (cos ** -2 - 1)
@@ -308,7 +302,7 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     iters = [x0]
     for _ in range(k_max + 1):
         iters.append(apply_t(iters[-1]) + d)
-    hist = run(np.array(iters), weight, k_max=k_max)
+    hist = extrapolate.run(np.array(iters), weight, k_max=k_max)
     records = hist.records
     stages = _Stages(t, d, x0, weight, records[-1].k)
 

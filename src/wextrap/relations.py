@@ -20,7 +20,8 @@ carries a short catalog label used in reports and CLI output:
 ``3-1`` / ``3-15``
     stagnation equivalence: s_k^rre = s_{k-1}^rre exactly when the
     minimal-polynomial vector at k does not exist; the coefficients
-    then embed as gamma_k^rre = [gamma_{k-1}^rre ; 0].
+    then embed as gamma_k^rre = [gamma_{k-1}^rre ; 0].  Both sides judge
+    sigma_k = sqrt(nu_k / mu_k) against ``extrapolate.EXIST_TOL``.
 ``3-16`` / ``3-17`` / ``3-18`` / ``3-55``
     coupling identities where the minimal-polynomial vector exists:
     1/phi_rre(k)^2 = 1/phi_rre(k-1)^2 + 1/phi_mpe(k)^2, the same
@@ -44,13 +45,13 @@ stage k and stage k - 1.  Where a row applies (past stage 0, and where
 the minimal-polynomial vector exists or the reduced-rank one
 stagnates, as the row requires) is a boolean mask, and the report reads
 None elsewhere; the terminal stage checks nothing and carries S_k
-over.  3-8 stays independent of the run's own recursion: it reads
-R G and takes every alpha_k from one solve against the final R, never
-the run's h_k, mu_k or recorded alpha_k.  Every weighted norm comes
-from two block products with M, whatever the number of stages
+over.  3-8 and 3-1 stay independent of the run's own recursion: they
+read R G, and 3-8 takes every alpha_k from one solve against the final
+R, never the run's h_k, mu_k or recorded alpha_k.  Every weighted norm
+comes from two block products with M, whatever the number of stages
 (:meth:`wextrap.weights.WeightOperator.norm` on an N x m block): the
-first gives phi and the stagnation distances, the second the 3-17 and
-3-18 defects, which need the first's phi.  The report keeps the raw
+first gives phi (none is taken for recorded phi), the second the 3-17
+and 3-18 defects, which need the first's phi.  The report keeps the raw
 measurements: ``report.stages[k].<field>`` is the one way to read a
 stage's defects and flags, and ``report.peaks``/``plateaus``/
 ``overlap`` the one way to read where the estimates peak and plateau.
@@ -74,10 +75,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import extrapolate
 from .extrapolate import RunHistory
 
 __all__ = [
-    "STAG_TOL",
     "PLATEAU_TOL",
     "MONOTONE_SLACK",
     "Identity",
@@ -87,10 +88,6 @@ __all__ = [
     "RelationReport",
     "verify_history",
 ]
-
-#: stage k's reduced-rank vector stagnates (3-1, 3-15) when
-#: |||s_k - s_{k-1}||| <= STAG_TOL * (|||u_0||| + |||s_k|||)
-STAG_TOL = 1e-10
 
 #: a stage with phi_rre ratio above 1 - PLATEAU_TOL counts as plateau
 PLATEAU_TOL = 1e-6
@@ -213,19 +210,12 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     checked = np.arange(m) > 0
     coupled = checked & exists
 
-    # pass 1: phi (unless recorded) and the stagnation test, which
-    # scales with the data: |||s_rre(k) - s_rre(k-1)||| <= STAG_TOL *
-    # (|||u_0||| + |||s_rre(k)|||)
-    first = [u[:, :1], s_rre - s_rre[:, prev], s_rre]
-    if not use_recorded_phi:
-        first += [ug_rre, ug_mpe[:, exists]]
-    u0, step, size, *phi = _norms(weight, first)
-    if use_recorded_phi:  # None, where MPE does not exist, reads NaN
+    if use_recorded_phi:  # pass 1 is not taken; a None phi reads NaN
         phi_rre = np.array([rec.rre.phi for rec in recs], dtype=float)
         phi_mpe = np.array([rec.mpe.phi for rec in recs], dtype=float)
     else:
-        phi_rre, phi_mpe = phi[0], _spread(exists, phi[1])
-    stagnates = step <= STAG_TOL * (u0 + size)
+        phi_rre, phi_mpe = _norms(weight, [ug_rre, ug_mpe[:, exists]])
+        phi_mpe = _spread(exists, phi_mpe)
     fr, fp, fm = phi_rre, phi_rre[prev], phi_mpe
 
     # pass 2: the vector couplings 3-17 (U_k gamma / phi^2) and 3-18
@@ -249,6 +239,11 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     gap = lhs38 - lhs38[:, prev]
     ks = np.flatnonzero(checked)
     gap[ks, ks] -= alpha[ks].conj() / r.diagonal().real[ks]
+    # stagnation: |||U (g_k - g_{k-1})||| / |||U g_{k-1}||| is sigma_k,
+    # formed from the coefficient step so that no two residuals cancel
+    dg = g_rre - g_rre[:, prev]
+    stagnates = np.linalg.norm(r @ dg, axis=0) <= (
+        extrapolate.EXIST_TOL * np.linalg.norm(rg[:, prev], axis=0))
 
     inv_fr = 1.0 / fr ** 2
     ratio = fr / fp
@@ -256,9 +251,9 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     columns = {  # field: (value per stage, where it applies)
         "identity_38_residual": (_rel(np.linalg.norm(gap, axis=0),
                                       np.linalg.norm(lhs38, axis=0)), checked),
-        "identity_315_residual": (_rel(
-            np.linalg.norm(g_rre - g_rre[:, prev], axis=0),
-            np.linalg.norm(g_rre, axis=0)), checked & stagnates),
+        "identity_315_residual": (_rel(np.linalg.norm(dg, axis=0),
+                                       np.linalg.norm(g_rre, axis=0)),
+                                  checked & stagnates),
         "identity_316_residual": (_rel(
             abs(inv_fr - 1.0 / fp ** 2 - 1.0 / fm ** 2), inv_fr), coupled),
         "identity_317_residual": (

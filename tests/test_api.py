@@ -34,8 +34,10 @@ REMOVED = [
     "Breakdown",
     "CouplingEntry",
     "DifferenceMatrix",
+    "FOM_TOL",
     "KrylovState",
     "PeakPlateau",
+    "STAG_TOL",
     "StagnationEntry",
     "TheoremViolation",
     "VectorSequence",
@@ -111,8 +113,8 @@ def test_unset_knobs_are_gone():
         wextrap.verify_history).parameters
     assert "plateau_tol" not in {
         f.name for f in dataclasses.fields(relations.RelationReport)}
-    # the rank and stagnation tolerances are qr.RANK_TOL and
-    # relations.STAG_TOL, read at call time
+    # the rank tolerance is qr.RANK_TOL and the stagnation test reads
+    # extrapolate.EXIST_TOL, both at call time
     assert "rank_tol" not in inspect.signature(wextrap.run).parameters
     assert "stag_tol" not in inspect.signature(
         wextrap.verify_history).parameters
@@ -138,8 +140,8 @@ def test_krylov_copy_of_the_catalog_is_gone():
         assert name not in names
     assert not hasattr(relations, "_intersect_ranges")
     # the "(stagnated)" marker reads MPE existence, and the 3-1 and
-    # 3-15 checks of verify-relations read relations.STAG_TOL: neither
-    # subcommand takes a stagnation tolerance
+    # 3-15 checks of verify-relations read extrapolate.EXIST_TOL:
+    # neither subcommand takes a stagnation tolerance
     parser = cli.build_parser()
     for command in ("accelerate", "verify-relations"):
         with pytest.raises(SystemExit):

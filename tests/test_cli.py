@@ -21,7 +21,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import wextrap
-from wextrap import cli, relations
+from wextrap import cli, extrapolate
 from wextrap.krylov import equivalence_check
 from wextrap.mmio import (
     read_matrix,
@@ -394,10 +394,10 @@ def near_stagnation_files(tmp_path):
 def test_verify_reports_every_catalog_identity(tmp_path, capsys,
                                                monkeypatch, row):
     if row.label == "3-15":
-        # 3-15 applies on stagnating stages only; a loose stagnation
-        # tolerance makes the near-stagnating stage 1 count, leaving a
-        # genuine embedding defect of about 1e-3
-        monkeypatch.setattr(relations, "STAG_TOL", 1e-3)
+        # 3-15 applies on stagnating stages only; a loose existence
+        # tolerance makes the near-stagnating stage 1 (sigma_1 about
+        # 1e-4) count, leaving a genuine embedding defect of about 1e-3
+        monkeypatch.setattr(extrapolate, "EXIST_TOL", 1e-3)
         args = ["--linear", *near_stagnation_files(tmp_path),
                 "--k-max", "3"]
     else:
