@@ -7,15 +7,19 @@ differences u_j = x_{j+1} - x_j, stage k builds an accelerated vector
 
 from the difference block U_k = [u_0, ..., u_k].  Two choices of
 gamma are computed side by side, both working entirely in the
-triangular frame of the weighted QR factorization U_k = Q_k R_k, at
-the cost of one back substitution per stage:
+triangular frame of the weighted QR factorization U_k = Q_k R_k.  One
+triangular solve against the final R gives every stage:
 
 * minimal-polynomial coefficients (``mpe``): solve the least-squares
   problem min ||| U_{k-1} c' + u_k ||| by back substitution
   R_{k-1} c' = -rho_k, where rho_k is the last column of R_k above the
-  diagonal; set c_k = (c', 1) and gamma = c_k / alpha_k with
-  alpha_k = sum(c_k).  The method is defined only when alpha_k is
-  nonzero; numerically, when sigma_k below exceeds EXIST_TOL.
+  diagonal.  Each R_{k-1} is a leading block of the final R, so column
+  k of R^{-1} (-triu(R, 1)) is stage k's c', and one solve gives every
+  stage's (Sidi, J. Comput. Appl. Math. 36, 1991); the terminal
+  stage's rho is one more right-hand side.  Set c_k = (c', 1) and
+  gamma = c_k / alpha_k with alpha_k = sum(c_k).  The method is
+  defined only when alpha_k is nonzero; numerically, when sigma_k
+  below exceeds EXIST_TOL.
 
 * reduced-rank coefficients (``rre``): minimize ||| U_k gamma |||
   subject to sum gamma_i = 1.  The minimizer is lam * h_k with
@@ -39,17 +43,21 @@ sqrt(lam) for ``rre``; no product with U_k is ever formed.
 
 The accelerated vector is assembled as s_k = x_0 + Q_{k-1} eta with
 eta = R_{k-1} xi and xi_j = 1 - (gamma_0 + ... + gamma_j), again
-avoiding any multiplication by U_k itself.
+avoiding any multiplication by U_k itself.  With every stage's xi as a
+column of one array, one pair of matrix products gives every s.
 
-:func:`run` drives the whole pipeline over a sequence, factoring
-incrementally with the CGS2 kernel of :mod:`wextrap.qr` (one product
-with M per difference column; |||u_k||| follows from the same
-deflation by Pythagoras) and recording both methods at every stage.
-It stops early when an incoming difference is numerically zero (the
-iteration converged on its own) or when the difference block loses
-rank -- the latter signals the terminal degree: there the
-least-squares system is consistent, the two methods coincide, and the
-extrapolated vector is exact for linear problems.
+:func:`run` drives the whole pipeline over a sequence in two phases.
+The QR loop factors incrementally with the CGS2 kernel of
+:mod:`wextrap.qr` (one product with M per difference column; |||u_k|||
+follows from the same deflation by Pythagoras).  It stops early when an
+incoming difference is numerically zero (the iteration converged on its
+own) or when the difference block loses rank -- the latter signals the
+terminal degree: there the least-squares system is consistent, the two
+methods coincide, and the extrapolated vector is exact for linear
+problems.  The stage phase then computes both methods at every stage
+from the final factors, as arrays with one column per stage: the one
+solve for c, column sums for alpha, cumulative sums for mu and h, and
+the one pair of products for s.
 
 :func:`run` computes in the field of its inputs: float64 when the
 weight and the iterates hold no nonzero imaginary part (a complex array
@@ -63,7 +71,7 @@ from __future__ import annotations
 import base64
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -177,51 +185,6 @@ class RunHistory:
         return self.factors.leading(k + 1)
 
 
-def _mpe(r, rho, rdiag, mu=None):
-    """The minimal-polynomial half of a stage: ``(c, solve, mu)``.
-
-    ``r`` is R_{k-1} (k x k), ``rho`` the k projection coefficients of
-    u_k on the basis, ``rdiag`` the deflated norm and ``mu`` mu_{k-1}
-    (None at the terminal stage), returned as mu_k.  R_{k-1} is upper
-    triangular with a positive diagonal, so the partial pivoting in
-    ``np.linalg.solve`` never swaps a row: it is a back substitution.
-    """
-    c = np.append(np.linalg.solve(r, -rho), 1.0)
-    total = c.sum()
-    alpha = complex(total)
-    if mu is None:
-        exists = abs(alpha) > EXIST_TOL * float(np.abs(c).sum())
-    else:  # sigma_k = sqrt(nu_k / mu_k) > EXIST_TOL
-        scaled = abs(alpha) / rdiag
-        mu = mu + scaled * scaled
-        exists = scaled > EXIST_TOL * math.sqrt(mu)
-    if not exists:
-        return c, CoefficientSolve("mpe", False, None, None, alpha=alpha), mu
-    gamma = c / total
-    phi = float(rdiag) * abs(gamma[-1])
-    return c, CoefficientSolve("mpe", True, gamma, phi, alpha=alpha), mu
-
-
-def _stage(r, rho, rdiag, h, mu):
-    """Both methods at a non-terminal stage: ``(mpe, rre, h, mu)``.
-
-    The reduced-rank half is the coupling recursion of the module
-    docstring, carried in the unnormalized h_{k-1} and mu_{k-1}
-    (empty and 0 before stage 0).
-    """
-    c, mpe, mu = _mpe(r, rho, rdiag, mu)
-    if not math.isfinite(mu) or mu <= 0.0:
-        raise LambdaNotPositive(
-            f"mu = sum(h) = {mu!r} is not finite and positive; the "
-            "factors are not a valid weighted QR")
-    step = mpe.alpha.conjugate() / rdiag / rdiag
-    # alpha of real data is real: keep h in its field
-    h = np.append(h, 0.0) + (step if h.dtype == complex else step.real) * c
-    lam = 1.0 / mu
-    rre = CoefficientSolve("rre", True, h * lam, math.sqrt(lam), lam=lam)
-    return mpe, rre, h, mu
-
-
 def assemble(x0, factors: WQRFactors, gamma) -> np.ndarray:
     """Build s_k = x_0 + Q_{k-1} R_{k-1} xi from the coefficients.
 
@@ -246,33 +209,94 @@ def assemble(x0, factors: WQRFactors, gamma) -> np.ndarray:
     return x0 + factors.q[:, :k] @ eta
 
 
-def _terminal_records(x0, factors, coeffs, rnorm, u_norm, k,
-                      previous: ExtrapolationRecord | None):
-    """Solves for the terminal stage, where the system is consistent.
+def _records(x0, factors: WQRFactors, u_norms, rdiags, rho):
+    """Both methods at every stage, from the final factors.
 
-    The least-squares problem min ||| U_{k-1} c' + u_k ||| now has a
-    (numerically) exact solution, so the two methods coincide: the
-    reduced-rank coefficients are taken equal to the
-    minimal-polynomial ones and lam = phi^2 (both essentially zero).
-    If even here alpha vanishes, the minimal-polynomial method is
-    undefined at its own terminal degree; the reduced-rank record then
-    repeats the previous stage, extending the stagnation one step.
+    ``factors`` holds the m accepted columns, ``u_norms`` and ``rdiags``
+    hold one entry per stage, and ``rho`` is the terminal column's
+    projection coefficients (None when the run ended without a terminal
+    stage).  Each quantity is a stage-column array, column k for stage
+    k.  Column k of -triu(R, 1) is -rho_k, zero-padded, so the one
+    solve R X = [-triu(R, 1) | -rho] gives every c'.  R is upper
+    triangular with a positive diagonal, so the partial pivoting in
+    ``np.linalg.solve`` swaps no row: each column is a back
+    substitution, and its rows from k down come out zero.
     """
-    _, mpe, _ = _mpe(factors.r, coeffs, rnorm)
-    if mpe.exists:
-        s = assemble(x0, factors, mpe.gamma)
-        mpe = replace(mpe, s=s)
-        rre = CoefficientSolve("rre", True, mpe.gamma.copy(), mpe.phi,
-                               lam=mpe.phi ** 2, s=s.copy())
-    elif previous is not None and previous.rre.gamma is not None:
-        gamma = np.append(previous.rre.gamma, 0.0)
-        rre = CoefficientSolve("rre", True, gamma, previous.rre.phi,
-                               lam=previous.rre.lam,
-                               s=None if previous.rre.s is None
-                               else previous.rre.s.copy())
-    else:
-        rre = CoefficientSolve("rre", False, None, None)
-    return ExtrapolationRecord(k, u_norm, float(rnorm), mpe, rre, terminal=True)
+    r, m = factors.r, factors.k
+    count = m + (rho is not None)
+    rhs = -np.triu(r, 1)
+    if rho is not None:
+        rhs = np.column_stack([rhs, -rho])
+    c = np.zeros((m + 1, count), dtype=r.dtype)
+    c[:m] = np.linalg.solve(r, rhs)
+    c[np.arange(count), np.arange(count)] = 1.0  # c_k = (c', 1)
+    alpha = c.sum(axis=0)
+    rdiag = np.array(rdiags)
+    # the coupling recursion of the module docstring, every stage at
+    # once (cumsum adds in the recursion's order); an overflow here is a
+    # mu the check below reports, not a numpy warning
+    with np.errstate(over="ignore"):
+        sigma = np.abs(alpha[:m]) / rdiag[:m]
+        mu = np.cumsum(sigma * sigma)
+        step = alpha[:m].conj() / rdiag[:m] / rdiag[:m]
+    bad = np.flatnonzero(~(np.isfinite(mu) & (mu > 0.0)))
+    if bad.size:
+        raise LambdaNotPositive(
+            f"mu = sum(h) = {float(mu[bad[0]])!r} is not finite and "
+            "positive; the factors are not a valid weighted QR")
+    exists = np.empty(count, dtype=bool)
+    exists[:m] = sigma > EXIST_TOL * np.sqrt(mu)
+    if count > m:  # the terminal r_kk is a rejected trial value
+        exists[m] = abs(alpha[m]) > EXIST_TOL * np.abs(c[:, m]).sum()
+    lam = 1.0 / mu
+
+    # both methods' gammas, zero-padded: mpe in the first count columns,
+    # rre = h_k lam_k in the last m; each record keeps a copy of its own
+    # k+1 entries, not a view that holds the padding too
+    gamma = np.zeros((m + 1, count + m), dtype=r.dtype)
+    np.divide(c, alpha, out=gamma[:, :count], where=exists)
+    np.multiply(np.cumsum(c[:, :m] * step, axis=1), lam,
+                out=gamma[:, count:])
+    # s = x_0 + Q R xi with xi_j = 1 - (gamma_0 + ... + gamma_j) for j < k:
+    # every s of both methods from one pair of products
+    stage = np.concatenate([np.arange(count), np.arange(m)])
+    xi = np.where(np.arange(m)[:, None] < stage,
+                  1.0 - np.cumsum(gamma[:m], axis=0), 0.0)
+    s = (r @ xi).T @ factors.q.T
+    s += x0
+    phi = rdiag * np.abs(gamma.diagonal()[:count])
+
+    records = []
+    for k in range(count):
+        if exists[k]:
+            mpe = CoefficientSolve("mpe", True, gamma[:k + 1, k].copy(),
+                                   float(phi[k]), alpha=complex(alpha[k]),
+                                   s=s[k])
+        else:
+            mpe = CoefficientSolve("mpe", False, None, None,
+                                   alpha=complex(alpha[k]))
+        if k < m:
+            rre = CoefficientSolve("rre", True,
+                                   gamma[:k + 1, count + k].copy(),
+                                   math.sqrt(lam[k]), lam=float(lam[k]),
+                                   s=s[count + k])
+        elif mpe.exists:
+            # the terminal system is consistent, so the methods coincide:
+            # rre takes mpe's gamma and lam = phi^2 (both essentially 0)
+            rre = CoefficientSolve("rre", True, mpe.gamma.copy(), mpe.phi,
+                                   lam=mpe.phi ** 2, s=mpe.s.copy())
+        elif records:
+            # mpe is undefined at its own terminal degree: rre repeats the
+            # previous stage, extending the stagnation one step
+            previous = records[-1].rre
+            rre = CoefficientSolve("rre", True, np.append(previous.gamma, 0.0),
+                                   previous.phi, lam=previous.lam,
+                                   s=previous.s.copy())
+        else:
+            rre = CoefficientSolve("rre", False, None, None)
+        records.append(ExtrapolationRecord(k, u_norms[k], rdiags[k], mpe,
+                                           rre, terminal=k == m))
+    return records
 
 
 def run(iterates, weight, k_max: int | None = None) -> RunHistory:
@@ -295,6 +319,16 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     minimal-polynomial existence against :data:`EXIST_TOL` and plain
     convergence of the underlying iteration against
     :data:`CONVERGE_ATOL`.
+
+    The run has two phases.  The QR loop factors one difference column
+    at a time and makes the rank and convergence decisions.  Then every
+    stage is computed at once from the final factors: one triangular
+    solve gives every c, and one pair of matrix products every s.  The
+    factors of a stage do not depend on ``k_max``, but the blocked solve
+    and products round differently at different sizes.  So runs of the
+    same iterates to different ``k_max`` agree on their common stages
+    to roundoff, not bit for bit; the same input and ``k_max`` always
+    give the same bytes.
 
     Returns
     -------
@@ -342,36 +376,32 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     # are a leading view of them
     room = _buffers(weight, k_max + 1, x.dtype)
     factors = room.leading(0)
-    h, mu = np.zeros(0, dtype=x.dtype), 0.0
+    u_norms, rdiags, rho = [], [], None
 
     for k in range(k_max + 1):
         u = diffs[:, k]
         coeffs, w, mw, rnorm = orthogonalize_column(factors, u)
         u_norm = float(np.hypot(np.linalg.norm(coeffs), rnorm))
-        previous = history.records[-1] if history.records else None
+        u_norms.append(u_norm)
+        rdiags.append(float(rnorm))
 
         converged = u_norm <= CONVERGE_ATOL
         if converged or k == n or rnorm <= RANK_TOL * u_norm:
-            history.records.append(_terminal_records(
-                x0, factors, coeffs, rnorm, u_norm, k, previous))
+            # the terminal stage: the least-squares problem
+            # min ||| U_{k-1} c' + u_k ||| is (numerically) consistent
+            rho = coeffs
             history.status = RunStatus.CONVERGED if converged \
                 else RunStatus.RANK_DEFICIENT
             history.detected_k0 = k
             break
-
-        mpe, rre, h, mu = _stage(factors.r, coeffs, rnorm, h, mu)
         factors = _append(room, coeffs, w, mw, rnorm)
-        if mpe.exists:
-            mpe = replace(mpe, s=assemble(x0, factors, mpe.gamma))
-        rre = replace(rre, s=assemble(x0, factors, rre.gamma))
-        history.records.append(ExtrapolationRecord(
-            k, u_norm, float(rnorm), mpe, rre))
 
     if factors.k < room.k:
         # stopped early: keep the leading block, not the unused columns
         factors = WQRFactors(weight, factors.q.copy(order="F"),
                              factors.r.copy(), factors.p.copy(order="F"))
     history.factors = factors
+    history.records = _records(x0, factors, u_norms, rdiags, rho)
     return history
 
 

@@ -243,6 +243,26 @@ class _Stages:
         y = self.gmr_y[:m, m - 1]
         return self.x0 + self.basis[:, :m] @ y, self.residuals[m]
 
+    def every(self, ks):
+        """GMR and FOM at every stage of ``ks`` as stage columns:
+        ``(gmr, fom, defined, estimates)``.  Stage m's coefficients are
+        column m of [0 | gmr_y], zero from row m down, so one product
+        with the basis gives every solution of a method; FOM's column
+        is x0 where it is not defined."""
+        m = np.minimum(ks, self.hess.shape[1])
+        pad = np.zeros((len(self.steps), 1), dtype=self.steps.dtype)
+        y = np.concatenate([pad, self.gmr_y], axis=1)[:, m]
+        steps = np.concatenate([pad, self.steps], axis=1)[:, m]
+        cos = np.array([1.0] + self.cosines)[m]
+        defined = cos > extrapolate.EXIST_TOL
+        # Brown's relation, as in fom: GMR plus step * (1/|c|^2 - 1)
+        scale = np.where(defined, cos, 1.0) ** -2 - 1
+        w = self.basis[:, :len(y)] @ np.concatenate(
+            [y, np.where(defined, y + steps * scale, 0.0)], axis=1)
+        w += self.x0[:, None]
+        return (w[:, :len(m)], w[:, len(m):], defined,
+                np.array(self.residuals)[m])
+
 
 def fom_solve(t, d, x0, weight, k: int):
     """Galerkin solution at stage k, or None when it is not defined.
@@ -323,14 +343,12 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     rre = np.array([rec.rre.s is not None for rec in records], dtype=bool)
     s_mpe, r_mpe, gap_mpe = columns([rec.mpe for rec in records], mpe)
     s_rre, r_rre, gap_rre = columns([rec.rre for rec in records], rre)
-    fom = [stages.fom(rec.k) for rec in records]
-    defined = np.array([w is not None for w in fom], dtype=bool)
+    w_gmr, w_fom, defined, estimate = stages.every(
+        [rec.k for rec in records])
     paired = defined & mpe
-    w_fom = np.column_stack([x0 if w is None else w for w in fom])
-    w_gmr, estimate = zip(*(stages.gmr(rec.k) for rec in records))
     # every weighted norm from one block product with M; each
     # difference is formed as a vector first
-    wanted = ((paired, w_fom - s_mpe), (rre, np.column_stack(w_gmr) - s_rre),
+    wanted = ((paired, w_fom - s_mpe), (rre, w_gmr - s_rre),
               (mpe, s_mpe), (rre, s_rre), (mpe, r_mpe), (rre, r_rre),
               (mpe, gap_mpe), (rre, gap_rre))
     fom_mpe, gmr_rre, size_mpe, size_rre, res_mpe, res_rre, match_mpe, \
@@ -348,4 +366,4 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         residual_match_mpe=_stage_list(_rel(match_mpe, floor_mpe), mpe),
         residual_match_rre=_stage_list(_rel(match_rre, floor_rre), rre),
         gmr_estimate_defect=_stage_list(_rel(
-            abs(np.array(estimate) - res_rre), floor_rre), rre))
+            abs(estimate - res_rre), floor_rre), rre))

@@ -20,7 +20,9 @@ from wextrap import (
     mgs_factorize,
     residual,
     run,
+    save_history,
 )
+from wextrap.qr import orthogonalize_column
 
 import rational_oracle as ro
 from conftest import (
@@ -250,6 +252,48 @@ def test_gamma_scale_invariance():
     assert_allclose(c_scaled / c_scaled.sum(), solve.gamma, rtol=1e-13)
 
 
+def test_run_takes_one_solve(monkeypatch):
+    # every stage's c comes from one solve against the final R, the
+    # terminal stage's included, whatever the stage count
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    rng = np.random.default_rng(63)
+    x = random_sequence(rng, 12, 14)
+    for k in (0, 1, 5, 12):
+        calls.clear()
+        hist = run(x, WeightOperator.identity(12), k_max=k)
+        assert hist.records[-1].terminal == (k == 12)
+        assert calls == [(hist.factors.k, hist.factors.k)]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+def test_mpe_gammas_match_per_stage_solves(kind, complex_):
+    # stage k's c' solves R_{k-1} c' = -rho_k on its own; the terminal
+    # stage (k = N) takes rho from the kernel against the final factors
+    rng = np.random.default_rng(64)
+    n = 10
+    weight = random_weight(rng, n, kind)
+    x = random_sequence(rng, n, n + 2, complex_=complex_)
+    hist = run(x, weight)
+    assert hist.detected_k0 == n and hist.records[-1].terminal
+    r = hist.factors.r
+    rho_n = orthogonalize_column(hist.factors, hist.differences[:, n])[0]
+    for rec in hist.records:
+        k = rec.k
+        rho = rho_n if rec.terminal else r[:k, k]
+        c = np.append(np.linalg.solve(r[:k, :k], -rho), 1.0)
+        assert rec.mpe.exists
+        assert_allclose(rec.mpe.gamma, c / c.sum(), rtol=1e-12)
+        assert rec.mpe.gamma.dtype == hist.x0.dtype
+
+
 def test_lambda_guard_on_underflowing_iterates():
     # differences near 1e-160 make r_00^2 subnormal and mu_0 = 1/r_00^2
     # overflow; the guard raises before a zero lam and NaN gamma
@@ -383,6 +427,38 @@ def test_early_stop_frees_unused_factor_columns():
         assert_array_equal(got, want)
     assert hist.factors.q.flags.f_contiguous
     assert hist.factors.p.flags.f_contiguous
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["identity", "dense"])
+def test_runs_to_different_k_max_agree_to_roundoff(kind, complex_, tmp_path):
+    # the QR loop is the same floats whatever k_max; the blocked stage
+    # solve and products round differently at another size, so the
+    # stages two runs share agree to roundoff, not bit for bit
+    rng = np.random.default_rng(65)
+    n, k_max = 60, 30
+    weight = random_weight(rng, n, kind)
+    x = np.asarray(iterate(random_linear_problem(rng, n), k_max + 1))
+    if not complex_:
+        x = x.real
+    full = run(x, weight, k_max=k_max)
+    assert full.stages == k_max + 1
+    for j in (0, 5, 17, 29):
+        part = run(x, weight, k_max=j)
+        for mine, theirs in zip(part.records, full.records):
+            assert (mine.u_norm, mine.rdiag) == (theirs.u_norm, theirs.rdiag)
+            for a, b in ((mine.mpe, theirs.mpe), (mine.rre, theirs.rre)):
+                assert a.exists == b.exists
+                assert_allclose(a.gamma, b.gamma, rtol=1e-9,
+                                atol=1e-12 * np.abs(b.gamma).max())
+                assert_allclose(a.s, b.s, rtol=1e-11,
+                                atol=1e-13 * np.abs(b.s).max())
+                assert_allclose(a.phi, b.phi, rtol=1e-11)
+    # the same input and k_max write the same bytes
+    for name in ("a.json", "b.json"):
+        save_history(run(x, weight, k_max=17), tmp_path / name)
+    assert (tmp_path / "a.json").read_bytes() == \
+        (tmp_path / "b.json").read_bytes()
 
 
 def test_run_kmax_clamped_to_dimension():

@@ -379,6 +379,29 @@ def test_one_solve_matches_per_stage_solves(case):
         assert _rel_err(stages.gmr(k)[0], gmr_ref) <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["identity", "diag", "dense", "breakdown",
+                                  "mpe_failure"])
+def test_every_stage_in_one_product_matches_each_stage(case):
+    """The stage columns equivalence_check reads (one product with the
+    basis per method) are each stage's fom and gmr, to roundoff; FOM's
+    column is x0 where it is not defined."""
+    t, d, x0, w, k_max = _single_pass_problem(case)
+    stages = _Stages(t, d, x0, w, k_max)
+    ks = list(range(k_max + 1))
+    w_gmr, w_fom, defined, estimates = stages.every(ks)
+    for k in ks:
+        gmr, estimate = stages.gmr(k)
+        fom = stages.fom(k)
+        assert defined[k] == (fom is not None)
+        assert estimates[k] == estimate
+        assert_allclose(w_gmr[:, k], gmr, rtol=1e-13,
+                        atol=1e-14 * np.abs(gmr).max())
+        want = stages.x0 if fom is None else fom
+        assert_allclose(w_fom[:, k], want, rtol=1e-13,
+                        atol=1e-14 * np.abs(want).max())
+    assert defined.all() == (case != "mpe_failure")
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
 def test_near_stagnation_fom_against_rational_oracle(eps):
     # the FOM step is scaled by 1/|c|^2, large as eps shrinks; against
