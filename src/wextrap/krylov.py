@@ -73,18 +73,23 @@ rounds the same whatever the number of columns: a run to k steps and a
 run to fewer agree bit for bit on the stages they share.
 
 The process has no step-by-step entry point: :func:`fom_solve`,
-:func:`gmr_solve` and :func:`equivalence_check` all run it through one
-driver.
+:func:`gmr_solve` and :func:`equivalence_check` all run it as one
+``_Stages`` object and read its stages one way, as stage columns.
 
 Applied to the iterates x_{m+1} = T x_m + d, the two extrapolation
 methods of :mod:`wextrap.extrapolate` produce the same vectors as FOM
 and GMR stage by stage; :func:`equivalence_check` runs both pipelines
 once each and measures the difference on arrays with one column per
 stage, the terminal one included (U_k gamma is one product with the
-zero-padded gammas).  Every weighted norm it needs (the FOM-MPE and
-GMR-RRE gaps with |||s||| to make them relative, |||r(s)||| and
-|||U_k gamma - r(s)||| for both methods) comes from one block product
-with M.  U_k gamma is the exact residual r(s_k) for linear iterates
+zero-padded gammas).  The exact residuals r(s) = T s + d - s of both
+methods come from one application of T to the block of their s
+columns: one product for a matrix T, while a callable T is applied to
+the columns one at a time inside that application, since a callable
+need not accept a block.  Every weighted norm the check needs (the
+FOM-MPE and GMR-RRE gaps with |||s||| to make them relative, |||r(s)|||
+and |||U_k gamma - r(s)||| for both methods) comes from one block
+product with M, the blocks written in place into the one column-major
+array it reads.  U_k gamma is the exact residual r(s_k) for linear iterates
 because sum gamma = 1, so the coupling identities that
 :func:`wextrap.relations.verify_history` measures on U_k gamma hold on
 the exact residuals too, and are not measured here a second time.
@@ -100,7 +105,7 @@ import numpy as np
 from .errors import DimensionMismatch, InsufficientVectors
 from . import extrapolate
 from .qr import RANK_TOL, _append, _buffers, orthogonalize_column
-from .relations import _norms, _rel, _spread, _stage_arrays, _stage_list
+from .relations import _rel, _spread, _stage_list
 from .weights import _in_field, validate
 
 __all__ = [
@@ -112,9 +117,11 @@ __all__ = [
 
 
 def _problem(t, d, x0, weight):
-    """(T, apply_t, d, x0, weight) in the problem's field: a matrix T
-    must be n x n and is applied in that field; a callable T is taken as
-    it is and makes the field complex."""
+    """(T, apply_t, d, x0, weight) in the problem's field.
+    ``apply_t(z, out=None)`` takes an N-vector or an N x m block of
+    columns.  A matrix T must be N x N and is applied in that field, to
+    a block as one product; a callable T is taken as it is and makes
+    the field complex."""
     weight = validate(weight)
     n = weight.dimension
     if not callable(t):
@@ -127,9 +134,23 @@ def _problem(t, d, x0, weight):
         raise DimensionMismatch(f"d and x0 must have dimension {n}")
     if callable(t):
         d, x0 = np.asarray(d, complex), np.asarray(x0, complex)
-        return t, t, d, x0, weight
+        return t, partial(_columnwise, t), d, x0, weight
     t, d, x0 = _in_field(weight, t, d, x0)
     return t, partial(np.matmul, t), d, x0, weight
+
+
+def _columnwise(t, z, out=None):
+    """The callable ``t`` on a vector, or on a block one (N,) column at
+    a time, since a callable need not accept a block; into ``out``, a
+    new complex array unless given."""
+    if out is None:
+        out = np.empty(z.shape, dtype=complex)
+    if z.ndim == 1:
+        out[:] = t(z)
+        return out
+    for j in range(z.shape[1]):
+        out[:, j] = t(z[:, j])
+    return out
 
 
 def _givens(a, b, scale):
@@ -224,25 +245,6 @@ class _Stages:
                                      np.diag(g[:-1]))
         self.gmr_y = np.cumsum(self.steps, axis=1)
 
-    def fom(self, k: int):
-        m = min(k, self.hess.shape[1])
-        if m == 0:
-            return self.x0.copy()
-        cos = self.cosines[m - 1]
-        if cos <= extrapolate.EXIST_TOL:
-            return None
-        # Brown's relation: FOM's last coefficient is GMR's over |c|^2
-        y = self.gmr_y[:m, m - 1] + self.steps[:m, m - 1] * (cos ** -2 - 1)
-        return self.x0 + self.basis[:, :m] @ y
-
-    def gmr(self, k: int):
-        """(solution, estimated weighted residual norm) at stage k."""
-        m = min(k, self.hess.shape[1])
-        if m == 0:
-            return self.x0.copy(), self.residuals[0]
-        y = self.gmr_y[:m, m - 1]
-        return self.x0 + self.basis[:, :m] @ y, self.residuals[m]
-
     def every(self, ks):
         """GMR and FOM at every stage of ``ks`` as stage columns:
         ``(gmr, fom, defined, estimates)``.  Stage m's coefficients are
@@ -255,7 +257,7 @@ class _Stages:
         steps = np.concatenate([pad, self.steps], axis=1)[:, m]
         cos = np.array([1.0] + self.cosines)[m]
         defined = cos > extrapolate.EXIST_TOL
-        # Brown's relation, as in fom: GMR plus step * (1/|c|^2 - 1)
+        # Brown's relation: GMR plus step * (1/|c|^2 - 1)
         scale = np.where(defined, cos, 1.0) ** -2 - 1
         w = self.basis[:, :len(y)] @ np.concatenate(
             [y, np.where(defined, y + steps * scale, 0.0)], axis=1)
@@ -272,7 +274,8 @@ def fom_solve(t, d, x0, weight, k: int):
     failure.  k = 0 returns x0.  Past a happy breakdown the invariant-
     space (exact) solution is returned.
     """
-    return _Stages(t, d, x0, weight, k).fom(k)
+    _, fom, defined, _ = _Stages(t, d, x0, weight, k).every([k])
+    return fom[:, 0].copy() if defined[0] else None
 
 
 def gmr_solve(t, d, x0, weight, k: int, with_residual: bool = False):
@@ -281,8 +284,9 @@ def gmr_solve(t, d, x0, weight, k: int, with_residual: bool = False):
     With ``with_residual`` the estimated weighted residual norm
     (the rotated right-hand side's last entry) is returned alongside.
     """
-    w, res = _Stages(t, d, x0, weight, k).gmr(k)
-    return (w, res) if with_residual else w
+    gmr, _, _, estimates = _Stages(t, d, x0, weight, k).every([k])
+    w = gmr[:, 0].copy()
+    return (w, float(estimates[0])) if with_residual else w
 
 
 @dataclass(frozen=True)
@@ -314,50 +318,64 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     """Run solvers and extrapolation side by side on (I - T) x = d.
 
     The iterate sequence x_{m+1} = T x_m + d is generated internally
-    from the same x0.  All residuals here are exact: r(x) = Tx + d - x.
+    from the same x0.  All residuals here are exact: r(x) = Tx + d - x,
+    every stage's from one application of T to the block of s columns
+    (a callable T takes them one column at a time).  T is applied
+    k_max + 1 times for the iterates, once per Arnoldi step and once per
+    residual column.
     """
     _check_stage(k_max, "k_max")
     t, apply_t, d, x0, weight = _problem(t, d, x0, weight)
+    n = weight.dimension
 
-    iters = [x0]
-    for _ in range(k_max + 1):
-        iters.append(apply_t(iters[-1]) + d)
-    hist = extrapolate.run(np.array(iters), weight, k_max=k_max)
+    iters = np.empty((k_max + 2, n), dtype=d.dtype)
+    iters[0] = x0
+    for m in range(k_max + 1):
+        iters[m + 1] = apply_t(iters[m]) + d
+    hist = extrapolate.run(iters, weight, k_max=k_max)
     records = hist.records
     stages = _Stages(t, d, x0, weight, records[-1].k)
+    ks = [rec.k for rec in records]
+    w_gmr, w_fom, defined, estimate = stages.every(ks)
 
-    # stage-column arrays: column j is stage j, the terminal one included
-    n, count = weight.dimension, len(records)
-    u = hist.differences[:, :count]
-
-    def columns(solves, mask):
-        """s, the exact residual r(s) = T s + d - s and U_k gamma - r(s)
-        of every stage ``mask`` selects; zero columns elsewhere."""
-        g, s = _stage_arrays(solves, mask, n)
-        r = np.zeros((n, count), dtype=d.dtype)
-        for j in np.flatnonzero(mask):
-            r[:, j] = apply_t(solves[j].s) + d - solves[j].s
-        return s, r, u @ g - r
-
+    # stage columns, the terminal one included: each method's s side by
+    # side in one block S, stage j's gamma zero-padded in the matching
+    # column of G
     mpe = np.array([rec.mpe.exists for rec in records], dtype=bool)
     rre = np.array([rec.rre.s is not None for rec in records], dtype=bool)
-    s_mpe, r_mpe, gap_mpe = columns([rec.mpe for rec in records], mpe)
-    s_rre, r_rre, gap_rre = columns([rec.rre for rec in records], rre)
-    w_gmr, w_fom, defined, estimate = stages.every(
-        [rec.k for rec in records])
     paired = defined & mpe
-    # every weighted norm from one block product with M; each
-    # difference is formed as a vector first
-    wanted = ((paired, w_fom - s_mpe), (rre, w_gmr - s_rre),
-              (mpe, s_mpe), (rre, s_rre), (mpe, r_mpe), (rre, r_rre),
-              (mpe, gap_mpe), (rre, gap_rre))
+    solves = ([(j, records[j].mpe) for j in np.flatnonzero(mpe)]
+              + [(j, records[j].rre) for j in np.flatnonzero(rre)])
+    u = hist.differences[:, :len(records)]
+    g = np.zeros((len(records), len(solves)), dtype=u.dtype)
+    # every weighted norm from one block product with M, its blocks
+    # written in place: FOM - MPE, GMR - RRE, and then S, r(S) and
+    # U_k gamma - r(S), each with MPE's columns before RRE's
+    masks = (paired, rre, mpe, rre, mpe, rre, mpe, rre)
+    edges = np.cumsum([0] + [mask.sum() for mask in masks])
+    joint = np.empty((n, edges[-1]), order="F",
+                     dtype=np.result_type(d, w_gmr, u))
+    s, r, gap = (joint[:, edges[i]:edges[i + 2]] for i in (2, 4, 6))
+    for col, (j, solve) in enumerate(solves):
+        g[:j + 1, col], s[:, col] = solve.gamma, solve.s
+    # the exact residual r(s) = T s + d - s, one application of T
+    apply_t(s, out=r)
+    r += d[:, None]
+    r -= s
+    np.matmul(u, g, out=gap)
+    gap -= r
+    # each difference is formed as a vector first
+    s_mpe, s_rre = np.split(s, [mpe.sum()], axis=1)
+    np.subtract(w_fom[:, paired], s_mpe[:, paired[mpe]],
+                out=joint[:, edges[0]:edges[1]])
+    np.subtract(w_gmr[:, rre], s_rre, out=joint[:, edges[1]:edges[2]])
     fom_mpe, gmr_rre, size_mpe, size_rre, res_mpe, res_rre, match_mpe, \
-        match_rre = (_spread(mask, norms) for (mask, _), norms in zip(
-            wanted, _norms(weight, [v[:, mask] for mask, v in wanted])))
+        match_rre = (_spread(mask, norms) for mask, norms in zip(
+            masks, np.split(weight.norm(joint), edges[1:-1])))
     floor_mpe, floor_rre = (np.maximum(res, 1e-14 * stages.beta)
                             for res in (res_mpe, res_rre))
     return KrylovComparison(
-        ks=[rec.k for rec in records],
+        ks=ks,
         fom_defined=defined.tolist(),
         mpe_exists=mpe.tolist(),
         definedness_consistent=(defined == mpe).tolist(),

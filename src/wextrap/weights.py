@@ -77,7 +77,7 @@ class WeightOperator:
     calling the constructor directly.
     """
 
-    __slots__ = ("kind", "dimension", "_diag", "_matrix", "_scale")
+    __slots__ = ("kind", "dimension", "_diag", "_matrix", "_scale", "_dtype")
 
     def __init__(self, kind, dimension, diag=None, matrix=None, scale=1.0):
         self.kind = kind
@@ -85,6 +85,8 @@ class WeightOperator:
         self._diag = diag
         self._matrix = matrix
         self._scale = scale
+        # float, or complex for a dense M with a nonzero imaginary part
+        self._dtype = complex if np.iscomplexobj(matrix) else float
 
     @classmethod
     def identity(cls, dimension: int) -> "WeightOperator":
@@ -130,11 +132,6 @@ class WeightOperator:
                    scale=float(np.max(np.abs(m))))
 
     # -- application -------------------------------------------------
-
-    @property
-    def _dtype(self):
-        """float, or complex for a dense M with a nonzero imaginary part."""
-        return complex if np.iscomplexobj(self._matrix) else float
 
     def _check_dim(self, z: np.ndarray) -> np.ndarray:
         # z keeps its field under a real M, and is complex under a complex M

@@ -98,7 +98,6 @@ def test_unset_knobs_are_gone():
     # tolerances no caller set are module constants, not parameters
     assert "converge_atol" not in inspect.signature(wextrap.run).parameters
     assert "fom_tol" not in inspect.signature(wextrap.fom_solve).parameters
-    assert "fom_tol" not in inspect.signature(krylov._Stages.fom).parameters
     assert "solve_for_solution" not in inspect.signature(
         FixedPointProblem.linear).parameters
     assert "known_solution" not in inspect.signature(

@@ -96,7 +96,8 @@ def test_krylov_process_computes_in_the_field(name):
     stages = _Stages(t, d, x0, weight, K)
     assert stages.basis.shape[1] == K + 1
     assert stages.basis.dtype == stages.hess.dtype == CASES[name]
-    assert stages.gmr(K)[0].dtype == stages.fom(K).dtype == CASES[name]
+    w_gmr, w_fom, _, _ = stages.every([K])
+    assert w_gmr.dtype == w_fom.dtype == CASES[name]
 
 
 def test_callable_t_is_complex():

@@ -344,11 +344,115 @@ def test_equivalence_check_applies_t_linearly_often():
     cmp = equivalence_check(counting_t, d, x0, w, k)
     assert cmp.ks[-1] == k
     assert len(calls) <= 4 * k + 5
-    assert cmp == equivalence_check(t, d, x0, w, k)
+    # the matrix takes r(s) from one block product, which sums in another
+    # order than the callable's products one column at a time: only the
+    # fields read from r(s) may move, at roundoff
+    ref = equivalence_check(t, d, x0, w, k)
+    for name in ("ks", "fom_defined", "mpe_exists", "definedness_consistent",
+                 "fom_mpe_defect", "gmr_rre_defect"):
+        assert getattr(cmp, name) == getattr(ref, name)
+    for name in ("residual_match_mpe", "residual_match_rre",
+                 "gmr_estimate_defect"):
+        got, want = getattr(cmp, name), getattr(ref, name)
+        assert [v is None for v in got] == [v is None for v in want]
+        assert all(abs(a - b) <= 1e-12
+                   for a, b in zip(got, want) if a is not None)
     for solve in (fom_solve, gmr_solve):
         calls.clear()
         solve(counting_t, d, x0, w, k)
         assert len(calls) <= k + 1
+
+
+def test_callable_t_is_handed_vectors_only():
+    """A callable need not accept a block: every application is to one
+    (N,) vector, k + 1 for the iterates, one per Arnoldi step and one per
+    residual column of each method."""
+    rng = np.random.default_rng(262)
+    n, k = 12, 6
+    t = random_contraction(rng, n)
+    d = rng.standard_normal(n)
+    x0 = np.zeros(n)
+    w = WeightOperator.identity(n)
+    calls = []
+
+    def vector_t(z):
+        if np.ndim(z) != 1 or len(z) != n:
+            raise ValueError(f"T applied to shape {np.shape(z)}")
+        calls.append(1)
+        return t @ z
+
+    cmp = equivalence_check(vector_t, d, x0, w, k)
+    assert cmp.ks == list(range(k + 1))
+    residuals = sum(cmp.mpe_exists) + sum(
+        v is not None for v in cmp.gmr_rre_defect)
+    assert len(calls) == (k + 1) + (k + 1) + residuals
+    for k_solve in (0, 1, k):
+        calls.clear()
+        assert fom_solve(vector_t, d, x0, w, k_solve).shape == (n,)
+        w_gmr, _ = gmr_solve(vector_t, d, x0, w, k_solve, with_residual=True)
+        assert w_gmr.shape == (n,)
+        assert len(calls) == 2 * (k_solve + 1)
+
+
+@pytest.mark.parametrize("field", [float, complex])
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+def test_residual_columns_match_per_column_products(monkeypatch, field,
+                                                    kind):
+    """The r(s) columns of the one block product with T are each stage's
+    T s + d - s to roundoff.  They are read from the block whose norms
+    equivalence_check takes: [FOM - MPE | GMR - RRE | S | r(S) | ...],
+    S holding MPE's then RRE's s."""
+    rng = np.random.default_rng(264)
+    n, k = 16, 9
+    t = random_contraction(rng, n)
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if field is float:
+        t, d = t.real, d.real
+    w = (WeightOperator.dense(random_pd_matrix(rng, n, field is complex))
+         if kind == "dense" else random_weight(rng, n, kind))
+    blocks = []
+    norm = WeightOperator.norm
+
+    def keeping(self, z):
+        blocks.append(np.array(z))
+        return norm(self, z)
+
+    monkeypatch.setattr(WeightOperator, "norm", keeping)
+    cmp = equivalence_check(t, d, np.zeros(n), w, k)
+    (block,) = [b for b in blocks if b.ndim == 2]
+    assert block.dtype == field
+    paired, rre = (sum(v is not None for v in getattr(cmp, name))
+                   for name in ("fom_mpe_defect", "gmr_rre_defect"))
+    width = sum(cmp.mpe_exists) + rre
+    assert width == 2 * (k + 1)
+    s = block[:, paired + rre:][:, :width]
+    r = block[:, paired + rre + width:][:, :width]
+    for j in range(width):
+        want = t @ s[:, j] + d - s[:, j]
+        bound = np.abs(t) @ np.abs(s[:, j]) + np.abs(d) + np.abs(s[:, j])
+        assert np.all(np.abs(r[:, j] - want) <= 1e-14 * bound)
+
+
+@pytest.mark.parametrize("case, k_max, verdict", [
+    ("mpe_failure", 4, ([0, 1, 2], [True, False, True])),
+    ("near_stagnation", 4, ([0, 1, 2], [True, True, True])),
+    ("identity", 2, ([0, 1], [True, False])),
+])
+def test_verdicts_on_the_undefined_and_near_stagnating_fixtures(case, k_max,
+                                                               verdict):
+    # the fields a caller judges, as they read before r(s) was taken
+    # from one block product
+    if case == "identity":
+        t, d, x0 = np.eye(3), np.ones(3), np.zeros(3)
+    else:
+        problem = (make_mpe_failure_problem(6) if case == "mpe_failure"
+                   else make_near_stagnation_problem(6, eps=1e-12))
+        t, d, x0 = problem.t, problem.d, problem.x0
+    cmp = equivalence_check(t, d, x0, WeightOperator.identity(len(d)), k_max)
+    ks, defined = verdict
+    assert cmp.ks == ks
+    assert cmp.fom_defined == cmp.mpe_exists == defined
+    assert all(cmp.definedness_consistent)
 
 
 def _per_stage_solves(stages, k):
@@ -373,25 +477,27 @@ def test_one_solve_matches_per_stage_solves(case):
     square Hessenberg solve and the least-squares solve of each stage."""
     t, d, x0, w, k_max = _single_pass_problem(case)
     stages = _Stages(t, d, x0, w, k_max)
+    w_gmr, w_fom, defined, _ = stages.every(range(1, k_max + 1))
+    assert defined.all()
     for k in range(1, k_max + 1):
         fom_ref, gmr_ref = _per_stage_solves(stages, k)
-        assert _rel_err(stages.fom(k), fom_ref) <= 1e-12
-        assert _rel_err(stages.gmr(k)[0], gmr_ref) <= 1e-12
+        assert _rel_err(w_fom[:, k - 1], fom_ref) <= 1e-12
+        assert _rel_err(w_gmr[:, k - 1], gmr_ref) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["identity", "diag", "dense", "breakdown",
                                   "mpe_failure"])
 def test_every_stage_in_one_product_matches_each_stage(case):
     """The stage columns equivalence_check reads (one product with the
-    basis per method) are each stage's fom and gmr, to roundoff; FOM's
-    column is x0 where it is not defined."""
+    basis per method) are each stage's fom_solve and gmr_solve, to
+    roundoff; FOM's column is x0 where it is not defined."""
     t, d, x0, w, k_max = _single_pass_problem(case)
     stages = _Stages(t, d, x0, w, k_max)
     ks = list(range(k_max + 1))
     w_gmr, w_fom, defined, estimates = stages.every(ks)
     for k in ks:
-        gmr, estimate = stages.gmr(k)
-        fom = stages.fom(k)
+        gmr, estimate = gmr_solve(t, d, x0, w, k, with_residual=True)
+        fom = fom_solve(t, d, x0, w, k)
         assert defined[k] == (fom is not None)
         assert estimates[k] == estimate
         assert_allclose(w_gmr[:, k], gmr, rtol=1e-13,
@@ -413,11 +519,13 @@ def test_near_stagnation_fom_against_rational_oracle(eps):
     # the Krylov space is invariant from stage 2
     stages = _Stages(problem.t, problem.d, problem.x0,
                      WeightOperator.identity(6), 2)
+    _, w_fom, defined, _ = stages.every([1, 2])
+    assert defined.all()
     for k in (1, 2):
         exact = ro.as_float(
             ro.mpe_stage(ro.frac_vectors(xs.real.tolist()), k)["s"])
         fom_ref, _ = _per_stage_solves(stages, k)
-        assert _rel_err(stages.fom(k), exact) \
+        assert _rel_err(w_fom[:, k - 1], exact) \
             <= max(2.0 * _rel_err(fom_ref, exact), 1e-15)
 
 
@@ -436,9 +544,7 @@ def test_stages_take_one_solve(monkeypatch, k):
     n = 12
     stages = _Stages(random_contraction(rng, n), rng.standard_normal(n),
                      np.zeros(n), WeightOperator.identity(n), k)
-    for j in range(k + 1):
-        assert stages.fom(j) is not None
-        stages.gmr(j)
+    assert stages.every(range(k + 1))[2].all()
     assert len(calls) == 1
 
 
