@@ -397,9 +397,12 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
         factors = _append(room, coeffs, w, mw, rnorm)
 
     if factors.k < room.k:
-        # stopped early: keep the leading block, not the unused columns
-        factors = WQRFactors(weight, factors.q.copy(order="F"),
-                             factors.r.copy(), factors.p.copy(order="F"))
+        # stopped early: keep the leading block, not the unused columns,
+        # and under the identity weight one array as both Q and P
+        q = factors.q.copy(order="F")
+        factors = WQRFactors(weight, q, factors.r.copy(),
+                             q if factors.p is factors.q
+                             else factors.p.copy(order="F"))
     history.factors = factors
     history.records = _records(x0, factors, u_norms, rdiags, rho)
     return history
@@ -417,19 +420,23 @@ def _block(a, payloads=None) -> dict:
     byte-deterministic and platform-independent.  Stored as ``"<f8"``
     when every imaginary part is zero, else as ``"<c16"``.
 
-    With a ``payloads`` list the base64 bytes are appended to it and
-    ``"b64"`` holds the slot ``"#i"`` of their index instead."""
+    With a ``payloads`` list the array itself, already in its stored
+    dtype and C-contiguous (a copy only where ``a`` is not), is appended
+    to it and ``"b64"`` holds the slot ``"#i"`` of its index instead:
+    :func:`wextrap.mmio.save_history` encodes it as it writes it."""
     a = np.asarray(a)
     dtype = "<c16" if np.iscomplexobj(a) and a.imag.any() else "<f8"
-    # the contiguous copy is freed before the decode: it, the base64
-    # bytes and their str are never alive at once
-    encoded = base64.b64encode(
-        np.ascontiguousarray(a.real if dtype == "<f8" else a, dtype=dtype))
+    stored = np.ascontiguousarray(a.real if dtype == "<f8" else a,
+                                  dtype=dtype)
     if payloads is None:
+        # a copy is freed before the decode: it, the base64 bytes and
+        # their str are never alive at once
+        encoded = base64.b64encode(stored)
+        del stored
         b64 = encoded.decode("ascii")
     else:
         b64 = f"#{len(payloads)}"
-        payloads.append(encoded)
+        payloads.append(stored)
     return {"dtype": dtype, "shape": list(a.shape), "b64": b64}
 
 

@@ -18,7 +18,8 @@ does :func:`_locate` re-read the body line by line, to raise the
 the values read and every error's message, line and column are the same
 as for a line-by-line parse.  A column counts from the start of the
 raw line, indentation included.  The writer formats each entry with
-``repr`` of a Python float, which reads back exactly.
+``repr`` of a Python float, which reads back exactly, and writes the
+body one column at a time, so it never holds the whole text.
 
 Vector files are whitespace-separated numbers; sequence files hold one
 vector per line.  Entries may be written as plain floats or in Python
@@ -31,8 +32,9 @@ IEEE-754 bytes (``"<f8"`` when every imaginary part is zero, else
 ``"<c16"``), which is exact and platform-independent; scalars are JSON
 numbers, and the complex ``alpha`` is a ``[real, imag]`` pair.
 :func:`save_history` writes version 2: exactly the compact sorted-key
-JSON of :func:`~wextrap.extrapolate.history_to_dict`, with the base64
-payloads written as they are, never re-escaped.  :func:`load_history`
+JSON of :func:`~wextrap.extrapolate.history_to_dict`, with each array's
+base64 encoded in fixed chunks as the file is written, never held whole
+and never re-escaped.  :func:`load_history`
 also reads version 1, where every complex entry is a ``[real, imag]``
 pair, and ignores keys it does not know.  Loading reconstructs a full
 :class:`~wextrap.extrapolate.RunHistory`, refactorizing the stored
@@ -43,7 +45,6 @@ bit for bit.
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import math
 import re
@@ -265,7 +266,8 @@ def write_matrix(path, a, fmt: str = "array", comment: str | None = None
                  ) -> None:
     """Write a dense matrix; field is complex iff any imaginary part
     is nonzero.  Coordinate output keeps every stored entry, zeros
-    included, scanning columns first."""
+    included, scanning columns first.  The body is written one column
+    at a time."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     a = np.atleast_2d(np.asarray(a, dtype=complex))
@@ -274,22 +276,21 @@ def write_matrix(path, a, fmt: str = "array", comment: str | None = None
     lines = [f"%%MatrixMarket matrix {fmt} {field} general"]
     if comment:
         lines.extend(f"% {c}" for c in comment.splitlines())
-    # column-major; repr of a Python float reads back exactly
-    values = a.real.ravel(order="F").tolist()
-    if field == "complex":
-        values = map("{!r} {!r}".format, values,
-                     a.imag.ravel(order="F").tolist())
-    else:
-        values = map(repr, values)
-    if fmt == "array":
-        lines.append(f"{rows} {cols}")
-    else:
-        lines.append(f"{rows} {cols} {rows * cols}")
-        values = [f"{i} {j} {value}" for (j, i), value in zip(
-            itertools.product(range(1, cols + 1), range(1, rows + 1)),
-            values)]
+    lines.append(f"{rows} {cols}" if fmt == "array"
+                 else f"{rows} {cols} {rows * cols}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*lines, *values]) + "\n")
+        fh.write("\n".join(lines) + "\n")
+        # column by column, none without rows; repr of a Python float
+        # reads back exactly
+        for j in range(cols if rows else 0):
+            values = map(repr, a.real[:, j].tolist())
+            if field == "complex":
+                values = map("{} {!r}".format, values,
+                             a.imag[:, j].tolist())
+            if fmt == "coordinate":
+                values = map(f"{{}} {j + 1} {{}}".format,
+                             range(1, rows + 1), values)
+            fh.write("\n".join(values) + "\n")
 
 
 def read_vector(path) -> np.ndarray:
@@ -354,17 +355,25 @@ def write_sequence(path, vectors) -> None:
 
 # -- run histories ---------------------------------------------------
 
+#: bytes of a history payload encoded per base64 call: a multiple of 3,
+#: so every chunk but the last encodes with no "=" padding, and the
+#: encoded chunks joined are the whole payload's base64
+_CHUNK = 3 * 2 ** 16
+
+
 def save_history(history: RunHistory, path) -> None:
     """Write the version-2 history format: compact JSON with sorted
     keys, so identical runs give identical bytes.
 
     The file is exactly ``json.dumps(history_to_dict(history),
     sort_keys=True, separators=(",", ":"))`` and a newline, but the
-    base64 payloads, which never need escaping, are written as they
-    are: the JSON encoder sees only the skeleton, whose slots mark
-    where each payload goes.  The whole content is built before the
-    file is opened, so a save that fails leaves an existing file as it
-    was.
+    JSON encoder sees only the skeleton, whose slots mark where each
+    array's base64 goes.  That base64, which never needs escaping, is
+    encoded :data:`_CHUNK` bytes at a time as the file is written, so
+    no array's whole text is ever held.  Every check and conversion
+    runs before the file is opened, so a save that fails in them leaves
+    an existing file as it was; an I/O error mid-write can leave a
+    partial file.
     """
     payloads = []
     skeleton = json.dumps(_history_doc(history, payloads), sort_keys=True,
@@ -379,9 +388,20 @@ def save_history(history: RunHistory, path) -> None:
     with open(path, "wb") as fh:
         fh.write(pieces[0])
         for slot, text in zip(slots, pieces[2::2]):
-            fh.write(payloads[slot])
+            _write_base64(fh, payloads[slot])
             fh.write(text)
         fh.write(b"\n")
+
+
+def _write_base64(fh, a) -> None:
+    """Write the base64 of C-contiguous ``a``'s bytes, :data:`_CHUNK`
+    bytes at a time; an array of at most one chunk in one call."""
+    if a.nbytes <= _CHUNK:
+        fh.write(base64.b64encode(a))
+        return
+    raw = a.reshape(-1).view(np.uint8)
+    for start in range(0, raw.size, _CHUNK):
+        fh.write(base64.b64encode(raw[start:start + _CHUNK]))
 
 
 def _array(obj, path) -> np.ndarray:

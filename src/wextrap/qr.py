@@ -11,7 +11,9 @@ The factors keep P = M Q beside Q.  The one kernel projects a new
 column a onto the whole basis, c = P* a, subtracts Q c, and projects
 once more ("twice is enough", Giraud, Langou and Rozloznik 2005).  Its
 one product with M gives both r_kk and the next column of P; |||a||| is
-hypot(||c||, r_kk) by Pythagoras.
+hypot(||c||, r_kk) by Pythagoras.  Under the identity weight P is Q:
+the factors hold one array as both ``q`` and ``p``, and no second
+N x k buffer is made or written.
 
 A factorization grows in place.  The loop that factors the columns
 allocates Q, P and R once (:func:`_buffers`), sized to the column count
@@ -24,7 +26,8 @@ factorization grows.  :func:`wextrap.extrapolate.run`,
 process of :mod:`wextrap.krylov` all grow this way, so a run's factors
 and a one-shot factorization of the same columns are the same floats.
 A run that stops before its last planned column keeps a copy of the
-leading block instead, so the unused columns are freed.
+leading block instead (one array as Q and P under the identity), so
+the unused columns are freed.
 
 The buffers take the field of the factored columns and the weight
 (:func:`wextrap.weights._in_field`): float64 when both are real by
@@ -61,7 +64,8 @@ class WQRFactors:
 
     ``q`` has shape (N, k) with Q* M Q = I; ``r`` has shape (k, k),
     upper triangular with positive real diagonal; ``p`` is M Q, so that
-    projections onto the basis take no product with M.  The arrays are
+    projections onto the basis take no product with M.  Under the
+    identity weight ``p`` is ``q``, the same array.  The arrays are
     leading views of buffers that only the loop growing them writes,
     and it never rewrites the first k columns.
     """
@@ -80,8 +84,9 @@ class WQRFactors:
         """Factors of the first ``j`` columns (a view, not a copy)."""
         if not 0 <= j <= self.k:
             raise DimensionMismatch(f"leading block {j} of {self.k} columns")
-        return WQRFactors(self.weight, self.q[:, :j], self.r[:j, :j],
-                          self.p[:, :j])
+        q = self.q[:, :j]
+        return WQRFactors(self.weight, q, self.r[:j, :j],
+                          q if self.p is self.q else self.p[:, :j])
 
     def orthonormality_defect(self) -> float:
         """max entry of |Q* M Q - I|, with M Q from one block product."""
@@ -95,21 +100,26 @@ def _buffers(weight: WeightOperator, columns: int, dtype) -> WQRFactors:
     """Zeroed room of ``dtype`` for ``columns`` columns, to be grown by
     :func:`_append` from its empty leading view.  Q and P are
     column-major, so each of their columns and every leading block is
-    contiguous."""
+    contiguous.  Under the identity weight P = M Q is Q, and the one
+    array serves as both."""
     n = weight.dimension
-    return WQRFactors(weight, np.zeros((n, columns), dtype, order="F"),
-                      np.zeros((columns, columns), dtype),
-                      np.zeros((n, columns), dtype, order="F"))
+    q = np.zeros((n, columns), dtype, order="F")
+    return WQRFactors(weight, q, np.zeros((columns, columns), dtype),
+                      q if weight.kind == "identity"
+                      else np.zeros((n, columns), dtype, order="F"))
 
 
 def _append(room: WQRFactors, coeffs, w, mw, rnorm) -> WQRFactors:
     """Write one orthogonalized column into ``room`` after the
     ``len(coeffs)`` columns already there, and return the grown leading
     view.  ``(coeffs, w, mw, rnorm)`` is what :func:`orthogonalize_column`
-    gave against the current view; the caller has judged its rank."""
+    gave against the current view; the caller has judged its rank.
+    Where P is Q (the identity weight, whose ``mw`` is a copy of ``w``)
+    the one divide writes both."""
     k = len(coeffs)
     np.divide(w, rnorm, out=room.q[:, k])
-    np.divide(mw, rnorm, out=room.p[:, k])
+    if room.p is not room.q:
+        np.divide(mw, rnorm, out=room.p[:, k])
     room.r[:k, k] = coeffs
     room.r[k, k] = rnorm
     return room.leading(k + 1)

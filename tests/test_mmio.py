@@ -19,6 +19,7 @@ from wextrap import (
     history_to_dict,
     iterate,
     load_history,
+    mmio,
     read_matrix,
     read_sequence,
     read_vector,
@@ -329,6 +330,59 @@ def test_write_matrix_edge_values_byte_for_byte(tmp_path, fmt):
         assert_array_equal(read_matrix(path), a)
 
 
+def _whole_text_matrix(a, fmt, comment):
+    # the Matrix Market text as one string, built whole: the reference
+    # for the streaming writer's bytes
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    field = "complex" if np.any(a.imag != 0.0) else "real"
+    rows, cols = a.shape
+    lines = [f"%%MatrixMarket matrix {fmt} {field} general"]
+    lines += [f"% {c}" for c in comment.splitlines()]
+    values = map(repr, a.real.ravel(order="F").tolist())
+    if field == "complex":
+        values = map("{} {!r}".format, values,
+                     a.imag.ravel(order="F").tolist())
+    if fmt == "array":
+        lines.append(f"{rows} {cols}")
+    else:
+        lines.append(f"{rows} {cols} {rows * cols}")
+        values = [f"{i} {j} {value}" for (j, i), value in zip(
+            itertools.product(range(1, cols + 1), range(1, rows + 1)),
+            values)]
+    return ("\n".join([*lines, *values]) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_write_matrix_streams_the_whole_text_bytes(tmp_path, field, fmt):
+    # one column at a time, the same bytes as the text built whole
+    rng = np.random.default_rng(57)
+    a = rng.standard_normal((37, 23))
+    if field == "complex":
+        a = a + 1j * rng.standard_normal(a.shape)
+    path = tmp_path / "a.mtx"
+    write_matrix(path, a, fmt=fmt, comment="two\nlines")
+    assert path.read_bytes() == _whole_text_matrix(a, fmt, "two\nlines")
+    assert_array_equal(read_matrix(path), a)
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_write_matrix_peak(tmp_path, fmt):
+    # the body is written column by column: beside the complex copy of
+    # the matrix, the writer holds one column's text, never the whole
+    # text (about 6x the copy as a list of str)
+    a = np.random.default_rng(58).standard_normal((200, 200))
+    path = tmp_path / "a.mtx"
+    tracemalloc.start()
+    try:
+        write_matrix(path, a, fmt=fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * a.astype(complex).nbytes
+    assert path.read_bytes() == _whole_text_matrix(a, fmt, "")
+
+
 def test_vector_round_trip_with_comments(tmp_path):
     path = tmp_path / "v.vec"
     path.write_text("% a comment\n# another style\n1.5\n-2.0  3.0\n\n0.5\n")
@@ -615,6 +669,64 @@ def test_save_history_dense_weight_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * matrix.nbytes
+    assert path.read_bytes() == _compact_json(hist)
+
+
+def test_save_history_dense_weight_peak_is_one_chunk(tmp_path):
+    # each payload is encoded chunk by chunk as it is written: beside
+    # the history, the save holds one chunk's base64, not the matrix's
+    rng = np.random.default_rng(51)
+    n = 2000
+    b = rng.uniform(-1.0, 1.0, (n, n))
+    matrix = 2.0 * np.eye(n) + (b + b.T) / (2 * n)
+    hist = run(random_sequence(rng, n, 4), WeightOperator.dense(matrix),
+               k_max=2)
+    path = tmp_path / "hist.json"
+    tracemalloc.start()
+    try:
+        save_history(hist, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * matrix.nbytes
+    assert path.read_bytes() == _compact_json(hist)
+
+
+#: float64 entries in one chunk of the history writer
+_PER_CHUNK = mmio._CHUNK // 8
+
+
+@pytest.mark.parametrize("n", [_PER_CHUNK - 1, _PER_CHUNK, _PER_CHUNK + 1],
+                         ids=["chunk-8", "chunk", "chunk+8"])
+def test_chunked_payloads_join_to_the_whole_base64(tmp_path, n):
+    # the n diagonal weights are one chunk of bytes, or one chunk -/+ 8;
+    # the complex x0 and s (16n bytes) span two or three chunks, and the
+    # complex differences (32n bytes) four or five, the last ending in
+    # "=" padding unless n is a multiple of 3
+    assert mmio._CHUNK % 3 == 0 and _PER_CHUNK % 3 == 0
+    rng = np.random.default_rng(59)
+    hist = run(random_sequence(rng, n, 3, complex_=True),
+               WeightOperator.diagonal(rng.uniform(0.5, 2.0, n)), k_max=1)
+    doc = history_to_dict(hist)
+    assert doc["weight"]["weights"]["dtype"] == "<f8"
+    assert doc["x0"]["dtype"] == doc["differences"]["dtype"] == "<c16"
+    assert doc["differences"]["b64"].endswith("=") == (n % 3 != 0)
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    assert path.read_bytes() == _compact_json(hist)
+
+
+def test_save_history_of_an_empty_payload(tmp_path):
+    # a history with no records and an N x 0 differences block: a
+    # payload of 0 bytes writes an empty base64 string
+    rng = np.random.default_rng(60)
+    hist = run(random_sequence(rng, 5, 4), WeightOperator.identity(5),
+               k_max=2)
+    hist = dataclasses.replace(hist, differences=np.zeros((5, 0)),
+                               records=[], detected_k0=None)
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    assert history_to_dict(hist)["differences"]["b64"] == ""
     assert path.read_bytes() == _compact_json(hist)
 
 

@@ -5,14 +5,18 @@ from numpy.testing import assert_allclose, assert_array_equal
 from wextrap import (
     RankDeficient,
     WeightOperator,
+    load_history,
     mgs_factorize,
     orthogonalize_column,
     qr,
     run,
+    save_history,
 )
 
+from wextrap.krylov import _Stages
+
 from cgs_reference import gs_factorize
-from conftest import random_sequence, random_weight
+from conftest import random_contraction, random_sequence, random_weight
 
 SQ2 = np.sqrt(2.0)
 
@@ -108,6 +112,75 @@ def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
             assert_array_equal(got.q, q)
             assert_array_equal(got.r, r)
             assert_array_equal(got.p, p)
+
+
+def _grown_factors(source, w, rng, tmp_path, products):
+    """Final factors (None for Arnoldi, which keeps only Q) and the
+    number of columns whose M-product the growth took; ``products`` is
+    cleared of any product taken before that growth."""
+    n = w.dimension
+    if source == "run-early-stop":
+        # three distinct eigenvalues: the terminal stage is k = 3 of 7,
+        # and the run keeps a copy of the leading block
+        t = np.resize([0.5, -0.3, 0.2], n)
+        x = [rng.standard_normal(n)]
+        for _ in range(8):
+            x.append(t * x[-1] + 1.0)
+        hist = run(np.array(x), w)
+        assert hist.detected_k0 == 3 and hist.factors.k == 3
+        return hist.factors, 4
+    x = random_sequence(rng, n, 7, complex_=True)
+    if source == "run":
+        return run(x, w).factors, 6
+    if source == "mgs_factorize":
+        return mgs_factorize(x[1:].T - x[:-1].T, w), 6
+    if source == "load_history":
+        path = tmp_path / "hist.json"
+        save_history(run(x, w), path)
+        products.clear()
+        return load_history(path).factors, 6
+    _Stages(random_contraction(rng, n), rng.standard_normal(n),
+            np.zeros(n), w, 5)
+    return None, 6
+
+
+@pytest.mark.parametrize("source", ["run", "run-early-stop", "mgs_factorize",
+                                    "load_history", "arnoldi"])
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+def test_identity_weight_keeps_one_array_as_q_and_p(monkeypatch, tmp_path,
+                                                    kind, source):
+    # under the identity P = M Q is Q: every grown view and the final
+    # factors hold one array as both, with P = Q's floats; the other
+    # weights keep a separate P.  Each column still takes one M-product
+    grown, append = [], qr._append
+
+    def recording(*args):
+        view = append(*args)
+        grown.append(view)
+        return view
+
+    monkeypatch.setattr(qr, "_append", recording)
+    monkeypatch.setattr("wextrap.extrapolate._append", recording)
+    monkeypatch.setattr("wextrap.krylov._append", recording)
+    products, apply = [], WeightOperator.apply
+
+    def counting(self, z):
+        products.append(np.shape(z))
+        return apply(self, z)
+
+    monkeypatch.setattr(WeightOperator, "apply", counting)
+    rng = np.random.default_rng(34)
+    n = 9
+    w = random_weight(rng, n, kind)
+    final, columns = _grown_factors(source, w, rng, tmp_path, products)
+    assert products == [(n,)] * columns
+    views = grown + ([final, final.leading(2)] if final is not None else [])
+    for f in views:
+        if kind == "identity":
+            assert f.p is f.q
+        else:
+            assert not np.shares_memory(f.p, f.q)
+            assert_p_is_mq(f, w)
 
 
 def test_leading_views_restrict_bit_identically():
