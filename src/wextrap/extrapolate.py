@@ -47,17 +47,16 @@ avoiding any multiplication by U_k itself.  With every stage's xi as a
 column of one array, one pair of matrix products gives every s.
 
 :func:`run` drives the whole pipeline over a sequence in two phases.
-The QR loop factors incrementally with the CGS2 kernel of
-:mod:`wextrap.qr` (one product with M per difference column; |||u_k|||
-follows from the same deflation by Pythagoras).  It stops early when an
-incoming difference is numerically zero (the iteration converged on its
-own) or when the difference block loses rank -- the latter signals the
-terminal degree: there the least-squares system is consistent, the two
-methods coincide, and the extrapolated vector is exact for linear
-problems.  The stage phase then computes both methods at every stage
-from the final factors, as arrays with one column per stage: the one
-solve for c, column sums for alpha, cumulative sums for mu and h, and
-the one pair of products for s.
+The QR loop is the one growth loop of :mod:`wextrap.qr` (one product
+with M per difference column; |||u_k||| follows from the same deflation
+by Pythagoras).  It stops at the first difference numerically in the
+span of the earlier ones, a zero one included (the iteration converged
+on its own): the terminal degree, where the least-squares system is
+consistent, the two methods coincide, and the extrapolated vector is
+exact for linear problems.  The stage phase then computes both methods
+at every stage from the final factors, as arrays with one column per
+stage: the one solve for c, column sums for alpha, cumulative sums for
+mu and h, and the one pair of products for s.
 
 :func:`run` computes in the field of its inputs: float64 when the
 weight and the iterates hold no nonzero imaginary part (a complex array
@@ -82,8 +81,8 @@ from .errors import (
     MpeNonexistent,
     NonFiniteIterate,
 )
-from .qr import RANK_TOL, WQRFactors, _append, _buffers, \
-    orthogonalize_column
+# orthogonalize_column: benchmarks/test_smoke.py reads it through here
+from .qr import WQRFactors, _grow, orthogonalize_column  # noqa: F401
 from .weights import _in_field, validate
 
 __all__ = [
@@ -103,8 +102,8 @@ __all__ = [
 #: when sigma_k > EXIST_TOL; see the module docstring
 EXIST_TOL = 1e-12
 
-#: an incoming difference with weighted norm at or below this absolute
-#: value means the underlying iteration has already converged
+#: a terminal difference with weighted norm at or below this absolute
+#: value marks the run converged (the rank test has already stopped it)
 CONVERGE_ATOL = 1e-300
 
 
@@ -209,29 +208,24 @@ def assemble(x0, factors: WQRFactors, gamma) -> np.ndarray:
     return x0 + factors.q[:, :k] @ eta
 
 
-def _records(x0, factors: WQRFactors, u_norms, rdiags, rho):
+def _records(x0, factors: WQRFactors, r, u_norms):
     """Both methods at every stage, from the final factors.
 
-    ``factors`` holds the m accepted columns, ``u_norms`` and ``rdiags``
-    hold one entry per stage, and ``rho`` is the terminal column's
-    projection coefficients (None when the run ended without a terminal
-    stage).  Each quantity is a stage-column array, column k for stage
-    k.  Column k of -triu(R, 1) is -rho_k, zero-padded, so the one
-    solve R X = [-triu(R, 1) | -rho] gives every c'.  R is upper
-    triangular with a positive diagonal, so the partial pivoting in
-    ``np.linalg.solve`` swaps no row: each column is a back
-    substitution, and its rows from k down come out zero.
+    ``factors`` holds the m accepted columns, ``u_norms`` one entry per
+    stage, and ``r`` the R buffer, whose column of a terminal stage
+    holds its projection coefficients rho and trial r_kk.  Each quantity
+    is a stage-column array, column k for stage k.  Column k of
+    -triu(r, 1) is -rho_k, zero-padded, so one solve against R gives
+    every c'.  R is upper triangular with a positive diagonal, so the
+    partial pivoting in ``np.linalg.solve`` swaps no row: each column
+    is a back substitution, and its rows from k down come out zero.
     """
-    r, m = factors.r, factors.k
-    count = m + (rho is not None)
-    rhs = -np.triu(r, 1)
-    if rho is not None:
-        rhs = np.column_stack([rhs, -rho])
+    m, count = factors.k, len(u_norms)
     c = np.zeros((m + 1, count), dtype=r.dtype)
-    c[:m] = np.linalg.solve(r, rhs)
+    c[:m] = np.linalg.solve(factors.r, -np.triu(r[:m, :count], 1))
     c[np.arange(count), np.arange(count)] = 1.0  # c_k = (c', 1)
     alpha = c.sum(axis=0)
-    rdiag = np.array(rdiags)
+    rdiag = r.diagonal()[:count].real
     # the coupling recursion of the module docstring, every stage at
     # once (cumsum adds in the recursion's order); an overflow here is a
     # mu the check below reports, not a numpy warning
@@ -262,7 +256,7 @@ def _records(x0, factors: WQRFactors, u_norms, rdiags, rho):
     stage = np.concatenate([np.arange(count), np.arange(m)])
     xi = np.where(np.arange(m)[:, None] < stage,
                   1.0 - np.cumsum(gamma[:m], axis=0), 0.0)
-    s = (r @ xi).T @ factors.q.T
+    s = (factors.r @ xi).T @ factors.q.T
     s += x0
     phi = rdiag * np.abs(gamma.diagonal()[:count])
 
@@ -294,8 +288,8 @@ def _records(x0, factors: WQRFactors, u_norms, rdiags, rho):
                                    s=previous.s.copy())
         else:
             rre = CoefficientSolve("rre", False, None, None)
-        records.append(ExtrapolationRecord(k, u_norms[k], rdiags[k], mpe,
-                                           rre, terminal=k == m))
+        records.append(ExtrapolationRecord(k, u_norms[k], float(rdiag[k]),
+                                           mpe, rre, terminal=k == m))
     return records
 
 
@@ -320,8 +314,9 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     convergence of the underlying iteration against
     :data:`CONVERGE_ATOL`.
 
-    The run has two phases.  The QR loop factors one difference column
-    at a time and makes the rank and convergence decisions.  Then every
+    The run has two phases.  The QR loop (:func:`wextrap.qr._grow`)
+    factors one difference column at a time and stops at the terminal
+    stage; :data:`CONVERGE_ATOL` only names how it ended.  Then every
     stage is computed at once from the final factors: one triangular
     solve gives every c, and one pair of matrix products every s.  The
     factors of a stage do not depend on ``k_max``, but the blocked solve
@@ -372,39 +367,16 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     x0 = x[0].copy()
     history = RunHistory(weight=weight, x0=x0, differences=diffs,
                          k_max=k_max)
-    # Q, P and R for every stage, allocated once; each stage's factors
-    # are a leading view of them
-    room = _buffers(weight, k_max + 1, x.dtype)
-    factors = room.leading(0)
-    u_norms, rdiags, rho = [], [], None
-
-    for k in range(k_max + 1):
-        u = diffs[:, k]
-        coeffs, w, mw, rnorm = orthogonalize_column(factors, u)
-        u_norm = float(np.hypot(np.linalg.norm(coeffs), rnorm))
-        u_norms.append(u_norm)
-        rdiags.append(float(rnorm))
-
-        converged = u_norm <= CONVERGE_ATOL
-        if converged or k == n or rnorm <= RANK_TOL * u_norm:
-            # the terminal stage: the least-squares problem
-            # min ||| U_{k-1} c' + u_k ||| is (numerically) consistent
-            rho = coeffs
-            history.status = RunStatus.CONVERGED if converged \
-                else RunStatus.RANK_DEFICIENT
-            history.detected_k0 = k
-            break
-        factors = _append(room, coeffs, w, mw, rnorm)
-
-    if factors.k < room.k:
-        # stopped early: keep the leading block, not the unused columns,
-        # and under the identity weight one array as both Q and P
-        q = factors.q.copy(order="F")
-        factors = WQRFactors(weight, q, factors.r.copy(),
-                             q if factors.p is factors.q
-                             else factors.p.copy(order="F"))
+    # it stops at the terminal stage, where the least-squares problem
+    # min ||| U_{k-1} c' + u_k ||| is (numerically) consistent
+    room, factors, u_norms = _grow(weight, k_max + 1, x.dtype,
+                                   lambda k, _: diffs[:, k])
+    if len(u_norms) > factors.k:
+        history.status = RunStatus.CONVERGED \
+            if u_norms[-1] <= CONVERGE_ATOL else RunStatus.RANK_DEFICIENT
+        history.detected_k0 = factors.k
     history.factors = factors
-    history.records = _records(x0, factors, u_norms, rdiags, rho)
+    history.records = _records(x0, factors, room.r, u_norms)
     return history
 
 

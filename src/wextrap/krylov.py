@@ -4,9 +4,9 @@ Both methods search the affine Krylov space x_0 + K_k(A; r_0), with
 A = I - T applied as an operator and r_0 = d - A x_0.  The basis of
 K_k is built by one Arnoldi process, and that process is the weighted
 QR factorization of :mod:`wextrap.qr` applied to the columns
-[r_0, A v_0, ..., A v_{k-1}], grown one column at a time with the same
-CGS2 kernel and in-place append as the extrapolation's factors (M v_j
-is kept beside each v_j, one product with M per step).  So
+[r_0, A v_0, ..., A v_{k-1}], grown by the extrapolation's loop
+(:func:`wextrap.qr._grow`: M v_j beside each v_j, one product with M
+per step), which stops at a happy breakdown or at column N.  So
 V_{k+1} = Q satisfies <v_i, v_j> = delta_ij, beta = |||r_0||| = r_00,
 A V_k = V_{k+1} H~ with H~ the factor R without its first column, and
 the projected problem is a small Hessenberg system:
@@ -104,7 +104,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientVectors
 from . import extrapolate
-from .qr import RANK_TOL, _append, _buffers, orthogonalize_column
+from .qr import RANK_TOL, _grow
 from .relations import _rel, _spread, _stage_list
 from .weights import _in_field, validate
 
@@ -205,8 +205,8 @@ class _Stages:
     ``beta`` is |||r_0|||, ``basis`` the N x j weighted-orthonormal
     basis (j = k + 1 without breakdown) and ``hess`` the (j+1) x j
     Hessenberg matrix of the j steps taken.  A step breaks down when
-    A v_{j-1} fails the rank test of :data:`wextrap.qr.RANK_TOL`: it
-    lies in the current space (happy breakdown).  Its Hessenberg column
+    A v_{j-1} is column N or fails the rank test of
+    :data:`wextrap.qr.RANK_TOL` (happy breakdown).  Its Hessenberg column
     is kept (the subdiagonal entry is the tiny deflated norm), so
     stage-j solves remain available and exact, and later stages read
     them too.  A zero initial residual takes no step.
@@ -216,22 +216,16 @@ class _Stages:
         _check_stage(k, "k")
         _, apply_t, d, x0, weight = _problem(t, d, x0, weight)
         self.x0 = x0
-        room = _buffers(weight, k + 1, d.dtype)
-        factors = room.leading(0)
-        for steps in range(k + 1):
-            if steps == 0:
-                column = apply_t(x0) + d - x0
-            else:
-                v = factors.q[:, steps - 1]
-                column = v - apply_t(v)
-            h, w, mw, hnorm = orthogonalize_column(factors, column)
-            # a zero r_0, or a happy breakdown against |||A v_j||| by
-            # Pythagoras: the column goes into R's buffer only (not Q
-            # or P), as the last column of H~
-            if hnorm <= RANK_TOL * np.hypot(np.linalg.norm(h), hnorm):
-                room.r[:steps, steps], room.r[steps, steps] = h, hnorm
-                break
-            factors = _append(room, h, w, mw, hnorm)
+
+        def column(j, factors):  # r_0, then A v_{j-1}
+            if j == 0:
+                return apply_t(x0) + d - x0
+            return factors.q[:, j - 1] - apply_t(factors.q[:, j - 1])
+
+        # a zero r_0 or a happy breakdown stops the loop, its column in
+        # R's buffer only (not Q or P), as the last column of H~
+        room, factors, norms = _grow(weight, k + 1, d.dtype, column)
+        steps = len(norms) - 1
         # r_00 = |||r_0|||, and stays 0 when r_0 = 0 took no step
         self.beta = beta = float(room.r[0, 0].real)
         self.basis = factors.q

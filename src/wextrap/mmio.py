@@ -454,12 +454,14 @@ def _solve_from_dict(doc, method, path) -> CoefficientSolve:
     )
 
 
-def _check_records(records, columns, dimension, path) -> None:
+def _check_records(records, columns, x0, dimension, path) -> None:
     """Reject a history the verifier cannot judge: records out of
     order, an early terminal stage, a solve missing a part it must
     carry, or arrays of the wrong size.  Values are not judged beyond
     a finite positive phi, so a tampered number still reaches the
     verifier."""
+    if x0.shape != (dimension,):
+        _fail(f"x0 of shape {x0.shape}, expected ({dimension},)", path)
     if columns.shape[1] < len(records):
         _fail(f"{len(records)} records need as many difference columns, "
               f"the file holds {columns.shape[1]}", path)
@@ -515,15 +517,21 @@ def load_history(path) -> RunHistory:
         version = doc.get("version")
         if type(version) is not int or version not in (1, 2):
             _fail(f"unsupported history version {version!r}", path)
+        dimension = doc["dimension"]
+        if type(dimension) is not int:
+            _fail(f"dimension = {dimension!r} is not an integer", path)
         wspec = doc["weight"]
         if wspec["kind"] == "identity":
-            weight = WeightOperator.identity(int(doc["dimension"]))
+            weight = WeightOperator.identity(dimension)
         elif wspec["kind"] == "diagonal":
             weights = wspec["weights"]  # v1: a plain list of reals
             weight = WeightOperator.diagonal(
                 weights if version == 1 else _array(weights, path))
         else:
             weight = WeightOperator.dense(_array(wspec["matrix"], path))
+        if weight.dimension != dimension:
+            _fail(f"dimension = {dimension}, the weight's is "
+                  f"{weight.dimension}", path)
         x0 = _array(doc["x0"], path)
         if version == 2:
             columns = _array(doc["differences"], path)
@@ -560,7 +568,7 @@ def load_history(path) -> RunHistory:
         raise DimensionMismatch(
             f"difference columns of dimension {columns.shape[0]}, weight of "
             f"dimension {weight.dimension}")
-    _check_records(records, columns, weight.dimension, path)
+    _check_records(records, columns, x0, weight.dimension, path)
     appended = len(records) - (1 if records and records[-1].terminal else 0)
     # the run already accepted these columns under its rank test, which
     # older versions let a caller loosen and no file records: regrow

@@ -15,19 +15,17 @@ hypot(||c||, r_kk) by Pythagoras.  Under the identity weight P is Q:
 the factors hold one array as both ``q`` and ``p``, and no second
 N x k buffer is made or written.
 
-A factorization grows in place.  The loop that factors the columns
-allocates Q, P and R once (:func:`_buffers`), sized to the column count
-it already knows, and :func:`_append` writes each accepted column into
-them.  Every :class:`WQRFactors` a caller sees is a leading view of
-those buffers.  That loop is their only writer and never writes a
-column twice, so an earlier view keeps its values while the
-factorization grows.  :func:`wextrap.extrapolate.run`,
-:func:`mgs_factorize` (and so the history loader) and the Arnoldi
-process of :mod:`wextrap.krylov` all grow this way, so a run's factors
-and a one-shot factorization of the same columns are the same floats.
-A run that stops before its last planned column keeps a copy of the
-leading block instead (one array as Q and P under the identity), so
-the unused columns are freed.
+A factorization grows in place, by the one loop :func:`_grow` that
+:func:`wextrap.extrapolate.run`, :func:`mgs_factorize` (and so the
+history loader) and the Arnoldi process of :mod:`wextrap.krylov` all
+call, so a run's factors and a one-shot factorization of the same
+columns are the same floats.  It allocates Q, P and R once and
+:func:`_append` writes each accepted column into them.  Every
+:class:`WQRFactors` a caller sees is a leading view of those buffers,
+which only that loop writes and never a column twice, so an earlier
+view keeps its values.  The loop holds the one rank test, and a loop
+that stops before its last planned column keeps a copy of the leading
+block instead, so the unused columns are freed.
 
 The buffers take the field of the factored columns and the weight
 (:func:`wextrap.weights._in_field`): float64 when both are real by
@@ -96,24 +94,11 @@ class WQRFactors:
         return float(np.max(np.abs(self.q.conj().T @ mq - np.eye(self.k))))
 
 
-def _buffers(weight: WeightOperator, columns: int, dtype) -> WQRFactors:
-    """Zeroed room of ``dtype`` for ``columns`` columns, to be grown by
-    :func:`_append` from its empty leading view.  Q and P are
-    column-major, so each of their columns and every leading block is
-    contiguous.  Under the identity weight P = M Q is Q, and the one
-    array serves as both."""
-    n = weight.dimension
-    q = np.zeros((n, columns), dtype, order="F")
-    return WQRFactors(weight, q, np.zeros((columns, columns), dtype),
-                      q if weight.kind == "identity"
-                      else np.zeros((n, columns), dtype, order="F"))
-
-
 def _append(room: WQRFactors, coeffs, w, mw, rnorm) -> WQRFactors:
     """Write one orthogonalized column into ``room`` after the
     ``len(coeffs)`` columns already there, and return the grown leading
     view.  ``(coeffs, w, mw, rnorm)`` is what :func:`orthogonalize_column`
-    gave against the current view; the caller has judged its rank.
+    gave against the current view, whose rank :func:`_grow` has judged.
     Where P is Q (the identity weight, whose ``mw`` is a copy of ``w``)
     the one divide writes both."""
     k = len(coeffs)
@@ -154,15 +139,48 @@ def orthogonalize_column(factors: WQRFactors, a):
     return c, w, mw, weight._form_norm(w, mw)
 
 
-def mgs_factorize(a, weight, rank_tol: float = RANK_TOL) -> WQRFactors:
-    """Weighted QR factorization of the columns of ``a`` by the CGS2
-    kernel, grown one column at a time as :func:`wextrap.extrapolate.run`
-    grows its factors, so the two give bit-identical floats.
+def _grow(weight: WeightOperator, count: int, dtype, column,
+          rank_tol: float | None = None):
+    """The one loop that grows a weighted QR: factor ``column(j,
+    factors)`` for j < ``count`` against the factors of the first j
+    columns, in buffers of ``dtype`` allocated once (Q and P
+    column-major, one array as both under the identity weight).
 
-    Raises :class:`RankDeficient` when a deflated column's weighted norm
-    is at or below ``rank_tol`` times that column's weighted norm, i.e.
-    the column lies (numerically) in the span of the previous ones.
+    It stops at the first dependent column: column N, or one whose
+    deflated norm is at or below ``rank_tol`` (:data:`RANK_TOL`, read at
+    call time, when None) times its own weighted norm.  That column's
+    coefficients and r_jj go into R's buffer only, and the factors are
+    a copy of the leading block.  Returns ``(room, factors, norms)``,
+    ``norms`` the weighted norm of every column tried.
     """
+    if rank_tol is None:
+        rank_tol = RANK_TOL
+    n = weight.dimension
+    q = np.zeros((n, count), dtype, order="F")
+    room = WQRFactors(weight, q, np.zeros((count, count), dtype),
+                      q if weight.kind == "identity"
+                      else np.zeros((n, count), dtype, order="F"))
+    factors, norms = room.leading(0), []
+    for j in range(count):
+        c, w, mw, rnorm = orthogonalize_column(factors, column(j, factors))
+        norms.append(float(np.hypot(np.linalg.norm(c), rnorm)))
+        if j == n or rnorm <= rank_tol * norms[j]:
+            room.r[:j, j], room.r[j, j] = c, rnorm
+            q = factors.q.copy(order="F")
+            factors = WQRFactors(weight, q, factors.r.copy(),
+                                 q if factors.p is factors.q
+                                 else factors.p.copy(order="F"))
+            break
+        factors = _append(room, c, w, mw, rnorm)
+    return room, factors, norms
+
+
+def mgs_factorize(a, weight, rank_tol: float | None = None) -> WQRFactors:
+    """Weighted QR factorization of the columns of ``a`` by :func:`_grow`,
+    which grows :func:`wextrap.extrapolate.run`'s factors too, so the two
+    give bit-identical floats.  Raises :class:`RankDeficient` at the
+    first dependent column, judged against ``rank_tol`` (RANK_TOL when
+    None)."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D column matrix, got shape {a.shape}")
@@ -173,12 +191,11 @@ def mgs_factorize(a, weight, rank_tol: float = RANK_TOL) -> WQRFactors:
             f"{weight.dimension}"
         )
     a, = _in_field(weight, a)
-    room = _buffers(weight, a.shape[1], a.dtype)
-    factors = room.leading(0)
-    for j in range(a.shape[1]):
-        coeffs, w, mw, rnorm = orthogonalize_column(factors, a[:, j])
-        threshold = rank_tol * float(np.hypot(np.linalg.norm(coeffs), rnorm))
-        if rnorm <= threshold:
-            raise RankDeficient(j, residual_norm=rnorm, threshold=threshold)
-        factors = _append(room, coeffs, w, mw, rnorm)
+    rank_tol = RANK_TOL if rank_tol is None else rank_tol
+    room, factors, norms = _grow(weight, a.shape[1], a.dtype,
+                                 lambda j, _: a[:, j], rank_tol)
+    j = factors.k
+    if j < len(norms):
+        raise RankDeficient(j, residual_norm=float(room.r[j, j].real),
+                            threshold=rank_tol * norms[j])
     return factors

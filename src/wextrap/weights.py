@@ -104,9 +104,10 @@ class WeightOperator:
                 raise NonpositiveWeight("diagonal weights must be real")
             w = w.real
         w = w.astype(float)
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            bad = int(np.argmin(w))
-            raise NonpositiveWeight(f"weight {bad} is {w[bad]!r}, expected > 0")
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+        if bad.size:
+            raise NonpositiveWeight(
+                f"weight {bad[0]} is {float(w[bad[0]])!r}, expected > 0")
         return cls("diagonal", w.size, diag=w, scale=float(w.max()))
 
     @classmethod

@@ -20,6 +20,7 @@ from wextrap import (
     iterate,
     load_history,
     mmio,
+    qr,
     read_matrix,
     read_sequence,
     read_vector,
@@ -459,7 +460,7 @@ def test_history_round_trip_below_default_rank_tol(tmp_path, monkeypatch):
     # older versions let a run accept columns under a rank tolerance
     # below RANK_TOL; no file records it, and loading must not reject
     # them
-    monkeypatch.setattr(extrapolate, "RANK_TOL", 1e-16)
+    monkeypatch.setattr(qr, "RANK_TOL", 1e-16)
     rng = np.random.default_rng(0)
     n = 50
     t = np.diag(0.95 * rng.uniform(0.1, 1.0, n))
@@ -815,12 +816,34 @@ def test_history_rejects_unknown_version(tmp_path):
     ("k_max", True, "k_max = True is not an integer"),
     ("detected_k0", "2", "detected_k0 = '2' is neither"),
     ("detected_k0", [2], r"detected_k0 = \[2\] is neither"),
+    ("dimension", 2.5, "dimension = 2.5 is not an integer"),
+    ("dimension", True, "dimension = True is not an integer"),
+    ("dimension", "6", "dimension = '6' is not an integer"),
 ])
 def test_history_rejects_malformed_run_scalars(tmp_path, key, value, match):
     # read inside the structure check, so a bad value is a ParseError
     # (exit 2), not a ValueError/TypeError traceback
     path = _tampered_v2(tmp_path, lambda doc: doc.update({key: value}))
     _load_fails(path, match)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 1)], ids=["long", "2-D"])
+def test_history_rejects_x0_of_the_wrong_shape(tmp_path, shape):
+    # an x0 that is not one N-vector would be written back as it is
+    def edit(doc):
+        b64 = base64.b64encode(np.ones(shape).tobytes()).decode("ascii")
+        doc["x0"] = {"dtype": "<f8", "shape": list(shape), "b64": b64}
+    _load_fails(_tampered_v2(tmp_path, edit),
+                re.escape(f"x0 of shape {shape}, expected (6,)"))
+
+
+def test_history_rejects_dimension_other_than_the_weights(tmp_path):
+    # the committed file's dense weight is 5 x 5
+    doc = json.loads((Path(__file__).parent / "data"
+                      / "history_v2.json").read_text())
+    path = tmp_path / "hist.json"
+    path.write_text(json.dumps(dict(doc, dimension=6)))
+    _load_fails(path, "dimension = 6, the weight's is 5")
 
 
 def test_history_keeps_valid_run_scalars(tmp_path):

@@ -92,7 +92,6 @@ def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
         return view
 
     monkeypatch.setattr(qr, "_append", recording)
-    monkeypatch.setattr("wextrap.extrapolate._append", recording)
     rng = np.random.default_rng(32)
     w = random_weight(rng, 8, "dense")
     x = random_sequence(rng, 8, 7, complex_=True)
@@ -160,8 +159,6 @@ def test_identity_weight_keeps_one_array_as_q_and_p(monkeypatch, tmp_path,
         return view
 
     monkeypatch.setattr(qr, "_append", recording)
-    monkeypatch.setattr("wextrap.extrapolate._append", recording)
-    monkeypatch.setattr("wextrap.krylov._append", recording)
     products, apply = [], WeightOperator.apply
 
     def counting(self, z):
@@ -181,6 +178,56 @@ def test_identity_weight_keeps_one_array_as_q_and_p(monkeypatch, tmp_path,
         else:
             assert not np.shares_memory(f.p, f.q)
             assert_p_is_mq(f, w)
+
+
+@pytest.mark.parametrize("source", ["run", "run-early-stop", "mgs_factorize",
+                                    "load_history", "arnoldi"])
+def test_every_growth_source_runs_the_one_loop(monkeypatch, tmp_path, source):
+    # each source grows its factors by one call of qr._grow, and no
+    # column is orthogonalized outside it
+    calls, inside = [], []
+    grow, orthogonalize = qr._grow, qr.orthogonalize_column
+
+    def growing(*args, **kwargs):
+        calls.append("grow")
+        inside.append(True)
+        try:
+            return grow(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def orthogonalizing(*args):
+        calls.append("column" if inside else "outside")
+        return orthogonalize(*args)
+
+    for name in ("wextrap.qr", "wextrap.extrapolate", "wextrap.krylov"):
+        monkeypatch.setattr(f"{name}._grow", growing)
+    for name in ("wextrap.qr", "wextrap.extrapolate"):
+        monkeypatch.setattr(f"{name}.orthogonalize_column", orthogonalizing)
+    rng = np.random.default_rng(35)
+    w = random_weight(rng, 9, "dense")
+    _, columns = _grown_factors(source, w, rng, tmp_path, calls)
+    assert calls == ["grow"] + ["column"] * columns
+
+
+@pytest.mark.parametrize("source", ["mgs_factorize", "arnoldi"])
+def test_column_n_is_dependent_whatever_its_norm(monkeypatch, source):
+    # N + 1 columns of N-vectors are dependent: with no rank tolerance
+    # at all, the loop still stops at column N, whose deflated norm is
+    # roundoff and not 0
+    for name in ("wextrap.qr", "wextrap.krylov"):
+        monkeypatch.setattr(f"{name}.RANK_TOL", 0.0)
+    rng = np.random.default_rng(6)
+    w = WeightOperator.identity(3)
+    if source == "mgs_factorize":
+        with pytest.raises(RankDeficient) as info:
+            mgs_factorize(rng.standard_normal((3, 4)), w, rank_tol=0.0)
+        assert info.value.index == 3 and info.value.residual_norm > 0.0
+    else:
+        stages = _Stages(random_contraction(rng, 3), rng.standard_normal(3),
+                         np.zeros(3), w, 5)
+        assert stages.basis.shape == (3, 3)
+        assert stages.hess.shape == (4, 3) and stages.hess[3, 2] != 0.0
 
 
 def test_leading_views_restrict_bit_identically():

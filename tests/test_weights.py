@@ -64,11 +64,17 @@ def test_dense_nonhermitian_rejected():
         WeightOperator.dense([[1.0, 1.0], [0.0, 1.0]])
 
 
-def test_diag_nonpositive_rejected():
-    with pytest.raises(NonpositiveWeight):
-        WeightOperator.diagonal([1.0, 0.0])
-    with pytest.raises(NonpositiveWeight):
-        WeightOperator.diagonal([1.0, -2.0])
+@pytest.mark.parametrize("weights, match", [
+    ([1.0, np.inf], r"^weight 1 is inf, expected > 0$"),
+    ([1.0, -np.inf], r"^weight 1 is -inf, expected > 0$"),
+    ([2.0, np.nan, 0.5], r"^weight 1 is nan, expected > 0$"),
+    ([1.0, 0.0], r"^weight 1 is 0\.0, expected > 0$"),
+    ([1.0, -2.0], r"^weight 1 is -2\.0, expected > 0$"),
+], ids=["inf", "-inf", "nan", "zero", "negative"])
+def test_diag_nonpositive_rejected(weights, match):
+    # the first entry that is not finite and positive, as a Python float
+    with pytest.raises(NonpositiveWeight, match=match):
+        WeightOperator.diagonal(weights)
 
 
 def test_inner_standard_basis_orthogonal():
