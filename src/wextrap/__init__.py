@@ -11,7 +11,6 @@ from .errors import (
     DimensionMismatch,
     InsufficientVectors,
     LambdaNotPositive,
-    MpeNonexistent,
     NegativeQuadraticForm,
     NonFiniteIterate,
     NonpositiveWeight,
@@ -26,9 +25,7 @@ from .extrapolate import (
     ExtrapolationRecord,
     RunHistory,
     RunStatus,
-    assemble,
     history_rows,
-    history_to_dict,
     run,
 )
 from .krylov import (
@@ -38,6 +35,7 @@ from .krylov import (
     gmr_solve,
 )
 from .mmio import (
+    history_to_dict,
     load_history,
     read_matrix,
     read_sequence,
@@ -51,9 +49,6 @@ from .problems import (
     FixedPointProblem,
     cosine_problem,
     iterate,
-    make_mpe_failure_problem,
-    make_mpe_failure_sequence,
-    make_near_stagnation_problem,
     quadratic_problem,
     residual,
 )
@@ -77,7 +72,6 @@ __all__ = [
     "InsufficientVectors",
     "KrylovComparison",
     "LambdaNotPositive",
-    "MpeNonexistent",
     "NegativeQuadraticForm",
     "NonFiniteIterate",
     "NonpositiveWeight",
@@ -92,7 +86,6 @@ __all__ = [
     "WQRFactors",
     "WeightOperator",
     "WextrapError",
-    "assemble",
     "cosine_problem",
     "equivalence_check",
     "fom_solve",
@@ -101,9 +94,6 @@ __all__ = [
     "history_to_dict",
     "iterate",
     "load_history",
-    "make_mpe_failure_problem",
-    "make_mpe_failure_sequence",
-    "make_near_stagnation_problem",
     "mgs_factorize",
     "orthogonalize_column",
     "quadratic_problem",

@@ -251,9 +251,12 @@ def cmd_qr(args):
     try:
         factors = mgs_factorize(a, weight)
     except RankDeficient as exc:
-        print(f"rank deficiency: column {exc.index} is dependent "
-              f"(residual {exc.residual_norm:.3e}, threshold "
-              f"{exc.threshold:.3e})", file=sys.stderr)
+        if exc.residual_norm is None:  # column N of N-vectors
+            print(f"rank deficiency: {exc}", file=sys.stderr)
+        else:
+            print(f"rank deficiency: column {exc.index} is dependent "
+                  f"(residual {exc.residual_norm:.3e}, threshold "
+                  f"{exc.threshold:.3e})", file=sys.stderr)
         return 5
     q_path = _out_path(args.q_out, "Q.mtx")
     r_path = _out_path(args.r_out, "R.mtx")
@@ -266,15 +269,14 @@ def cmd_qr(args):
     return 0
 
 
-def _add_input_flags(sub, with_map=True):
+def _add_input_flags(sub):
     sub.add_argument("--sequence", metavar="FILE",
                      help="iterate sequence, one vector per line")
     sub.add_argument("--linear", nargs=2, metavar=("T.mtx", "d.vec"),
                      help="linear map T (MatrixMarket) and offset d")
-    if with_map:
-        sub.add_argument("--map", choices=sorted(BUILTIN_MAPS),
-                         help="built-in nonlinear map")
-        sub.add_argument("--dim", type=int, help="dimension for --map")
+    sub.add_argument("--map", choices=sorted(BUILTIN_MAPS),
+                     help="built-in nonlinear map")
+    sub.add_argument("--dim", type=int, help="dimension for --map")
     sub.add_argument("--x0", default=None, metavar="FILE|zero",
                      help="initial vector (default zero)")
     sub.add_argument("--iters", type=int, default=None,

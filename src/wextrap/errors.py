@@ -36,27 +36,28 @@ class RankDeficient(WextrapError):
     """Raised when an orthogonalized column falls below the rank tolerance.
 
     Carries the column index at which dependence was detected; for
-    difference matrices this index is the detected k0.
+    difference matrices this index is the detected k0.  Without a
+    ``residual_norm`` the column is column N of N-vectors, which is
+    dependent whatever its norm.
     """
 
     def __init__(self, index, residual_norm=None, threshold=None):
         self.index = index
         self.residual_norm = residual_norm
         self.threshold = threshold
-        msg = f"column {index} is numerically dependent on its predecessors"
-        if residual_norm is not None:
-            msg += f" (deflated norm {residual_norm:.3e}, threshold {threshold:.3e})"
+        if residual_norm is None:
+            msg = (f"column {index} of {index}-vectors is dependent on its "
+                   "predecessors, whatever its norm")
+        else:
+            msg = (f"column {index} is numerically dependent on its "
+                   f"predecessors (deflated norm {residual_norm:.3e}, "
+                   f"threshold {threshold:.3e})")
         super().__init__(msg)
 
 
 class LambdaNotPositive(WextrapError):
     """Raised when the constrained least-squares multiplier is not a
     positive real, which indicates broken triangular factors."""
-
-
-class MpeNonexistent(WextrapError):
-    """Raised when an operation requires an extrapolant whose coefficient
-    sum vanished."""
 
 
 class InsufficientVectors(WextrapError):

@@ -67,7 +67,6 @@ gamma and s take that dtype; ``alpha`` is a Python complex in both.
 
 from __future__ import annotations
 
-import base64
 import enum
 import math
 from dataclasses import dataclass, field
@@ -78,7 +77,6 @@ from .errors import (
     DimensionMismatch,
     InsufficientVectors,
     LambdaNotPositive,
-    MpeNonexistent,
     NonFiniteIterate,
 )
 # orthogonalize_column: benchmarks/test_smoke.py reads it through here
@@ -92,9 +90,7 @@ __all__ = [
     "ExtrapolationRecord",
     "RunStatus",
     "RunHistory",
-    "assemble",
     "run",
-    "history_to_dict",
     "history_rows",
 ]
 
@@ -182,30 +178,6 @@ class RunHistory:
     def factors_at(self, k: int) -> WQRFactors:
         """Factors of U_k; valid for every non-terminal stage."""
         return self.factors.leading(k + 1)
-
-
-def assemble(x0, factors: WQRFactors, gamma) -> np.ndarray:
-    """Build s_k = x_0 + Q_{k-1} R_{k-1} xi from the coefficients.
-
-    ``gamma`` has k+1 entries; only the leading k columns of the
-    factorization are used, so passing either stage-k or stage-(k-1)
-    factors works.  Stage 0 returns x_0 itself.
-    """
-    if gamma is None:
-        raise MpeNonexistent("cannot assemble an extrapolant without "
-                             "coefficients (alpha was numerically zero)")
-    dtype = np.result_type(gamma, x0, factors.q)
-    gamma, x0 = np.asarray(gamma, dtype), np.asarray(x0, dtype)
-    k = gamma.size - 1
-    if k == 0:
-        return x0.copy()
-    if factors.k < k:
-        raise DimensionMismatch(
-            f"assembly at stage {k} needs {k} factored columns, have {factors.k}"
-        )
-    xi = 1.0 - np.cumsum(gamma)[:k]
-    eta = factors.r[:k, :k] @ xi
-    return x0 + factors.q[:, :k] @ eta
 
 
 def _records(x0, factors: WQRFactors, r, u_norms):
@@ -378,99 +350,6 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     history.factors = factors
     history.records = _records(x0, factors, room.r, u_norms)
     return history
-
-
-# -- serialization ---------------------------------------------------
-
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _block(a, payloads=None) -> dict:
-    """One array as its little-endian IEEE-754 bytes in base64: exact,
-    byte-deterministic and platform-independent.  Stored as ``"<f8"``
-    when every imaginary part is zero, else as ``"<c16"``.
-
-    With a ``payloads`` list the array itself, already in its stored
-    dtype and C-contiguous (a copy only where ``a`` is not), is appended
-    to it and ``"b64"`` holds the slot ``"#i"`` of its index instead:
-    :func:`wextrap.mmio.save_history` encodes it as it writes it."""
-    a = np.asarray(a)
-    dtype = "<c16" if np.iscomplexobj(a) and a.imag.any() else "<f8"
-    stored = np.ascontiguousarray(a.real if dtype == "<f8" else a,
-                                  dtype=dtype)
-    if payloads is None:
-        # a copy is freed before the decode: it, the base64 bytes and
-        # their str are never alive at once
-        encoded = base64.b64encode(stored)
-        del stored
-        b64 = encoded.decode("ascii")
-    else:
-        b64 = f"#{len(payloads)}"
-        payloads.append(stored)
-    return {"dtype": dtype, "shape": list(a.shape), "b64": b64}
-
-
-def _solve_to_dict(solve: CoefficientSolve, payloads) -> dict:
-    out = {"method": solve.method, "exists": bool(solve.exists)}
-    out["gamma"] = (None if solve.gamma is None
-                    else _block(solve.gamma, payloads))
-    out["phi"] = None if solve.phi is None else float(solve.phi)
-    out["alpha"] = None if solve.alpha is None else _pair(solve.alpha)
-    out["lam"] = None if solve.lam is None else float(solve.lam)
-    out["s"] = None if solve.s is None else _block(solve.s, payloads)
-    return out
-
-
-def history_to_dict(history: RunHistory) -> dict:
-    """JSON-ready dict of the version-2 history format.
-
-    Every array (``x0``, the (N, m) ``differences``, the weight's
-    ``weights`` or ``matrix``, each solve's ``gamma`` and ``s``) is a
-    block ``{"dtype", "shape", "b64"}``; scalars stay JSON numbers and
-    ``alpha`` an ``[re, im]`` pair.  Key order is irrelevant: serialize
-    with sort_keys for byte-stable output.
-    """
-    return _history_doc(history, None)
-
-
-def _history_doc(history: RunHistory, payloads) -> dict:
-    """:func:`history_to_dict`, or with a ``payloads`` list its skeleton:
-    each block's base64 bytes go to the list and its ``"b64"`` holds the
-    slot ``"#i"`` of their index (see :func:`_block`)."""
-    w = history.weight
-    if w.kind == "identity":
-        weight_spec = {"kind": "identity"}
-    elif w.kind == "diagonal":
-        # M applied to ones is the stored weights, exactly
-        weight_spec = {"kind": "diagonal", "weights": _block(
-            w.apply(np.ones(w.dimension)), payloads)}
-    else:
-        weight_spec = {"kind": "dense",
-                       "matrix": _block(w.matrix(), payloads)}
-    return {
-        "format": "wextrap-history",
-        "version": 2,
-        "dimension": int(w.dimension),
-        "k_max": int(history.k_max),
-        "status": history.status.value,
-        "detected_k0": history.detected_k0,
-        "weight": weight_spec,
-        "x0": _block(history.x0, payloads),
-        "differences": _block(history.differences, payloads),
-        "records": [
-            {
-                "k": rec.k,
-                "u_norm": float(rec.u_norm),
-                "rdiag": float(rec.rdiag),
-                "terminal": bool(rec.terminal),
-                "mpe": _solve_to_dict(rec.mpe, payloads),
-                "rre": _solve_to_dict(rec.rre, payloads),
-            }
-            for rec in history.records
-        ],
-    }
 
 
 def history_rows(history: RunHistory) -> list[dict]:

@@ -103,8 +103,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientVectors
-from . import extrapolate
-from .qr import RANK_TOL, _grow
+from . import extrapolate, qr
+from .qr import _grow
 from .relations import _rel, _spread, _stage_list
 from .weights import _in_field, validate
 
@@ -155,12 +155,13 @@ def _columnwise(t, z, out=None):
 
 def _givens(a, b, scale):
     """The unitary 2x2 [[p, q], [u, v]] zeroing b, as ((p, q, u, v),
-    |cosine|), real for a real pair.  A pair at or below RANK_TOL *
-    scale (its column's norm) is a zero column in the frame of the
+    |cosine|), real for a real pair.  A pair at or below
+    :data:`wextrap.qr.RANK_TOL` (read at call time) * scale (its
+    column's norm) is a zero column in the frame of the
     earlier ones: it takes the rotation with c = 0, which swaps the row
     pair."""
     r = np.hypot(abs(a), abs(b))
-    if r <= RANK_TOL * scale:
+    if r <= qr.RANK_TOL * scale:
         return (0.0, 1.0, 1.0, 0.0), 0.0
     return (np.conj(a) / r, np.conj(b) / r, -b / r, a / r), abs(a) / r
 

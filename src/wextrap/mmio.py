@@ -26,15 +26,20 @@ vector per line.  Entries may be written as plain floats or in Python
 complex syntax (``1.5+0.25j``).
 
 Run histories persist as compact JSON with sorted keys, so identical
-runs serialize to identical bytes.  In the version-2 format every array
-is a block ``{"dtype", "shape", "b64"}`` holding its little-endian
-IEEE-754 bytes (``"<f8"`` when every imaginary part is zero, else
-``"<c16"``), which is exact and platform-independent; scalars are JSON
-numbers, and the complex ``alpha`` is a ``[real, imag]`` pair.
+runs serialize to identical bytes.  This module alone writes and reads
+the format.  In version 2 every array (``x0``, the (N, m)
+``differences``, the weight's ``weights`` or ``matrix``, each solve's
+``gamma`` and ``s``) is a block ``{"dtype", "shape", "b64"}`` holding
+its little-endian IEEE-754 bytes in base64 (``"<f8"`` when every
+imaginary part is zero, else ``"<c16"``), which is exact,
+byte-deterministic and platform-independent; scalars are JSON numbers,
+and the complex ``alpha`` is a ``[real, imag]`` pair.
 :func:`save_history` writes version 2: exactly the compact sorted-key
-JSON of :func:`~wextrap.extrapolate.history_to_dict`, with each array's
-base64 encoded in fixed chunks as the file is written, never held whole
-and never re-escaped.  :func:`load_history`
+JSON of :func:`history_to_dict`, but the JSON encoder sees only a
+skeleton in which each block's ``"b64"`` holds the slot ``"#i"`` of
+its array in a payload list.  Each payload, already in its stored
+dtype and C-contiguous, is base64-encoded in fixed chunks as the file
+is written, never held whole and never re-escaped.  :func:`load_history`
 also reads version 1, where every complex entry is a ``[real, imag]``
 pair, and ignores keys it does not know.  Loading reconstructs a full
 :class:`~wextrap.extrapolate.RunHistory`, refactorizing the stored
@@ -57,7 +62,6 @@ from .extrapolate import (
     ExtrapolationRecord,
     RunHistory,
     RunStatus,
-    _history_doc,
 )
 from .qr import mgs_factorize
 from .weights import WeightOperator
@@ -69,6 +73,7 @@ __all__ = [
     "write_vector",
     "read_sequence",
     "write_sequence",
+    "history_to_dict",
     "save_history",
     "load_history",
 ]
@@ -354,6 +359,88 @@ def write_sequence(path, vectors) -> None:
 
 
 # -- run histories ---------------------------------------------------
+
+def _pair(z) -> list[float]:
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def _block(a, payloads=None) -> dict:
+    """One array as a version-2 block.  Without ``payloads`` its
+    ``"b64"`` is the base64 itself; with a ``payloads`` list the stored
+    array (a copy only where ``a`` is not already in its stored dtype
+    and C-contiguous) is appended to it and ``"b64"`` holds the slot
+    ``"#i"`` of its index instead."""
+    a = np.asarray(a)
+    dtype = "<c16" if np.iscomplexobj(a) and a.imag.any() else "<f8"
+    stored = np.ascontiguousarray(a.real if dtype == "<f8" else a,
+                                  dtype=dtype)
+    if payloads is None:
+        # a copy is freed before the decode: it, the base64 bytes and
+        # their str are never alive at once
+        encoded = base64.b64encode(stored)
+        del stored
+        b64 = encoded.decode("ascii")
+    else:
+        b64 = f"#{len(payloads)}"
+        payloads.append(stored)
+    return {"dtype": dtype, "shape": list(a.shape), "b64": b64}
+
+
+def _solve_to_dict(solve: CoefficientSolve, payloads) -> dict:
+    out = {"method": solve.method, "exists": bool(solve.exists)}
+    out["gamma"] = (None if solve.gamma is None
+                    else _block(solve.gamma, payloads))
+    out["phi"] = None if solve.phi is None else float(solve.phi)
+    out["alpha"] = None if solve.alpha is None else _pair(solve.alpha)
+    out["lam"] = None if solve.lam is None else float(solve.lam)
+    out["s"] = None if solve.s is None else _block(solve.s, payloads)
+    return out
+
+
+def history_to_dict(history: RunHistory) -> dict:
+    """JSON-ready dict of the version-2 history format (see the module
+    docstring).  Key order is irrelevant: serialize with sort_keys for
+    byte-stable output."""
+    return _history_doc(history, None)
+
+
+def _history_doc(history: RunHistory, payloads) -> dict:
+    """:func:`history_to_dict`, or with a ``payloads`` list its skeleton
+    (see :func:`_block`)."""
+    w = history.weight
+    if w.kind == "identity":
+        weight_spec = {"kind": "identity"}
+    elif w.kind == "diagonal":
+        # M applied to ones is the stored weights, exactly
+        weight_spec = {"kind": "diagonal", "weights": _block(
+            w.apply(np.ones(w.dimension)), payloads)}
+    else:
+        weight_spec = {"kind": "dense",
+                       "matrix": _block(w.matrix(), payloads)}
+    return {
+        "format": "wextrap-history",
+        "version": 2,
+        "dimension": int(w.dimension),
+        "k_max": int(history.k_max),
+        "status": history.status.value,
+        "detected_k0": history.detected_k0,
+        "weight": weight_spec,
+        "x0": _block(history.x0, payloads),
+        "differences": _block(history.differences, payloads),
+        "records": [
+            {
+                "k": rec.k,
+                "u_norm": float(rec.u_norm),
+                "rdiag": float(rec.rdiag),
+                "terminal": bool(rec.terminal),
+                "mpe": _solve_to_dict(rec.mpe, payloads),
+                "rre": _solve_to_dict(rec.rre, payloads),
+            }
+            for rec in history.records
+        ],
+    }
+
 
 #: bytes of a history payload encoded per base64 call: a multiple of 3,
 #: so every chunk but the last encodes with no "=" padding, and the

@@ -180,7 +180,8 @@ def mgs_factorize(a, weight, rank_tol: float | None = None) -> WQRFactors:
     which grows :func:`wextrap.extrapolate.run`'s factors too, so the two
     give bit-identical floats.  Raises :class:`RankDeficient` at the
     first dependent column, judged against ``rank_tol`` (RANK_TOL when
-    None)."""
+    None); column N of N-vectors raises it with no residual or
+    threshold."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D column matrix, got shape {a.shape}")
@@ -196,6 +197,8 @@ def mgs_factorize(a, weight, rank_tol: float | None = None) -> WQRFactors:
                                  lambda j, _: a[:, j], rank_tol)
     j = factors.k
     if j < len(norms):
+        if j == weight.dimension:  # dependent whatever its norm
+            raise RankDeficient(j)
         raise RankDeficient(j, residual_norm=float(room.r[j, j].real),
                             threshold=rank_tol * norms[j])
     return factors

@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rational_oracle as oracle
+from adversarial import make_mpe_failure_problem, make_mpe_failure_sequence
 from cgs_reference import gs_factorize
 from conftest import (
     ACCEPTANCE_RESULTS,
@@ -26,8 +27,6 @@ from wextrap import (
     WeightOperator,
     cli,
     equivalence_check,
-    make_mpe_failure_problem,
-    make_mpe_failure_sequence,
     mgs_factorize,
     run,
     verify_history,

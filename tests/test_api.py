@@ -19,7 +19,9 @@ from wextrap import (
     WeightOperator,
     WQRFactors,
     cli,
+    extrapolate,
     krylov,
+    mmio,
     relations,
 )
 
@@ -36,6 +38,7 @@ REMOVED = [
     "DifferenceMatrix",
     "FOM_TOL",
     "KrylovState",
+    "MpeNonexistent",
     "PeakPlateau",
     "STAG_TOL",
     "StagnationEntry",
@@ -43,6 +46,7 @@ REMOVED = [
     "VectorSequence",
     "append_column",
     "arnoldi_step",
+    "assemble",
     "check_corollaries",
     "check_coupling",
     "check_master_identity",
@@ -50,6 +54,9 @@ REMOVED = [
     "empty_factors",
     "gs_factorize",
     "initial_state",
+    "make_mpe_failure_problem",
+    "make_mpe_failure_sequence",
+    "make_near_stagnation_problem",
     "mpe_coefficients",
     "peak_plateau_report",
     "rre_coefficients",
@@ -71,6 +78,14 @@ def test_removed_name_is_gone(name):
         assert not hasattr(importlib.import_module(module), name), module
     with pytest.raises(ImportError):
         exec(f"from wextrap import {name}", {})
+
+
+def test_history_format_has_one_owner():
+    # mmio writes and reads the history format; extrapolate knows none
+    # of it
+    assert wextrap.history_to_dict is mmio.history_to_dict
+    for name in ("history_to_dict", "_history_doc", "_block", "base64"):
+        assert not hasattr(extrapolate, name), name
 
 
 def test_removed_methods_are_gone():

@@ -30,13 +30,10 @@ from wextrap.mmio import (
     write_sequence,
     write_vector,
 )
-from wextrap.problems import (
-    BUILTIN_MAPS,
-    make_mpe_failure_sequence,
-    make_near_stagnation_problem,
-)
+from wextrap.problems import BUILTIN_MAPS
 from wextrap.relations import CATALOG
 
+from adversarial import make_mpe_failure_sequence, make_near_stagnation_problem
 from conftest import random_contraction, random_pd_matrix
 
 
@@ -531,6 +528,18 @@ def test_qr_singular_input_exit_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rank deficiency" in err
     assert "column 1" in err
+
+
+def test_qr_more_columns_than_rows_exit_5(tmp_path, capsys):
+    # column N of N-vectors is dependent whatever its residual: the
+    # message names it so and quotes no residual or threshold
+    a_path = tmp_path / "A23.mtx"
+    write_matrix(a_path, np.random.default_rng(23).standard_normal((2, 3)))
+    rc = cli.main(["qr", str(a_path)])
+    assert rc == 5
+    assert capsys.readouterr().err == (
+        "rank deficiency: column 2 of 2-vectors is dependent on its "
+        "predecessors, whatever its norm\n")
 
 
 # -- error paths ------------------------------------------------------

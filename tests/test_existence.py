@@ -19,12 +19,13 @@ from wextrap import (
     WeightOperator,
     extrapolate,
     iterate,
-    make_near_stagnation_problem,
     quadratic_problem,
     run,
     verify_history,
 )
 from wextrap.krylov import equivalence_check
+
+from adversarial import make_near_stagnation_problem
 
 
 def assert_one_decision(report, comparison=None):

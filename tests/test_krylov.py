@@ -11,15 +11,14 @@ from wextrap import (
     fom_solve,
     gmr_solve,
     iterate,
-    make_mpe_failure_problem,
-    make_near_stagnation_problem,
     residual,
     run,
     verify_history,
 )
-from wextrap.krylov import _Stages
+from wextrap.krylov import _givens, _Stages
 from wextrap.qr import RANK_TOL
 
+from adversarial import make_mpe_failure_problem, make_near_stagnation_problem
 import rational_oracle as ro
 from conftest import random_contraction, random_pd_matrix, random_weight
 
@@ -43,6 +42,15 @@ def test_two_eigencomponents_complete_at_two():
     assert stages.hess.shape == (3, 2)
     a_v1 = stages.basis[:, 1] - DEMO_T @ stages.basis[:, 1]
     assert abs(stages.hess[2, 1]) <= RANK_TOL * np.linalg.norm(a_v1)
+
+
+def test_givens_reads_the_rank_tolerance_at_call_time(monkeypatch):
+    # a pair of 1e-14 on a column of norm 1 is a zero column under the
+    # default RANK_TOL, and a plain rotation once qr.RANK_TOL, which
+    # Arnoldi's rank test reads too, is lowered
+    assert _givens(1e-14, 0.0, 1.0) == ((0.0, 1.0, 1.0, 0.0), 0.0)
+    monkeypatch.setattr("wextrap.qr.RANK_TOL", 1e-15)
+    assert _givens(1e-14, 0.0, 1.0)[1] == 1.0
 
 
 def test_zero_initial_residual():

@@ -15,7 +15,6 @@ from wextrap import (
     FixedPointProblem,
     ParseError,
     WeightOperator,
-    extrapolate,
     history_to_dict,
     iterate,
     load_history,
@@ -749,7 +748,7 @@ def test_failed_save_leaves_the_existing_file(tmp_path):
 def test_save_history_checks_its_payload_slots(tmp_path, monkeypatch):
     # a block whose payload is listed twice leaves one payload without
     # a slot: the save must raise before it opens the file
-    block = extrapolate._block
+    block = mmio._block
 
     def doubled(a, payloads=None):
         out = block(a, payloads)
@@ -757,7 +756,7 @@ def test_save_history_checks_its_payload_slots(tmp_path, monkeypatch):
             payloads.append(payloads[-1])
         return out
 
-    monkeypatch.setattr(extrapolate, "_block", doubled)
+    monkeypatch.setattr(mmio, "_block", doubled)
     rng = np.random.default_rng(55)
     hist = run(random_sequence(rng, 6, 5), WeightOperator.identity(6),
                k_max=3)

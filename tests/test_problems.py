@@ -10,15 +10,17 @@ from wextrap import (
     WeightOperator,
     cosine_problem,
     iterate,
-    make_mpe_failure_problem,
-    make_mpe_failure_sequence,
-    make_near_stagnation_problem,
     quadratic_problem,
     residual,
     run,
 )
 from wextrap.problems import BUILTIN_MAPS
 
+from adversarial import (
+    make_mpe_failure_problem,
+    make_mpe_failure_sequence,
+    make_near_stagnation_problem,
+)
 from conftest import linear_solution, random_weight
 
 

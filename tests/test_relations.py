@@ -11,14 +11,13 @@ from wextrap import (
     RunStatus,
     iterate,
     load_history,
-    make_mpe_failure_sequence,
-    make_near_stagnation_problem,
     run,
     save_history,
     verify_history,
 )
 from wextrap.relations import CATALOG, DEFAULT_THRESHOLDS
 
+from adversarial import make_mpe_failure_sequence, make_near_stagnation_problem
 import rational_oracle as ro
 from conftest import random_linear_problem, random_sequence, random_weight
 
