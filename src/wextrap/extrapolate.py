@@ -56,7 +56,10 @@ consistent, the two methods coincide, and the extrapolated vector is
 exact for linear problems.  The stage phase then computes both methods
 at every stage from the final factors, as arrays with one column per
 stage: the one solve for c, column sums for alpha, cumulative sums for
-mu and h, and the one pair of products for s.
+mu and h, and the one pair of products for s.  The coefficient phase
+(everything but s) takes the constraint as its one parameter, and
+:mod:`wextrap.krylov` runs it with gamma_0 = 1 (alpha_k = c_k[0]) for
+FOM and GMR.
 
 :func:`run` computes in the field of its inputs: float64 when the
 weight and the iterates hold no nonzero imaginary part (a complex array
@@ -68,7 +71,6 @@ gamma and s take that dtype; ``alpha`` is a Python complex in both.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,27 +182,35 @@ class RunHistory:
         return self.factors.leading(k + 1)
 
 
-def _records(x0, factors: WQRFactors, r, u_norms):
-    """Both methods at every stage, from the final factors.
+def _coefficients(r, m: int, count: int, constraint):
+    """The coupling algebra of the module docstring at stages
+    0..``count``-1, from R's buffer ``r``: m accepted columns, and a
+    terminal stage's projection coefficients rho and trial r_kk in
+    column m when ``count`` > m.  ``constraint(c)`` is each stage's
+    alpha_k = e* c_k for the constraint e* gamma = 1 (the column sums
+    for a run, the first row for Arnoldi, where gamma_0 = 1).
 
-    ``factors`` holds the m accepted columns, ``u_norms`` one entry per
-    stage, and ``r`` the R buffer, whose column of a terminal stage
-    holds its projection coefficients rho and trial r_kk.  Each quantity
-    is a stage-column array, column k for stage k.  Column k of
-    -triu(r, 1) is -rho_k, zero-padded, so one solve against R gives
-    every c'.  R is upper triangular with a positive diagonal, so the
-    partial pivoting in ``np.linalg.solve`` swaps no row: each column
-    is a back substitution, and its rows from k down come out zero.
+    Returns ``(alpha, exists, gamma, phi, lam, rre)`` as stage columns.
+    ``gamma`` holds the minimal-polynomial gammas in its first ``count``
+    columns and the reduced-rank ones of the m non-terminal stages after
+    them, zero-padded.  ``phi`` and ``lam`` are per column of ``gamma``
+    (a minimal-polynomial column's lam is phi^2), and ``rre[k]`` is the
+    column of stage k's reduced-rank result.
+
+    Column k of -triu(r, 1) is -rho_k, zero-padded, so one solve
+    against R gives every c'.  R is upper triangular with a positive
+    diagonal, so the partial pivoting in ``np.linalg.solve`` swaps no
+    row: each column is a back substitution, and its rows from k down
+    come out zero.
     """
-    m, count = factors.k, len(u_norms)
     c = np.zeros((m + 1, count), dtype=r.dtype)
-    c[:m] = np.linalg.solve(factors.r, -np.triu(r[:m, :count], 1))
+    c[:m] = np.linalg.solve(r[:m, :m], -np.triu(r[:m, :count], 1))
     c[np.arange(count), np.arange(count)] = 1.0  # c_k = (c', 1)
-    alpha = c.sum(axis=0)
+    alpha = constraint(c)
     rdiag = r.diagonal()[:count].real
-    # the coupling recursion of the module docstring, every stage at
-    # once (cumsum adds in the recursion's order); an overflow here is a
-    # mu the check below reports, not a numpy warning
+    # the coupling recursion, every stage at once (cumsum adds in the
+    # recursion's order); an overflow here is a mu the check below
+    # reports, not a numpy warning
     with np.errstate(over="ignore"):
         sigma = np.abs(alpha[:m]) / rdiag[:m]
         mu = np.cumsum(sigma * sigma)
@@ -216,13 +226,34 @@ def _records(x0, factors: WQRFactors, r, u_norms):
         exists[m] = abs(alpha[m]) > EXIST_TOL * np.abs(c[:, m]).sum()
     lam = 1.0 / mu
 
-    # both methods' gammas, zero-padded: mpe in the first count columns,
-    # rre = h_k lam_k in the last m; each record keeps a copy of its own
-    # k+1 entries, not a view that holds the padding too
+    # mpe = c_k / alpha_k, rre = h_k lam_k, whose row m stays an exact 0
     gamma = np.zeros((m + 1, count + m), dtype=r.dtype)
     np.divide(c, alpha, out=gamma[:, :count], where=exists)
-    np.multiply(np.cumsum(c[:, :m] * step, axis=1), lam,
-                out=gamma[:, count:])
+    np.multiply(np.cumsum(c[:m, :m] * step, axis=1), lam,
+                out=gamma[:m, count:])
+    phi = np.concatenate([rdiag * np.abs(gamma.diagonal()[:count]),
+                          np.sqrt(lam)])
+    lam = np.concatenate([phi[:count] ** 2, lam])
+    rre = np.arange(count, 2 * count)
+    if count > m:
+        # the terminal system is consistent where mpe exists, and the
+        # methods coincide; where it does not, rre repeats the previous
+        # stage, extending the stagnation one step (stage 0, whose
+        # alpha is 1 = sum|c|, always exists)
+        rre[m] = m if exists[m] else count + m - 1
+    return alpha, exists, gamma, phi, lam, rre
+
+
+def _records(x0, factors: WQRFactors, r, u_norms):
+    """Both methods at every stage, from the final factors.
+
+    ``factors`` holds the m accepted columns, ``u_norms`` one entry per
+    stage, and ``r`` the R buffer, whose column of a terminal stage
+    holds its projection coefficients rho and trial r_kk.
+    """
+    m, count = factors.k, len(u_norms)
+    alpha, exists, gamma, phi, lam, rre = _coefficients(
+        r, m, count, lambda c: c.sum(axis=0))
     # s = x_0 + Q R xi with xi_j = 1 - (gamma_0 + ... + gamma_j) for j < k:
     # every s of both methods from one pair of products
     stage = np.concatenate([np.arange(count), np.arange(m)])
@@ -230,8 +261,9 @@ def _records(x0, factors: WQRFactors, r, u_norms):
                   1.0 - np.cumsum(gamma[:m], axis=0), 0.0)
     s = (factors.r @ xi).T @ factors.q.T
     s += x0
-    phi = rdiag * np.abs(gamma.diagonal()[:count])
 
+    # each record keeps a copy of its own k+1 entries, not a view that
+    # holds the padding too
     records = []
     for k in range(count):
         if exists[k]:
@@ -241,27 +273,12 @@ def _records(x0, factors: WQRFactors, r, u_norms):
         else:
             mpe = CoefficientSolve("mpe", False, None, None,
                                    alpha=complex(alpha[k]))
-        if k < m:
-            rre = CoefficientSolve("rre", True,
-                                   gamma[:k + 1, count + k].copy(),
-                                   math.sqrt(lam[k]), lam=float(lam[k]),
-                                   s=s[count + k])
-        elif mpe.exists:
-            # the terminal system is consistent, so the methods coincide:
-            # rre takes mpe's gamma and lam = phi^2 (both essentially 0)
-            rre = CoefficientSolve("rre", True, mpe.gamma.copy(), mpe.phi,
-                                   lam=mpe.phi ** 2, s=mpe.s.copy())
-        elif records:
-            # mpe is undefined at its own terminal degree: rre repeats the
-            # previous stage, extending the stagnation one step
-            previous = records[-1].rre
-            rre = CoefficientSolve("rre", True, np.append(previous.gamma, 0.0),
-                                   previous.phi, lam=previous.lam,
-                                   s=previous.s.copy())
-        else:
-            rre = CoefficientSolve("rre", False, None, None)
-        records.append(ExtrapolationRecord(k, u_norms[k], float(rdiag[k]),
-                                           mpe, rre, terminal=k == m))
+        j = rre[k]
+        records.append(ExtrapolationRecord(
+            k, u_norms[k], float(r[k, k].real), mpe,
+            CoefficientSolve("rre", True, gamma[:k + 1, j].copy(),
+                             float(phi[j]), lam=float(lam[j]), s=s[j]),
+            terminal=k == m))
     return records
 
 

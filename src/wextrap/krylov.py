@@ -8,8 +8,8 @@ QR factorization of :mod:`wextrap.qr` applied to the columns
 (:func:`wextrap.qr._grow`: M v_j beside each v_j, one product with M
 per step), which stops at a happy breakdown or at column N.  So
 V_{k+1} = Q satisfies <v_i, v_j> = delta_ij, beta = |||r_0||| = r_00,
-A V_k = V_{k+1} H~ with H~ the factor R without its first column, and
-the projected problem is a small Hessenberg system:
+and A V_k = V_{k+1} H~: R = [beta e_1 | H~].  The projected problem is
+a small Hessenberg system:
 
 * FOM imposes the Galerkin condition <z, r(w_k)> = 0 for all z in
   K_k, i.e. solves the square Hessenberg system H_k y = beta e_1.
@@ -17,64 +17,50 @@ the projected problem is a small Hessenberg system:
   status, not an error), mirroring the nonexistence of the
   minimal-polynomial extrapolant.
 
-* GMR minimizes the weighted residual norm over the space.  Because
-  the basis is orthonormal in <., .>, the weighted norm of
-  V_{k+1}(beta e_1 - H~ y) equals the Euclidean norm of the
-  coordinate vector, and the minimization reduces to a (k+1) x k
-  least-squares problem solved with Givens rotations.
+* GMR minimizes the weighted residual norm over the space.
 
-The absolute value of the k-th Givens cosine doubles as the FOM
-existence test: it vanishes exactly when H_k is singular, and it is
-scale-free: FOM is defined when |c_k| > extrapolate.EXIST_TOL.
-
-The process runs once, to the last stage asked for, and one Givens
-sweep and one triangular solve serve every stage 0..k.  Rotation j
-zeroes H~'s entry (j+1, j) and is applied once, to rows j and j+1 of
-every later column and of the right-hand side g (beta e_1 at the
-start).  Stage m's GMR coefficients solve R_m y = g[:m], with R_m the
-leading m x m block of the final triangular factor R and g[:m] a
-prefix of the final g.  So the one solve R X = diag(g[:k]) gives every
-stage: column j of X is stage j+1's step g_j R^-1 e_j (each leading
-block of R^-1 inverts the matching block of R), and stage m's
-coefficients are the sum of its first m steps.  In the same frame
-FOM's square system shares R_m's first m - 1 rows and g's first m - 1
-entries; its last equation keeps the unrotated pivot and right-hand
-side, which makes its last coefficient GMR's over |c_m|^2.  FOM's
-coefficients are therefore GMR's plus step * (1/|c_m|^2 - 1), i.e.
+Both are the run's coupling in the Arnoldi frame (gamma_0 = 1).  With
+z = [1; -y] the stage-m residual is r_0 - A V_m y = Q R_{m+1} z, whose
+weighted norm is ||R_{m+1} z||_2: the extrapolation's problem on
+U = Q R with the constraint sum gamma = 1 replaced by gamma_0 = 1.  GMR
+is its reduced-rank solution and FOM its minimal-polynomial one (the
+Galerkin condition zeroes R_{m+1} z's first m rows, as c_m does).  So
+:func:`wextrap.extrapolate._coefficients`, with alpha_k = c_k[0] in
+place of the column sum, gives every stage of both from one triangular
+solve: FOM is c_m / alpha_m, GMR follows from the coupling recursion
+mu_m = mu_{m-1} + nu_m with residual estimate sqrt(lam_m) =
+1/sqrt(mu_m), and FOM is defined where sqrt(nu_m / mu_m) >
+extrapolate.EXIST_TOL.  That ratio is the m-th Givens cosine |c_m|, and
+the recursion reproduces the known relation
 
     x^F_m = x^G_{m-1} + (x^G_m - x^G_{m-1}) / |c_m|^2
 
 (Brown, SIAM J. Sci. Stat. Comput. 12, 1991; Saad, Iterative Methods
-for Sparse Linear Systems, 2003, section 6.5).  This is the paper's
-coupling mu_k = mu_{k-1} + nu_k (3-16, 3-18) in the Krylov frame: with
-nu_m / mu_m = |c_m|^2, the new GMR (reduced-rank) result weighs the
-FOM (minimal-polynomial) one by |c_m|^2 and the previous GMR one by
-1 - |c_m|^2.  FOM's existence and its value read the one number
-|c_m| = sigma_m, and no stage takes a solve of its own.
+for Sparse Linear Systems, 2003, section 6.5) with no rotation formed.
+One product x = x0 - V Z[1:], Z the stages' gammas as columns, gives
+every solution of both methods.
 
-A zero Hessenberg column (A v_j = 0, as for T = I or r_0 on an
-eigenvector of T with eigenvalue 1) and, more generally, a column
-whose rotated pair on rows j and j+1 is at or below RANK_TOL times the
-column's norm (A v_j numerically in the span of the earlier A v_i)
-takes the rotation with c = 0, which swaps the row pair.  FOM is then
-not defined; g_j moves down unchanged, so GMR stagnates with step 0
-and keeps its residual estimate.  Such a column also fails the Arnoldi
-rank test, so it is the last one, and an exactly zero pivot it leaves
-in R is read as 1 in the solve, where it multiplies a zero g_j.
+A happy breakdown (A v_j numerically in the span of the earlier
+columns, a zero A v_j included, as for T = I or r_0 on an eigenvector
+of T with eigenvalue 1) is the run's terminal stage.  FOM is defined
+there when |alpha| > EXIST_TOL * sum|c|; the projected system is then
+consistent and GMR takes FOM's solution.  Otherwise GMR stagnates, with
+the previous stage's solution and estimate.
 
 The whole check runs in the problem's field: float64 when the weight,
 d, x0 and a matrix T hold no nonzero imaginary part, complex128
 otherwise (the rule of :mod:`wextrap.weights`).  A callable T cannot
 be inspected, so it makes the field complex.  The basis, the Hessenberg
-matrix, the rotations and every residual column take that dtype, and a
-real rotation is real (its cosine and sine real).  Each rotation is
-applied entry by entry, as two row updates, so every entry of R and g
-rounds the same whatever the number of columns: a run to k steps and a
-run to fewer agree bit for bit on the stages they share.
+matrix, the coefficients and every residual column take that dtype.
+The factors of a stage do not depend on k, but the one solve and
+product round differently at different sizes, so runs to different k
+agree on their common stages to roundoff, not bit for bit, as
+:func:`wextrap.extrapolate.run`'s do.
 
 The process has no step-by-step entry point: :func:`fom_solve`,
-:func:`gmr_solve` and :func:`equivalence_check` all run it as one
-``_Stages`` object and read its stages one way, as stage columns.
+:func:`gmr_solve` and :func:`equivalence_check` each prepare the
+problem once (``_problem``), run the process as one ``_Stages`` object
+and read its stages one way, as stage columns.
 
 Applied to the iterates x_{m+1} = T x_m + d, the two extrapolation
 methods of :mod:`wextrap.extrapolate` produce the same vectors as FOM
@@ -103,7 +89,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientVectors
-from . import extrapolate, qr
+from . import extrapolate
 from .qr import _grow
 from .relations import _rel, _spread, _stage_list
 from .weights import _in_field, validate
@@ -117,7 +103,7 @@ __all__ = [
 
 
 def _problem(t, d, x0, weight):
-    """(T, apply_t, d, x0, weight) in the problem's field.
+    """(apply_t, d, x0, weight) in the problem's field.
     ``apply_t(z, out=None)`` takes an N-vector or an N x m block of
     columns.  A matrix T must be N x N and is applied in that field, to
     a block as one product; a callable T is taken as it is and makes
@@ -134,9 +120,9 @@ def _problem(t, d, x0, weight):
         raise DimensionMismatch(f"d and x0 must have dimension {n}")
     if callable(t):
         d, x0 = np.asarray(d, complex), np.asarray(x0, complex)
-        return t, partial(_columnwise, t), d, x0, weight
+        return partial(_columnwise, t), d, x0, weight
     t, d, x0 = _in_field(weight, t, d, x0)
-    return t, partial(np.matmul, t), d, x0, weight
+    return partial(np.matmul, t), d, x0, weight
 
 
 def _columnwise(t, z, out=None):
@@ -153,69 +139,30 @@ def _columnwise(t, z, out=None):
     return out
 
 
-def _givens(a, b, scale):
-    """The unitary 2x2 [[p, q], [u, v]] zeroing b, as ((p, q, u, v),
-    |cosine|), real for a real pair.  A pair at or below
-    :data:`wextrap.qr.RANK_TOL` (read at call time) * scale (its
-    column's norm) is a zero column in the frame of the
-    earlier ones: it takes the rotation with c = 0, which swaps the row
-    pair."""
-    r = np.hypot(abs(a), abs(b))
-    if r <= qr.RANK_TOL * scale:
-        return (0.0, 1.0, 1.0, 0.0), 0.0
-    return (np.conj(a) / r, np.conj(b) / r, -b / r, a / r), abs(a) / r
-
-
-def _triangularize(hess, beta):
-    """One Givens sweep over [H~ | beta e_1]: rotation j zeroes
-    hess[j+1, j] and is applied once, entry by entry, to rows j and j+1
-    of every column from j on, the right-hand side g included.
-
-    Returns (R, g, cosines, residuals): R the m x m triangular factor,
-    g the rotated right-hand side of length m+1, cosines the
-    per-column |c_j| and residuals[j] the stage-j least-squares
-    residual (beta at stage 0).  Stage j reads R[:j, :j] and g[:j].
-    """
-    m = hess.shape[1]
-    rg = np.zeros((m + 1, m + 1), dtype=hess.dtype)
-    rg[:, :m], rg[0, m] = hess, beta
-    cosines = []
-    residuals = [float(beta)]
-    for j in range(m):
-        (p, q, u, v), cos = _givens(rg[j, j], rg[j + 1, j],
-                                    np.linalg.norm(rg[:, j]))
-        top, bottom = rg[j, j:].copy(), rg[j + 1, j:]
-        rg[j, j:] = p * top + q * bottom
-        rg[j + 1, j:] = u * top + v * bottom
-        rg[j + 1, j] = 0.0
-        cosines.append(cos)
-        residuals.append(float(abs(rg[j + 1, m])))
-    return rg[:m, :m], rg[:, m], cosines, residuals
-
-
 def _check_stage(k, name):
     if k < 0:
         raise InsufficientVectors(f"{name} must be nonnegative")
 
 
 class _Stages:
-    """The Krylov process run once to k steps; every stage 0..k reads
-    its FOM and GMR solutions from the one basis, Givens sweep and
-    triangular solve (column m-1 of ``steps`` and ``gmr_y``).
+    """The Krylov process run once to k steps on the problem
+    ``(apply_t, d, x0, weight)`` that :func:`_problem` prepared; every
+    stage 0..k reads its FOM and GMR solutions from the one basis and
+    the one set of coefficients (``coefficients``, from
+    :func:`wextrap.extrapolate._coefficients`).
 
     ``beta`` is |||r_0|||, ``basis`` the N x j weighted-orthonormal
     basis (j = k + 1 without breakdown) and ``hess`` the (j+1) x j
     Hessenberg matrix of the j steps taken.  A step breaks down when
     A v_{j-1} is column N or fails the rank test of
-    :data:`wextrap.qr.RANK_TOL` (happy breakdown).  Its Hessenberg column
-    is kept (the subdiagonal entry is the tiny deflated norm), so
-    stage-j solves remain available and exact, and later stages read
-    them too.  A zero initial residual takes no step.
+    :data:`wextrap.qr.RANK_TOL` (happy breakdown).  Its Hessenberg
+    column is kept (the subdiagonal entry is the tiny deflated norm)
+    and makes stage j the terminal one, which later stages read too.
+    A zero initial residual takes no step.
     """
 
-    def __init__(self, t, d, x0, weight, k: int):
+    def __init__(self, apply_t, d, x0, weight, k: int):
         _check_stage(k, "k")
-        _, apply_t, d, x0, weight = _problem(t, d, x0, weight)
         self.x0 = x0
 
         def column(j, factors):  # r_0, then A v_{j-1}
@@ -228,37 +175,24 @@ class _Stages:
         room, factors, norms = _grow(weight, k + 1, d.dtype, column)
         steps = len(norms) - 1
         # r_00 = |||r_0|||, and stays 0 when r_0 = 0 took no step
-        self.beta = beta = float(room.r[0, 0].real)
+        self.beta = float(room.r[0, 0].real)
         self.basis = factors.q
         self.hess = room.r[:steps + 1, 1:steps + 1]
-        r, g, self.cosines, self.residuals = _triangularize(self.hess, beta)
-        # column j is stage j+1's GMR step g_j R^-1 e_j: R^-1 is upper
-        # triangular and each leading block inverts R's matching block.
-        # A zero pivot comes only from a zero pair (see _givens), whose
-        # swap left g_j = 0, so a unit pivot keeps its step 0 and R regular
-        self.steps = np.linalg.solve(r + np.diag(r.diagonal() == 0),
-                                     np.diag(g[:-1]))
-        self.gmr_y = np.cumsum(self.steps, axis=1)
+        # the constraint gamma_0 = 1: alpha_k is c_k's first entry
+        self.coefficients = extrapolate._coefficients(
+            room.r, factors.k, len(norms), lambda c: c[0])
 
     def every(self, ks):
         """GMR and FOM at every stage of ``ks`` as stage columns:
-        ``(gmr, fom, defined, estimates)``.  Stage m's coefficients are
-        column m of [0 | gmr_y], zero from row m down, so one product
-        with the basis gives every solution of a method; FOM's column
-        is x0 where it is not defined."""
-        m = np.minimum(ks, self.hess.shape[1])
-        pad = np.zeros((len(self.steps), 1), dtype=self.steps.dtype)
-        y = np.concatenate([pad, self.gmr_y], axis=1)[:, m]
-        steps = np.concatenate([pad, self.steps], axis=1)[:, m]
-        cos = np.array([1.0] + self.cosines)[m]
-        defined = cos > extrapolate.EXIST_TOL
-        # Brown's relation: GMR plus step * (1/|c|^2 - 1)
-        scale = np.where(defined, cos, 1.0) ** -2 - 1
-        w = self.basis[:, :len(y)] @ np.concatenate(
-            [y, np.where(defined, y + steps * scale, 0.0)], axis=1)
-        w += self.x0[:, None]
-        return (w[:, :len(m)], w[:, len(m):], defined,
-                np.array(self.residuals)[m])
+        ``(gmr, fom, defined, estimates)``.  Stage m's solution is
+        x0 - V gamma[1:] for its gamma, zero from row m + 1 down, so one
+        product with the basis gives every solution of both methods;
+        FOM's column is x0 where it is not defined."""
+        _, exists, gamma, phi, _, rre = self.coefficients
+        m = np.minimum(ks, len(rre) - 1)
+        w = self.basis @ gamma[1:, np.concatenate([rre[m], m])]
+        np.subtract(self.x0[:, None], w, out=w)
+        return w[:, :len(m)], w[:, len(m):], exists[m], phi[rre[m]]
 
 
 def fom_solve(t, d, x0, weight, k: int):
@@ -269,7 +203,7 @@ def fom_solve(t, d, x0, weight, k: int):
     failure.  k = 0 returns x0.  Past a happy breakdown the invariant-
     space (exact) solution is returned.
     """
-    _, fom, defined, _ = _Stages(t, d, x0, weight, k).every([k])
+    _, fom, defined, _ = _Stages(*_problem(t, d, x0, weight), k).every([k])
     return fom[:, 0].copy() if defined[0] else None
 
 
@@ -277,9 +211,11 @@ def gmr_solve(t, d, x0, weight, k: int, with_residual: bool = False):
     """Weighted-residual minimizer at stage k (always defined).
 
     With ``with_residual`` the estimated weighted residual norm
-    (the rotated right-hand side's last entry) is returned alongside.
+    (sqrt(lam) = 1/sqrt(mu) of the coupling recursion) is returned
+    alongside.
     """
-    gmr, _, _, estimates = _Stages(t, d, x0, weight, k).every([k])
+    gmr, _, _, estimates = _Stages(*_problem(t, d, x0, weight),
+                                   k).every([k])
     w = gmr[:, 0].copy()
     return (w, float(estimates[0])) if with_residual else w
 
@@ -294,7 +230,7 @@ class KrylovComparison:
     ``fom_mpe_defect`` is |||w_fom - s_mpe||| / |||s_mpe||| and
     ``gmr_rre_defect`` the same for GMR against RRE (absolute when
     |||s||| = 0), ``residual_match_*`` the defect of U_k gamma = r(s_k),
-    and ``gmr_estimate_defect`` that of the Givens residual estimate
+    and ``gmr_estimate_defect`` that of GMR's residual estimate
     against |||r(s_k^rre)|||.
     """
 
@@ -320,7 +256,7 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     residual column.
     """
     _check_stage(k_max, "k_max")
-    t, apply_t, d, x0, weight = _problem(t, d, x0, weight)
+    apply_t, d, x0, weight = _problem(t, d, x0, weight)
     n = weight.dimension
 
     iters = np.empty((k_max + 2, n), dtype=d.dtype)
@@ -329,7 +265,7 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         iters[m + 1] = apply_t(iters[m]) + d
     hist = extrapolate.run(iters, weight, k_max=k_max)
     records = hist.records
-    stages = _Stages(t, d, x0, weight, records[-1].k)
+    stages = _Stages(apply_t, d, x0, weight, records[-1].k)
     ks = [rec.k for rec in records]
     w_gmr, w_fom, defined, estimate = stages.every(ks)
 

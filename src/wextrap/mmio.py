@@ -298,17 +298,21 @@ def write_matrix(path, a, fmt: str = "array", comment: str | None = None
             fh.write("\n".join(values) + "\n")
 
 
-def read_vector(path) -> np.ndarray:
-    """1-D vector from whitespace-separated numbers."""
-    values = []
+def _rows(path):
+    """``(line number, numbers)`` for every line of a free-form vector
+    file that is neither blank nor a ``%`` or ``#`` comment."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
-            if not text or text.startswith(("%", "#")):
-                continue
-            for column, token in _tokens(raw):
-                values.append(_parse_number(token, column, None, path,
-                                            lineno))
+            if text and not text.startswith(("%", "#")):
+                yield lineno, [_parse_number(token, column, None, path,
+                                             lineno)
+                               for column, token in _tokens(raw)]
+
+
+def read_vector(path) -> np.ndarray:
+    """1-D vector from whitespace-separated numbers."""
+    values = [z for _, row in _rows(path) for z in row]
     if not values:
         _fail("no numbers found", path)
     return np.asarray(values, dtype=complex)
@@ -332,20 +336,11 @@ def _entry_repr(z) -> str:
 def read_sequence(path) -> np.ndarray:
     """(count, dimension) array, one vector per nonempty line."""
     rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith(("%", "#")):
-                continue
-            row = [_parse_number(token, column, None, path, lineno)
-                   for column, token in _tokens(raw)]
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                _fail(f"vector has {len(row)} entries, previous ones had "
-                      f"{width}", path, lineno)
-            rows.append(row)
+    for lineno, row in _rows(path):
+        if rows and len(row) != len(rows[0]):
+            _fail(f"vector has {len(row)} entries, previous ones had "
+                  f"{len(rows[0])}", path, lineno)
+        rows.append(row)
     if len(rows) < 2:
         _fail(f"a sequence needs at least 2 vectors, found {len(rows)}", path)
     return np.asarray(rows, dtype=complex)

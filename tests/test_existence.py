@@ -3,8 +3,9 @@ definedness.
 
 sigma_k = sqrt(nu_k / mu_k) is read three ways: by ``run`` from its
 coupling recursion, by ``verify_history`` from the RRE coefficient
-step in the triangular frame, and by the Krylov check as the Givens
-cosine |c_k|.  All three judge it against ``extrapolate.EXIST_TOL``.
+step in the triangular frame, and by the Krylov check from the same
+recursion in the Arnoldi frame (where it is the Givens cosine |c_k|).
+All three judge it against ``extrapolate.EXIST_TOL``.
 The seeded reproductions below have ill-conditioned difference blocks,
 where separate tests used to disagree and report false 3-1 / 3-15
 violations and FOM/MPE definedness mismatches.  Their other defects

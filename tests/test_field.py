@@ -22,7 +22,7 @@ from wextrap import (
     run,
     save_history,
 )
-from wextrap.krylov import _Stages
+from wextrap.krylov import _problem, _Stages
 
 from conftest import random_pd_matrix
 
@@ -93,7 +93,7 @@ def test_run_and_its_reload_compute_in_the_field(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_krylov_process_computes_in_the_field(name):
     t, d, x0, weight = field_case(name)
-    stages = _Stages(t, d, x0, weight, K)
+    stages = _Stages(*_problem(t, d, x0, weight), K)
     assert stages.basis.shape[1] == K + 1
     assert stages.basis.dtype == stages.hess.dtype == CASES[name]
     w_gmr, w_fom, _, _ = stages.every([K])
@@ -103,7 +103,7 @@ def test_krylov_process_computes_in_the_field(name):
 def test_callable_t_is_complex():
     # a callable cannot be inspected, so it may return complex values
     t, d, x0, weight = field_case("real")
-    stages = _Stages(lambda v: t @ v, d, x0, weight, K)
+    stages = _Stages(*_problem(lambda v: t @ v, d, x0, weight), K)
     assert stages.basis.dtype == complex
 
 

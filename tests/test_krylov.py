@@ -15,7 +15,8 @@ from wextrap import (
     run,
     verify_history,
 )
-from wextrap.krylov import _givens, _Stages
+from wextrap import extrapolate, krylov
+from wextrap.krylov import _problem, _Stages
 from wextrap.qr import RANK_TOL
 
 from adversarial import make_mpe_failure_problem, make_near_stagnation_problem
@@ -29,8 +30,8 @@ DEMO_X0 = np.zeros(2)
 
 def test_identity_operator_breaks_down_immediately():
     # A = I - T with T = 0: the Krylov space is one-dimensional
-    stages = _Stages(np.zeros((3, 3)), np.array([1.0, 2.0, 2.0]),
-                     np.zeros(3), WeightOperator.identity(3), 3)
+    stages = _Stages(*_problem(np.zeros((3, 3)), np.array([1.0, 2.0, 2.0]),
+                               np.zeros(3), WeightOperator.identity(3)), 3)
     assert stages.beta == pytest.approx(3.0)
     # the breakdown column is kept, with a tiny subdiagonal entry
     assert stages.hess.shape == (2, 1)
@@ -38,24 +39,17 @@ def test_identity_operator_breaks_down_immediately():
 
 
 def test_two_eigencomponents_complete_at_two():
-    stages = _Stages(DEMO_T, DEMO_D, DEMO_X0, WeightOperator.identity(2), 4)
+    stages = _Stages(*_problem(DEMO_T, DEMO_D, DEMO_X0,
+                               WeightOperator.identity(2)), 4)
     assert stages.hess.shape == (3, 2)
     a_v1 = stages.basis[:, 1] - DEMO_T @ stages.basis[:, 1]
     assert abs(stages.hess[2, 1]) <= RANK_TOL * np.linalg.norm(a_v1)
 
 
-def test_givens_reads_the_rank_tolerance_at_call_time(monkeypatch):
-    # a pair of 1e-14 on a column of norm 1 is a zero column under the
-    # default RANK_TOL, and a plain rotation once qr.RANK_TOL, which
-    # Arnoldi's rank test reads too, is lowered
-    assert _givens(1e-14, 0.0, 1.0) == ((0.0, 1.0, 1.0, 0.0), 0.0)
-    monkeypatch.setattr("wextrap.qr.RANK_TOL", 1e-15)
-    assert _givens(1e-14, 0.0, 1.0)[1] == 1.0
-
-
 def test_zero_initial_residual():
     x_star = np.array([1.0, 1.0])
-    stages = _Stages(DEMO_T, DEMO_D, x_star, WeightOperator.identity(2), 3)
+    stages = _Stages(*_problem(DEMO_T, DEMO_D, x_star,
+                               WeightOperator.identity(2)), 3)
     assert stages.beta == 0.0
     assert stages.hess.shape == (1, 0)
 
@@ -66,7 +60,7 @@ def test_basis_orthonormality_random():
     t = random_contraction(rng, n)
     d = rng.standard_normal(n)
     w = random_weight(rng, n, "dense")
-    stages = _Stages(t, d, np.zeros(n), w, 8)
+    stages = _Stages(*_problem(t, d, np.zeros(n), w), 8)
     assert stages.hess.shape == (9, 8)
     v = stages.basis
     m = v.shape[1]
@@ -82,7 +76,7 @@ def test_arnoldi_one_mproduct_per_step(weight_calls):
     t = random_contraction(rng, n)
     w = random_weight(rng, n, "dense")
     weight_calls.clear()
-    stages = _Stages(t, rng.standard_normal(n), np.zeros(n), w, 5)
+    stages = _Stages(*_problem(t, rng.standard_normal(n), np.zeros(n), w), 5)
     assert stages.hess.shape == (6, 5)
     assert weight_calls == ["apply"] * 6
 
@@ -94,7 +88,7 @@ def test_arnoldi_relation():
     t = random_contraction(rng, n)
     d = rng.standard_normal(n)
     w = random_weight(rng, n)
-    stages = _Stages(t, d, np.zeros(n), w, 5)
+    stages = _Stages(*_problem(t, d, np.zeros(n), w), 5)
     v = stages.basis
     assert v.shape == (n, 6)
     a_v = v[:, :5] - t @ v[:, :5]
@@ -289,6 +283,12 @@ def _single_pass_problem(case):
         problem = make_mpe_failure_problem(6)
         return (problem.t, problem.d, problem.x0,
                 WeightOperator.identity(6), 3)
+    if case == "two_step_breakdown":
+        # two eigenvalues: K_2 is invariant, and H_2 is regular, so FOM
+        # is defined at the breakdown stage (a consistent system)
+        return (np.diag([0.5, 0.5, -0.25, -0.25]),
+                np.array([1.0, -2.0, 0.5, 3.0]), np.zeros(4),
+                WeightOperator.identity(4), 3)
     n = 14
     t = random_contraction(rng, n)
     d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -296,7 +296,7 @@ def _single_pass_problem(case):
 
 
 @pytest.mark.parametrize("case", ["identity", "diag", "dense", "breakdown",
-                                  "mpe_failure"])
+                                  "two_step_breakdown", "mpe_failure"])
 def test_single_pass_matches_fresh_solves(case):
     """Every stage equivalence_check reads from its one Krylov process
     agrees with a standalone k-step solve."""
@@ -479,12 +479,13 @@ def _rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("case", ["identity", "diag", "dense", "breakdown"])
+@pytest.mark.parametrize("case", ["identity", "diag", "dense", "breakdown",
+                                  "two_step_breakdown"])
 def test_one_solve_matches_per_stage_solves(case):
     """FOM and GMR read from the one triangular solve agree with the
     square Hessenberg solve and the least-squares solve of each stage."""
     t, d, x0, w, k_max = _single_pass_problem(case)
-    stages = _Stages(t, d, x0, w, k_max)
+    stages = _Stages(*_problem(t, d, x0, w), k_max)
     w_gmr, w_fom, defined, _ = stages.every(range(1, k_max + 1))
     assert defined.all()
     for k in range(1, k_max + 1):
@@ -494,13 +495,13 @@ def test_one_solve_matches_per_stage_solves(case):
 
 
 @pytest.mark.parametrize("case", ["identity", "diag", "dense", "breakdown",
-                                  "mpe_failure"])
+                                  "two_step_breakdown", "mpe_failure"])
 def test_every_stage_in_one_product_matches_each_stage(case):
     """The stage columns equivalence_check reads (one product with the
     basis per method) are each stage's fom_solve and gmr_solve, to
     roundoff; FOM's column is x0 where it is not defined."""
     t, d, x0, w, k_max = _single_pass_problem(case)
-    stages = _Stages(t, d, x0, w, k_max)
+    stages = _Stages(*_problem(t, d, x0, w), k_max)
     ks = list(range(k_max + 1))
     w_gmr, w_fom, defined, estimates = stages.every(ks)
     for k in ks:
@@ -525,8 +526,8 @@ def test_near_stagnation_fom_against_rational_oracle(eps):
     xs = np.asarray(iterate(problem, 3))
     assert not np.any(xs.imag)
     # the Krylov space is invariant from stage 2
-    stages = _Stages(problem.t, problem.d, problem.x0,
-                     WeightOperator.identity(6), 2)
+    stages = _Stages(*_problem(problem.t, problem.d, problem.x0,
+                               WeightOperator.identity(6)), 2)
     _, w_fom, defined, _ = stages.every([1, 2])
     assert defined.all()
     for k in (1, 2):
@@ -550,10 +551,36 @@ def test_stages_take_one_solve(monkeypatch, k):
     monkeypatch.setattr(np.linalg, "solve", counting)
     rng = np.random.default_rng(270)
     n = 12
-    stages = _Stages(random_contraction(rng, n), rng.standard_normal(n),
-                     np.zeros(n), WeightOperator.identity(n), k)
+    stages = _Stages(*_problem(random_contraction(rng, n),
+                               rng.standard_normal(n), np.zeros(n),
+                               WeightOperator.identity(n)), k)
     assert stages.every(range(k + 1))[2].all()
     assert len(calls) == 1
+
+
+def test_one_coupling_algebra_for_both_pipelines(monkeypatch):
+    # the run's MPE/RRE and Arnoldi's FOM/GMR take their coefficients
+    # from the one function, and the Krylov problem is prepared once
+    calls = {"coefficients": 0, "in_field": 0}
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(extrapolate, "_coefficients", counting(
+        "coefficients", extrapolate._coefficients))
+    monkeypatch.setattr(krylov, "_in_field", counting(
+        "in_field", krylov._in_field))
+    t, d, x0, w, k_max = _single_pass_problem("dense")
+    equivalence_check(t, d, x0, w, k_max)
+    assert calls == {"coefficients": 2, "in_field": 1}
+    calls["coefficients"] = 0
+    fom_solve(t, d, x0, w, k_max)
+    assert calls["coefficients"] == 1
+    assert not hasattr(krylov, "_givens")
+    assert not hasattr(krylov, "_triangularize")
 
 
 def _zero_column_problem(case):
@@ -575,9 +602,9 @@ def _zero_column_problem(case):
 def test_zero_column_makes_fom_undefined_and_gmr_stagnate(case):
     t, d, x0 = _zero_column_problem(case)
     w = WeightOperator.identity(len(d))
-    stages = _Stages(t, d, x0, w, 3)
+    stages = _Stages(*_problem(t, d, x0, w), 3)
     last = stages.hess.shape[1]
-    assert stages.cosines[last - 1] == 0.0
+    assert not stages.every([last])[2][0]
     assert fom_solve(t, d, x0, w, last) is None
     w_prev, est_prev = gmr_solve(t, d, x0, w, last - 1, with_residual=True)
     for k in (last, last + 1):

@@ -13,7 +13,7 @@ from wextrap import (
     save_history,
 )
 
-from wextrap.krylov import _Stages
+from wextrap.krylov import _problem, _Stages
 
 from cgs_reference import gs_factorize
 from conftest import random_contraction, random_sequence, random_weight
@@ -138,8 +138,8 @@ def _grown_factors(source, w, rng, tmp_path, products):
         save_history(run(x, w), path)
         products.clear()
         return load_history(path).factors, 6
-    _Stages(random_contraction(rng, n), rng.standard_normal(n),
-            np.zeros(n), w, 5)
+    _Stages(*_problem(random_contraction(rng, n), rng.standard_normal(n),
+                      np.zeros(n), w), 5)
     return None, 6
 
 
@@ -227,8 +227,8 @@ def test_column_n_is_dependent_whatever_its_norm(monkeypatch, source):
         assert str(info.value) == ("column 3 of 3-vectors is dependent on "
                                    "its predecessors, whatever its norm")
     else:
-        stages = _Stages(random_contraction(rng, 3), rng.standard_normal(3),
-                         np.zeros(3), w, 5)
+        stages = _Stages(*_problem(random_contraction(rng, 3),
+                                   rng.standard_normal(3), np.zeros(3), w), 5)
         assert stages.basis.shape == (3, 3)
         assert stages.hess.shape == (4, 3) and stages.hess[3, 2] != 0.0
 
