@@ -273,17 +273,17 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     # side in one block S, stage j's gamma zero-padded in the matching
     # column of G
     mpe = np.array([rec.mpe.exists for rec in records], dtype=bool)
-    rre = np.array([rec.rre.s is not None for rec in records], dtype=bool)
     paired = defined & mpe
     solves = ([(j, records[j].mpe) for j in np.flatnonzero(mpe)]
-              + [(j, records[j].rre) for j in np.flatnonzero(rre)])
+              + [(j, rec.rre) for j, rec in enumerate(records)])
     u = hist.differences[:, :len(records)]
     g = np.zeros((len(records), len(solves)), dtype=u.dtype)
     # every weighted norm from one block product with M, its blocks
     # written in place: FOM - MPE, GMR - RRE, and then S, r(S) and
-    # U_k gamma - r(S), each with MPE's columns before RRE's
-    masks = (paired, rre, mpe, rre, mpe, rre, mpe, rre)
-    edges = np.cumsum([0] + [mask.sum() for mask in masks])
+    # U_k gamma - r(S), each with MPE's columns before RRE's (every
+    # record carries an RRE result)
+    edges = np.cumsum([0, paired.sum()]
+                      + [len(records), mpe.sum()] * 3 + [len(records)])
     joint = np.empty((n, edges[-1]), order="F",
                      dtype=np.result_type(d, w_gmr, u))
     s, r, gap = (joint[:, edges[i]:edges[i + 2]] for i in (2, 4, 6))
@@ -299,10 +299,12 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
     s_mpe, s_rre = np.split(s, [mpe.sum()], axis=1)
     np.subtract(w_fom[:, paired], s_mpe[:, paired[mpe]],
                 out=joint[:, edges[0]:edges[1]])
-    np.subtract(w_gmr[:, rre], s_rre, out=joint[:, edges[1]:edges[2]])
-    fom_mpe, gmr_rre, size_mpe, size_rre, res_mpe, res_rre, match_mpe, \
-        match_rre = (_spread(mask, norms) for mask, norms in zip(
-            masks, np.split(weight.norm(joint), edges[1:-1])))
+    np.subtract(w_gmr, s_rre, out=joint[:, edges[1]:edges[2]])
+    norms = np.split(weight.norm(joint), edges[1:-1])
+    fom_mpe, size_mpe, res_mpe, match_mpe = (
+        _spread(mask, v) for mask, v in zip((paired, mpe, mpe, mpe),
+                                            norms[0::2]))
+    gmr_rre, size_rre, res_rre, match_rre = norms[1::2]
     floor_mpe, floor_rre = (np.maximum(res, 1e-14 * stages.beta)
                             for res in (res_mpe, res_rre))
     return KrylovComparison(
@@ -311,8 +313,8 @@ def equivalence_check(t, d, x0, weight, k_max: int) -> KrylovComparison:
         mpe_exists=mpe.tolist(),
         definedness_consistent=(defined == mpe).tolist(),
         fom_mpe_defect=_stage_list(_rel(fom_mpe, size_mpe), paired),
-        gmr_rre_defect=_stage_list(_rel(gmr_rre, size_rre), rre),
+        gmr_rre_defect=_rel(gmr_rre, size_rre).tolist(),
         residual_match_mpe=_stage_list(_rel(match_mpe, floor_mpe), mpe),
-        residual_match_rre=_stage_list(_rel(match_rre, floor_rre), rre),
-        gmr_estimate_defect=_stage_list(_rel(
-            abs(estimate - res_rre), floor_rre), rre))
+        residual_match_rre=_rel(match_rre, floor_rre).tolist(),
+        gmr_estimate_defect=_rel(abs(estimate - res_rre),
+                                 floor_rre).tolist())

@@ -63,6 +63,9 @@ HERMITICITY_ATOL = 1e-12
 #: relative bound on the imaginary residue of a quadratic form z*Mz
 _IMAG_RTOL = 1e-12
 
+#: rows of a dense M read at a time by :func:`_blocked_check`
+_ROWS = 64
+
 #: columns of a block cast to complex128 at a time: a whole wide block's
 #: cast leaves the cache, and costs more than the vecdot sweep it feeds
 _CHUNK = 64
@@ -112,6 +115,10 @@ class WeightOperator:
 
     @classmethod
     def dense(cls, matrix) -> "WeightOperator":
+        """Dense hermitian positive definite M, kept as a copy in its
+        field.  The hermiticity check and ``scale`` (max |M| entry) read
+        M :data:`_ROWS` rows at a time, so beside the copy and the
+        Cholesky factor only row blocks are made (:func:`_blocked_check`)."""
         m = np.asarray(matrix)
         # a copy in M's field: a real M is float64 whatever its dtype was
         field = _field(m)
@@ -120,7 +127,7 @@ class WeightOperator:
             raise DimensionMismatch(f"weight matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise NotPositiveDefinite("weight matrix has a non-finite entry")
-        dev = np.max(np.abs(m - m.conj().T))
+        dev, scale = _blocked_check(m)
         if dev > HERMITICITY_ATOL:
             raise NotHermitian(
                 f"max |M - M*| entry deviation {dev:.3e} exceeds {HERMITICITY_ATOL:.0e}"
@@ -129,8 +136,7 @@ class WeightOperator:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from None
-        return cls("dense", m.shape[0], matrix=m,
-                   scale=float(np.max(np.abs(m))))
+        return cls("dense", m.shape[0], matrix=m, scale=scale)
 
     # -- application -------------------------------------------------
 
@@ -249,6 +255,23 @@ def validate(raw) -> WeightOperator:
     if arr.ndim == 2:
         return WeightOperator.dense(arr)
     raise DimensionMismatch(f"cannot interpret array of shape {arr.shape} as a weight")
+
+
+def _blocked_check(m):
+    """``(max |M - M*| entry, max |M| entry)`` of a finite square M,
+    :data:`_ROWS` rows at a time: rows a..b of M - M* are those rows of
+    M less the conjugate of columns a..b, taken as they lie.  A real M
+    is not conjugated and its differences are made absolute in place,
+    so every temporary is a row block.  The maxima are the whole
+    matrix's, to the bit."""
+    real = m.dtype == float
+    dev = scale = 0.0
+    for a in range(0, m.shape[0], _ROWS):
+        rows, cols = m[a:a + _ROWS], m[:, a:a + _ROWS].T
+        diff = rows - (cols if real else cols.conj())
+        dev = max(dev, float(np.abs(diff, out=diff if real else None).max()))
+        scale = max(scale, float(np.abs(rows).max()))
+    return dev, scale
 
 
 def _complex_columns(block):

@@ -360,6 +360,40 @@ def test_hermiticity_tolerance_boundary():
         WeightOperator.dense(np.array([[2.0, 1.0], [1.0 + 1e-11, 2.0]]))
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_dense_check_reads_the_whole_matrix_in_row_blocks(complex_):
+    # the deviation the message prints and the scale are those of the
+    # whole matrix, to the bit, wherever the worst entry lies; N spans
+    # several row blocks and ends in a partial one
+    rng = np.random.default_rng(61)
+    n = 2 * weights._ROWS + 7
+    m = random_pd_matrix(rng, n, complex_=complex_)
+    w = WeightOperator.dense(m)
+    assert w._scale == float(np.max(np.abs(m)))
+    for i, j in [(0, n - 1), (n - 1, 1), (weights._ROWS, weights._ROWS + 3)]:
+        bad = m.copy()
+        bad[i, j] += 3e-9 * (1 + 1j if complex_ else 1)
+        dev = np.max(np.abs(bad - bad.conj().T))
+        with pytest.raises(NotHermitian) as info:
+            WeightOperator.dense(bad)
+        assert str(info.value) == (f"max |M - M*| entry deviation {dev:.3e} "
+                                   "exceeds 1e-12")
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_dense_peak(complex_):
+    # beside the copy of M and its Cholesky factor the check makes only
+    # row blocks: no conjugate, difference or abs of the whole matrix
+    m = random_pd_matrix(np.random.default_rng(62), 400, complex_=complex_)
+    tracemalloc.start()
+    try:
+        WeightOperator.dense(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * m.nbytes
+
+
 def test_dense_matrix_is_a_read_only_view():
     # the operator is immutable, so its matrix is lent, not copied
     m = random_pd_matrix(np.random.default_rng(24), 5)
