@@ -39,21 +39,9 @@ JSON of :func:`history_to_dict`, but the JSON encoder sees only a
 skeleton in which each block's ``"b64"`` holds the slot ``"#i"`` of
 its array in a payload list.  Each payload, already in its stored
 dtype and C-contiguous, is base64-encoded in fixed chunks as the file
-is written, never held whole and never re-escaped.
-
-:func:`load_history` mirrors the writer.  It reads the file as bytes,
-and when they are laid out as :func:`save_history` writes them (one
-line, version 2, every block ``{"b64":"…","dtype":"…","shape":[…]}``),
-it decodes each payload from those bytes straight into its array, a
-chunk at a time, and hands ``json`` only the skeleton with slots in
-the payloads' place.  The bytes are released before the history is
-checked and built, so the load's peak is the arrays and the weight's
-checks, not the file's text.  Every other file goes whole to
-``json.load``: version 1, where every complex entry is a
-``[real, imag]`` pair, a re-indented or hand-edited file, one with a
-BOM, and any file whose payloads or contents fail a check.  Both paths
-give the same history, or the same error.  Keys the loader does not
-know are ignored.  Loading reconstructs a full
+is written, never held whole and never re-escaped.  :func:`load_history`
+also reads version 1, where every complex entry is a ``[real, imag]``
+pair, and ignores keys it does not know.  Loading reconstructs a full
 :class:`~wextrap.extrapolate.RunHistory`, refactorizing the stored
 difference columns so the triangular factors match the original run
 bit for bit.
@@ -68,7 +56,7 @@ import re
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, WextrapError
+from .errors import DimensionMismatch, ParseError
 from .extrapolate import (
     CoefficientSolve,
     ExtrapolationRecord,
@@ -498,24 +486,20 @@ def _write_base64(fh, a) -> None:
         fh.write(base64.b64encode(raw[start:start + _CHUNK]))
 
 
-def _array(obj, path, decoded=None) -> np.ndarray:
+def _array(obj, path) -> np.ndarray:
     """A stored array as a fresh array in its stored field.
 
     ``obj`` is a version-2 block ``{"dtype", "shape", "b64"}``, read as
     float64 (``"<f8"``) or complex128 (``"<c16"``), or a version-1
     nested list of ``[re, im]`` pairs, read as complex128.  A NaN or infinite
     entry is a parse error: no run writes one, and the verifier could
-    not judge it.  With ``decoded`` (see :func:`_split_payloads`), a
-    block's ``"b64"`` is a slot, and its array is taken out of
-    ``decoded``, already decoded and checked.
+    not judge it.
     """
     if not isinstance(obj, dict):
         pairs = np.asarray(obj, dtype=float)
         if pairs.ndim < 2 or pairs.shape[-1] != 2:
             _fail(f"expected [re, im] pairs, got shape {pairs.shape}", path)
         return _finite(pairs.view(complex)[..., 0], path)
-    if decoded is not None:  # its dtype and shape were read with it
-        return decoded.pop(obj["b64"])
     dtype, shape = obj["dtype"], obj["shape"]
     if dtype not in ("<f8", "<c16"):
         _fail(f"unsupported array dtype {dtype!r}", path)
@@ -540,16 +524,15 @@ def _finite(a, path) -> np.ndarray:
     return a
 
 
-def _solve_from_dict(doc, method, path, decoded) -> CoefficientSolve:
+def _solve_from_dict(doc, method, path) -> CoefficientSolve:
     return CoefficientSolve(
         method=method,
         exists=bool(doc["exists"]),
-        gamma=(None if doc["gamma"] is None
-               else _array(doc["gamma"], path, decoded)),
+        gamma=None if doc["gamma"] is None else _array(doc["gamma"], path),
         phi=doc["phi"],
         alpha=None if doc["alpha"] is None else complex(*doc["alpha"]),
         lam=doc["lam"],
-        s=None if doc["s"] is None else _array(doc["s"], path, decoded),
+        s=None if doc["s"] is None else _array(doc["s"], path),
     )
 
 
@@ -596,14 +579,6 @@ def _check_records(records, columns, x0, dimension, path) -> None:
 def load_history(path) -> RunHistory:
     """Rebuild a RunHistory from a version-2 or version-1 history file.
 
-    A file laid out as :func:`save_history` writes it is read as bytes:
-    only its skeleton goes through ``json``, and each payload is decoded
-    from the file's bytes into its array (:func:`_split_payloads`).  Any
-    other file (version 1, a re-indented or hand-edited file, a BOM),
-    and any such file whose payloads or contents fail a check, is read
-    whole by ``json.load`` instead.  Both paths give the same history,
-    or the same error.
-
     The triangular factors are not stored; they are regrown from the
     stored difference columns with the same incremental factorization
     the original run used, which reproduces them exactly.  Keys the
@@ -612,126 +587,12 @@ def load_history(path) -> RunHistory:
     A file the verifier could not judge (see :func:`_check_records`)
     raises :class:`ParseError`, as malformed JSON does.
     """
-    history = _load_as_written(path)
-    if history is not None:
-        return history
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path),
                          line=exc.lineno, column=exc.colno) from None
-    return _history_from_doc(doc, path, None)
-
-
-def _load_as_written(path):
-    """The history of a file in :func:`save_history`'s layout, or None
-    for :func:`load_history` to read the file whole.  It returns None,
-    and raises nothing of its own, wherever the whole read could differ:
-    an unrecognised layout, a payload that fails its checks, a file the
-    history cannot be built from, or a block the history does not use.
-    Any other error is the one the whole read would raise."""
-    with open(path, "rb") as fh:
-        split = _split_payloads(fh.read())
-    # the file's bytes are released here, before the history is built
-    if split is None:
-        return None
-    doc, decoded = split
-    try:
-        history = _history_from_doc(doc, path, decoded)
-    except WextrapError:
-        # the whole read raises it, with the file's own values where a
-        # message quotes a block
-        return None
-    return None if decoded else history
-
-
-#: what follows a payload in a block of :func:`save_history`: its
-#: dtype, its shape and the end of the block
-_BLOCK_TAIL = re.compile(
-    rb'","dtype":"(<f8|<c16)","shape":\[((?:\d+,)*\d+)\]\}')
-
-#: base64 characters of one :data:`_CHUNK` of bytes
-_B64_CHUNK = _CHUNK // 3 * 4
-
-
-def _split_payloads(data):
-    """``(skeleton document, {slot: array})`` of a history file's bytes
-    in :func:`save_history`'s layout, or None.
-
-    The layout is one line whose blocks read ``{"b64":"…","dtype":
-    "…","shape":[…]}`` and whose skeleton holds ``"version":2``.  Each
-    payload is decoded where it lies (:func:`_decoded_payload`), and the
-    skeleton, with the slot ``"#i"`` in place of payload i as the writer
-    made it, is parsed by ``json`` as strict UTF-8 text.  Payloads hold
-    base64 characters only, so the skeleton parses as the file does,
-    with its ``"b64"`` strings replaced.
-    """
-    if data[:1] != b"{" or data.find(b"\n") != len(data) - 1:
-        return None
-    pieces, decoded, pos = [], {}, 0
-    while (start := data.find(b'{"b64":"', pos)) >= 0:
-        start += 8
-        end = data.find(b'"', start)
-        tail = _BLOCK_TAIL.match(data, end) if end >= 0 else None
-        if tail is None:
-            return None
-        array = _decoded_payload(data, start, end, tail[1].decode(),
-                                 [*map(int, tail[2].split(b","))])
-        if array is None:
-            return None
-        slot = f"#{len(decoded)}"
-        decoded[slot] = array
-        pieces += (data[pos:start], slot.encode())
-        pos = end
-    pieces.append(data[pos:])
-    skeleton = b"".join(pieces)
-    if b'"version":2,' not in skeleton:
-        return None
-    try:
-        return json.loads(skeleton.decode("utf-8")), decoded
-    except ValueError:  # a JSONDecodeError or a UnicodeDecodeError
-        return None
-
-
-def _decoded_payload(data, start, end, dtype, shape):
-    """``data[start:end]``, the base64 of a block, decoded into a fresh
-    array of the block's dtype and shape as :func:`_write_base64`
-    encoded it: in one call for at most one :data:`_CHUNK` of bytes,
-    else one chunk (:data:`_B64_CHUNK` characters) per call straight
-    into the array, the payload never copied whole.  None unless it is
-    the exact length for that shape, valid base64 and finite
-    throughout."""
-    needed = math.prod(shape) * (8 if dtype == "<f8" else 16)
-    if end - start != (needed + 2) // 3 * 4:
-        return None
-    try:
-        if needed <= _CHUNK:
-            raw = base64.b64decode(data[start:end], validate=True)
-            if len(raw) != needed:
-                return None
-            out = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        else:
-            out = np.empty(shape, dtype=dtype)
-            raw = out.reshape(-1).view(np.uint8)
-            b64 = memoryview(data)[start:end]
-            for i in range(0, len(b64), _B64_CHUNK):
-                chunk = base64.b64decode(b64[i:i + _B64_CHUNK],
-                                         validate=True)
-                a = i // 4 * 3
-                if len(chunk) != min(_CHUNK, needed - a):  # "=" too early
-                    return None
-                raw[a:a + _CHUNK] = np.frombuffer(chunk, dtype=np.uint8)
-    except ValueError:  # binascii.Error
-        return None
-    if not np.isfinite(out).all():
-        return None
-    return out.astype(float if dtype == "<f8" else complex, copy=False)
-
-
-def _history_from_doc(doc, path, decoded) -> RunHistory:
-    """Check and build the history of a parsed file; ``decoded`` holds
-    the arrays of its blocks' slots, or is None (see :func:`_array`)."""
     try:
         if doc.get("format") != "wextrap-history":
             _fail("not a history file (missing format marker)", path)
@@ -747,19 +608,20 @@ def _history_from_doc(doc, path, decoded) -> RunHistory:
         elif wspec["kind"] == "diagonal":
             weights = wspec["weights"]  # v1: a plain list of reals
             weight = WeightOperator.diagonal(
-                weights if version == 1 else _array(weights, path, decoded))
+                weights if version == 1 else _array(weights, path))
         else:
-            weight = WeightOperator.dense(
-                _array(wspec["matrix"], path, decoded))
+            # the block leaves the document, so its base64 string is
+            # freed before M is checked
+            weight = WeightOperator.dense(_array(wspec.pop("matrix"), path))
         if weight.dimension != dimension:
             _fail(f"dimension = {dimension}, the weight's is "
                   f"{weight.dimension}", path)
-        x0 = _array(doc["x0"], path, decoded)
+        x0 = _array(doc["x0"], path)
         if version == 2:
-            columns = _array(doc["differences"], path, decoded)
+            columns = _array(doc["differences"], path)
         elif doc["differences"]:  # v1: a list of columns
             columns = np.ascontiguousarray(
-                _array(doc["differences"], path, decoded).T)
+                _array(doc["differences"], path).T)
         else:
             columns = np.zeros((weight.dimension, 0), dtype=complex)
         if columns.ndim != 2:
@@ -771,8 +633,8 @@ def _history_from_doc(doc, path, decoded) -> RunHistory:
                 k=int(rdoc["k"]),
                 u_norm=float(rdoc["u_norm"]),
                 rdiag=float(rdoc["rdiag"]),
-                mpe=_solve_from_dict(rdoc["mpe"], "mpe", path, decoded),
-                rre=_solve_from_dict(rdoc["rre"], "rre", path, decoded),
+                mpe=_solve_from_dict(rdoc["mpe"], "mpe", path),
+                rre=_solve_from_dict(rdoc["rre"], "rre", path),
                 terminal=bool(rdoc["terminal"]),
             ))
         status = RunStatus(doc["status"])
