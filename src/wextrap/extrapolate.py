@@ -83,7 +83,7 @@ from .errors import (
 )
 # orthogonalize_column: benchmarks/test_smoke.py reads it through here
 from .qr import WQRFactors, _grow, orthogonalize_column  # noqa: F401
-from .weights import _in_field, validate
+from .weights import _field_of, validate
 
 __all__ = [
     "EXIST_TOL",
@@ -314,6 +314,11 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     to roundoff, not bit for bit; the same input and ``k_max`` always
     give the same bytes.
 
+    The iterates are never copied: their differences are taken straight
+    into the one (N, m) block the history keeps, in the run's field (from
+    the real view of complex iterates that hold real values), and x0 is
+    a copy of one row.
+
     Returns
     -------
     RunHistory
@@ -338,9 +343,13 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
         raise InsufficientVectors(
             f"need at least 2 iterates to difference, got {x.shape[0]}"
         )
-    x, = _in_field(weight, x)
-    diffs = np.ascontiguousarray((x[1:] - x[:-1]).T)
     n = weight.dimension
+    field = _field_of(weight, x)
+    if field is float and np.iscomplexobj(x):
+        x = x.real  # a view: the iterates are never copied
+    # the differences straight into their (N, m) block, in the field
+    diffs = np.empty((n, x.shape[0] - 1), field)
+    np.subtract(x[1:].T, x[:-1].T, out=diffs, dtype=field)
     available = diffs.shape[1] - 1  # stage k consumes differences u_0..u_k
     if k_max is None:
         k_max = min(available, n)
@@ -353,19 +362,19 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
             f"stage {k_max} needs {k_max + 2} iterates, got {x.shape[0]}"
         )
 
-    x0 = x[0].copy()
+    x0 = np.array(x[0], field)
     history = RunHistory(weight=weight, x0=x0, differences=diffs,
                          k_max=k_max)
     # it stops at the terminal stage, where the least-squares problem
     # min ||| U_{k-1} c' + u_k ||| is (numerically) consistent
-    room, factors, u_norms = _grow(weight, k_max + 1, x.dtype,
-                                   lambda k, _: diffs[:, k])
+    r, factors, u_norms = _grow(weight, k_max + 1, field,
+                                lambda k, _: diffs[:, k])
     if len(u_norms) > factors.k:
         history.status = RunStatus.CONVERGED \
             if u_norms[-1] <= CONVERGE_ATOL else RunStatus.RANK_DEFICIENT
         history.detected_k0 = factors.k
     history.factors = factors
-    history.records = _records(x0, factors, room.r, u_norms)
+    history.records = _records(x0, factors, r, u_norms)
     return history
 
 

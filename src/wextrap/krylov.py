@@ -172,15 +172,15 @@ class _Stages:
 
         # a zero r_0 or a happy breakdown stops the loop, its column in
         # R's buffer only (not Q or P), as the last column of H~
-        room, factors, norms = _grow(weight, k + 1, d.dtype, column)
+        r, factors, norms = _grow(weight, k + 1, d.dtype, column)
         steps = len(norms) - 1
         # r_00 = |||r_0|||, and stays 0 when r_0 = 0 took no step
-        self.beta = float(room.r[0, 0].real)
+        self.beta = float(r[0, 0].real)
         self.basis = factors.q
-        self.hess = room.r[:steps + 1, 1:steps + 1]
+        self.hess = r[:steps + 1, 1:steps + 1]
         # the constraint gamma_0 = 1: alpha_k is c_k's first entry
         self.coefficients = extrapolate._coefficients(
-            room.r, factors.k, len(norms), lambda c: c[0])
+            r, factors.k, len(norms), lambda c: c[0])
 
     def every(self, ks):
         """GMR and FOM at every stage of ``ks`` as stage columns:

@@ -37,22 +37,28 @@ and the complex ``alpha`` is a ``[real, imag]`` pair.
 :func:`save_history` writes version 2: exactly the compact sorted-key
 JSON of :func:`history_to_dict`, but the JSON encoder sees only a
 skeleton in which each block's ``"b64"`` holds the slot ``"#i"`` of
-its array in a payload list.  Each payload, already in its stored
-dtype and C-contiguous, is base64-encoded in fixed chunks as the file
-is written, never held whole and never re-escaped.  :func:`load_history`
-also reads version 1, where every complex entry is a ``[real, imag]``
-pair, and ignores keys it does not know.  Loading reconstructs a full
-:class:`~wextrap.extrapolate.RunHistory`, refactorizing the stored
-difference columns so the triangular factors match the original run
-bit for bit.
+its array in a payload list, and sees it a record at a time.  Each
+payload, already in its stored dtype and C-contiguous, is
+base64-encoded in fixed chunks as the file is written, never held
+whole and never re-escaped.  So a save's scratch is the skeleton's
+text, one record's dict and one chunk at binascii's twice its size.
+:func:`load_history` also reads version 1, where every complex entry
+is a ``[real, imag]`` pair, and ignores keys it does not know.  It
+decodes a block's base64 str in place on Python 3.11+ (``b64decode``
+copies it to ASCII bytes first, as on 3.10).  Loading reconstructs a
+full :class:`~wextrap.extrapolate.RunHistory`, refactorizing the
+stored difference columns so the triangular factors match the
+original run bit for bit.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -397,12 +403,24 @@ def history_to_dict(history: RunHistory) -> dict:
     """JSON-ready dict of the version-2 history format (see the module
     docstring).  Key order is irrelevant: serialize with sort_keys for
     byte-stable output."""
-    return _history_doc(history, None)
+    return _history_doc(history, None, [_record_doc(rec, None)
+                                        for rec in history.records])
 
 
-def _history_doc(history: RunHistory, payloads) -> dict:
-    """:func:`history_to_dict`, or with a ``payloads`` list its skeleton
-    (see :func:`_block`)."""
+def _record_doc(rec, payloads) -> dict:
+    return {
+        "k": rec.k,
+        "u_norm": float(rec.u_norm),
+        "rdiag": float(rec.rdiag),
+        "terminal": bool(rec.terminal),
+        "mpe": _solve_to_dict(rec.mpe, payloads),
+        "rre": _solve_to_dict(rec.rre, payloads),
+    }
+
+
+def _history_doc(history: RunHistory, payloads, records) -> dict:
+    """:func:`history_to_dict` with ``records`` as its records, or with a
+    ``payloads`` list its skeleton (see :func:`_block`)."""
     w = history.weight
     if w.kind == "identity":
         weight_spec = {"kind": "identity"}
@@ -423,24 +441,19 @@ def _history_doc(history: RunHistory, payloads) -> dict:
         "weight": weight_spec,
         "x0": _block(history.x0, payloads),
         "differences": _block(history.differences, payloads),
-        "records": [
-            {
-                "k": rec.k,
-                "u_norm": float(rec.u_norm),
-                "rdiag": float(rec.rdiag),
-                "terminal": bool(rec.terminal),
-                "mpe": _solve_to_dict(rec.mpe, payloads),
-                "rre": _solve_to_dict(rec.rre, payloads),
-            }
-            for rec in history.records
-        ],
+        "records": records,
     }
 
 
 #: bytes of a history payload encoded per base64 call: a multiple of 3,
 #: so every chunk but the last encodes with no "=" padding, and the
-#: encoded chunks joined are the whole payload's base64
-_CHUNK = 3 * 2 ** 16
+#: encoded chunks joined are the whole payload's base64.  binascii
+#: allocates twice its input for a call's output before trimming it to
+#: 4/3, so a call's scratch is 96 KiB
+_CHUNK = 3 * 2 ** 14
+
+#: the compact sorted-key form of every history file
+_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
 def save_history(history: RunHistory, path) -> None:
@@ -450,19 +463,27 @@ def save_history(history: RunHistory, path) -> None:
     The file is exactly ``json.dumps(history_to_dict(history),
     sort_keys=True, separators=(",", ":"))`` and a newline, but the
     JSON encoder sees only the skeleton, whose slots mark where each
-    array's base64 goes.  That base64, which never needs escaping, is
-    encoded :data:`_CHUNK` bytes at a time as the file is written, so
-    no array's whole text is ever held.  Every check and conversion
-    runs before the file is opened, so a save that fails in them leaves
-    an existing file as it was; an I/O error mid-write can leave a
-    partial file.
+    array's base64 goes, one record at a time: each record's compact
+    text is encoded from its own dict, and the texts are spliced into
+    the top-level document's ``"records"``.  That base64, which never
+    needs escaping, is encoded :data:`_CHUNK` bytes at a time as the
+    file is written.  So beside the history a save holds the skeleton's
+    text, one record's dict and one chunk's encoding, never a dict tree
+    of every record, the encoder's token list of the whole document or
+    an array's whole base64.  Every check and conversion runs before
+    the file is opened, so a save that fails in them leaves an existing
+    file as it was; an I/O error mid-write can leave a partial file.
     """
     payloads = []
-    skeleton = json.dumps(_history_doc(history, payloads), sort_keys=True,
-                          separators=(",", ":")).encode("ascii")
+    head, tail = json.dumps(_history_doc(history, payloads, []),
+                            **_COMPACT).split('"records":[]')
+    records = (json.dumps(_record_doc(rec, payloads), **_COMPACT)
+               for rec in history.records)
     # pieces of the skeleton alternate with the index in a slot; a "#"
-    # elsewhere in the skeleton would fail the check below
-    pieces = re.split(rb'#(\d+)(?=")', skeleton)
+    # elsewhere in the skeleton would fail the check below.  Only the
+    # pieces outlive this line
+    pieces = re.split(rb'#(\d+)(?=")', f'{head}"records":['
+                      f'{",".join(records)}]{tail}'.encode("ascii"))
     slots = [int(i) for i in pieces[1::2]]
     if sorted(slots) != list(range(len(payloads))):
         raise RuntimeError(f"history skeleton holds {len(slots)} payload "
@@ -486,14 +507,19 @@ def _write_base64(fh, a) -> None:
         fh.write(base64.b64encode(raw[start:start + _CHUNK]))
 
 
-def _array(obj, path) -> np.ndarray:
+#: binascii.a2b_base64 takes strict_mode from Python 3.11 on
+_A2B_STRICT = sys.version_info >= (3, 11)
+
+
+def _array(obj, path, consume=False) -> np.ndarray:
     """A stored array as a fresh array in its stored field.
 
     ``obj`` is a version-2 block ``{"dtype", "shape", "b64"}``, read as
     float64 (``"<f8"``) or complex128 (``"<c16"``), or a version-1
     nested list of ``[re, im]`` pairs, read as complex128.  A NaN or infinite
     entry is a parse error: no run writes one, and the verifier could
-    not judge it.
+    not judge it.  With ``consume`` the block's base64 text leaves it
+    and is freed once decoded, before the decoded bytes are copied.
     """
     if not isinstance(obj, dict):
         pairs = np.asarray(obj, dtype=float)
@@ -505,10 +531,16 @@ def _array(obj, path) -> np.ndarray:
         _fail(f"unsupported array dtype {dtype!r}", path)
     if not all(type(n) is int and n >= 0 for n in shape):
         _fail(f"invalid array shape {shape!r}", path)
+    text = obj.pop("b64") if consume else obj["b64"]
     try:
-        raw = base64.b64decode(obj["b64"], validate=True)
+        # from Python 3.11 b64decode(validate=True) is this strict
+        # decode after an ASCII copy of a str; binascii reads it in place
+        raw = (binascii.a2b_base64(text, strict_mode=True)
+               if _A2B_STRICT and isinstance(text, str)
+               else base64.b64decode(text, validate=True))
     except ValueError as exc:  # binascii.Error, or non-ASCII text
         _fail(f"invalid base64 in array block: {exc}", path)
+    del text
     needed = math.prod(shape) * np.dtype(dtype).itemsize
     if len(raw) != needed:
         _fail(f"array block holds {len(raw)} bytes, shape {shape} of "
@@ -610,9 +642,10 @@ def load_history(path) -> RunHistory:
             weight = WeightOperator.diagonal(
                 weights if version == 1 else _array(weights, path))
         else:
-            # the block leaves the document, so its base64 string is
-            # freed before M is checked
-            weight = WeightOperator.dense(_array(wspec.pop("matrix"), path))
+            # the block's base64 text leaves the document, so it is
+            # freed once decoded, before M is copied and checked
+            weight = WeightOperator.dense(_array(wspec["matrix"], path,
+                                                 consume=True))
         if weight.dimension != dimension:
             _fail(f"dimension = {dimension}, the weight's is "
                   f"{weight.dimension}", path)

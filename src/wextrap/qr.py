@@ -150,8 +150,10 @@ def _grow(weight: WeightOperator, count: int, dtype, column,
     deflated norm is at or below ``rank_tol`` (:data:`RANK_TOL`, read at
     call time, when None) times its own weighted norm.  That column's
     coefficients and r_jj go into R's buffer only, and the factors are
-    a copy of the leading block.  Returns ``(room, factors, norms)``,
-    ``norms`` the weighted norm of every column tried.
+    a copy of the leading block, so the buffers' unused columns are
+    freed on return.  Returns ``(r, factors, norms)``: R's buffer,
+    which holds the dependent column, and ``norms`` the weighted norm
+    of every column tried.
     """
     if rank_tol is None:
         rank_tol = RANK_TOL
@@ -172,7 +174,7 @@ def _grow(weight: WeightOperator, count: int, dtype, column,
                                  else factors.p.copy(order="F"))
             break
         factors = _append(room, c, w, mw, rnorm)
-    return room, factors, norms
+    return room.r, factors, norms
 
 
 def mgs_factorize(a, weight, rank_tol: float | None = None) -> WQRFactors:
@@ -193,12 +195,12 @@ def mgs_factorize(a, weight, rank_tol: float | None = None) -> WQRFactors:
         )
     a, = _in_field(weight, a)
     rank_tol = RANK_TOL if rank_tol is None else rank_tol
-    room, factors, norms = _grow(weight, a.shape[1], a.dtype,
-                                 lambda j, _: a[:, j], rank_tol)
+    r, factors, norms = _grow(weight, a.shape[1], a.dtype,
+                              lambda j, _: a[:, j], rank_tol)
     j = factors.k
     if j < len(norms):
         if j == weight.dimension:  # dependent whatever its norm
             raise RankDeficient(j)
-        raise RankDeficient(j, residual_norm=float(room.r[j, j].real),
+        raise RankDeficient(j, residual_norm=float(r[j, j].real),
                             threshold=rank_tol * norms[j])
     return factors

@@ -294,12 +294,18 @@ def _field(*arrays):
     return float
 
 
+def _field_of(weight, *arrays):
+    """The field of ``weight`` and ``arrays``: float when M and every
+    array are real by value, else complex."""
+    return complex if weight._dtype is complex else _field(*arrays)
+
+
 def _in_field(weight, *arrays):
     """``arrays`` in the field of ``weight`` and themselves: all float64
     when M and every array are real by value, else all complex128.  A
-    complex array made float is a copy of its real part (all it holds),
-    laid out as the array was, so BLAS reads it contiguously."""
+    complex array made float is a float64 copy of its real part (all it
+    holds), laid out as the array was, so BLAS reads it contiguously."""
     arrays = [np.asarray(a) for a in arrays]
-    dtype = complex if weight._dtype is complex else _field(*arrays)
-    return [np.array(a.real) if dtype is float and np.iscomplexobj(a)
+    dtype = _field_of(weight, *arrays)
+    return [np.array(a.real, dtype) if dtype is float and np.iscomplexobj(a)
             else np.asarray(a, dtype=dtype) for a in arrays]

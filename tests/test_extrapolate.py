@@ -434,6 +434,47 @@ def test_early_stop_frees_unused_factor_columns():
     assert hist.factors.p.flags.f_contiguous
 
 
+def test_early_stop_frees_the_grown_buffers_before_the_stages():
+    # `stop` independent differences and then a zero one: the run
+    # converges at stage `stop` of k_max = 2 stop.  The loop hands back
+    # R's buffer alone, so the Q buffer sized for 2 stop + 1 columns is
+    # freed before the stage phase, whose s block then sets the peak
+    rng = np.random.default_rng(66)
+    n, stop = 2000, 40
+    x = np.empty((2 * stop + 2, n))
+    x[:stop + 1] = rng.standard_normal((stop + 1, n))
+    x[stop + 1:] = x[stop]
+    tracemalloc.start()
+    try:
+        hist = run(x, WeightOperator.identity(n), k_max=2 * stop)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.status is RunStatus.CONVERGED and hist.detected_k0 == stop
+    assert peak - held < 0.5 * n * (2 * stop + 1) * 8
+
+
+def test_run_holds_no_copy_of_the_iterates():
+    # real iterates stored as complex128: the differences are taken from
+    # their real view into the one (N, m) float64 block, so beside its
+    # outputs the run holds no float copy of the iterates and no
+    # transposed temporary, each about one N x (k + 2) float64 block
+    rng = np.random.default_rng(64)
+    n, k = 3000, 10
+    x = random_sequence(rng, n, k + 2).astype(complex)
+    tracemalloc.start()
+    try:
+        hist = run(x, WeightOperator.identity(n), k_max=k)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.differences.dtype == float and hist.x0.dtype == float
+    assert hist.differences.flags.c_contiguous
+    assert_array_equal(hist.differences, np.diff(x.real, axis=0).T)
+    assert_array_equal(hist.x0, x[0].real)
+    assert peak - held < 0.5 * n * (k + 2) * 8
+
+
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("kind", ["identity", "dense"])
 def test_runs_to_different_k_max_agree_to_roundoff(kind, complex_, tmp_path):

@@ -150,3 +150,16 @@ def test_real_dense_weight_on_complex_vectors_is_exact_and_copy_free():
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+
+
+def test_single_precision_real_values_compute_in_float64():
+    # complex64 arrays of real values are real data, computed in
+    # float64 like every other real input, never in their float32 parts
+    t, d, x0, weight = field_case("complex_dtype_real_values")
+    xs = iterates(t, d, x0, "complex_dtype_real_values").astype(np.complex64)
+    hist = run(xs, weight, k_max=K)
+    assert hist.differences.dtype == hist.factors.q.dtype == float
+    assert mgs_factorize(hist.differences.astype(np.complex64),
+                         weight).q.dtype == float
+    stages = _Stages(*_problem(t.astype(np.complex64), d, x0, weight), K)
+    assert stages.basis.dtype == float
