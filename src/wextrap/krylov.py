@@ -114,7 +114,7 @@ def _problem(t, d, x0, weight):
         t = np.asarray(t)
         if t.shape != (n, n):
             raise DimensionMismatch(
-                f"T of shape {t.shape}, expected ({n}, {n})")
+                f"T of shape {t.shape}, weight of dimension {n}")
     d, x0 = np.asarray(d), np.asarray(x0)
     if d.shape != (n,) or x0.shape != d.shape:
         raise DimensionMismatch(f"d and x0 must have dimension {n}")

@@ -19,13 +19,15 @@ A factorization grows in place, by the one loop :func:`_grow` that
 :func:`wextrap.extrapolate.run`, :func:`mgs_factorize` (and so the
 history loader) and the Arnoldi process of :mod:`wextrap.krylov` all
 call, so a run's factors and a one-shot factorization of the same
-columns are the same floats.  It allocates Q, P and R once and
-:func:`_append` writes each accepted column into them.  Every
-:class:`WQRFactors` a caller sees is a leading view of those buffers,
-which only that loop writes and never a column twice, so an earlier
-view keeps its values.  The loop holds the one rank test, and a loop
-that stops before its last planned column keeps a copy of the leading
-block instead, so the unused columns are freed.
+columns are the same floats.  It allocates Q, P and R once, writes
+R's column for every column it tries and Q's and P's for every
+accepted one.  Every :class:`WQRFactors` a caller sees is a leading
+view of those buffers, which only that loop writes and never a column
+twice, so an earlier view keeps its values.  The loop holds the one
+rank test, and a loop that stops before its last planned column keeps
+a copy of the leading block instead, so the unused columns are freed.
+It drops Q's buffer before it copies P's block, so the copies never
+sit beside both full buffers.
 
 The buffers take the field of the factored columns and the weight
 (:func:`wextrap.weights._in_field`): float64 when both are real by
@@ -94,22 +96,6 @@ class WQRFactors:
         return float(np.max(np.abs(self.q.conj().T @ mq - np.eye(self.k))))
 
 
-def _append(room: WQRFactors, coeffs, w, mw, rnorm) -> WQRFactors:
-    """Write one orthogonalized column into ``room`` after the
-    ``len(coeffs)`` columns already there, and return the grown leading
-    view.  ``(coeffs, w, mw, rnorm)`` is what :func:`orthogonalize_column`
-    gave against the current view, whose rank :func:`_grow` has judged.
-    Where P is Q (the identity weight, whose ``mw`` is a copy of ``w``)
-    the one divide writes both."""
-    k = len(coeffs)
-    np.divide(w, rnorm, out=room.q[:, k])
-    if room.p is not room.q:
-        np.divide(mw, rnorm, out=room.p[:, k])
-    room.r[:k, k] = coeffs
-    room.r[k, k] = rnorm
-    return room.leading(k + 1)
-
-
 def orthogonalize_column(factors: WQRFactors, a):
     """Deflate ``a`` against the factored basis without appending.
 
@@ -144,16 +130,18 @@ def _grow(weight: WeightOperator, count: int, dtype, column,
     """The one loop that grows a weighted QR: factor ``column(j,
     factors)`` for j < ``count`` against the factors of the first j
     columns, in buffers of ``dtype`` allocated once (Q and P
-    column-major, one array as both under the identity weight).
+    column-major, one array as both under the identity weight).  Each
+    column's coefficients and r_jj go into R's buffer, and an accepted
+    column's Q and P columns into theirs (one divide where P is Q).
 
     It stops at the first dependent column: column N, or one whose
     deflated norm is at or below ``rank_tol`` (:data:`RANK_TOL`, read at
-    call time, when None) times its own weighted norm.  That column's
-    coefficients and r_jj go into R's buffer only, and the factors are
-    a copy of the leading block, so the buffers' unused columns are
-    freed on return.  Returns ``(r, factors, norms)``: R's buffer,
-    which holds the dependent column, and ``norms`` the weighted norm
-    of every column tried.
+    call time, when None) times its own weighted norm.  That column
+    goes into R's buffer only, and the factors are a copy of the
+    leading block, Q's taken and its buffer dropped before P's.
+    Returns ``(r, factors, norms)``: R's buffer, which holds the
+    dependent column, and ``norms`` the weighted norm of every column
+    tried.
     """
     if rank_tol is None:
         rank_tol = RANK_TOL
@@ -166,14 +154,17 @@ def _grow(weight: WeightOperator, count: int, dtype, column,
     for j in range(count):
         c, w, mw, rnorm = orthogonalize_column(factors, column(j, factors))
         norms.append(float(np.hypot(np.linalg.norm(c), rnorm)))
+        room.r[:j, j], room.r[j, j] = c, rnorm
         if j == n or rnorm <= rank_tol * norms[j]:
-            room.r[:j, j], room.r[j, j] = c, rnorm
             q = factors.q.copy(order="F")
-            factors = WQRFactors(weight, q, factors.r.copy(),
-                                 q if factors.p is factors.q
-                                 else factors.p.copy(order="F"))
-            break
-        factors = _append(room, c, w, mw, rnorm)
+            p = None if room.p is room.q else factors.p
+            r, room, factors = room.r, None, None  # frees Q's buffer
+            return r, WQRFactors(weight, q, r[:j, :j].copy(),
+                                 q if p is None else p.copy(order="F")), norms
+        np.divide(w, rnorm, out=room.q[:, j])
+        if room.p is not room.q:
+            np.divide(mw, rnorm, out=room.p[:, j])
+        factors = room.leading(j + 1)
     return room.r, factors, norms
 
 

@@ -22,6 +22,7 @@ from wextrap import (
     extrapolate,
     krylov,
     mmio,
+    qr,
     relations,
 )
 
@@ -153,6 +154,8 @@ def test_krylov_copy_of_the_catalog_is_gone():
                  "monotone_225"):
         assert name not in names
     assert not hasattr(relations, "_intersect_ranges")
+    # the growth loop writes its columns itself: no append helper
+    assert not hasattr(qr, "_append")
     # the "(stagnated)" marker reads MPE existence, and the 3-1 and
     # 3-15 checks of verify-relations read extrapolate.EXIST_TOL:
     # neither subcommand takes a stagnation tolerance

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -219,12 +221,17 @@ def test_equivalence_check_one_block_product_for_its_norms(weight_calls):
         assert weight_calls.count("apply") == 2 * (k + 1) + 1
 
 
-@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4, 4)])
+@pytest.mark.parametrize("shape, n", [((3, 4), 3), ((4, 3), 3), ((4, 4), 3),
+                                      ((3, 3), 4)],
+                         ids=["shape0", "shape1", "shape2", "weight4"])
 @pytest.mark.parametrize("solve", [fom_solve, gmr_solve, equivalence_check])
-def test_matrix_t_must_be_n_by_n(shape, solve):
-    with pytest.raises(DimensionMismatch, match=r"T of shape"):
-        solve(np.ones(shape), np.ones(3), np.zeros(3),
-              WeightOperator.identity(3), 2)
+def test_matrix_t_must_be_n_by_n(shape, n, solve):
+    # the message names T's shape and the weight's dimension, so a
+    # weight of the wrong size is not blamed on T
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            f"T of shape {shape}, weight of dimension {n}")):
+        solve(np.ones(shape), np.ones(n), np.zeros(n),
+              WeightOperator.identity(n), 2)
 
 
 def test_equivalence_check_converged_at_stage_zero():

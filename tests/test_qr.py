@@ -83,15 +83,15 @@ def test_incremental_equals_one_shot():
 def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
                                                            grow):
     # every stage's factors are a leading view of the one set of
-    # buffers, and no later append writes into it
-    grown, append = [], qr._append
+    # buffers, and no later column writes into it: the kernel sees each
+    # leading view before the loop writes the next column
+    grown, orthogonalize = [], qr.orthogonalize_column
 
-    def recording(*args):
-        view = append(*args)
+    def recording(view, a):
         grown.append((view, view.q.copy(), view.r.copy(), view.p.copy()))
-        return view
+        return orthogonalize(view, a)
 
-    monkeypatch.setattr(qr, "_append", recording)
+    monkeypatch.setattr(qr, "orthogonalize_column", recording)
     rng = np.random.default_rng(32)
     w = random_weight(rng, 8, "dense")
     x = random_sequence(rng, 8, 7, complex_=True)
@@ -102,11 +102,14 @@ def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
     else:
         final = mgs_factorize(x[1:].T - x[:-1].T, w)
         views = [final.leading(j + 1) for j in range(final.k)]
-    assert len(grown) == final.k == 6
-    for view, (seen, q, r, p) in zip(views, grown):
-        for a, b in ((view.q, final.q), (view.r, final.r), (view.p, final.p),
-                     (seen.q, final.q)):
+    assert [seen.k for seen, *_ in grown] == list(range(final.k))
+    assert final.k == 6
+    for view in views:
+        for a, b in ((view.q, final.q), (view.r, final.r), (view.p, final.p)):
             assert np.shares_memory(a, b)
+    # the view of j columns is seen before column j is written
+    for view, (seen, q, r, p) in zip(views, grown[1:]):
+        assert np.shares_memory(seen.q, final.q)
         for got in (view, seen):
             assert_array_equal(got.q, q)
             assert_array_equal(got.r, r)
@@ -151,14 +154,13 @@ def test_identity_weight_keeps_one_array_as_q_and_p(monkeypatch, tmp_path,
     # under the identity P = M Q is Q: every grown view and the final
     # factors hold one array as both, with P = Q's floats; the other
     # weights keep a separate P.  Each column still takes one M-product
-    grown, append = [], qr._append
+    grown, orthogonalize = [], qr.orthogonalize_column
 
-    def recording(*args):
-        view = append(*args)
+    def recording(view, a):
         grown.append(view)
-        return view
+        return orthogonalize(view, a)
 
-    monkeypatch.setattr(qr, "_append", recording)
+    monkeypatch.setattr(qr, "orthogonalize_column", recording)
     products, apply = [], WeightOperator.apply
 
     def counting(self, z):
