@@ -104,21 +104,14 @@ def _resolve_problem(args):
     return problem, iterate(problem, iters), problem.dimension
 
 
-def _print_history_table(history, methods):
-    show_mpe = methods in ("both", "mpe")
-    show_rre = methods in ("both", "rre")
+def _print_history_table(history):
     for rec in history.records:
-        parts = [f"k={rec.k}", f"|u|={rec.u_norm:.6e}"]
-        if show_mpe:
-            parts.append("MPE: " + ("—" if not rec.mpe.exists
-                                    else f"{rec.mpe.phi:.6e}"))
-        if show_rre:
-            # RRE stagnates exactly where MPE does not exist (3-1)
-            marker = " (terminal)" if rec.terminal \
-                else "" if rec.mpe.exists else " (stagnated)"
-            phi = "—" if rec.rre.phi is None else f"{rec.rre.phi:.6e}"
-            parts.append("RRE: " + phi + marker)
-        print("  ".join(parts))
+        mpe = "—" if not rec.mpe.exists else f"{rec.mpe.phi:.6e}"
+        # RRE stagnates exactly where MPE does not exist (3-1)
+        marker = " (terminal)" if rec.terminal \
+            else "" if rec.mpe.exists else " (stagnated)"
+        print(f"k={rec.k}  |u|={rec.u_norm:.6e}  MPE: {mpe}  "
+              f"RRE: {rec.rre.phi:.6e}{marker}")
     print(f"status: {history.status.value}"
           + ("" if history.detected_k0 is None
              else f" (k0 = {history.detected_k0})"))
@@ -132,7 +125,7 @@ def _run_from_args(args):
 
 def cmd_accelerate(args):
     history = _run_from_args(args)
-    _print_history_table(history, args.methods)
+    _print_history_table(history)
     out = _out_path(args.out, "history.json")
     mmio.save_history(history, out)
     print(f"history written to {out}")
@@ -295,8 +288,6 @@ def build_parser():
     acc = subs.add_parser("accelerate",
                           help="run both extrapolation methods on a sequence")
     _add_input_flags(acc)
-    acc.add_argument("--methods", choices=["both", "mpe", "rre"],
-                     default="both")
     acc.add_argument("--out", default=None, help="history JSON path")
     acc.add_argument("--csv", default=None, help="also write per-k CSV")
     acc.set_defaults(func=cmd_accelerate)

@@ -41,10 +41,13 @@ Cheap residual estimates come for free from the same factors:
 phi = ||| U_k gamma ||| equals r_kk |gamma_k| for ``mpe`` and
 sqrt(lam) for ``rre``; no product with U_k is ever formed.
 
-The accelerated vector is assembled as s_k = x_0 + Q_{k-1} eta with
-eta = R_{k-1} xi and xi_j = 1 - (gamma_0 + ... + gamma_j), again
-avoiding any multiplication by U_k itself.  With every stage's xi as a
-column of one array, one pair of matrix products gives every s.
+Since sum gamma = 1, the accelerated vector is
+
+    s_k = x_0 + U_{k-1} xi,      xi_j = 1 - (gamma_0 + ... + gamma_j),
+
+a combination of the differences the run keeps (Sidi's x_0 + Q R xi
+suits his algorithm, which overwrites U with Q).  With every stage's
+xi as a column of one array, one product gives every s.
 
 :func:`run` drives the whole pipeline over a sequence in two phases.
 The QR loop is the one growth loop of :mod:`wextrap.qr` (one product
@@ -54,12 +57,12 @@ span of the earlier ones, a zero one included (the iteration converged
 on its own): the terminal degree, where the least-squares system is
 consistent, the two methods coincide, and the extrapolated vector is
 exact for linear problems.  The stage phase then computes both methods
-at every stage from the final factors, as arrays with one column per
-stage: the one solve for c, column sums for alpha, cumulative sums for
-mu and h, and the one pair of products for s.  The coefficient phase
-(everything but s) takes the constraint as its one parameter, and
-:mod:`wextrap.krylov` runs it with gamma_0 = 1 (alpha_k = c_k[0]) for
-FOM and GMR.
+at every stage from R and the differences, as arrays with one column
+per stage: the one solve for c, column sums for alpha, cumulative sums
+for mu and h, and the one product for s.  Nothing after the loop reads
+Q or P.  The coefficient phase (everything but s) takes the constraint
+as its one parameter, and :mod:`wextrap.krylov` runs it with
+gamma_0 = 1 (alpha_k = c_k[0]) for FOM and GMR.
 
 :func:`run` computes in the field of its inputs: float64 when the
 weight and the iterates hold no nonzero imaginary part (a complex array
@@ -158,7 +161,8 @@ class RunHistory:
     being u_j = x_{j+1} - x_j, so U_k is ``differences[:, :k + 1]``.
     ``factors`` is the factorization of all difference columns that
     were actually appended; stage k's factors are its leading
-    (k+1)-column block, so nothing is stored twice.
+    (k+1)-column block, ``factors.leading(k + 1)``, so nothing is
+    stored twice.
     """
 
     weight: object
@@ -176,10 +180,6 @@ class RunHistory:
 
     def record(self, k: int) -> ExtrapolationRecord:
         return self.records[k]
-
-    def factors_at(self, k: int) -> WQRFactors:
-        """Factors of U_k; valid for every non-terminal stage."""
-        return self.factors.leading(k + 1)
 
 
 def _coefficients(r, m: int, count: int, constraint):
@@ -244,22 +244,23 @@ def _coefficients(r, m: int, count: int, constraint):
     return alpha, exists, gamma, phi, lam, rre
 
 
-def _records(x0, factors: WQRFactors, r, u_norms):
-    """Both methods at every stage, from the final factors.
+def _records(x0, u, r, u_norms):
+    """Both methods at every stage, from the differences and R.
 
-    ``factors`` holds the m accepted columns, ``u_norms`` one entry per
-    stage, and ``r`` the R buffer, whose column of a terminal stage
-    holds its projection coefficients rho and trial r_kk.
+    ``u`` holds the m accepted difference columns, ``u_norms`` one
+    entry per stage, and ``r`` the R buffer, whose column of a terminal
+    stage holds its projection coefficients rho and trial r_kk.
     """
-    m, count = factors.k, len(u_norms)
+    m, count = u.shape[1], len(u_norms)
     alpha, exists, gamma, phi, lam, rre = _coefficients(
         r, m, count, lambda c: c.sum(axis=0))
-    # s = x_0 + Q R xi with xi_j = 1 - (gamma_0 + ... + gamma_j) for j < k:
-    # every s of both methods from one pair of products
+    # s = x_0 + U xi with xi_j = 1 - (gamma_0 + ... + gamma_j) for j < k,
+    # built in place: every s of both methods from one product
     stage = np.concatenate([np.arange(count), np.arange(m)])
-    xi = np.where(np.arange(m)[:, None] < stage,
-                  1.0 - np.cumsum(gamma[:m], axis=0), 0.0)
-    s = (factors.r @ xi).T @ factors.q.T
+    xi = np.cumsum(gamma[:m], axis=0)
+    np.subtract(1.0, xi, out=xi)
+    xi[np.arange(m)[:, None] >= stage] = 0.0
+    s = xi.T @ u.T
     s += x0
 
     # each record keeps a copy of its own k+1 entries, not a view that
@@ -306,13 +307,13 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     The run has two phases.  The QR loop (:func:`wextrap.qr._grow`)
     factors one difference column at a time and stops at the terminal
     stage; :data:`CONVERGE_ATOL` only names how it ended.  Then every
-    stage is computed at once from the final factors: one triangular
-    solve gives every c, and one pair of matrix products every s.  The
-    factors of a stage do not depend on ``k_max``, but the blocked solve
-    and products round differently at different sizes.  So runs of the
-    same iterates to different ``k_max`` agree on their common stages
-    to roundoff, not bit for bit; the same input and ``k_max`` always
-    give the same bytes.
+    stage is computed at once from R and the differences, with no read
+    of Q or P: one triangular solve gives every c, and one product with
+    the differences every s.  The factors of a stage do not depend on
+    ``k_max``, but the blocked solve and product round differently at
+    different sizes.  So runs of the same iterates to different
+    ``k_max`` agree on their common stages to roundoff, not bit for
+    bit; the same input and ``k_max`` always give the same bytes.
 
     The iterates are never copied: their differences are taken straight
     into the one (N, m) block the history keeps, in the run's field (from
@@ -374,7 +375,7 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
             if u_norms[-1] <= CONVERGE_ATOL else RunStatus.RANK_DEFICIENT
         history.detected_k0 = factors.k
     history.factors = factors
-    history.records = _records(x0, factors, r, u_norms)
+    history.records = _records(x0, diffs[:, :factors.k], r, u_norms)
     return history
 
 

@@ -117,7 +117,8 @@ def _problem(t, d, x0, weight):
                 f"T of shape {t.shape}, weight of dimension {n}")
     d, x0 = np.asarray(d), np.asarray(x0)
     if d.shape != (n,) or x0.shape != d.shape:
-        raise DimensionMismatch(f"d and x0 must have dimension {n}")
+        raise DimensionMismatch(f"d of shape {d.shape}, x0 of shape "
+                                f"{x0.shape}, weight of dimension {n}")
     if callable(t):
         d, x0 = np.asarray(d, complex), np.asarray(x0, complex)
         return partial(_columnwise, t), d, x0, weight

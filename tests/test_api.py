@@ -94,6 +94,8 @@ def test_removed_methods_are_gone():
     assert not hasattr(WeightOperator, "inner")
     assert not hasattr(WQRFactors, "reconstruct")
     assert not hasattr(WQRFactors, "dimension")
+    # a stage's factors are hist.factors.leading(k + 1)
+    assert not hasattr(RunHistory, "factors_at")
 
 
 def test_orthogonalization_switch_is_gone():

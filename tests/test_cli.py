@@ -164,6 +164,20 @@ def test_accelerate_demo_hits_terminal_stage(tmp_path, capsys):
     assert "status: rank_deficient (k0 = 2)" in out
 
 
+@pytest.mark.parametrize("value", ["both", "mpe", "rre"])
+def test_accelerate_has_no_methods_option(tmp_path, capsys, value):
+    # the table always shows both methods; the option that chose one is
+    # gone, and argparse rejects it with its usage exit code
+    t_path, d_path = demo_files(tmp_path)
+    out = tmp_path / "h.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["accelerate", "--linear", t_path, d_path,
+                  "--methods", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--methods" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_history_json_is_byte_reproducible(tmp_path):
     t_path, d_path = big_files(tmp_path)
     args = ["accelerate", "--linear", t_path, d_path, "--k-max", "3"]

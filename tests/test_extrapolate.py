@@ -9,6 +9,7 @@ from scipy.linalg import solve_triangular
 
 from wextrap import (
     DimensionMismatch,
+    FixedPointProblem,
     InsufficientVectors,
     LambdaNotPositive,
     NonFiniteIterate,
@@ -20,6 +21,7 @@ from wextrap import (
     run,
     save_history,
 )
+from wextrap import extrapolate
 from wextrap.qr import orthogonalize_column
 
 import rational_oracle as ro
@@ -103,7 +105,7 @@ def test_demo_assembly_matches_oracle():
     assert_allclose(rec.mpe.s, ro.as_float(m_or["s"]), atol=1e-12)
     assert_allclose(rec.rre.s, ro.as_float(r_or["s"]), atol=1e-12)
     # the recorded vectors are assemble's, from either stage's factors
-    for factors in (hist.factors, hist.factors_at(0)):
+    for factors in (hist.factors, hist.factors.leading(1)):
         assert_allclose(assemble(xs[0], factors, rec.rre.gamma), rec.rre.s,
                         atol=1e-15)
 
@@ -172,10 +174,10 @@ def test_rre_recursion_matches_two_triangular_solves():
         hist = run(x, w)
         assert not hist.records[-1].terminal
         for rec in hist.records:
-            gamma = two_solve_rre(hist.factors_at(rec.k).r)
+            gamma = two_solve_rre(hist.factors.leading(rec.k + 1).r)
             assert_allclose(rec.rre.gamma, gamma, rtol=1e-10, atol=1e-12)
             assert_allclose(rec.rre.lam, 1.0 / np.linalg.norm(
-                solve_triangular(hist.factors_at(rec.k).r,
+                solve_triangular(hist.factors.leading(rec.k + 1).r,
                                  np.ones(rec.k + 1), trans="C")) ** 2,
                             rtol=1e-10)
 
@@ -202,7 +204,7 @@ def test_rre_recursion_as_accurate_as_two_solves_when_ill_conditioned():
                    for g, e in zip(gammas, exact))
 
     recursion = worst([rec.rre.gamma for rec in hist.records])
-    two_solves = worst([two_solve_rre(hist.factors_at(j).r)
+    two_solves = worst([two_solve_rre(hist.factors.leading(j + 1).r)
                         for j in range(k + 1)])
     assert two_solves > 1e-6  # the case is ill-conditioned indeed
     assert recursion <= 2.0 * two_solves
@@ -462,6 +464,48 @@ def test_early_stop_frees_the_grown_buffers_before_the_stages(kind, n, bound):
         tracemalloc.stop()
     assert hist.status is RunStatus.CONVERGED and hist.detected_k0 == stop
     assert peak - held < bound * n * (2 * stop + 1) * 8
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["full", "early-stop"])
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+def test_stage_phase_reads_no_q_or_p(monkeypatch, kind, early):
+    # once the QR loop returns, every s comes from the differences and
+    # R: a run whose returned Q and P are NaN gives the same records
+    rng = np.random.default_rng(67)
+    n = 12
+    weight = random_weight(rng, n, kind)
+    if early:  # three distinct eigenvalues: terminal at stage 3 of 8
+        problem = FixedPointProblem.linear(
+            np.diag(np.resize([0.5, -0.3, 0.2], n)), rng.standard_normal(n),
+            rng.standard_normal(n))
+        x = np.asarray(iterate(problem, 9))
+    else:
+        x = random_sequence(rng, n, 9, complex_=True)
+    clean = run(x, weight)
+    grow = extrapolate._grow
+
+    def poisoned(*args, **kwargs):
+        r, factors, norms = grow(*args, **kwargs)
+        factors.q[...] = np.nan
+        factors.p[...] = np.nan
+        return r, factors, norms
+
+    monkeypatch.setattr(extrapolate, "_grow", poisoned)
+    hist = run(x, weight)
+    assert np.isnan(hist.factors.q).all() and np.isnan(hist.factors.p).all()
+    assert hist.detected_k0 == (3 if early else None)
+    assert hist.stages == clean.stages == (4 if early else 8)
+    for got, want in zip(hist.records, clean.records):
+        assert (got.k, got.u_norm, got.rdiag, got.terminal) == \
+            (want.k, want.u_norm, want.rdiag, want.terminal)
+        for a, b in ((got.mpe, want.mpe), (got.rre, want.rre)):
+            assert (a.exists, a.phi, a.alpha, a.lam) == \
+                (b.exists, b.phi, b.alpha, b.lam)
+            if b.s is None:
+                assert a.s is None and a.gamma is None
+                continue
+            assert_array_equal(a.gamma, b.gamma)
+            assert weight.norm(a.s - b.s) <= 1e-13 * weight.norm(b.s)
 
 
 def test_run_holds_no_copy_of_the_iterates():

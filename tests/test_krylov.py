@@ -17,8 +17,9 @@ from wextrap import (
     run,
     verify_history,
 )
-from wextrap import extrapolate, krylov
+from wextrap import cli, extrapolate, krylov
 from wextrap.krylov import _problem, _Stages
+from wextrap.mmio import write_matrix, write_vector
 from wextrap.qr import RANK_TOL
 
 from adversarial import make_mpe_failure_problem, make_near_stagnation_problem
@@ -232,6 +233,30 @@ def test_matrix_t_must_be_n_by_n(shape, n, solve):
             f"T of shape {shape}, weight of dimension {n}")):
         solve(np.ones(shape), np.ones(n), np.zeros(n),
               WeightOperator.identity(n), 2)
+
+
+@pytest.mark.parametrize("d_len, x0_len", [(3, 4), (4, 3), (1, 4), (4, 5)],
+                         ids=["short-d", "short-x0", "length-1-d", "long-x0"])
+@pytest.mark.parametrize("entry", ["fom_solve", "gmr_solve",
+                                   "equivalence_check", "krylov-compare"])
+def test_d_and_x0_must_be_n_vectors(entry, d_len, x0_len, tmp_path, capsys):
+    # the message names both shapes and the weight's dimension, as the
+    # T message does; the CLI reports it with exit 3
+    t, d, x0 = 0.5 * np.eye(4), np.ones(d_len), np.zeros(x0_len)
+    message = (f"d of shape ({d_len},), x0 of shape ({x0_len},), "
+               "weight of dimension 4")
+    if entry == "krylov-compare":
+        paths = [str(tmp_path / name) for name in ("T.mtx", "d.vec", "x0.vec")]
+        write_matrix(paths[0], t)
+        write_vector(paths[1], d)
+        write_vector(paths[2], x0)
+        rc = cli.main(["krylov-compare", "--linear", *paths[:2],
+                       "--x0", paths[2], "--k-max", "2"])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        return
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        getattr(krylov, entry)(t, d, x0, WeightOperator.identity(4), 2)
 
 
 def test_equivalence_check_converged_at_stage_zero():

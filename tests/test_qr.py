@@ -98,7 +98,7 @@ def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
     if grow == "run":
         hist = run(x, w)
         final = hist.factors
-        views = [hist.factors_at(j) for j in range(final.k)]
+        views = [hist.factors.leading(j + 1) for j in range(final.k)]
     else:
         final = mgs_factorize(x[1:].T - x[:-1].T, w)
         views = [final.leading(j + 1) for j in range(final.k)]
