@@ -60,9 +60,10 @@ exact for linear problems.  The stage phase then computes both methods
 at every stage from R and the differences, as arrays with one column
 per stage: the one solve for c, column sums for alpha, cumulative sums
 for mu and h, and the one product for s.  Nothing after the loop reads
-Q or P.  The coefficient phase (everything but s) takes the constraint
-as its one parameter, and :mod:`wextrap.krylov` runs it with
-gamma_0 = 1 (alpha_k = c_k[0]) for FOM and GMR.
+Q or P, so the history keeps R alone and regrows Q and P only if
+``factors`` is read.  The coefficient phase (everything but s) takes
+the constraint as its one parameter, and :mod:`wextrap.krylov` runs it
+with gamma_0 = 1 (alpha_k = c_k[0]) for FOM and GMR.
 
 :func:`run` computes in the field of its inputs: float64 when the
 weight and the iterates hold no nonzero imaginary part (a complex array
@@ -159,20 +160,39 @@ class RunHistory:
 
     ``differences`` is the N x m array of first differences, column j
     being u_j = x_{j+1} - x_j, so U_k is ``differences[:, :k + 1]``.
-    ``factors`` is the factorization of all difference columns that
-    were actually appended; stage k's factors are its leading
-    (k+1)-column block, ``factors.leading(k + 1)``, so nothing is
-    stored twice.
+    ``r`` is the triangular factor R of the difference columns the run
+    accepted (all but a terminal stage's), all the coupling needs.
+    ``factors`` adds Q and P = M Q: they are regrown on first read and
+    kept (a loaded history keeps the ones the loader grew), so a run
+    holds no N x m block beside its differences and s until then.
+    Stage k's factors are the leading (k+1)-column block,
+    ``factors.leading(k + 1)``, so nothing is stored twice.
     """
 
     weight: object
     x0: np.ndarray
     differences: np.ndarray
     records: list[ExtrapolationRecord] = field(default_factory=list)
-    factors: WQRFactors | None = None
+    r: np.ndarray | None = None
     status: RunStatus = RunStatus.COMPLETED
     detected_k0: int | None = None
     k_max: int = 0
+    _factors: WQRFactors | None = field(default=None, init=False,
+                                        repr=False)
+
+    @property
+    def factors(self) -> WQRFactors | None:
+        """The weighted QR of the m accepted difference columns, grown
+        on first read by the run's own loop (:func:`wextrap.qr._grow`,
+        with no rank test: the run has already judged these columns),
+        so bit for bit the factors the run grew, and kept.  None while
+        ``r`` is None."""
+        if self._factors is None and self.r is not None:
+            u = self.differences
+            _, self._factors, _ = _grow(self.weight, self.r.shape[0],
+                                        self.r.dtype, lambda j, _: u[:, j],
+                                        0.0)
+        return self._factors
 
     @property
     def stages(self) -> int:
@@ -254,31 +274,34 @@ def _records(x0, u, r, u_norms):
     m, count = u.shape[1], len(u_norms)
     alpha, exists, gamma, phi, lam, rre = _coefficients(
         r, m, count, lambda c: c.sum(axis=0))
+    # each record keeps a copy of its own k+1 entries, not a view that
+    # holds the padding too; taken first, as xi overwrites gamma
+    mpe_gamma = [gamma[:k + 1, k].copy() if exists[k] else None
+                 for k in range(count)]
+    rre_gamma = [gamma[:k + 1, rre[k]].copy() for k in range(count)]
     # s = x_0 + U xi with xi_j = 1 - (gamma_0 + ... + gamma_j) for j < k,
-    # built in place: every s of both methods from one product
+    # built in gamma's own rows: every s of both methods from one product
     stage = np.concatenate([np.arange(count), np.arange(m)])
-    xi = np.cumsum(gamma[:m], axis=0)
+    xi = gamma[:m]
+    np.cumsum(xi, axis=0, out=xi)
     np.subtract(1.0, xi, out=xi)
     xi[np.arange(m)[:, None] >= stage] = 0.0
     s = xi.T @ u.T
     s += x0
 
-    # each record keeps a copy of its own k+1 entries, not a view that
-    # holds the padding too
     records = []
     for k in range(count):
         if exists[k]:
-            mpe = CoefficientSolve("mpe", True, gamma[:k + 1, k].copy(),
-                                   float(phi[k]), alpha=complex(alpha[k]),
-                                   s=s[k])
+            mpe = CoefficientSolve("mpe", True, mpe_gamma[k], float(phi[k]),
+                                   alpha=complex(alpha[k]), s=s[k])
         else:
             mpe = CoefficientSolve("mpe", False, None, None,
                                    alpha=complex(alpha[k]))
         j = rre[k]
         records.append(ExtrapolationRecord(
             k, u_norms[k], float(r[k, k].real), mpe,
-            CoefficientSolve("rre", True, gamma[:k + 1, j].copy(),
-                             float(phi[j]), lam=float(lam[j]), s=s[j]),
+            CoefficientSolve("rre", True, rre_gamma[k], float(phi[j]),
+                             lam=float(lam[j]), s=s[j]),
             terminal=k == m))
     return records
 
@@ -318,7 +341,9 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     The iterates are never copied: their differences are taken straight
     into the one (N, m) block the history keeps, in the run's field (from
     the real view of complex iterates that hold real values), and x0 is
-    a copy of one row.
+    a copy of one row.  The loop's Q and P are dropped once it returns:
+    the history keeps R, and regrows them bit for bit if ``factors`` is
+    read.
 
     Returns
     -------
@@ -370,12 +395,14 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     # min ||| U_{k-1} c' + u_k ||| is (numerically) consistent
     r, factors, u_norms = _grow(weight, k_max + 1, field,
                                 lambda k, _: diffs[:, k])
-    if len(u_norms) > factors.k:
+    # the history keeps R alone: dropping the factors frees Q and P
+    m, history.r = factors.k, factors.r
+    del factors
+    if len(u_norms) > m:
         history.status = RunStatus.CONVERGED \
             if u_norms[-1] <= CONVERGE_ATOL else RunStatus.RANK_DEFICIENT
-        history.detected_k0 = factors.k
-    history.factors = factors
-    history.records = _records(x0, diffs[:, :factors.k], r, u_norms)
+        history.detected_k0 = m
+    history.records = _records(x0, diffs[:, :m], r, u_norms)
     return history
 
 

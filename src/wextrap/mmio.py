@@ -611,9 +611,10 @@ def _check_records(records, columns, x0, dimension, path) -> None:
 def load_history(path) -> RunHistory:
     """Rebuild a RunHistory from a version-2 or version-1 history file.
 
-    The triangular factors are not stored; they are regrown from the
-    stored difference columns with the same incremental factorization
-    the original run used, which reproduces them exactly.  Keys the
+    The factors are not stored; they are regrown from the stored
+    difference columns with the same incremental factorization the
+    original run used, which reproduces them exactly, and the history
+    keeps them, so reading its ``factors`` regrows nothing.  Keys the
     loader does not read are ignored: the second-pass flag that older
     files carry, and any key a later writer adds to a version-2 file.
     A file the verifier could not judge (see :func:`_check_records`)
@@ -694,13 +695,15 @@ def load_history(path) -> RunHistory:
     factors = mgs_factorize(
         columns[:, :appended] if appended
         else np.zeros((weight.dimension, 0)), weight, rank_tol=0.0)
-    return RunHistory(
+    history = RunHistory(
         weight=weight,
         x0=x0,
         differences=columns,
         records=records,
-        factors=factors,
+        r=factors.r,
         status=status,
         detected_k0=detected_k0,
         k_max=k_max,
     )
+    history._factors = factors
+    return history

@@ -19,7 +19,9 @@ A factorization grows in place, by the one loop :func:`_grow` that
 :func:`wextrap.extrapolate.run`, :func:`mgs_factorize` (and so the
 history loader) and the Arnoldi process of :mod:`wextrap.krylov` all
 call, so a run's factors and a one-shot factorization of the same
-columns are the same floats.  It allocates Q, P and R once, writes
+columns are the same floats.  A run keeps only R and regrows Q and P
+through this loop when they are asked for, which relies on that.  It
+allocates Q, P and R once, writes
 R's column for every column it tries and Q's and P's for every
 accepted one.  Every :class:`WQRFactors` a caller sees is a leading
 view of those buffers, which only that loop writes and never a column

@@ -232,7 +232,7 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     # 1 + sum(c'), with R_{k-1} c' = -rho_k from one solve against the
     # final R (every R_{k-1} is a leading block of it, and the solve is
     # a back substitution)
-    r = history.factors.r[:m, :m]
+    r = history.r[:m, :m]
     rg = r @ g_rre
     lhs38 = rg / np.linalg.norm(rg, axis=0) ** 2
     alpha = 1.0 + np.linalg.solve(r, -np.triu(r, 1)).sum(axis=0)

@@ -7,7 +7,7 @@ an explicit seed, so failures reproduce from the test name alone.
 import numpy as np
 import pytest
 
-from wextrap import FixedPointProblem, WeightOperator
+from wextrap import FixedPointProblem, WeightOperator, extrapolate, run
 
 #: one "criterion N (...): PASS/FAIL" line per acceptance criterion,
 #: echoed after the run so the verdicts survive output capturing
@@ -46,6 +46,27 @@ def random_sequence(rng, n, count, complex_=False):
     if complex_:
         x = x + 1j * rng.standard_normal((count, n))
     return x
+
+
+def run_grown(iterates, weight, **kwargs):
+    """``run(iterates, weight, **kwargs)`` and the factors its QR loop
+    returned, which the history drops (it keeps their R alone).  Wraps
+    whatever ``extrapolate._grow`` currently is, so a test's own patch
+    of it still runs."""
+    grown, grow = [], extrapolate._grow
+
+    def capturing(*args, **kw):
+        out = grow(*args, **kw)
+        grown.append(out[1])
+        return out
+
+    extrapolate._grow = capturing
+    try:
+        history = run(iterates, weight, **kwargs)
+    finally:
+        extrapolate._grow = grow
+    factors, = grown
+    return history, factors
 
 
 def random_contraction(rng, n, radius=0.8):

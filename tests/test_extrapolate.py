@@ -15,13 +15,16 @@ from wextrap import (
     NonFiniteIterate,
     RunStatus,
     WeightOperator,
+    WQRFactors,
     iterate,
+    load_history,
     mgs_factorize,
     residual,
     run,
     save_history,
+    verify_history,
 )
-from wextrap import extrapolate
+from wextrap import extrapolate, qr
 from wextrap.qr import orthogonalize_column
 
 import rational_oracle as ro
@@ -31,7 +34,21 @@ from conftest import (
     random_pd_matrix,
     random_sequence,
     random_weight,
+    run_grown,
 )
+
+
+def held_arrays(history):
+    """Every array a history holds: its fields, the factors once grown,
+    and each record's gammas and s."""
+    for value in vars(history).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, WQRFactors):
+            yield from (value.q, value.r, value.p)
+    for rec in history.records:
+        for solve in (rec.mpe, rec.rre):
+            yield from (a for a in (solve.gamma, solve.s) if a is not None)
 
 
 def iterates_from(u):
@@ -400,8 +417,9 @@ def test_run_one_mproduct_per_column(weight_calls):
     x = np.asarray(iterate(random_linear_problem(rng, 10), 8))
     weight_calls.clear()
     hist = run(x, weight, k_max=6)
-    assert hist.factors.k == 7
+    # counted before the factors are read: a first read regrows them
     assert weight_calls == ["apply"] * 7
+    assert hist.factors.k == 7
     u_norms = [weight.norm(hist.differences[:, k]) for k in range(7)]
     assert_allclose([rec.u_norm for rec in hist.records], u_norms,
                     rtol=1e-13)
@@ -422,33 +440,53 @@ def test_early_stop_frees_unused_factor_columns():
     weight = WeightOperator.identity(n)
     tracemalloc.start()
     try:
-        hist = run(x, weight, k_max=k_max)
+        hist, grown = run_grown(x, weight, k_max=k_max)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert hist.detected_k0 == 3 and hist.factors.k == 3
+    assert hist.detected_k0 == 3 and grown.k == 3
     assert held < 1.5 * hist.differences.nbytes
     one_shot = mgs_factorize(hist.differences[:, :3], weight)
-    for got, want in ((hist.factors.q, one_shot.q),
-                      (hist.factors.r, one_shot.r),
-                      (hist.factors.p, one_shot.p)):
+    for got, want in ((grown.q, one_shot.q), (grown.r, one_shot.r),
+                      (grown.p, one_shot.p)):
         assert_array_equal(got, want)
-    assert hist.factors.q.flags.f_contiguous
-    assert hist.factors.p.flags.f_contiguous
+    assert grown.q.flags.f_contiguous
+    assert grown.p.flags.f_contiguous
+
+
+@pytest.fixture
+def loop_peak(monkeypatch):
+    """Runs the QR loop as usual, then records the tracemalloc peak
+    under ``"peak"`` and resets it, so a peak read after a run is the
+    stage phase's."""
+    grow, loop = extrapolate._grow, {}
+
+    def resetting(*args, **kwargs):
+        out = grow(*args, **kwargs)
+        loop["peak"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(extrapolate, "_grow", resetting)
+    return loop
 
 
 @pytest.mark.parametrize("kind, n, bound", [("identity", 2000, 0.5),
                                              ("diag", 2000, 0.75),
                                              ("dense", 600, 0.75)],
                          ids=["identity", "diag", "dense"])
-def test_early_stop_frees_the_grown_buffers_before_the_stages(kind, n, bound):
+def test_early_stop_frees_the_grown_buffers_before_the_stages(loop_peak,
+                                                              kind, n, bound):
     # `stop` independent differences and then a zero one: the run
-    # converges at stage `stop` of k_max = 2 stop.  The loop hands back
-    # R's buffer alone, so the Q buffer sized for 2 stop + 1 columns is
-    # freed before the stage phase, whose s block then sets the peak.
-    # A separate P's buffer is alive while its leading block is copied,
-    # but Q's is gone by then.  The weights are real, so the buffers
-    # are float64
+    # converges at stage `stop` of k_max = 2 stop.  At the stop the loop
+    # copies Q's leading block beside its full buffers and frees Q's
+    # buffer before it copies P's, so its peak is the differences and
+    # the full buffers plus under 0.75 of one buffer (copying P with
+    # Q's buffer alive would add another half).  It hands back R's
+    # buffer and the copies, which the history does not keep, so the
+    # stage phase's scratch, measured from where the loop returns, stays
+    # under the bound, and its peak under the loop's.  The weights are
+    # real, so the buffers are float64
     rng = np.random.default_rng(66)
     stop = 40
     x = np.empty((2 * stop + 2, n))
@@ -463,14 +501,38 @@ def test_early_stop_frees_the_grown_buffers_before_the_stages(kind, n, bound):
     finally:
         tracemalloc.stop()
     assert hist.status is RunStatus.CONVERGED and hist.detected_k0 == stop
-    assert peak - held < bound * n * (2 * stop + 1) * 8
+    buffer = n * (2 * stop + 1) * 8  # the differences', Q's and P's
+    full = 2 if weight.kind == "identity" else 3
+    assert loop_peak["peak"] - full * buffer < 0.75 * buffer
+    assert peak - held < bound * buffer
+    assert peak <= loop_peak["peak"]
+
+
+def test_stage_phase_builds_xi_in_gammas_block(loop_peak):
+    # xi overwrites the gamma block once the records have copied their
+    # gammas, so the stage phase's scratch, measured from where the loop
+    # returns, stays under 1.75 gamma blocks (1.35 here; a xi block of
+    # its own made it 2.03)
+    rng = np.random.default_rng(73)
+    n, k = 300, 80
+    x = np.asarray(iterate(random_linear_problem(rng, n, 0.95), k + 1))
+    tracemalloc.start()
+    try:
+        hist = run(x, WeightOperator.identity(n), k_max=k)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.status is RunStatus.COMPLETED
+    gamma_block = (k + 2) * (2 * k + 2) * hist.differences.itemsize
+    assert peak - held < 1.75 * gamma_block
 
 
 @pytest.mark.parametrize("early", [False, True], ids=["full", "early-stop"])
 @pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
 def test_stage_phase_reads_no_q_or_p(monkeypatch, kind, early):
     # once the QR loop returns, every s comes from the differences and
-    # R: a run whose returned Q and P are NaN gives the same records
+    # R: a run whose returned Q and P are NaN gives the same records,
+    # and its history holds no array that shares memory with them
     rng = np.random.default_rng(67)
     n = 12
     weight = random_weight(rng, n, kind)
@@ -482,17 +544,19 @@ def test_stage_phase_reads_no_q_or_p(monkeypatch, kind, early):
     else:
         x = random_sequence(rng, n, 9, complex_=True)
     clean = run(x, weight)
-    grow = extrapolate._grow
+    grow, returned = extrapolate._grow, []
 
     def poisoned(*args, **kwargs):
         r, factors, norms = grow(*args, **kwargs)
         factors.q[...] = np.nan
         factors.p[...] = np.nan
+        returned.extend([factors.q, factors.p])
         return r, factors, norms
 
     monkeypatch.setattr(extrapolate, "_grow", poisoned)
     hist = run(x, weight)
-    assert np.isnan(hist.factors.q).all() and np.isnan(hist.factors.p).all()
+    assert not any(np.shares_memory(a, b)
+                   for a in held_arrays(hist) for b in returned)
     assert hist.detected_k0 == (3 if early else None)
     assert hist.stages == clean.stages == (4 if early else 8)
     for got, want in zip(hist.records, clean.records):
@@ -506,6 +570,111 @@ def test_stage_phase_reads_no_q_or_p(monkeypatch, kind, early):
                 continue
             assert_array_equal(a.gamma, b.gamma)
             assert weight.norm(a.s - b.s) <= 1e-13 * weight.norm(b.s)
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["full", "early-stop"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+def test_factors_regrow_bit_identically(tmp_path, kind, complex_, early):
+    # the history keeps R alone; its factors, grown on first read, are
+    # bit for bit the ones the run's loop returned, mgs_factorize's
+    # without a rank test, and a loaded copy's.  M is complex only for
+    # complex data; T's three eigenvalues stop an early run at stage 3
+    rng = np.random.default_rng(70)
+    n = 12
+    weight = (WeightOperator.dense(random_pd_matrix(rng, n, complex_))
+              if kind == "dense" else random_weight(rng, n, kind))
+    if early:
+        d = rng.standard_normal(n) + (1j * rng.standard_normal(n)
+                                      if complex_ else 0.0)
+        x = np.asarray(iterate(FixedPointProblem.linear(
+            np.diag(np.resize([0.5, -0.3, 0.2], n)), d,
+            np.zeros(n, d.dtype)), 9))
+    else:
+        x = random_sequence(rng, n, 9, complex_)
+    hist, grown = run_grown(x, weight)
+    assert hist.detected_k0 == (3 if early else None)
+    assert hist.r is grown.r
+    m = grown.k
+    save_history(hist, tmp_path / "hist.json")
+    back = load_history(tmp_path / "hist.json")
+    one_shot = mgs_factorize(hist.differences[:, :m], weight, rank_tol=0.0)
+    for f in (hist.factors, one_shot, back.factors):
+        assert f.k == m and f.q.dtype == grown.q.dtype
+        assert (f.p is f.q) == (kind == "identity")
+        for got, want in ((f.q, grown.q), (f.r, grown.r), (f.p, grown.p)):
+            assert_array_equal(got, want)
+
+
+def test_factors_are_grown_once(monkeypatch, tmp_path):
+    # a run's first read of factors regrows them, one kernel call per
+    # accepted column, and keeps them; a second read, a first read on a
+    # loaded history (the loader keeps the factors it grew) and the
+    # relation check of a fresh run call the kernel not at all
+    calls, orthogonalize = [], qr.orthogonalize_column
+
+    def counting(*args):
+        calls.append(args[0].k)
+        return orthogonalize(*args)
+
+    monkeypatch.setattr(qr, "orthogonalize_column", counting)
+    rng = np.random.default_rng(71)
+    weight = random_weight(rng, 10, "dense")
+    hist = run(iterate(random_linear_problem(rng, 10), 7), weight)
+    save_history(hist, tmp_path / "hist.json")
+    back = load_history(tmp_path / "hist.json")
+    calls.clear()
+    verify_history(hist)
+    assert calls == []
+    first = hist.factors
+    assert calls == list(range(first.k)) and first.k == 7
+    calls.clear()
+    assert hist.factors is first and back.factors is back.factors
+    assert calls == []
+
+
+def test_history_built_without_r_has_no_factors():
+    # the kept factors are no constructor argument, and a history given
+    # no R has none to regrow
+    weight = WeightOperator.identity(3)
+    hist = extrapolate.RunHistory(weight, np.zeros(3), np.zeros((3, 0)))
+    assert hist.r is None and hist.factors is None
+    with pytest.raises(TypeError):
+        extrapolate.RunHistory(weight, np.zeros(3), np.zeros((3, 0)),
+                               _factors=None)
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["full", "early-stop"])
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+def test_run_holds_its_outputs_alone(kind, early):
+    # beside the differences, x0, the one s block (every record's s is a
+    # row of it), R and each record's copy of its gammas, a run holds
+    # only its records' Python objects, about 1.1 KiB per stage
+    # (1.5 KiB allowed): neither Q nor P, each N x (k_max + 1) here
+    # 8 KiB a column, far above that slack
+    rng = np.random.default_rng(72)
+    n, k = 400, 30
+    weight = random_weight(rng, n, kind)
+    problem = random_linear_problem(rng, n, 0.95)
+    if early:  # six distinct eigenvalues: terminal at stage 6
+        problem = FixedPointProblem.linear(
+            np.diag(np.resize([0.5, -0.3, 0.2, 0.1, -0.6, 0.7], n)),
+            problem.d, problem.x0)
+    x = np.asarray(iterate(problem, k + 1))
+    tracemalloc.start()
+    try:
+        hist = run(x, weight, k_max=k)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert hist.detected_k0 == (6 if early else None)
+    stages, m = hist.stages, hist.r.shape[0]
+    gammas = sum(solve.gamma.nbytes for rec in hist.records
+                 for solve in (rec.mpe, rec.rre) if solve.gamma is not None)
+    outputs = (hist.differences.nbytes + hist.x0.nbytes
+               + (stages + m) * n * hist.differences.itemsize
+               + hist.r.nbytes + gammas)
+    assert held <= outputs + 1536 * stages
 
 
 def test_run_holds_no_copy_of_the_iterates():

@@ -24,7 +24,7 @@ from wextrap import (
 )
 from wextrap.krylov import _problem, _Stages
 
-from conftest import random_pd_matrix
+from conftest import random_pd_matrix, run_grown
 
 K = 5
 
@@ -67,9 +67,9 @@ def iterates(t, d, x0, name):
 def test_run_and_its_reload_compute_in_the_field(tmp_path, name):
     field = CASES[name]
     t, d, x0, weight = field_case(name)
-    hist = run(iterates(t, d, x0, name), weight, k_max=K)
+    hist, grown = run_grown(iterates(t, d, x0, name), weight, k_max=K)
     assert len(hist.records) == K + 1
-    for a in (hist.factors.q, hist.factors.r, hist.factors.p,
+    for a in (grown.q, grown.r, grown.p, hist.factors.q, hist.factors.p,
               hist.differences, hist.x0):
         assert a.dtype == field
     for rec in hist.records:
@@ -85,9 +85,9 @@ def test_run_and_its_reload_compute_in_the_field(tmp_path, name):
     for a in (back.factors.q, back.factors.r, back.factors.p):
         assert a.dtype == field
     # the regrown factors are the run's, bit for bit
-    assert np.array_equal(back.factors.q, hist.factors.q)
-    assert np.array_equal(back.factors.r, hist.factors.r)
-    assert np.array_equal(back.factors.p, hist.factors.p)
+    assert np.array_equal(back.factors.q, grown.q)
+    assert np.array_equal(back.factors.r, grown.r)
+    assert np.array_equal(back.factors.p, grown.p)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -37,6 +37,7 @@ from conftest import (
     random_pd_matrix,
     random_sequence,
     random_weight,
+    run_grown,
 )
 
 
@@ -432,7 +433,7 @@ def test_history_round_trip(tmp_path):
     problem = random_linear_problem(rng, 8)
     weight = random_weight(rng, 8, "diag")
     xs = np.asarray(iterate(problem, 6))
-    hist = run(xs, weight, k_max=4)
+    hist, grown = run_grown(xs, weight, k_max=4)
     path = tmp_path / "hist.json"
     save_history(hist, path)
     back = load_history(path)
@@ -440,9 +441,9 @@ def test_history_round_trip(tmp_path):
     assert back.status is hist.status
     assert back.detected_k0 == hist.detected_k0
     assert len(back.records) == len(hist.records)
-    # refactorized triangular factors must reproduce the originals exactly
-    assert_array_equal(back.factors.q, hist.factors.q)
-    assert_array_equal(back.factors.r, hist.factors.r)
+    # refactorized triangular factors must reproduce the run's exactly
+    assert_array_equal(back.factors.q, grown.q)
+    assert_array_equal(back.factors.r, grown.r)
     for old, new in zip(hist.records, back.records):
         assert new.k == old.k
         assert new.u_norm == old.u_norm
@@ -466,13 +467,13 @@ def test_history_round_trip_below_default_rank_tol(tmp_path, monkeypatch):
     t = np.diag(0.95 * rng.uniform(0.1, 1.0, n))
     d = rng.standard_normal(n)
     xs = np.asarray(iterate(FixedPointProblem.linear(t, d, np.zeros(n)), 31))
-    hist = run(xs, WeightOperator.identity(n), k_max=30)
+    hist, grown = run_grown(xs, WeightOperator.identity(n), k_max=30)
     assert hist.stages == 31
     path = tmp_path / "hist.json"
     save_history(hist, path)
     back = load_history(path)
-    assert np.array_equal(back.factors.q, hist.factors.q)
-    assert np.array_equal(back.factors.r, hist.factors.r)
+    assert np.array_equal(back.factors.q, grown.q)
+    assert np.array_equal(back.factors.r, grown.r)
 
 
 def test_load_history_one_norm_per_appended_column(tmp_path, weight_calls):
@@ -539,7 +540,7 @@ def test_history_v2_round_trip_is_exact(tmp_path, kind, field):
     else:
         weight = random_weight(rng, n, kind)
     xs = random_sequence(rng, n, 8, complex_=field == "complex")
-    hist = run(xs, weight, k_max=6)
+    hist, grown = run_grown(xs, weight, k_max=6)
     path = tmp_path / "hist.json"
     save_history(hist, path)
     doc = json.loads(path.read_text())
@@ -549,8 +550,8 @@ def test_history_v2_round_trip_is_exact(tmp_path, kind, field):
     assert back.x0.flags.writeable and back.differences.flags.writeable
     assert_array_equal(back.x0, hist.x0)
     assert_array_equal(back.differences, hist.differences)
-    assert np.array_equal(back.factors.q, hist.factors.q)
-    assert np.array_equal(back.factors.r, hist.factors.r)
+    assert np.array_equal(back.factors.q, grown.q)
+    assert np.array_equal(back.factors.r, grown.r)
     for old, new in zip(hist.records, back.records):
         for method in ("mpe", "rre"):
             a, b = getattr(old, method), getattr(new, method)

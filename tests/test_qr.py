@@ -16,7 +16,12 @@ from wextrap import (
 from wextrap.krylov import _problem, _Stages
 
 from cgs_reference import gs_factorize
-from conftest import random_contraction, random_sequence, random_weight
+from conftest import (
+    random_contraction,
+    random_sequence,
+    random_weight,
+    run_grown,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -71,12 +76,12 @@ def test_incremental_equals_one_shot():
     rng = np.random.default_rng(31)
     for kind in ("identity", "diag", "dense"):
         w = random_weight(rng, 9, kind)
-        hist = run(random_sequence(rng, 9, 7, complex_=True), w)
-        assert hist.factors.k == 6
+        hist, grown = run_grown(random_sequence(rng, 9, 7, complex_=True), w)
+        assert grown.k == 6
         whole = mgs_factorize(hist.differences[:, :6], w)
-        assert_array_equal(hist.factors.q, whole.q)
-        assert_array_equal(hist.factors.r, whole.r)
-        assert_array_equal(hist.factors.p, whole.p)
+        assert_array_equal(grown.q, whole.q)
+        assert_array_equal(grown.r, whole.r)
+        assert_array_equal(grown.p, whole.p)
 
 
 @pytest.mark.parametrize("grow", ["run", "mgs_factorize"])
@@ -96,9 +101,8 @@ def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
     w = random_weight(rng, 8, "dense")
     x = random_sequence(rng, 8, 7, complex_=True)
     if grow == "run":
-        hist = run(x, w)
-        final = hist.factors
-        views = [hist.factors.leading(j + 1) for j in range(final.k)]
+        _, final = run_grown(x, w)
+        views = [final.leading(j + 1) for j in range(final.k)]
     else:
         final = mgs_factorize(x[1:].T - x[:-1].T, w)
         views = [final.leading(j + 1) for j in range(final.k)]
@@ -117,9 +121,10 @@ def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
 
 
 def _grown_factors(source, w, rng, tmp_path, products):
-    """Final factors (None for Arnoldi, which keeps only Q) and the
-    number of columns whose M-product the growth took; ``products`` is
-    cleared of any product taken before that growth."""
+    """Final factors (None for Arnoldi, which keeps only Q; a run's
+    as its loop returned them, not regrown) and the number of columns
+    whose M-product the growth took; ``products`` is cleared of any
+    product taken before that growth."""
     n = w.dimension
     if source == "run-early-stop":
         # three distinct eigenvalues: the terminal stage is k = 3 of 7,
@@ -128,12 +133,12 @@ def _grown_factors(source, w, rng, tmp_path, products):
         x = [rng.standard_normal(n)]
         for _ in range(8):
             x.append(t * x[-1] + 1.0)
-        hist = run(np.array(x), w)
-        assert hist.detected_k0 == 3 and hist.factors.k == 3
-        return hist.factors, 4
+        hist, grown = run_grown(np.array(x), w)
+        assert hist.detected_k0 == 3 and grown.k == 3
+        return grown, 4
     x = random_sequence(rng, n, 7, complex_=True)
     if source == "run":
-        return run(x, w).factors, 6
+        return run_grown(x, w)[1], 6
     if source == "mgs_factorize":
         return mgs_factorize(x[1:].T - x[:-1].T, w), 6
     if source == "load_history":
