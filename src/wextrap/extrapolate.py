@@ -341,9 +341,10 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     The iterates are never copied: their differences are taken straight
     into the one (N, m) block the history keeps, in the run's field (from
     the real view of complex iterates that hold real values), and x0 is
-    a copy of one row.  The loop's Q and P are dropped once it returns:
-    the history keeps R, and regrows them bit for bit if ``factors`` is
-    read.
+    a copy of one row.  The loop's Q and P, views of its buffers at any
+    stop, are dropped once it returns: the history keeps R (after an
+    early stop an m x m copy, made once they are gone), and regrows
+    them bit for bit if ``factors`` is read.
 
     Returns
     -------
@@ -395,9 +396,10 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     # min ||| U_{k-1} c' + u_k ||| is (numerically) consistent
     r, factors, u_norms = _grow(weight, k_max + 1, field,
                                 lambda k, _: diffs[:, k])
-    # the history keeps R alone: dropping the factors frees Q and P
-    m, history.r = factors.k, factors.r
+    # dropping the factors frees Q and P; R is copied only after a stop
+    m = factors.k
     del factors
+    history.r = np.ascontiguousarray(r[:m, :m])
     if len(u_norms) > m:
         history.status = RunStatus.CONVERGED \
             if u_norms[-1] <= CONVERGE_ATOL else RunStatus.RANK_DEFICIENT

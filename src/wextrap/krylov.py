@@ -153,7 +153,8 @@ class _Stages:
     :func:`wextrap.extrapolate._coefficients`).
 
     ``beta`` is |||r_0|||, ``basis`` the N x j weighted-orthonormal
-    basis (j = k + 1 without breakdown) and ``hess`` the (j+1) x j
+    basis (j = k + 1 without breakdown, and after one a view that keeps
+    the loop's (k+1)-column Q buffer) and ``hess`` the (j+1) x j
     Hessenberg matrix of the j steps taken.  A step breaks down when
     A v_{j-1} is column N or fails the rank test of
     :data:`wextrap.qr.RANK_TOL` (happy breakdown).  Its Hessenberg

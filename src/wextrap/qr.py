@@ -21,15 +21,13 @@ history loader) and the Arnoldi process of :mod:`wextrap.krylov` all
 call, so a run's factors and a one-shot factorization of the same
 columns are the same floats.  A run keeps only R and regrows Q and P
 through this loop when they are asked for, which relies on that.  It
-allocates Q, P and R once, writes
-R's column for every column it tries and Q's and P's for every
-accepted one.  Every :class:`WQRFactors` a caller sees is a leading
-view of those buffers, which only that loop writes and never a column
-twice, so an earlier view keeps its values.  The loop holds the one
-rank test, and a loop that stops before its last planned column keeps
-a copy of the leading block instead, so the unused columns are freed.
-It drops Q's buffer before it copies P's block, so the copies never
-sit beside both full buffers.
+allocates Q, P and R once, writes R's column for every column it tries
+and Q's and P's for every accepted one.  Every :class:`WQRFactors` a
+caller sees is a leading view of those buffers, which only that loop
+writes and never a column twice, so an earlier view keeps its values.
+The loop holds the one rank test and has one exit: a stop before the
+last planned column returns the same leading views, and nothing
+copies Q or P.
 
 The buffers take the field of the factored columns and the weight
 (:func:`wextrap.weights._in_field`): float64 when both are real by
@@ -139,10 +137,9 @@ def _grow(weight: WeightOperator, count: int, dtype, column,
     It stops at the first dependent column: column N, or one whose
     deflated norm is at or below ``rank_tol`` (:data:`RANK_TOL`, read at
     call time, when None) times its own weighted norm.  That column
-    goes into R's buffer only, and the factors are a copy of the
-    leading block, Q's taken and its buffer dropped before P's.
-    Returns ``(r, factors, norms)``: R's buffer, which holds the
-    dependent column, and ``norms`` the weighted norm of every column
+    goes into R's buffer only.  Returns ``(r, factors, norms)``: R's
+    buffer, which holds the dependent column, the leading views of the
+    accepted columns, and ``norms`` the weighted norm of every column
     tried.
     """
     if rank_tol is None:
@@ -158,11 +155,7 @@ def _grow(weight: WeightOperator, count: int, dtype, column,
         norms.append(float(np.hypot(np.linalg.norm(c), rnorm)))
         room.r[:j, j], room.r[j, j] = c, rnorm
         if j == n or rnorm <= rank_tol * norms[j]:
-            q = factors.q.copy(order="F")
-            p = None if room.p is room.q else factors.p
-            r, room, factors = room.r, None, None  # frees Q's buffer
-            return r, WQRFactors(weight, q, r[:j, :j].copy(),
-                                 q if p is None else p.copy(order="F")), norms
+            break
         np.divide(w, rnorm, out=room.q[:, j])
         if room.p is not room.q:
             np.divide(mw, rnorm, out=room.p[:, j])

@@ -120,6 +120,51 @@ def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
             assert_array_equal(got.p, p)
 
 
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+def test_a_stop_returns_the_loops_own_views(monkeypatch, kind):
+    # the loop has one exit: after a stop its Q and P are leading views
+    # of the buffers it grew them in, sized for every planned column,
+    # and a happy breakdown's Arnoldi basis is a column-major leading
+    # view of the loop's Q buffer, not a copy of the columns used
+    rng = np.random.default_rng(36)
+    n, count = 6, 5
+    w = random_weight(rng, n, kind)
+    a = rng.standard_normal((n, count))
+    a[:, 3] = a[:, 0] - 2.0 * a[:, 2]  # column 3 is dependent
+    a, = qr._in_field(w, a)
+    seen = []
+
+    def column(j, factors):
+        seen.append(factors)
+        return a[:, j]
+
+    _, factors, norms = qr._grow(w, count, a.dtype, column)
+    assert factors.k == 3 and len(norms) == 4
+    for got, buffer in ((factors.q, seen[1].q), (factors.p, seen[1].p)):
+        assert np.shares_memory(got, buffer)
+        assert got.base.shape == (n, count)
+    assert (factors.p is factors.q) == (kind == "identity")
+
+    grown, grow = [], qr._grow
+
+    def capturing(*args, **kwargs):
+        out = grow(*args, **kwargs)
+        grown.append(out[1])
+        return out
+
+    monkeypatch.setattr("wextrap.krylov._grow", capturing)
+    # two eigenvalues: the third Arnoldi step breaks down
+    t = np.diag([0.5, 0.5, -0.25, -0.25])
+    stages = _Stages(*_problem(t, np.array([1.0, -2.0, 0.5, 3.0]),
+                               np.zeros(4), random_weight(rng, 4, kind)), 3)
+    loop, = grown
+    assert loop.k == 2 and stages.basis.shape == (4, 2)
+    assert stages.basis.flags.f_contiguous
+    assert np.shares_memory(stages.basis, loop.q)
+    assert stages.basis.base is loop.q.base
+    assert stages.basis.base.shape == (4, 4)
+
+
 def _grown_factors(source, w, rng, tmp_path, products):
     """Final factors (None for Arnoldi, which keeps only Q; a run's
     as its loop returned them, not regrown) and the number of columns
@@ -128,7 +173,7 @@ def _grown_factors(source, w, rng, tmp_path, products):
     n = w.dimension
     if source == "run-early-stop":
         # three distinct eigenvalues: the terminal stage is k = 3 of 7,
-        # and the run keeps a copy of the leading block
+        # and the loop returns leading views of its 8-column buffers
         t = np.resize([0.5, -0.3, 0.2], n)
         x = [rng.standard_normal(n)]
         for _ in range(8):
