@@ -50,20 +50,25 @@ suits his algorithm, which overwrites U with Q).  With every stage's
 xi as a column of one array, one product gives every s.
 
 :func:`run` drives the whole pipeline over a sequence in two phases.
-The QR loop is the one growth loop of :mod:`wextrap.qr` (one product
-with M per difference column; |||u_k||| follows from the same deflation
-by Pythagoras).  It stops at the first difference numerically in the
-span of the earlier ones, a zero one included (the iteration converged
-on its own): the terminal degree, where the least-squares system is
-consistent, the two methods coincide, and the extrapolated vector is
-exact for linear problems.  The stage phase then computes both methods
+The QR loop is the one growth loop of :mod:`wextrap.qr`, run in the
+frame of the differences: the block is framed (L^H U for a dense
+M = L L^H) a fixed block of columns at a time as the loop reaches
+them, and the loop grows the Euclidean R of the frame, which is the
+weighted R of U, with no product with M
+(|||u_k||| follows from each column's deflation by Pythagoras).  It
+stops at the first difference numerically in the span of the earlier
+ones, a zero one included (the iteration converged on its own): the
+terminal degree, where the least-squares system is consistent, the two
+methods coincide, and the extrapolated vector is exact for linear
+problems.  The stage phase then computes both methods
 at every stage from R and the differences, as arrays with one column
 per stage: the one solve for c, column sums for alpha, cumulative sums
 for mu and h, and the one product for s.  Nothing after the loop reads
-Q or P, so the history keeps R alone and regrows Q and P only if
-``factors`` is read.  The coefficient phase (everything but s) takes
-the constraint as its one parameter, and :mod:`wextrap.krylov` runs it
-with gamma_0 = 1 (alpha_k = c_k[0]) for FOM and GMR.
+Q or P, so the history keeps R alone and maps Q and P back from a
+regrown frame only if ``factors`` is read.  The coefficient phase
+(everything but s) takes the constraint as its one parameter, and
+:mod:`wextrap.krylov` runs it with gamma_0 = 1 (alpha_k = c_k[0]) for
+FOM and GMR.
 
 :func:`run` computes in the field of its inputs: float64 when the
 weight and the iterates hold no nonzero imaginary part (a complex array
@@ -86,7 +91,12 @@ from .errors import (
     NonFiniteIterate,
 )
 # orthogonalize_column: benchmarks/test_smoke.py reads it through here
-from .qr import WQRFactors, _grow, orthogonalize_column  # noqa: F401
+from .qr import (  # noqa: F401
+    WQRFactors,
+    _grow_known,
+    _unframed,
+    orthogonalize_column,
+)
 from .weights import _field_of, validate
 
 __all__ = [
@@ -163,8 +173,9 @@ class RunHistory:
     ``r`` is the triangular factor R of the difference columns the run
     accepted (all but a terminal stage's), all the coupling needs.
     ``factors`` adds Q and P = M Q: they are regrown on first read and
-    kept (a loaded history keeps the ones the loader grew), so a run
-    holds no N x m block beside its differences and s until then.
+    kept, so a run holds no N x m block beside its differences and s
+    until then.  A loaded history holds the frame's factors the loader
+    grew its R from, and maps them back on first read instead.
     Stage k's factors are the leading (k+1)-column block,
     ``factors.leading(k + 1)``, so nothing is stored twice.
     """
@@ -179,19 +190,27 @@ class RunHistory:
     k_max: int = 0
     _factors: WQRFactors | None = field(default=None, init=False,
                                         repr=False)
+    # the frame's (Euclidean) factors the loader grew R from, until
+    # ``factors`` maps them back
+    _frame: WQRFactors | None = field(default=None, init=False, repr=False)
 
     @property
     def factors(self) -> WQRFactors | None:
         """The weighted QR of the m accepted difference columns, grown
-        on first read by the run's own loop (:func:`wextrap.qr._grow`,
-        with no rank test: the run has already judged these columns),
-        so bit for bit the factors the run grew, and kept.  None while
-        ``r`` is None."""
+        on first read as the run grew its R (:func:`wextrap.qr._grow_known`
+        on the stored difference block, with no rank test: the run has
+        already judged these columns), so its R is the run's bit for
+        bit; Q and P = M Q are mapped back from the frame
+        (:func:`wextrap.qr._unframed`), and kept.  A loaded history
+        maps the loader's frame instead.  None while ``r`` is None."""
         if self._factors is None and self.r is not None:
-            u = self.differences
-            _, self._factors, _ = _grow(self.weight, self.r.shape[0],
-                                        self.r.dtype, lambda j, _: u[:, j],
-                                        0.0)
+            frame = self._frame
+            if frame is None:
+                _, frame, _ = _grow_known(self.weight, self.differences,
+                                          self.r.shape[0], self.r.dtype,
+                                          0.0)
+            self._factors = _unframed(self.weight, frame)
+            self._frame = None
         return self._factors
 
     @property
@@ -327,24 +346,27 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     convergence of the underlying iteration against
     :data:`CONVERGE_ATOL`.
 
-    The run has two phases.  The QR loop (:func:`wextrap.qr._grow`)
-    factors one difference column at a time and stops at the terminal
+    The run has two phases.  The QR loop (:func:`wextrap.qr._grow_known`)
+    frames the differences a fixed block of columns at a time as it
+    reaches them, factors the frame one column at a time under the
+    identity weight, with no product with M, and stops at the terminal
     stage; :data:`CONVERGE_ATOL` only names how it ended.  Then every
     stage is computed at once from R and the differences, with no read
     of Q or P: one triangular solve gives every c, and one product with
     the differences every s.  The factors of a stage do not depend on
-    ``k_max``, but the blocked solve and product round differently at
-    different sizes.  So runs of the same iterates to different
+    ``k_max`` (a column's frame depends only on its block of the
+    differences), but the blocked solve and product round differently
+    at different sizes.  So runs of the same iterates to different
     ``k_max`` agree on their common stages to roundoff, not bit for
     bit; the same input and ``k_max`` always give the same bytes.
 
     The iterates are never copied: their differences are taken straight
     into the one (N, m) block the history keeps, in the run's field (from
     the real view of complex iterates that hold real values), and x0 is
-    a copy of one row.  The loop's Q and P, views of its buffers at any
-    stop, are dropped once it returns: the history keeps R (after an
-    early stop an m x m copy, made once they are gone), and regrows
-    them bit for bit if ``factors`` is read.
+    a copy of one row.  The framed block and the loop's Q, a view of its
+    buffer at any stop, are dropped once it returns: the history keeps
+    R (after an early stop an m x m copy, made once they are gone), and
+    regrows the factors, R bit for bit, if ``factors`` is read.
 
     Returns
     -------
@@ -394,9 +416,9 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
                          k_max=k_max)
     # it stops at the terminal stage, where the least-squares problem
     # min ||| U_{k-1} c' + u_k ||| is (numerically) consistent
-    r, factors, u_norms = _grow(weight, k_max + 1, field,
-                                lambda k, _: diffs[:, k])
-    # dropping the factors frees Q and P; R is copied only after a stop
+    r, factors, u_norms = _grow_known(weight, diffs, k_max + 1, field)
+    # dropping the factors frees the frame's Q and its last framed
+    # block; R is copied only after a stop
     m = factors.k
     del factors
     history.r = np.ascontiguousarray(r[:m, :m])

@@ -47,8 +47,8 @@ is a ``[real, imag]`` pair, and ignores keys it does not know.  It
 decodes a block's base64 str in place on Python 3.11+ (``b64decode``
 copies it to ASCII bytes first, as on 3.10).  Loading reconstructs a
 full :class:`~wextrap.extrapolate.RunHistory`, refactorizing the
-stored difference columns so the triangular factors match the
-original run bit for bit.
+stored difference columns as the run did, in the run's field, so R
+matches the original run bit for bit.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ from .extrapolate import (
     RunHistory,
     RunStatus,
 )
-from .qr import mgs_factorize
-from .weights import WeightOperator
+from .qr import _grow_known
+from .weights import WeightOperator, _field_of
 
 __all__ = [
     "read_matrix",
@@ -612,12 +612,15 @@ def load_history(path) -> RunHistory:
     """Rebuild a RunHistory from a version-2 or version-1 history file.
 
     The factors are not stored; they are regrown from the stored
-    difference columns with the same incremental factorization the
-    original run used, which reproduces them exactly, and the history
-    keeps them, so reading its ``factors`` regrows nothing.  Keys the
-    loader does not read are ignored: the second-pass flag that older
-    files carry, and any key a later writer adds to a version-2 file.
-    A file the verifier could not judge (see :func:`_check_records`)
+    difference block as the original run grew its R
+    (:func:`wextrap.qr._grow_known` on the stored block, in the field
+    of the weight, x0 and the differences, which is the run's), so R
+    is the run's bit for bit.  The history keeps the frame's factors, so
+    reading its ``factors`` regrows nothing: it maps them back to the
+    Q and P = M Q the run's ``factors`` would give.  Keys the loader
+    does not read are ignored: the second-pass flag that older files
+    carry, and any key a later writer adds to a version-2 file.  A
+    file the verifier could not judge (see :func:`_check_records`)
     raises :class:`ParseError`, as malformed JSON does.
     """
     try:
@@ -644,9 +647,9 @@ def load_history(path) -> RunHistory:
                 weights if version == 1 else _array(weights, path))
         else:
             # the block's base64 text leaves the document, so it is
-            # freed once decoded, before M is copied and checked
-            weight = WeightOperator.dense(_array(wspec["matrix"], path,
-                                                 consume=True))
+            # freed once decoded, and the weight keeps the decoded M
+            weight = WeightOperator._dense(_array(wspec["matrix"], path,
+                                                  consume=True))
         if weight.dimension != dimension:
             _fail(f"dimension = {dimension}, the weight's is "
                   f"{weight.dimension}", path)
@@ -690,20 +693,22 @@ def load_history(path) -> RunHistory:
     appended = len(records) - (1 if records and records[-1].terminal else 0)
     # the run already accepted these columns under its rank test, which
     # older versions let a caller loosen and no file records: regrow
-    # them without one.  With none appended the factors are N x 0,
-    # whatever the shape of an empty block
-    factors = mgs_factorize(
-        columns[:, :appended] if appended
-        else np.zeros((weight.dimension, 0)), weight, rank_tol=0.0)
+    # them without one, framing the stored block as the run did, in the
+    # run's field (that of the weight, x0 and the differences).
+    # With none appended the factors are N x 0, whatever the shape of
+    # an empty block
+    _, frame, _ = _grow_known(
+        weight, columns if appended else np.zeros((weight.dimension, 0)),
+        appended, _field_of(weight, x0, columns), 0.0)
     history = RunHistory(
         weight=weight,
         x0=x0,
         differences=columns,
         records=records,
-        r=factors.r,
+        r=frame.r,
         status=status,
         detected_k0=detected_k0,
         k_max=k_max,
     )
-    history._factors = factors
+    history._frame = frame
     return history

@@ -15,26 +15,43 @@ hypot(||c||, r_kk) by Pythagoras.  Under the identity weight P is Q:
 the factors hold one array as both ``q`` and ``p``, and no second
 N x k buffer is made or written.
 
-A factorization grows in place, by the one loop :func:`_grow` that
-:func:`wextrap.extrapolate.run`, :func:`mgs_factorize` (and so the
-history loader) and the Arnoldi process of :mod:`wextrap.krylov` all
-call, so a run's factors and a one-shot factorization of the same
-columns are the same floats.  A run keeps only R and regrows Q and P
-through this loop when they are asked for, which relies on that.  It
+A factorization grows in place, by the one loop :func:`_grow`.  It
 allocates Q, P and R once, writes R's column for every column it tries
-and Q's and P's for every accepted one.  Every :class:`WQRFactors` a
-caller sees is a leading view of those buffers, which only that loop
+and Q's and P's for every accepted one.  Every :class:`WQRFactors` it
+hands out is a leading view of those buffers, which only that loop
 writes and never a column twice, so an earlier view keeps its values.
 The loop holds the one rank test and has one exit: a stop before the
 last planned column returns the same leading views, and nothing
 copies Q or P.
 
+A block whose columns are all known in advance is factored in its
+frame (:func:`_grow_known`): with M = L L^H, the weighted QR of U has
+the R of the Euclidean QR of L^H U.  The block is framed
+:data:`_FRAME_COLS` columns at a time, at fixed offsets, as the loop
+reaches them (L^H U under a dense M, one GEMM per row block of L^H;
+sqrt(w) U under a diagonal weight; U itself under the identity), and
+the loop runs under the identity weight, so it makes no product with
+M.  A stop frames no more than the block it stops in.  Q and
+P = M Q are mapped back from the frame's Q only when asked for
+(:func:`_unframed`).
+:func:`wextrap.extrapolate.run` (which keeps R alone), its history's
+``factors``, :func:`mgs_factorize` and the history loader all take
+this path; the Arnoldi process of :mod:`wextrap.krylov`, whose next
+column depends on the last, calls the loop under M itself.  A GEMM's
+bits in a column depend on the block's width, so a run, its
+``factors`` and its reloaded history frame the same blocks of the
+same stored differences, whatever ``k_max`` or the stop, and hold the
+same R bit for bit; :func:`mgs_factorize` frames the columns it is
+given, and agrees with them to roundoff under a dense M when they are
+fewer.
+
 The buffers take the field of the factored columns and the weight
 (:func:`wextrap.weights._in_field`): float64 when both are real by
 value, so a real factorization costs real GEMVs, and complex128
 otherwise.  :func:`mgs_factorize` decides it from its input, as
-:func:`wextrap.extrapolate.run` does, so a reloaded history regrows its
-factors in the field of the run that wrote it.
+:func:`wextrap.extrapolate.run` does; the history loader passes the
+field of the run that wrote the file (that of the weight, x0 and the
+differences), so it regrows the run's factors in the run's field.
 """
 
 from __future__ import annotations
@@ -44,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
-from .weights import WeightOperator, _in_field, validate
+from .weights import WeightOperator, _in, _in_field, validate
 
 __all__ = [
     "RANK_TOL",
@@ -57,6 +74,11 @@ __all__ = [
 #: times the incoming column's weighted norm is treated as dependent
 RANK_TOL = 1e-13
 
+#: columns of a known block framed at a time by :func:`_grow_known`: one
+#: GEMM's worth, so a full frame stays BLAS-3 and an early stop frames
+#: at most this many columns it does not use
+_FRAME_COLS = 32
+
 
 @dataclass(frozen=True)
 class WQRFactors:
@@ -65,9 +87,10 @@ class WQRFactors:
     ``q`` has shape (N, k) with Q* M Q = I; ``r`` has shape (k, k),
     upper triangular with positive real diagonal; ``p`` is M Q, so that
     projections onto the basis take no product with M.  Under the
-    identity weight ``p`` is ``q``, the same array.  The arrays are
-    leading views of buffers that only the loop growing them writes,
-    and it never rewrites the first k columns.
+    identity weight ``p`` is ``q``, the same array.  The factors the
+    loop hands out are leading views of buffers that only it writes,
+    and it never rewrites the first k columns; Q and P mapped back
+    from a frame are arrays of their own.
     """
 
     weight: WeightOperator
@@ -163,13 +186,48 @@ def _grow(weight: WeightOperator, count: int, dtype, column,
     return room.r, factors, norms
 
 
+def _grow_known(weight: WeightOperator, u, count: int, dtype,
+                rank_tol: float | None = None):
+    """:func:`_grow` over the first ``count`` columns of a known block
+    ``u``, in ``dtype``, in their frame (``weight._frame``: L^H u under
+    a dense M), under the identity weight, so it makes no product with
+    M.  The frame is made :data:`_FRAME_COLS` columns at a time, at
+    fixed offsets into ``u``, as the loop reaches them: a stop frames
+    no more than the block it stops in, and a column's frame bits
+    depend on ``u``'s width only through its own block's.  Returns
+    ``_grow``'s ``(r, factors, norms)``: R is the weighted R of u's
+    columns, and the factors are the frame's, Euclidean;
+    :func:`_unframed` maps them to Q and P.  Under the identity weight
+    the frame is ``u`` and this is ``_grow`` itself."""
+    euclid = (weight if weight.kind == "identity"
+              else WeightOperator.identity(weight.dimension))
+    block = {}  # the one framed block, by its first column
+
+    def column(j, _):
+        a = j - j % _FRAME_COLS
+        if a not in block:
+            block.clear()
+            block[a] = weight._frame(_in(dtype, u[:, a:a + _FRAME_COLS]))
+        return block[a][:, j - a]
+
+    return _grow(euclid, count, dtype, column, rank_tol)
+
+
+def _unframed(weight: WeightOperator, frame: WQRFactors) -> WQRFactors:
+    """The weighted factors of the frame's factors ``frame``: their R,
+    Q and P = M Q (``weight._unframe``)."""
+    q, p = weight._unframe(frame.q)
+    return WQRFactors(weight, q, frame.r, p)
+
+
 def mgs_factorize(a, weight, rank_tol: float | None = None) -> WQRFactors:
-    """Weighted QR factorization of the columns of ``a`` by :func:`_grow`,
-    which grows :func:`wextrap.extrapolate.run`'s factors too, so the two
-    give bit-identical floats.  Raises :class:`RankDeficient` at the
-    first dependent column, judged against ``rank_tol`` (RANK_TOL when
-    None); column N of N-vectors raises it with no residual or
-    threshold."""
+    """Weighted QR factorization of the columns of ``a``, grown in their
+    frame by :func:`_grow_known`, as :func:`wextrap.extrapolate.run`
+    grows its R: bit for bit the run's floats when ``a`` is the run's
+    whole difference block, and the same to roundoff otherwise.  Raises
+    :class:`RankDeficient` at the first dependent column, judged against
+    ``rank_tol`` (RANK_TOL when None); column N of N-vectors raises it
+    with no residual or threshold."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D column matrix, got shape {a.shape}")
@@ -181,12 +239,12 @@ def mgs_factorize(a, weight, rank_tol: float | None = None) -> WQRFactors:
         )
     a, = _in_field(weight, a)
     rank_tol = RANK_TOL if rank_tol is None else rank_tol
-    r, factors, norms = _grow(weight, a.shape[1], a.dtype,
-                              lambda j, _: a[:, j], rank_tol)
+    r, factors, norms = _grow_known(weight, a, a.shape[1], a.dtype,
+                                    rank_tol)
     j = factors.k
     if j < len(norms):
         if j == weight.dimension:  # dependent whatever its norm
             raise RankDeficient(j)
         raise RankDeficient(j, residual_norm=float(r[j, j].real),
                             threshold=rank_tol * norms[j])
-    return factors
+    return _unframed(weight, factors)

@@ -5,8 +5,23 @@ A hermitian positive definite matrix M defines the inner product
 representations are supported: identity (the Euclidean product),
 diagonal (positive weights, ``<y, z> = sum a_i conj(y_i) z_i``), and a
 general dense hermitian matrix.  A dense matrix must be finite and
-hermitian, and is validated by its Cholesky factorization, whose
-existence is the positive-definiteness test.
+hermitian, and is validated by its Cholesky factorization M = L L^H,
+whose existence is the positive-definiteness test.  The weight keeps
+the factor, as L^H, beside its copy of M: it holds 2x the bytes of M.
+
+The frame.  Under M = L L^H, |||z||| = ||L^H z||_2: the weighted
+geometry is the Euclidean one of the frame L^H z (sqrt(w) z for
+diagonal weights w, z itself for the identity).  Only this module
+knows the factor.  ``WeightOperator._frame`` maps a block of known
+columns into its frame (under a dense M, L^H U in row blocks that skip
+the zero triangle, half the flops of one GEMM), and
+``WeightOperator._unframe`` maps a basis of the frame with orthonormal
+columns back to Q, orthonormal under M, and P = M Q; under a dense M,
+Q is a back substitution with L^H in row blocks (numpy has no
+triangular solve).
+:mod:`wextrap.qr` factors every known block in its frame, framing a
+fixed number of columns at a time, so no product with M is made
+column by column.
 
 The field.  The paper's relations hold over C^N, but real data is the
 common case, and real arithmetic costs less: a real GEMV about half a
@@ -63,7 +78,8 @@ HERMITICITY_ATOL = 1e-12
 #: relative bound on the imaginary residue of a quadratic form z*Mz
 _IMAG_RTOL = 1e-12
 
-#: rows of a dense M read at a time by :func:`_blocked_check`
+#: rows of a dense M read at a time by :func:`_blocked_check`, and of
+#: its factor by :func:`_upper_product` and :func:`_back_substitute`
 _ROWS = 64
 
 #: columns of a block cast to complex128 at a time: a whole wide block's
@@ -80,14 +96,18 @@ class WeightOperator:
     calling the constructor directly.
     """
 
-    __slots__ = ("kind", "dimension", "_diag", "_matrix", "_scale", "_dtype")
+    __slots__ = ("kind", "dimension", "_diag", "_matrix", "_scale", "_dtype",
+                 "_factor")
 
-    def __init__(self, kind, dimension, diag=None, matrix=None, scale=1.0):
+    def __init__(self, kind, dimension, diag=None, matrix=None, scale=1.0,
+                 factor=None):
         self.kind = kind
         self.dimension = dimension
         self._diag = diag
         self._matrix = matrix
         self._scale = scale
+        # L^H of a dense M = L L^H, the validation's Cholesky factor
+        self._factor = factor
         # float, or complex for a dense M with a nonzero imaginary part
         self._dtype = complex if np.iscomplexobj(matrix) else float
 
@@ -116,13 +136,25 @@ class WeightOperator:
     @classmethod
     def dense(cls, matrix) -> "WeightOperator":
         """Dense hermitian positive definite M, kept as a copy in its
-        field.  The hermiticity check and ``scale`` (max |M| entry) read
-        M :data:`_ROWS` rows at a time, so beside the copy and the
-        Cholesky factor only row blocks are made (:func:`_blocked_check`)."""
+        field beside its Cholesky factor.  The hermiticity check and
+        ``scale`` (max |M| entry) read M :data:`_ROWS` rows at a time,
+        so beside the copy and the factor only row blocks are made
+        (:func:`_blocked_check`).  The factor L is kept as L^H: L is
+        conjugated in place and transposed as a view, so the weight
+        holds two N x N arrays and never makes a third."""
         m = np.asarray(matrix)
         # a copy in M's field: a real M is float64 whatever its dtype was
         field = _field(m)
-        m = np.array(m.real if field is float else m, dtype=field)
+        return cls._dense(np.array(m.real if field is float else m,
+                                   dtype=field))
+
+    @classmethod
+    def _dense(cls, m) -> "WeightOperator":
+        """:meth:`dense` of an array the weight may keep as it is: ``m``
+        itself when it is float64 or complex128 in its field (the
+        history loader's freshly decoded M), else a copy in its field."""
+        field = _field(m)
+        m = _in(field, m)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"weight matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -133,10 +165,13 @@ class WeightOperator:
                 f"max |M - M*| entry deviation {dev:.3e} exceeds {HERMITICITY_ATOL:.0e}"
             )
         try:
-            np.linalg.cholesky(m)
+            factor = np.linalg.cholesky(m)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from None
-        return cls("dense", m.shape[0], matrix=m, scale=scale)
+        if field is complex:
+            np.conjugate(factor, out=factor)
+        return cls("dense", m.shape[0], matrix=m, scale=scale,
+                   factor=factor.T)
 
     # -- application -------------------------------------------------
 
@@ -160,13 +195,42 @@ class WeightOperator:
             return z.copy() if z.ndim == 1 else z
         if self.kind == "diagonal":
             return self._diag * z if z.ndim == 1 else self._diag[:, None] * z
-        if self._dtype is float and z.dtype == complex:
-            # real M on [re, im] of every entry: one real N x 2m product
-            parts = np.ascontiguousarray(z).view(float)
-            if z.ndim == 1:
-                parts = parts.reshape(-1, 2)
-            return (self._matrix @ parts).view(complex).reshape(z.shape)
-        return self._matrix @ z
+        return _real_parts(np.matmul, self._matrix, z)
+
+    def _frame(self, u):
+        """The (N, m) block ``u`` in the frame where this weight is the
+        Euclidean one: ``u`` itself under the identity, sqrt(w) u under
+        a diagonal weight and L^H u under a dense M = L L^H, one GEMM
+        per row block (:func:`_upper_product`).  So |||u||| =
+        ||frame(u)||_2, and the weighted QR of u has the R of the
+        Euclidean QR of its frame.  A GEMM's bits in a column depend on
+        the block's width, so callers that must agree frame the same
+        block."""
+        if self.kind == "identity":
+            return u
+        if self.kind == "diagonal":
+            return np.sqrt(self._diag)[:, None] * u
+        return _real_parts(_upper_product, self._factor, u)
+
+    def _unframe(self, qx):
+        """``(q, p)`` from an (N, k) basis ``qx`` of a frame with
+        orthonormal columns: Q = L^-H Q_X, whose columns are orthonormal
+        under this weight, and P = M Q = L Q_X.  Under the identity
+        ``qx`` is both, one array; under a diagonal weight Q = Q_X /
+        sqrt(w) and P = sqrt(w) Q_X.  Under a dense M, Q is a blocked
+        back substitution (:func:`_back_substitute`) and P one GEMM."""
+        if self.kind == "identity":
+            return qx, qx
+        if self.kind == "diagonal":
+            root = np.sqrt(self._diag)[:, None]
+            return qx / root, root * qx
+        lh = self._factor
+        q = _real_parts(_back_substitute, lh, qx)
+        if lh.dtype == float:
+            return q, _real_parts(np.matmul, lh.T, qx)
+        # lh.T is conj(L), so L Q_X = conj(conj(L) conj(Q_X))
+        p = lh.T @ qx.conj()
+        return q, np.conjugate(p, out=p)
 
     def norm(self, z):
         """Induced norm sqrt(z* M z) from one application of M.
@@ -274,6 +338,43 @@ def _blocked_check(m):
     return dev, scale
 
 
+def _real_parts(op, a, z):
+    """``op(a, z)`` for an N x N matrix ``a`` and an (N,) or (N, m)
+    ``z``.  A real ``a`` acts on a complex ``z`` as one real op on the
+    real and imaginary parts of its entries side by side (N x 2m),
+    never through a complex copy of ``a``."""
+    if a.dtype == float and z.dtype == complex:
+        parts = np.ascontiguousarray(z).view(float)
+        if z.ndim == 1:
+            parts = parts.reshape(-1, 2)
+        return op(a, parts).view(complex).reshape(z.shape)
+    return op(a, z)
+
+
+def _upper_product(u, b):
+    """U B for an upper triangular N x N ``u`` and an (N, m) ``b``:
+    :data:`_ROWS` rows at a time, each block one GEMM against the rows
+    of B from its diagonal down, so U's zero triangle costs no flops."""
+    y = np.empty(b.shape, np.result_type(u, b))
+    for a in range(0, u.shape[0], _ROWS):
+        np.matmul(u[a:a + _ROWS, a:], b[a:], out=y[a:a + _ROWS])
+    return y
+
+
+def _back_substitute(u, b):
+    """Y with U Y = B, for an upper triangular N x N ``u`` and an (N, m)
+    ``b``: :data:`_ROWS` rows at a time from the last, each block one
+    GEMM against the rows already solved and one solve against its
+    diagonal block.  numpy has no triangular solve, but every entry
+    below that block's diagonal is 0, so its LU pivots on the diagonal
+    and leaves the block as it is: the solve is back substitution."""
+    y = np.empty(b.shape, np.result_type(u, b))
+    for a in reversed(range(0, u.shape[0], _ROWS)):
+        e = a + _ROWS
+        y[a:e] = np.linalg.solve(u[a:e, a:e], b[a:e] - u[a:e, e:] @ y[e:])
+    return y
+
+
 def _complex_columns(block):
     """``block``'s columns as the vector path's vdot reads them: a
     complex column where it lies, a real one as a contiguous complex
@@ -307,5 +408,14 @@ def _in_field(weight, *arrays):
     holds), laid out as the array was, so BLAS reads it contiguously."""
     arrays = [np.asarray(a) for a in arrays]
     dtype = _field_of(weight, *arrays)
-    return [np.array(a.real, dtype) if dtype is float and np.iscomplexobj(a)
-            else np.asarray(a, dtype=dtype) for a in arrays]
+    return [_in(dtype, a) for a in arrays]
+
+
+def _in(dtype, a):
+    """``a`` as ``dtype`` (float64 or complex128), given that it holds
+    values of that field: a complex array made float is a float64 copy
+    of its real part, laid out as the array was."""
+    a = np.asarray(a)
+    if np.dtype(dtype) == float and np.iscomplexobj(a):
+        return np.array(a.real, float)
+    return np.asarray(a, dtype=dtype)

@@ -7,7 +7,7 @@ an explicit seed, so failures reproduce from the test name alone.
 import numpy as np
 import pytest
 
-from wextrap import FixedPointProblem, WeightOperator, extrapolate, run
+from wextrap import FixedPointProblem, WeightOperator, extrapolate, qr, run
 
 #: one "criterion N (...): PASS/FAIL" line per acceptance criterion,
 #: echoed after the run so the verdicts survive output capturing
@@ -50,23 +50,25 @@ def random_sequence(rng, n, count, complex_=False):
 
 def run_grown(iterates, weight, **kwargs):
     """``run(iterates, weight, **kwargs)`` and the factors its QR loop
-    returned, which the history drops (it keeps their R alone).  Wraps
-    whatever ``extrapolate._grow`` currently is, so a test's own patch
-    of it still runs."""
-    grown, grow = [], extrapolate._grow
+    returned, which the history drops (it keeps their R alone).  The
+    loop grows the factors of the differences' frame, and they are
+    returned mapped to Q and P (``qr._unframed``), which the run never
+    does.  Wraps whatever ``extrapolate._grow_known`` currently is, so a
+    test's own patch of it still runs."""
+    grown, grow = [], extrapolate._grow_known
 
     def capturing(*args, **kw):
         out = grow(*args, **kw)
         grown.append(out[1])
         return out
 
-    extrapolate._grow = capturing
+    extrapolate._grow_known = capturing
     try:
         history = run(iterates, weight, **kwargs)
     finally:
-        extrapolate._grow = grow
-    factors, = grown
-    return history, factors
+        extrapolate._grow_known = grow
+    frame, = grown
+    return history, qr._unframed(history.weight, frame)
 
 
 def random_contraction(rng, n, radius=0.8):

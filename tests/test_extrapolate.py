@@ -410,8 +410,10 @@ def test_run_rejects_bad_shapes():
 
 
 def test_run_one_mproduct_per_column(weight_calls):
-    # the CGS2 kernel's one product with M per difference column gives
-    # r_kk; |||u_k||| follows by Pythagoras, with no norm of its own
+    # the CGS2 kernel's one apply per difference column gives r_kk;
+    # |||u_k||| follows by Pythagoras, with no norm of its own.  The
+    # loop runs in the differences' frame, so each apply is the frame's
+    # identity weight, not M (test_dense_run_makes_no_product_with_m)
     rng = np.random.default_rng(61)
     weight = random_weight(rng, 10, "dense")
     x = np.asarray(iterate(random_linear_problem(rng, 10), 8))
@@ -423,6 +425,31 @@ def test_run_one_mproduct_per_column(weight_calls):
     u_norms = [weight.norm(hist.differences[:, k]) for k in range(7)]
     assert_allclose([rec.u_norm for rec in hist.records], u_norms,
                     rtol=1e-13)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_dense_run_makes_no_product_with_m(monkeypatch, complex_):
+    # the difference block is framed (L^H U, M = L L^H) a column block
+    # at a time, and the loop runs under the identity weight: no apply, norm or GEMV
+    # with M, and the first read of factors maps the frame's Q back
+    # without one either
+    applied, apply = [], WeightOperator.apply
+
+    def counting(self, z):
+        applied.append(self.kind)
+        return apply(self, z)
+
+    monkeypatch.setattr(WeightOperator, "apply", counting)
+    rng = np.random.default_rng(74)
+    n = 10
+    weight = WeightOperator.dense(random_pd_matrix(rng, n, complex_))
+    hist = run(random_sequence(rng, n, 9, complex_), weight)
+    assert hist.stages == 8 and applied == ["identity"] * 8
+    f = hist.factors
+    assert f.k == 8 and applied == ["identity"] * 16
+    assert_allclose(weight.matrix() @ f.q, f.p, rtol=0,
+                    atol=1e-13 * np.abs(f.p).max())
+    assert f.orthonormality_defect() < 1e-14
 
 
 def test_early_stop_frees_unused_factor_columns():
@@ -548,7 +575,7 @@ def test_stage_phase_reads_no_q_or_p(monkeypatch, kind, early):
     else:
         x = random_sequence(rng, n, 9, complex_=True)
     clean = run(x, weight)
-    grow, returned = extrapolate._grow, []
+    grow, returned = extrapolate._grow_known, []
 
     def poisoned(*args, **kwargs):
         r, factors, norms = grow(*args, **kwargs)
@@ -557,7 +584,7 @@ def test_stage_phase_reads_no_q_or_p(monkeypatch, kind, early):
         returned.extend([factors.q, factors.p])
         return r, factors, norms
 
-    monkeypatch.setattr(extrapolate, "_grow", poisoned)
+    monkeypatch.setattr(extrapolate, "_grow_known", poisoned)
     hist = run(x, weight)
     assert not any(np.shares_memory(a, b)
                    for a in held_arrays(hist) for b in returned)
@@ -576,19 +603,24 @@ def test_stage_phase_reads_no_q_or_p(monkeypatch, kind, early):
             assert weight.norm(a.s - b.s) <= 1e-13 * weight.norm(b.s)
 
 
-@pytest.mark.parametrize("early", [False, True], ids=["full", "early-stop"])
+@pytest.mark.parametrize("stop", ["full", "early-stop", "k-max"])
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
-def test_factors_regrow_bit_identically(tmp_path, kind, complex_, early):
+def test_factors_regrow_bit_identically(tmp_path, kind, complex_, stop):
     # the history keeps R alone; its factors, grown on first read, are
-    # bit for bit the ones the run's loop returned, mgs_factorize's
-    # without a rank test, and a loaded copy's.  M is complex only for
-    # complex data; T's three eigenvalues stop an early run at stage 3
+    # bit for bit the ones the run's loop returned and a loaded copy's:
+    # each frames the stored difference block in the same column
+    # blocks, whatever the run accepted of it.  mgs_factorize frames only the columns it is
+    # given, so under a dense M (a GEMM's bits depend on its width) it
+    # agrees to roundoff when they are fewer, and bit for bit
+    # otherwise.  M is complex only for complex data; T's three
+    # eigenvalues stop an early run at stage 3, and a k-max run is given
+    # 9 iterates for stage 4
     rng = np.random.default_rng(70)
     n = 12
     weight = (WeightOperator.dense(random_pd_matrix(rng, n, complex_))
               if kind == "dense" else random_weight(rng, n, kind))
-    if early:
+    if stop == "early-stop":
         d = rng.standard_normal(n) + (1j * rng.standard_normal(n)
                                       if complex_ else 0.0)
         x = np.asarray(iterate(FixedPointProblem.linear(
@@ -596,35 +628,92 @@ def test_factors_regrow_bit_identically(tmp_path, kind, complex_, early):
             np.zeros(n, d.dtype)), 9))
     else:
         x = random_sequence(rng, n, 9, complex_)
-    hist, grown = run_grown(x, weight)
-    assert hist.detected_k0 == (3 if early else None)
+    hist, grown = run_grown(x, weight, k_max=4 if stop == "k-max" else None)
+    assert hist.detected_k0 == (3 if stop == "early-stop" else None)
     # R's buffer itself when the run does not stop early, else a copy
     # of its leading block
     assert_array_equal(hist.r, grown.r)
-    assert np.shares_memory(hist.r, grown.r) == (not early)
+    assert np.shares_memory(hist.r, grown.r) == (stop != "early-stop")
     m = grown.k
+    width = hist.differences.shape[1]
+    assert m == {"full": 8, "early-stop": 3, "k-max": 5}[stop]
+    assert (m < width) == (stop != "full")
     save_history(hist, tmp_path / "hist.json")
     back = load_history(tmp_path / "hist.json")
     one_shot = mgs_factorize(hist.differences[:, :m], weight, rank_tol=0.0)
-    for f in (hist.factors, one_shot, back.factors):
+    for f in (hist.factors, back.factors, one_shot):
         assert f.k == m and f.q.dtype == grown.q.dtype
         assert (f.p is f.q) == (kind == "identity")
         for got, want in ((f.q, grown.q), (f.r, grown.r), (f.p, grown.p)):
+            if f is one_shot and kind == "dense" and m < width:
+                assert_allclose(got, want, rtol=0,
+                                atol=1e-13 * np.abs(want).max())
+            else:
+                assert_array_equal(got, want)
+
+
+def test_frame_is_made_in_fixed_column_blocks(monkeypatch, tmp_path):
+    # a known block is framed _FRAME_COLS columns at a time, at fixed
+    # offsets, as the loop reaches them: an early stop or a small k_max
+    # frames one block however many iterates the run is given, and a
+    # full run frames each block once.  A column's frame bits depend on
+    # its block alone, so R is the same floats whatever k_max, and the
+    # run, its factors and a loaded copy agree bit for bit across blocks
+    widths, frame = [], WeightOperator._frame
+
+    def recording(self, u):
+        widths.append(u.shape[1])
+        return frame(self, u)
+
+    monkeypatch.setattr(WeightOperator, "_frame", recording)
+    b = qr._FRAME_COLS
+    rng = np.random.default_rng(77)
+    n, count = 80, 2 * b + 8
+    weight = WeightOperator.dense(random_pd_matrix(rng, n))
+    stop = FixedPointProblem.linear(np.diag(np.resize([0.5, -0.3, 0.2], n)),
+                                    rng.standard_normal(n),
+                                    rng.standard_normal(n))
+    assert run(np.asarray(iterate(stop, count)), weight).detected_k0 == 3
+    assert widths == [b]
+    x = np.asarray(iterate(random_linear_problem(rng, n), count))
+    widths.clear()
+    small = run(x, weight, k_max=b // 2)
+    assert small.stages == b // 2 + 1 and widths == [b]
+    widths.clear()
+    hist, grown = run_grown(x, weight)
+    assert hist.differences.shape[1] == count == 2 * b + 8
+    assert grown.k == count and widths == [b, b, 8]
+    assert_array_equal(small.r, hist.r[:b // 2 + 1, :b // 2 + 1])
+    mid = run(x, weight, k_max=b + 4)
+    assert_array_equal(mid.r, hist.r[:b + 5, :b + 5])
+    save_history(hist, tmp_path / "hist.json")
+    back = load_history(tmp_path / "hist.json")
+    for f in (hist.factors, back.factors):
+        for got, want in ((f.q, grown.q), (f.r, grown.r), (f.p, grown.p)):
             assert_array_equal(got, want)
+    assert hist.factors.orthonormality_defect() < 1e-13
 
 
 def test_factors_are_grown_once(monkeypatch, tmp_path):
     # a run's first read of factors regrows them, one kernel call per
     # accepted column, and keeps them; a second read, a first read on a
-    # loaded history (the loader keeps the factors it grew) and the
-    # relation check of a fresh run call the kernel not at all
+    # loaded history (the loader keeps the frame's factors it grew) and
+    # the relation check of a fresh run call the kernel not at all.
+    # Q and P are mapped back from the frame once per history, on the
+    # first read of its factors: never by the load or the check
     calls, orthogonalize = [], qr.orthogonalize_column
+    unframed, unframe = [], WeightOperator._unframe
 
     def counting(*args):
         calls.append(args[0].k)
         return orthogonalize(*args)
 
+    def mapping(self, qx):
+        unframed.append(qx.shape[1])
+        return unframe(self, qx)
+
     monkeypatch.setattr(qr, "orthogonalize_column", counting)
+    monkeypatch.setattr(WeightOperator, "_unframe", mapping)
     rng = np.random.default_rng(71)
     weight = random_weight(rng, 10, "dense")
     hist = run(iterate(random_linear_problem(rng, 10), 7), weight)
@@ -632,12 +721,14 @@ def test_factors_are_grown_once(monkeypatch, tmp_path):
     back = load_history(tmp_path / "hist.json")
     calls.clear()
     verify_history(hist)
-    assert calls == []
+    verify_history(back)
+    assert calls == [] and unframed == []
     first = hist.factors
     assert calls == list(range(first.k)) and first.k == 7
+    assert unframed == [7]
     calls.clear()
     assert hist.factors is first and back.factors is back.factors
-    assert calls == []
+    assert calls == [] and unframed == [7, 7]
 
 
 def test_history_built_without_r_has_no_factors():

@@ -107,6 +107,33 @@ def test_callable_t_is_complex():
     assert stages.basis.dtype == complex
 
 
+@pytest.mark.parametrize("kind", ["identity", "diag"])
+def test_reload_factors_in_the_runs_field(tmp_path, kind):
+    # iterates of a real contraction plus 1j: the run computes in
+    # complex128, but the differences are real by value and are stored
+    # as "<f8".  The loader factors in the field of the weight, x0 and
+    # the differences, so its R is the run's, complex128, bit for bit
+    rng = np.random.default_rng(303)
+    n = 12
+    t = 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
+    xs = np.asarray(iterate(FixedPointProblem.linear(
+        t, rng.standard_normal(n), rng.standard_normal(n)), 9)).real + 1j
+    weight = (WeightOperator.identity(n) if kind == "identity"
+              else WeightOperator.diagonal(rng.uniform(0.2, 3.0, n)))
+    hist = run(xs, weight)
+    assert hist.r.dtype == hist.differences.dtype == complex
+    assert not hist.differences.imag.any()
+    path = tmp_path / "hist.json"
+    save_history(hist, path)
+    back = load_history(path)
+    assert back.differences.dtype == float and back.x0.dtype == complex
+    for a in (back.r, back.factors.q, back.factors.p):
+        assert a.dtype == complex
+    assert np.array_equal(back.r, hist.r)
+    assert np.array_equal(back.factors.q, hist.factors.q)
+    assert np.array_equal(back.factors.p, hist.factors.p)
+
+
 def test_mgs_factorize_decides_by_values():
     rng = np.random.default_rng(301)
     a = rng.standard_normal((6, 3))

@@ -477,9 +477,9 @@ def test_history_round_trip_below_default_rank_tol(tmp_path, monkeypatch):
 
 
 def test_load_history_one_norm_per_appended_column(tmp_path, weight_calls):
-    # regrowing the factors takes one product with M per column, which
-    # gives r_kk and the next column of M Q; with no rank test there is
-    # no incoming-column norm to take
+    # regrowing the factors takes one apply per column, of the frame's
+    # identity weight (the frame L^H U is made at once), which gives r_kk;
+    # with no rank test there is no incoming-column norm to take
     rng = np.random.default_rng(47)
     n = 12
     weight = random_weight(rng, n, "dense")
@@ -962,11 +962,12 @@ def test_history_rejects_invalid_json(tmp_path):
 
 
 def test_load_history_dense_weight_peak(tmp_path):
-    # M's base64 text (4/3 of M) is freed once decoded, before the
-    # decoded bytes are copied, and from Python 3.11 binascii decodes
-    # the str in place.  So the peak is the weight's check (M, the
-    # weight's copy and its Cholesky factor, in row blocks), 3.04x M
-    # measured.  Python 3.10 first copies the text to ASCII bytes: 3.7x
+    # M's base64 text (4/3 of M) is freed once decoded, from Python
+    # 3.11 binascii decodes the str in place, and the weight keeps the
+    # decoded M beside its Cholesky factor, with no copy.  So the peak
+    # is json.load's (the file's text and the parsed document), 2.75x M
+    # measured; 3.04x when the weight copied M.  Python 3.10 first
+    # copies the text to ASCII bytes: 3.7x
     rng = np.random.default_rng(63)
     n = 400
     b = rng.uniform(-1.0, 1.0, (n, n))

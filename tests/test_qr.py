@@ -89,23 +89,32 @@ def test_grown_factors_are_views_later_appends_leave_alone(monkeypatch,
                                                            grow):
     # every stage's factors are a leading view of the one set of
     # buffers, and no later column writes into it: the kernel sees each
-    # leading view before the loop writes the next column
+    # leading view before the loop writes the next column.  Both grow
+    # the factors of the difference block's frame, in the loop's buffers
     grown, orthogonalize = [], qr.orthogonalize_column
 
     def recording(view, a):
         grown.append((view, view.q.copy(), view.r.copy(), view.p.copy()))
         return orthogonalize(view, a)
 
+    returned, loop = [], qr._grow
+
+    def capturing(*args, **kwargs):
+        out = loop(*args, **kwargs)
+        returned.append(out[1])
+        return out
+
     monkeypatch.setattr(qr, "orthogonalize_column", recording)
+    monkeypatch.setattr(qr, "_grow", capturing)
     rng = np.random.default_rng(32)
     w = random_weight(rng, 8, "dense")
     x = random_sequence(rng, 8, 7, complex_=True)
     if grow == "run":
-        _, final = run_grown(x, w)
-        views = [final.leading(j + 1) for j in range(final.k)]
+        run(x, w)
     else:
-        final = mgs_factorize(x[1:].T - x[:-1].T, w)
-        views = [final.leading(j + 1) for j in range(final.k)]
+        mgs_factorize(x[1:].T - x[:-1].T, w)
+    final, = returned
+    views = [final.leading(j + 1) for j in range(final.k)]
     assert [seen.k for seen, *_ in grown] == list(range(final.k))
     assert final.k == 6
     for view in views:
@@ -201,9 +210,12 @@ def _grown_factors(source, w, rng, tmp_path, products):
 @pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
 def test_identity_weight_keeps_one_array_as_q_and_p(monkeypatch, tmp_path,
                                                     kind, source):
-    # under the identity P = M Q is Q: every grown view and the final
-    # factors hold one array as both, with P = Q's floats; the other
-    # weights keep a separate P.  Each column still takes one M-product
+    # under the identity P = M Q is Q: a view grown under it and the
+    # final factors of an identity weight hold one array as both, with
+    # P = Q's floats; the other weights' final factors keep a separate
+    # P.  A known block is grown in its frame under the identity, so
+    # only Arnoldi grows views under M.  Each column takes one apply:
+    # of M in Arnoldi, of the frame's identity weight otherwise
     grown, orthogonalize = [], qr.orthogonalize_column
 
     def recording(view, a):
@@ -214,7 +226,7 @@ def test_identity_weight_keeps_one_array_as_q_and_p(monkeypatch, tmp_path,
     products, apply = [], WeightOperator.apply
 
     def counting(self, z):
-        products.append(np.shape(z))
+        products.append((self.kind, np.shape(z)))
         return apply(self, z)
 
     monkeypatch.setattr(WeightOperator, "apply", counting)
@@ -222,8 +234,13 @@ def test_identity_weight_keeps_one_array_as_q_and_p(monkeypatch, tmp_path,
     n = 9
     w = random_weight(rng, n, kind)
     final, columns = _grown_factors(source, w, rng, tmp_path, products)
-    assert products == [(n,)] * columns
-    views = grown + ([final, final.leading(2)] if final is not None else [])
+    grower = w.kind if source == "arnoldi" else "identity"
+    assert products == [(grower, (n,))] * columns
+    for f in grown:
+        assert f.weight.kind == grower
+    views = [f for f in grown if grower != "identity"] + (
+        [final, final.leading(2)] if final is not None else [])
+    assert all(f.p is f.q for f in grown if grower == "identity")
     for f in views:
         if kind == "identity":
             assert f.p is f.q
@@ -252,7 +269,7 @@ def test_every_growth_source_runs_the_one_loop(monkeypatch, tmp_path, source):
         calls.append("column" if inside else "outside")
         return orthogonalize(*args)
 
-    for name in ("wextrap.qr", "wextrap.extrapolate", "wextrap.krylov"):
+    for name in ("wextrap.qr", "wextrap.krylov"):
         monkeypatch.setattr(f"{name}._grow", growing)
     for name in ("wextrap.qr", "wextrap.extrapolate"):
         monkeypatch.setattr(f"{name}.orthogonalize_column", orthogonalizing)

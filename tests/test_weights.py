@@ -394,6 +394,72 @@ def test_dense_peak(complex_):
     assert peak <= 2.5 * m.nbytes
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_dense_weight_holds_m_and_its_factor(complex_):
+    # the validation's Cholesky factor is kept, as L^H: conjugated in
+    # place and transposed as a view, so the weight holds M's copy and
+    # one factor, 2x M, and no conjugate copy of either
+    m = random_pd_matrix(np.random.default_rng(62), 400, complex_=complex_)
+    tracemalloc.start()
+    try:
+        w = WeightOperator.dense(m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.05 * m.nbytes
+    lh = w._factor
+    assert_allclose(lh.conj().T @ lh, m, rtol=0, atol=1e-13 * abs(m).max())
+    assert np.array_equal(lh, np.triu(lh))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_blocked_back_substitution_is_a_triangular_solve(complex_):
+    # N = 200 spans four row blocks, the last a partial one.  The frame's
+    # blocked product skips the same zero triangle
+    rng = np.random.default_rng(75)
+    n, m = 200, 7
+    assert n > 3 * weights._ROWS and n % weights._ROWS
+    u = scipy.linalg.cholesky(random_pd_matrix(rng, n, complex_))
+    b = rng.standard_normal((n, m))
+    if complex_:
+        b = b + 1j * rng.standard_normal((n, m))
+    got = weights._back_substitute(u, b)
+    want = scipy.linalg.solve_triangular(u, b)
+    assert_allclose(got, want, rtol=0, atol=1e-14 * abs(want).max())
+    assert weights._back_substitute(u, b[:, :0]).shape == (n, 0)
+    assert_allclose(weights._upper_product(u, b), u @ b, rtol=0,
+                    atol=1e-14 * abs(u @ b).max())
+
+
+@pytest.mark.parametrize("data", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["diag", "real-dense", "dense"])
+def test_frame_and_unframe(kind, data):
+    # the frame maps the weighted norm to the Euclidean one, and an
+    # orthonormal basis of a frame maps back to a weighted-orthonormal
+    # Q with P = M Q; a real L acts on complex data as a real product
+    rng = np.random.default_rng(76)
+    n, m = 150, 6
+    if kind == "diag":
+        w = WeightOperator.diagonal(rng.uniform(0.2, 3.0, n))
+    else:
+        w = WeightOperator.dense(random_pd_matrix(rng, n, kind == "dense"))
+    u = rng.standard_normal((n, m))
+    if data == "complex":
+        u = u + 1j * rng.standard_normal((n, m))
+    x = w._frame(u)
+    assert x.dtype == np.result_type(u, w.matrix())
+    assert_allclose(np.linalg.norm(x, axis=0), w.norm(u), rtol=1e-14)
+    qx, _ = np.linalg.qr(x)
+    q, p = w._unframe(qx)
+    assert_allclose(w._frame(q), qx, rtol=0, atol=1e-14)
+    assert_allclose(p, w.apply(q), rtol=0, atol=1e-13 * abs(p).max())
+    assert_allclose(q.conj().T @ p, np.eye(m), rtol=0, atol=1e-14)
+    ident = WeightOperator.identity(n)
+    assert ident._frame(u) is u
+    q, p = ident._unframe(qx)
+    assert q is p is qx
+
+
 def test_dense_matrix_is_a_read_only_view():
     # the operator is immutable, so its matrix is lent, not copied
     m = random_pd_matrix(np.random.default_rng(24), 5)
@@ -404,6 +470,18 @@ def test_dense_matrix_is_a_read_only_view():
     assert np.array_equal(view, m)
     with pytest.raises(ValueError):
         view[0, 0] = 0.0
+
+
+def test_private_dense_keeps_an_array_in_its_field():
+    # the history loader hands its freshly decoded M to _dense, which
+    # keeps it; dense copies its argument, and _dense copies an array
+    # that is not in its field (complex by dtype, real by value)
+    m = random_pd_matrix(np.random.default_rng(25), 5, complex_=False)
+    assert np.shares_memory(WeightOperator._dense(m).matrix(), m)
+    assert not np.shares_memory(WeightOperator.dense(m).matrix(), m)
+    w = WeightOperator._dense(m.astype(complex))
+    assert w.matrix().dtype == float
+    assert np.array_equal(w.matrix(), m)
 
 
 def test_apply_matches_explicit_matrix():
