@@ -241,16 +241,7 @@ def cmd_krylov_compare(args):
 def cmd_qr(args):
     a = mmio.read_matrix(args.matrix)
     weight = _load_weight(args.weight, a.shape[0])
-    try:
-        factors = mgs_factorize(a, weight)
-    except RankDeficient as exc:
-        if exc.residual_norm is None:  # column N of N-vectors
-            print(f"rank deficiency: {exc}", file=sys.stderr)
-        else:
-            print(f"rank deficiency: column {exc.index} is dependent "
-                  f"(residual {exc.residual_norm:.3e}, threshold "
-                  f"{exc.threshold:.3e})", file=sys.stderr)
-        return 5
+    factors = mgs_factorize(a, weight)
     q_path = _out_path(args.q_out, "Q.mtx")
     r_path = _out_path(args.r_out, "R.mtx")
     mmio.write_matrix(q_path, factors.q)
@@ -339,8 +330,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RankDeficient as exc:
-        print(f"error: rank deficiency at column {exc.index}",
-              file=sys.stderr)
+        if exc.residual_norm is None:  # column N of N-vectors
+            print(f"rank deficiency: {exc}", file=sys.stderr)
+        else:
+            print(f"rank deficiency: column {exc.index} is dependent "
+                  f"(residual {exc.residual_norm:.3e}, threshold "
+                  f"{exc.threshold:.3e})", file=sys.stderr)
         return 5
     except WextrapError as exc:
         print(f"error: {exc}", file=sys.stderr)

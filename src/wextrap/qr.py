@@ -220,14 +220,14 @@ def _unframed(weight: WeightOperator, frame: WQRFactors) -> WQRFactors:
     return WQRFactors(weight, q, frame.r, p)
 
 
-def mgs_factorize(a, weight, rank_tol: float | None = None) -> WQRFactors:
+def mgs_factorize(a, weight) -> WQRFactors:
     """Weighted QR factorization of the columns of ``a``, grown in their
     frame by :func:`_grow_known`, as :func:`wextrap.extrapolate.run`
     grows its R: bit for bit the run's floats when ``a`` is the run's
     whole difference block, and the same to roundoff otherwise.  Raises
     :class:`RankDeficient` at the first dependent column, judged against
-    ``rank_tol`` (RANK_TOL when None); column N of N-vectors raises it
-    with no residual or threshold."""
+    :data:`RANK_TOL` (read at call time); column N of N-vectors raises
+    it with no residual or threshold."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D column matrix, got shape {a.shape}")
@@ -238,13 +238,11 @@ def mgs_factorize(a, weight, rank_tol: float | None = None) -> WQRFactors:
             f"{weight.dimension}"
         )
     a, = _in_field(weight, a)
-    rank_tol = RANK_TOL if rank_tol is None else rank_tol
-    r, factors, norms = _grow_known(weight, a, a.shape[1], a.dtype,
-                                    rank_tol)
+    r, factors, norms = _grow_known(weight, a, a.shape[1], a.dtype)
     j = factors.k
     if j < len(norms):
         if j == weight.dimension:  # dependent whatever its norm
             raise RankDeficient(j)
         raise RankDeficient(j, residual_norm=float(r[j, j].real),
-                            threshold=rank_tol * norms[j])
+                            threshold=RANK_TOL * norms[j])
     return _unframed(weight, factors)

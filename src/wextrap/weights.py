@@ -41,15 +41,13 @@ complex.  A real dense M applies to it as one real product with its
 real and imaginary parts side by side (N x 2m), never by a complex copy
 of M.  A block costs one product with M for all of its columns (a GEMM
 when M is dense, where m vectors one at a time would be m GEMVs).  A
-vector's norm is one vdot of z with M z, summed in complex arithmetic
-in either field, so a real vector's norm is the same float whether it
-is stored as float64 or as complex128.  A block's norms are one
+vector's norm is one vdot of z with M z in their own field, a real dot
+for real data, so a real vector's norm may differ in its last bit
+between float64 and complex128 storage.  A block's norms are one
 ``np.vecdot`` sweep over its columns, which calls the same BLAS dot on
-each column as vdot does on a vector, and the vector's checks are made
-on all the columns at once; a failing column raises what the vector
-path raises for it.  Real columns are cast to complex128 in chunks of
-64 columns, column-major, so the casts stay in cache and each column is
-the contiguous vector vdot would read.  So a block's norms are
+each column as vdot does on that column, and the vector's checks are
+made on all the columns at once; a failing column raises what the
+vector path raises for it.  So a block's norms are
 bit-identical to the vector norms of its columns against its MV; for
 the identity and a diagonal weight MV is formed entry by entry, so they
 are the columns' own vector norms, and a dense weight differs only by
@@ -81,10 +79,6 @@ _IMAG_RTOL = 1e-12
 #: rows of a dense M read at a time by :func:`_blocked_check`, and of
 #: its factor by :func:`_upper_product` and :func:`_back_substitute`
 _ROWS = 64
-
-#: columns of a block cast to complex128 at a time: a whole wide block's
-#: cast leaves the cache, and costs more than the vecdot sweep it feeds
-_CHUNK = 64
 
 
 class WeightOperator:
@@ -215,25 +209,24 @@ class WeightOperator:
     def _unframe(self, qx):
         """``(q, p)`` from an (N, k) basis ``qx`` of a frame with
         orthonormal columns: Q = L^-H Q_X, whose columns are orthonormal
-        under this weight, and P = M Q = L Q_X.  Under the identity
-        ``qx`` is both, one array; under a diagonal weight Q = Q_X /
-        sqrt(w) and P = sqrt(w) Q_X.  Under a dense M, Q is a blocked
-        back substitution (:func:`_back_substitute`) and P one GEMM."""
+        under this weight, and P = M Q.  Under the identity ``qx`` is
+        both, one array; under a diagonal weight Q = Q_X / sqrt(w) and
+        P = sqrt(w) Q_X.  Under a dense M, Q is a blocked back
+        substitution (:func:`_back_substitute`) and P the product
+        :meth:`apply` makes, M Q in the field of both, without a call
+        of :meth:`apply`: a trace of it counts the algorithm's products
+        alone."""
         if self.kind == "identity":
             return qx, qx
         if self.kind == "diagonal":
             root = np.sqrt(self._diag)[:, None]
             return qx / root, root * qx
-        lh = self._factor
-        q = _real_parts(_back_substitute, lh, qx)
-        if lh.dtype == float:
-            return q, _real_parts(np.matmul, lh.T, qx)
-        # lh.T is conj(L), so L Q_X = conj(conj(L) conj(Q_X))
-        p = lh.T @ qx.conj()
-        return q, np.conjugate(p, out=p)
+        q = _real_parts(_back_substitute, self._factor, qx)
+        return q, _real_parts(np.matmul, self._matrix, q)
 
     def norm(self, z):
-        """Induced norm sqrt(z* M z) from one application of M.
+        """Induced norm sqrt(z* M z) from one application of M, summed
+        in the field of z and M z.
 
         For an (N, m) block, the m column norms as an array, from one
         block product.  Each quadratic form must be real and
@@ -246,9 +239,7 @@ class WeightOperator:
         # sqrt(z* M z) given mz = M z, with the quadratic-form checks
         if z.ndim == 2:
             return self._block_norms(z, mz)
-        # summed in complex arithmetic in either field (see the module
-        # docstring); the casts cost O(N) beside the product with M
-        q = complex(np.vdot(np.asarray(z, complex), np.asarray(mz, complex)))
+        q = np.vdot(z, mz)
         if abs(q.imag) > _IMAG_RTOL * (1.0 + abs(q.real)):
             raise NegativeQuadraticForm(
                 f"quadratic form has imaginary residue {q.imag:.3e}"
@@ -261,18 +252,11 @@ class WeightOperator:
     def _block_norms(self, z, mz):
         # the vector path's arithmetic on every column at once: vecdot
         # along a column is the BLAS dot that vdot calls on the column,
-        # and the checks are its scalar ones elementwise
-        m = z.shape[1]
-        q, zz = np.empty(m, complex), np.empty(m)
-        # the vector path's Python floats overflow to inf silently, so
-        # the ufuncs here do too
+        # and the checks are its scalar ones elementwise.  The vector
+        # path's scalars overflow to inf silently, so the ufuncs here do too
         with np.errstate(over="ignore", invalid="ignore"):
-            for a in range(0, m, _CHUNK):
-                zk = z[:, a:a + _CHUNK]
-                zc = _complex_columns(zk)
-                mzc = zc if mz is z else _complex_columns(mz[:, a:a + _CHUNK])
-                q[a:a + _CHUNK] = np.vecdot(zc, mzc, axis=0)
-                zz[a:a + _CHUNK] = np.vecdot(zk, zk, axis=0).real
+            q = np.vecdot(z, mz, axis=0)
+            zz = np.vecdot(z, z, axis=0).real
             re = q.real
             bad = np.flatnonzero(
                 (abs(q.imag) > _IMAG_RTOL * (1.0 + abs(re)))
@@ -373,17 +357,6 @@ def _back_substitute(u, b):
         e = a + _ROWS
         y[a:e] = np.linalg.solve(u[a:e, a:e], b[a:e] - u[a:e, e:] @ y[e:])
     return y
-
-
-def _complex_columns(block):
-    """``block``'s columns as the vector path's vdot reads them: a
-    complex column where it lies, a real one as a contiguous complex
-    copy.  A real block cast in its own layout would leave a C-ordered
-    block's columns strided, summed by another BLAS kernel in another
-    rounding."""
-    if block.dtype == complex:
-        return block
-    return np.asarray(block, complex, order="F")
 
 
 def _field(*arrays):

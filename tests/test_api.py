@@ -132,7 +132,8 @@ def test_unset_knobs_are_gone():
         f.name for f in dataclasses.fields(relations.RelationReport)}
     # the rank tolerance is qr.RANK_TOL and the stagnation test reads
     # extrapolate.EXIST_TOL, both at call time
-    assert "rank_tol" not in inspect.signature(wextrap.run).parameters
+    for fn in (wextrap.run, wextrap.mgs_factorize):
+        assert "rank_tol" not in inspect.signature(fn).parameters
     assert "stag_tol" not in inspect.signature(
         wextrap.verify_history).parameters
     assert "stag_tol" not in inspect.signature(relations._measure).parameters

@@ -640,7 +640,7 @@ def test_factors_regrow_bit_identically(tmp_path, kind, complex_, stop):
     assert (m < width) == (stop != "full")
     save_history(hist, tmp_path / "hist.json")
     back = load_history(tmp_path / "hist.json")
-    one_shot = mgs_factorize(hist.differences[:, :m], weight, rank_tol=0.0)
+    one_shot = mgs_factorize(hist.differences[:, :m], weight)
     for f in (hist.factors, back.factors, one_shot):
         assert f.k == m and f.q.dtype == grown.q.dtype
         assert (f.p is f.q) == (kind == "identity")
