@@ -46,7 +46,7 @@ def _out_path(name_or_none, default_name):
 
 def _positive(text):
     value = float(text)
-    if value <= 0.0:
+    if not value > 0.0:  # NaN too
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
     return value
 

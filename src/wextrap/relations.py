@@ -55,7 +55,12 @@ and 3-18 defects, which need the first's phi.  The report keeps the raw
 measurements: ``report.stages[k].<field>`` is the one way to read a
 stage's defects and flags, and ``report.peaks``/``plateaus``/
 ``overlap`` the one way to read where the estimates peak and plateau.
-A violation is reported (``ok`` false), never raised.  For linear
+The verdict is judged on the same stage columns, as one array of
+threshold-relative defects with a row per label and a column per
+stage, and the peaks and plateaus on the recorded phi columns; the
+:class:`StageRelations` objects are built once, for the report.  A
+threshold is a number above 0 (``inf`` included).  A violation is
+reported (``ok`` false), never raised.  For linear
 iterates U_k gamma is the exact residual r(s_k)
 (:func:`wextrap.krylov.equivalence_check` measures that), so these
 identities cover the Krylov solvers too.
@@ -69,8 +74,8 @@ reloaded history file instead uses the recorded values
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -190,14 +195,14 @@ class StageRelations:
     s_set: tuple
 
 
-def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
-    """A :class:`StageRelations` per record, measured on stage-column
-    arrays: column k of every array below is stage k, for the m
-    non-terminal stages, and column ``prev[k]`` its predecessor (stage
-    0, its own, is never checked)."""
-    weight, records = history.weight, history.records
-    m = sum(not rec.terminal for rec in records)
-    recs, n = records[:m], weight.dimension
+def _measure(history: RunHistory, recs: list, phi) -> dict:
+    """The stage columns of the m non-terminal records ``recs``: each
+    measured :class:`StageRelations` field as (value per stage, where
+    it applies).  Column k of every array below is stage k, and column
+    ``prev[k]`` its predecessor (stage 0, its own, is never checked).
+    ``phi`` is the recorded (phi_rre, phi_mpe) pair of columns, or None
+    to measure them."""
+    weight, m, n = history.weight, len(recs), history.weight.dimension
     every = np.ones(m, dtype=bool)
     exists = np.array([rec.mpe.exists for rec in recs], dtype=bool)
     g_rre, s_rre = _stage_arrays([rec.rre for rec in recs], every, n)
@@ -210,13 +215,11 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     checked = np.arange(m) > 0
     coupled = checked & exists
 
-    if use_recorded_phi:  # pass 1 is not taken; a None phi reads NaN
-        phi_rre = np.array([rec.rre.phi for rec in recs], dtype=float)
-        phi_mpe = np.array([rec.mpe.phi for rec in recs], dtype=float)
-    else:
+    if phi is None:  # pass 1; it is not taken for recorded phi
         phi_rre, phi_mpe = _norms(weight, [ug_rre, ug_mpe[:, exists]])
-        phi_mpe = _spread(exists, phi_mpe)
-    fr, fp, fm = phi_rre, phi_rre[prev], phi_mpe
+        phi = phi_rre, _spread(exists, phi_mpe)
+    fr, fm = phi
+    fp = fr[prev]
 
     # pass 2: the vector couplings 3-17 (U_k gamma / phi^2) and 3-18
     # (s / phi^2) on the coupled stages; each difference is formed as a
@@ -248,7 +251,7 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
     inv_fr = 1.0 / fr ** 2
     ratio = fr / fp
     slack = fp * (1.0 + MONOTONE_SLACK)
-    columns = {  # field: (value per stage, where it applies)
+    return {  # field: (value per stage, where it applies)
         "identity_38_residual": (_rel(np.linalg.norm(gap, axis=0),
                                       np.linalg.norm(lhs38, axis=0)), checked),
         "identity_315_residual": (_rel(np.linalg.norm(dg, axis=0),
@@ -270,31 +273,19 @@ def _measure(history: RunHistory, use_recorded_phi: bool) -> list:
         "monotone_355": (fr < slack, coupled),
         "nonincreasing": (fr <= slack, checked),
     }
-    # the terminal stage checks nothing and carries S_k over
-    values = {name: _stage_list(*col) + [None] * (len(records) - m)
-              for name, col in columns.items()}
-    # S_k is a prefix of the stages where MPE exists, ends[k] long
-    s_all = np.flatnonzero(exists).tolist()
-    ends = np.cumsum(exists).tolist() + [len(s_all)]
-    return [StageRelations(
-        k=rec.k, mpe_exists=rec.mpe.exists, terminal=rec.terminal,
-        s_set=tuple(s_all[:ends[j]]),
-        **{name: column[j] for name, column in values.items()})
-        for j, rec in enumerate(records)]
 
 
-def _true_ranges(flags: dict) -> list:
-    ranges, start, prev = [], None, None
-    for k in sorted(flags):
-        if flags[k] and start is None:
-            start = k
-        if not flags[k] and start is not None:
-            ranges.append((start, prev))
-            start = None
-        prev = k
-    if start is not None:
-        ranges.append((start, prev))
-    return ranges
+def _runs(flags) -> list:
+    """The maximal (first, last) stage ranges where ``flags`` holds;
+    ``flags[i]`` is stage i + 1."""
+    padded = np.concatenate(([False], flags, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return list(zip((edges[::2] + 1).tolist(), edges[1::2].tolist()))
+
+
+#: the report key of each StageRelations field that is not its own
+_KEYS = {**{row.field: "defect_" + row.label.replace("-", "_")
+            for row in CATALOG}, "monotone_355": "monotone_3_55"}
 
 
 @dataclass(frozen=True)
@@ -330,21 +321,9 @@ class RelationReport:
             "peaks": [list(r) for r in self.peaks],
             "plateaus": [list(r) for r in self.plateaus],
             "overlap": [list(r) for r in self.overlap],
-            "stages": [
-                {
-                    "k": st.k,
-                    "mpe_exists": st.mpe_exists,
-                    "terminal": st.terminal,
-                    "stagnation_detected": st.stagnation_detected,
-                    "stagnation_consistent": st.stagnation_consistent,
-                    **{"defect_" + row.label.replace("-", "_"):
-                       getattr(st, row.field) for row in CATALOG},
-                    "monotone_3_55": st.monotone_355,
-                    "nonincreasing": st.nonincreasing,
-                    "s_set": list(st.s_set),
-                }
-                for st in self.stages
-            ],
+            "stages": [{**{_KEYS.get(f.name, f.name): getattr(st, f.name)
+                           for f in fields(st)}, "s_set": list(st.s_set)}
+                       for st in self.stages],
         }
 
 
@@ -356,58 +335,78 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
     report (``ok`` false, ``worst`` naming the identity label and
     stage of the largest threshold-relative defect).  A NaN defect
     counts as an infinite one: it fails, and it is the worst.
-    ``thresholds`` overrides catalog labels only; any other key raises
-    ValueError.
+    ``thresholds`` overrides catalog labels only, each with a number
+    above 0 (``inf`` included); any other key or value raises
+    ValueError before anything is measured.
+
+    The verdict is judged on the stage columns: one array of
+    threshold-relative defects, a row per label (3-1, 3-55, then the
+    catalog's) and a column per non-terminal stage, -inf where the row
+    does not apply and inf for a failed flag or a NaN ratio.  Each
+    row's first maximum above 1 is its violation, and the first
+    maximum in stage order, 3-1 before 3-55 before the catalog within
+    a stage, is ``worst``.  The key order of ``violations`` is not
+    part of the contract (the CLI prints its labels in catalog order,
+    then 3-1 and 3-55).
     """
     unknown = sorted(set(thresholds or ()) - set(DEFAULT_THRESHOLDS))
     if unknown:
         raise ValueError(f"unknown identity label(s) {unknown}; the "
                          f"catalog's labels are {list(DEFAULT_THRESHOLDS)}")
+    for label, value in (thresholds or {}).items():
+        if not (isinstance(value, numbers.Real) and value > 0):
+            raise ValueError(f"threshold for identity {label} is {value!r},"
+                             " not a number above 0")
     thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
+    records = history.records
+    m = sum(not rec.terminal for rec in records)
+    recs = records[:m]
+    # the recorded estimates; a None phi reads NaN
+    fr = np.array([rec.rre.phi for rec in recs], dtype=float)
+    fm = np.array([rec.mpe.phi for rec in recs], dtype=float)
     # a phi whose square leaves the float range (an edited file) gives
     # inf or NaN defects, judged below, not an exception or a warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        stages = _measure(history, use_recorded_phi)
+        columns = _measure(history, recs, (fr, fm) if use_recorded_phi
+                           else None)
+        consistent, checked = columns["stagnation_consistent"]
+        falls, coupled = columns["monotone_355"]
+        inf = np.full(m, np.inf)
+        rows = [("3-1", inf, checked & ~consistent, 1.0),
+                ("3-55", inf, coupled & ~falls
+                 | checked & ~columns["nonincreasing"][0], 1.0),
+                *((row.label, *columns[row.field], thr[row.label])
+                  for row in CATALOG)]
+        labels, values, masks, scales = zip(*rows)
+        defects = np.array(values, dtype=float)
+        ratios = np.where(masks, defects / np.array(scales)[:, None], -np.inf)
+        ratios[np.isnan(ratios)] = np.inf
+        # the last defined MPE phi before each stage, as its index
+        defined = ~np.isnan(fm)
+        last = np.maximum.accumulate(np.where(defined, np.arange(m), -1))
+        peak = ~defined[1:] | (last[:-1] >= 0) & (fm[1:] > fm[last[:-1]])
+        plateau = fr[1:] / fr[:-1] > 1.0 - PLATEAU_TOL
 
-    inf = float("inf")
-    failures = []  # (threshold-relative defect, label, k, defect)
-    for st in stages:
-        if st.stagnation_consistent is False:
-            failures.append((inf, "3-1", st.k, inf))
-        if st.nonincreasing is False:
-            failures.append((inf, "3-55", st.k, inf))
-        if st.monotone_355 is False:
-            failures.append((inf, "3-55", st.k, inf))
-        for row in CATALOG:
-            defect = getattr(st, row.field)
-            if defect is not None:
-                ratio = defect / thr[row.label]
-                failures.append((inf if math.isnan(ratio) else ratio,
-                                 row.label, st.k, defect))
+    violations, worst = {}, None
+    if m:  # a run that stops at stage 0 judges nothing
+        firsts = ratios.argmax(axis=1).tolist()
+        violations = {labels[i]: (j, defects[i, j].item())
+                      for i, j in enumerate(firsts) if ratios[i, j] > 1.0}
+        j, i = divmod(int(ratios.T.argmax()), len(labels))  # stage-major
+        worst = (labels[i], j, defects[i, j].item())
 
-    peak, plateau = {}, {}
-    last_defined = prev_rre = None
-    for idx, rec in enumerate(history.records):
-        if rec.terminal:
-            break
-        if idx > 0:
-            peak[rec.k] = rec.mpe.phi is None or (
-                last_defined is not None and rec.mpe.phi > last_defined)
-            plateau[rec.k] = rec.rre.phi / prev_rre > 1.0 - PLATEAU_TOL
-        if rec.mpe.phi is not None:
-            last_defined = rec.mpe.phi
-        prev_rre = rec.rre.phi
-    both = {k: peak[k] and plateau[k] for k in peak}
-
-    violations = {}  # the first stage of each label's largest ratio > 1
-    for ratio, label, k, defect in sorted(failures, key=lambda f: f[0],
-                                          reverse=True):
-        if ratio > 1.0:
-            violations.setdefault(label, (k, defect))
-    ok = not violations
-    worst = None
-    if failures:
-        ratio, label, k, defect = max(failures, key=lambda f: f[0])
-        worst = (label, k, defect)
-    return RelationReport(stages, _true_ranges(peak), _true_ranges(plateau),
-                          _true_ranges(both), ok, worst, thr, violations)
+    # the terminal stage checks nothing and carries S_k over
+    per_stage = {name: _stage_list(*col) + [None] * (len(records) - m)
+                 for name, col in columns.items()}
+    # S_k is a prefix of the stages where MPE exists, ends[k] long
+    exists = [rec.mpe.exists for rec in recs]
+    s_all = np.flatnonzero(exists).tolist()
+    ends = np.cumsum(exists, dtype=int).tolist() + [len(s_all)]
+    stages = [StageRelations(
+        k=rec.k, mpe_exists=rec.mpe.exists, terminal=rec.terminal,
+        s_set=tuple(s_all[:ends[j]]),
+        **{name: column[j] for name, column in per_stage.items()})
+        for j, rec in enumerate(records)]
+    return RelationReport(stages, _runs(peak), _runs(plateau),
+                          _runs(peak & plateau), not violations, worst, thr,
+                          violations)

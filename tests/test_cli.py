@@ -372,6 +372,21 @@ def test_verify_tight_threshold_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-relations", "--history", str(DATA / "history_v2.json")],
+    ["krylov-compare", "--linear", str(DATA / "T.mtx"), str(DATA / "d.vec"),
+     "--weight", "dense:" + str(DATA / "M.mtx"), "--k-max", "6"],
+], ids=["verify-relations", "krylov-compare"])
+def test_threshold_nan_is_a_parse_error(capsys, command):
+    # NaN compares false with every defect: krylov-compare would pass
+    # whatever the gaps, verify-relations fail every label
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--threshold", "nan"])
+    assert exc.value.code == 2
+    assert "'nan' is not a positive number" in capsys.readouterr().err
+    assert cli.main([*command, "--threshold", "inf"]) == 0
+
+
 def test_verify_doctored_flags_one_fail_line(tmp_path, capsys):
     # MPE declared missing at stages 2 and 3, where RRE progresses: 3-1
     # fails at both, and is reported once, at its first such stage

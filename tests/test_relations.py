@@ -365,6 +365,23 @@ def test_thresholds_reject_unknown_labels(demo_history):
     assert report.thresholds == {**DEFAULT_THRESHOLDS, "3-16": 1e-30}
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), "abc"])
+def test_thresholds_must_be_numbers_above_zero(demo_history, weight_calls,
+                                                value):
+    # 0 would make every ratio infinite, -1 pass every defect, NaN fail
+    # every one; each is refused before anything is measured
+    with pytest.raises(ValueError, match="3-8 is .* not a number above 0"
+                       ) as exc:
+        verify_history(demo_history, thresholds={"3-8": value})
+    assert repr(value) in str(exc.value)
+    assert weight_calls == []
+
+
+def test_infinite_threshold_is_allowed(demo_history):
+    report = verify_history(demo_history, thresholds={"3-8": float("inf")})
+    assert report.ok and report.thresholds["3-8"] == float("inf")
+
+
 E1 = np.array([1.0, 0.0, 0.0])
 
 #: (iterates, status, s_set of the terminal stage): x_1 = x_0 converges
