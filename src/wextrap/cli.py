@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 success, 1 a relation/equivalence
-defect above threshold, 2 I/O or parse trouble, 3 dimension mismatch,
-4 wrong problem kind for the subcommand, 5 rank deficiency.
+defect above threshold, 2 I/O or parse trouble or an input whose norms
+leave the float64 range, 3 dimension mismatch, 4 wrong problem kind for
+the subcommand, 5 rank deficiency.  :func:`main` maps each code from
+one ``except`` clause, and each error prints the one message its
+exception carries.
 
 The default output directory is the current one, overridable with the
 WEXTRAP_OUTPUT_DIR environment variable; relative --out paths resolve
@@ -54,24 +57,21 @@ def _positive(text):
 def _load_weight(spec, dimension):
     if spec is None or spec == "identity":
         return WeightOperator.identity(dimension)
-    kind, sep, path = spec.partition(":")
-    if not sep or not path:
+    kind, _, path = spec.partition(":")
+    if kind not in ("diag", "dense") or not path:
         raise ParseError(
             f"weight spec {spec!r} not understood; use identity, "
             "diag:<file> or dense:<file>")
-    if kind == "diag":
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-        if first.startswith("%%MatrixMarket"):
-            data = mmio.read_matrix(path)
-            values = np.diag(data) if min(data.shape) > 1 else data.ravel()
-        else:
-            values = mmio.read_vector(path)
-        return WeightOperator.diagonal(values)
     if kind == "dense":
         return WeightOperator.dense(mmio.read_matrix(path))
-    raise ParseError(f"unknown weight kind {kind!r}; use identity, "
-                     "diag:<file> or dense:<file>")
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    if first.startswith("%%MatrixMarket"):
+        data = mmio.read_matrix(path)
+        values = np.diag(data) if min(data.shape) > 1 else data.ravel()
+    else:
+        values = mmio.read_vector(path)
+    return WeightOperator.diagonal(values)
 
 
 def _load_x0(spec, dimension):
@@ -80,28 +80,29 @@ def _load_x0(spec, dimension):
     return mmio.read_vector(spec)
 
 
+def _linear(args):
+    """(T, d, x0) from ``--linear T d`` and ``--x0``."""
+    t = mmio.read_matrix(args.linear[0])
+    return t, mmio.read_vector(args.linear[1]), _load_x0(args.x0, t.shape[0])
+
+
 def _resolve_problem(args):
-    """(problem-or-None, iterates, dimension) from the input flags."""
-    if getattr(args, "sequence", None):
-        x = mmio.read_sequence(args.sequence)
-        return None, x, x.shape[1]
-    if getattr(args, "linear", None):
-        t = mmio.read_matrix(args.linear[0])
-        d = mmio.read_vector(args.linear[1])
-        x0 = _load_x0(args.x0, t.shape[0])
-        problem = FixedPointProblem.linear(t, d, x0)
-    elif getattr(args, "map", None):
+    """The iterates, one per row, that the input flags give."""
+    if args.sequence:
+        return mmio.read_sequence(args.sequence)
+    if args.linear:
+        problem = FixedPointProblem.linear(*_linear(args))
+    elif args.map:
         if args.dim is None:
             raise ParseError("--map needs --dim")
-        factory = BUILTIN_MAPS[args.map]
-        problem = factory(args.dim, x0=_load_x0(args.x0, args.dim))
+        problem = BUILTIN_MAPS[args.map](args.dim,
+                                         x0=_load_x0(args.x0, args.dim))
     else:
         raise ParseError(
             "no input given; use --sequence, --linear T d, or --map NAME")
-    iters = args.iters
-    if iters is None:
-        iters = args.k_max + 1 if args.k_max is not None else 10
-    return problem, iterate(problem, iters), problem.dimension
+    if args.iters is not None:
+        return iterate(problem, args.iters)
+    return iterate(problem, 10 if args.k_max is None else args.k_max + 1)
 
 
 def _print_history_table(history):
@@ -118,9 +119,8 @@ def _print_history_table(history):
 
 
 def _run_from_args(args):
-    _, x, dim = _resolve_problem(args)
-    weight = _load_weight(args.weight, dim)
-    return run(x, weight, k_max=args.k_max)
+    x = _resolve_problem(args)
+    return run(x, _load_weight(args.weight, x.shape[1]), k_max=args.k_max)
 
 
 def cmd_accelerate(args):
@@ -211,9 +211,7 @@ def cmd_krylov_compare(args):
         return 4
     if not args.linear:
         raise ParseError("krylov-compare needs --linear T d")
-    t = mmio.read_matrix(args.linear[0])
-    d = mmio.read_vector(args.linear[1])
-    x0 = _load_x0(args.x0, t.shape[0])
+    t, d, x0 = _linear(args)
     weight = _load_weight(args.weight, t.shape[0])
     cmp = equivalence_check(t, d, x0, weight, args.k_max)
     bad = 0.0
@@ -320,24 +318,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DimensionMismatch, InsufficientVectors) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RankDeficient as exc:
-        if exc.residual_norm is None:  # column N of N-vectors
-            print(f"rank deficiency: {exc}", file=sys.stderr)
-        else:
-            print(f"rank deficiency: column {exc.index} is dependent "
-                  f"(residual {exc.residual_norm:.3e}, threshold "
-                  f"{exc.threshold:.3e})", file=sys.stderr)
+        print(f"rank deficiency: {exc}", file=sys.stderr)
         return 5
-    except WextrapError as exc:
+    except (OSError, WextrapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

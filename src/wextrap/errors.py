@@ -65,7 +65,10 @@ class InsufficientVectors(WextrapError):
 
 
 class NonFiniteIterate(WextrapError):
-    """Raised when fixed-point iteration produces an overflow or NaN."""
+    """Raised when an iterate is not finite, or when a column of a
+    weighted QR (a difference, or an Arnoldi residual) has a weighted
+    norm outside the float64 range; ``index`` is the iterate or the
+    column."""
 
     def __init__(self, index, msg=None):
         self.index = index

@@ -22,7 +22,10 @@ hands out is a leading view of those buffers, which only that loop
 writes and never a column twice, so an earlier view keeps its values.
 The loop holds the one rank test and has one exit: a stop before the
 last planned column returns the same leading views, and nothing
-copies Q or P.
+copies Q or P.  It also holds the one range check: a column whose
+weighted norm is not finite, because it left the float64 range,
+raises :class:`wextrap.errors.NonFiniteIterate` on every growth path
+rather than pass as a dependent column.
 
 A block whose columns are all known in advance is factored in its
 frame (:func:`_grow_known`): with M = L L^H, the weighted QR of U has
@@ -56,11 +59,12 @@ differences), so it regrows the run's factors in the run's field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, NonFiniteIterate, RankDeficient
 from .weights import WeightOperator, _in, _in_field, validate
 
 __all__ = [
@@ -163,7 +167,9 @@ def _grow(weight: WeightOperator, count: int, dtype, column,
     goes into R's buffer only.  Returns ``(r, factors, norms)``: R's
     buffer, which holds the dependent column, the leading views of the
     accepted columns, and ``norms`` the weighted norm of every column
-    tried.
+    tried.  A column whose weighted norm is not finite (inf beyond the
+    float64 range, or NaN) raises :class:`NonFiniteIterate` naming the
+    column and the norm; in range the check changes no bit.
     """
     if rank_tol is None:
         rank_tol = RANK_TOL
@@ -176,6 +182,9 @@ def _grow(weight: WeightOperator, count: int, dtype, column,
     for j in range(count):
         c, w, mw, rnorm = orthogonalize_column(factors, column(j, factors))
         norms.append(float(np.hypot(np.linalg.norm(c), rnorm)))
+        if not math.isfinite(norms[j]):
+            raise NonFiniteIterate(j, f"column {j} has weighted norm "
+                                   f"{norms[j]}, outside the float64 range")
         room.r[:j, j], room.r[j, j] = c, rnorm
         if j == n or rnorm <= rank_tol * norms[j]:
             break

@@ -336,8 +336,8 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
     stage of the largest threshold-relative defect).  A NaN defect
     counts as an infinite one: it fails, and it is the worst.
     ``thresholds`` overrides catalog labels only, each with a number
-    above 0 (``inf`` included); any other key or value raises
-    ValueError before anything is measured.
+    above 0 (``inf`` included, a bool not); any other key or value
+    raises ValueError before anything is measured.
 
     The verdict is judged on the stage columns: one array of
     threshold-relative defects, a row per label (3-1, 3-55, then the
@@ -354,7 +354,8 @@ def verify_history(history: RunHistory, use_recorded_phi: bool = False,
         raise ValueError(f"unknown identity label(s) {unknown}; the "
                          f"catalog's labels are {list(DEFAULT_THRESHOLDS)}")
     for label, value in (thresholds or {}).items():
-        if not (isinstance(value, numbers.Real) and value > 0):
+        if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and value > 0):
             raise ValueError(f"threshold for identity {label} is {value!r},"
                              " not a number above 0")
     thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}

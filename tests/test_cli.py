@@ -550,13 +550,16 @@ def test_qr_writes_parseable_factors(tmp_path, capsys):
 
 
 def test_qr_singular_input_exit_5(tmp_path, capsys):
+    # the exception's own message, after the exit-5 prefix
+    a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    with pytest.raises(wextrap.RankDeficient) as exc:
+        wextrap.mgs_factorize(a, wextrap.WeightOperator.identity(3))
     a_path = tmp_path / "S.mtx"
-    write_matrix(a_path, np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
+    write_matrix(a_path, a)
     rc = cli.main(["qr", str(a_path)])
     assert rc == 5
-    err = capsys.readouterr().err
-    assert "rank deficiency" in err
-    assert "column 1" in err
+    assert capsys.readouterr().err == f"rank deficiency: {exc.value}\n"
+    assert "column 1 is numerically dependent" in str(exc.value)
 
 
 def test_qr_more_columns_than_rows_exit_5(tmp_path, capsys):
@@ -613,6 +616,41 @@ def test_bad_weight_spec_exit_2(tmp_path, capsys):
                    "--weight", "cholesky:w.vec"])
     assert rc == 2
     assert "weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["foo:bar", "diag"])
+def test_weight_spec_has_one_message(tmp_path, capsys, spec):
+    # an unknown kind and a missing file name read the same
+    seq = tmp_path / "seq.txt"
+    write_sequence(seq, np.arange(8.0).reshape(4, 2))
+    rc = cli.main(["accelerate", "--sequence", str(seq), "--weight", spec])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: weight spec {spec!r} not understood; use identity, "
+        "diag:<file> or dense:<file>\n")
+
+
+def test_overflowing_sequence_exit_2(tmp_path, capsys):
+    # |||u_0|||^2 leaves the float64 range: a range error (2), never a
+    # rank-deficient run that exits 0 and writes a history
+    seq, out = tmp_path / "seq.txt", tmp_path / "hist.json"
+    write_sequence(seq, np.random.default_rng(8).standard_normal((5, 6))
+                   * 2.0**520)
+    rc = cli.main(["accelerate", "--sequence", str(seq), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: column 0 has weighted norm inf, outside the float64 range\n")
+    assert not out.exists()
+
+
+def test_krylov_compare_overflowing_d_exit_2(tmp_path, capsys):
+    # r_0 = d beyond the float64 range: exit 2, never "max defect 0"
+    t_path, d_path = tmp_path / "T.mtx", tmp_path / "d.vec"
+    write_matrix(t_path, np.diag([0.5, 0.25, 0.1, 0.2, 0.3, 0.4]))
+    write_vector(d_path, np.ones(6) * 2.0**520)
+    rc = cli.main(["krylov-compare", "--linear", str(t_path), str(d_path)])
+    assert rc == 2
+    assert "column 0 has weighted norm inf" in capsys.readouterr().err
 
 
 # -- weight loading ---------------------------------------------------

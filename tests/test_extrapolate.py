@@ -327,6 +327,34 @@ def test_lambda_guard_on_underflowing_iterates():
         run(x, WeightOperator.identity(6))
 
 
+@pytest.mark.parametrize("e", [-400, 0, 400, 510])
+def test_rre_is_scale_equivariant_in_range(tmp_path, e):
+    # iterates scaled by 2^e with every squared norm still in range:
+    # each RRE s is the unscaled run's times 2^e bit for bit, and the
+    # history round-trips, so the QR loop's range check never fires
+    # (at 2^511 |||u_0|||^2 overflows)
+    rng = np.random.default_rng(0)
+    n = 20
+    t = 0.9 * rng.uniform(0.1, 1.0, n)
+    d = rng.standard_normal(n)
+    x = [np.zeros(n)]
+    for _ in range(11):
+        x.append(t * x[-1] + d)
+    x = np.array(x)
+    base = run(x, WeightOperator.identity(n))
+    hist = run(x * 2.0**e, WeightOperator.identity(n))
+    assert hist.status is base.status
+    assert len(hist.records) == len(base.records) == 11
+    for old, new in zip(base.records, hist.records):
+        assert np.array_equal(new.rre.s, old.rre.s * 2.0**e)
+    path, again = tmp_path / "hist.json", tmp_path / "again.json"
+    save_history(hist, path)
+    back = load_history(path)
+    assert_array_equal(back.r, hist.r)
+    save_history(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 # -- run() driver -----------------------------------------------------
 
 def test_run_demo_terminates_at_k0(demo_problem):

@@ -3,8 +3,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from wextrap import (
+    NonFiniteIterate,
     RankDeficient,
     WeightOperator,
+    equivalence_check,
+    fom_solve,
+    gmr_solve,
     load_history,
     mgs_factorize,
     orthogonalize_column,
@@ -300,6 +304,39 @@ def test_column_n_is_dependent_whatever_its_norm(monkeypatch, source):
                                    rng.standard_normal(3), np.zeros(3), w), 5)
         assert stages.basis.shape == (3, 3)
         assert stages.hess.shape == (4, 3) and stages.hess[3, 2] != 0.0
+
+
+#: a linear problem whose r_0 = d has a squared norm beyond float64
+T6 = np.diag([0.5, 0.25, 0.1, 0.2, 0.3, 0.4])
+D6 = np.ones(6) * 2.0**520
+
+#: a growth path each, fed columns scaled by 2^520
+OVERFLOWING = {
+    "run": lambda w: run(
+        random_sequence(np.random.default_rng(8), 6, 5) * 2.0**520, w),
+    "mgs_factorize": lambda w: mgs_factorize(
+        np.random.default_rng(8).standard_normal((6, 3)) * 2.0**520, w),
+    "fom_solve": lambda w: fom_solve(T6, D6, np.zeros(6), w, 4),
+    "gmr_solve": lambda w: gmr_solve(T6, D6, np.zeros(6), w, 4),
+    "equivalence_check": lambda w: equivalence_check(
+        T6, D6, np.zeros(6), w, 4),
+}
+
+
+@pytest.mark.parametrize("kind", ["identity", "diag", "dense"])
+@pytest.mark.parametrize("call", sorted(OVERFLOWING))
+def test_a_column_beyond_the_float64_range_raises(call, kind):
+    # its weighted norm is inf (NaN where a complex form meets inf -
+    # inf): a range error naming the column, never a dependent column
+    # that stops a run as rank-deficient, or an Arnoldi breakdown whose
+    # solutions read zeros
+    w = random_weight(np.random.default_rng(13), 6, kind)
+    with pytest.raises(NonFiniteIterate) as info:
+        OVERFLOWING[call](w)
+    assert info.value.index == 0
+    norm = "nan" if kind == "dense" else "inf"
+    assert str(info.value) == (f"column 0 has weighted norm {norm}, "
+                               "outside the float64 range")
 
 
 def test_leading_views_restrict_bit_identically():

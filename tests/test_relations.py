@@ -365,11 +365,12 @@ def test_thresholds_reject_unknown_labels(demo_history):
     assert report.thresholds == {**DEFAULT_THRESHOLDS, "3-16": 1e-30}
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), "abc"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), "abc", True])
 def test_thresholds_must_be_numbers_above_zero(demo_history, weight_calls,
                                                 value):
     # 0 would make every ratio infinite, -1 pass every defect, NaN fail
-    # every one; each is refused before anything is measured
+    # every one, and True judge against 1.0 and echo true; each is
+    # refused before anything is measured
     with pytest.raises(ValueError, match="3-8 is .* not a number above 0"
                        ) as exc:
         verify_history(demo_history, thresholds={"3-8": value})
