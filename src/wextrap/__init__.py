@@ -25,7 +25,6 @@ from .extrapolate import (
     ExtrapolationRecord,
     RunHistory,
     RunStatus,
-    history_rows,
     run,
 )
 from .krylov import (
@@ -90,7 +89,6 @@ __all__ = [
     "equivalence_check",
     "fom_solve",
     "gmr_solve",
-    "history_rows",
     "history_to_dict",
     "iterate",
     "load_history",

@@ -31,7 +31,7 @@ from .errors import (
     RankDeficient,
     WextrapError,
 )
-from .extrapolate import history_rows, run
+from .extrapolate import run
 from .krylov import equivalence_check
 from .problems import BUILTIN_MAPS, FixedPointProblem, iterate
 from .qr import mgs_factorize
@@ -69,6 +69,10 @@ def _load_weight(spec, dimension):
     if first.startswith("%%MatrixMarket"):
         data = mmio.read_matrix(path)
         values = np.diag(data) if min(data.shape) > 1 else data.ravel()
+        if np.count_nonzero(data) > np.count_nonzero(values):
+            raise ParseError("nonzero entries off the diagonal; a diag: "
+                             "weight is a diagonal, use dense:<file> for "
+                             "a full matrix", path=path)
     else:
         values = mmio.read_vector(path)
     return WeightOperator.diagonal(values)
@@ -134,12 +138,9 @@ def cmd_accelerate(args):
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "phi_mpe", "phi_rre"])
-            for row in history_rows(history):
-                writer.writerow([
-                    row["k"],
-                    "" if row["phi_mpe"] is None else repr(row["phi_mpe"]),
-                    "" if row["phi_rre"] is None else repr(row["phi_rre"]),
-                ])
+            for rec in history.records:
+                mpe = repr(rec.mpe.phi) if rec.mpe.exists else ""
+                writer.writerow([rec.k, mpe, repr(rec.rre.phi)])
         print(f"csv written to {csv_path}")
     return 0
 

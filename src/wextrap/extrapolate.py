@@ -107,7 +107,6 @@ __all__ = [
     "RunStatus",
     "RunHistory",
     "run",
-    "history_rows",
 ]
 
 #: stage k adds a direction (mpe exists, rre moves, FOM is defined)
@@ -429,17 +428,3 @@ def run(iterates, weight, k_max: int | None = None) -> RunHistory:
     history.records = _records(x0, diffs[:, :m], r, u_norms)
     return history
 
-
-def history_rows(history: RunHistory) -> list[dict]:
-    """Flat per-stage scalars for tables and CSV output."""
-    rows = []
-    for rec in history.records:
-        rows.append({
-            "k": rec.k,
-            "u_norm": rec.u_norm,
-            "mpe_exists": rec.mpe.exists,
-            "phi_mpe": rec.mpe.phi,
-            "phi_rre": rec.rre.phi,
-            "terminal": rec.terminal,
-        })
-    return rows

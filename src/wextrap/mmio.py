@@ -17,12 +17,14 @@ does :func:`_locate` re-read the body line by line, to raise the
 :class:`ParseError` of the first bad line.  Which files are accepted,
 the values read and every error's message, line and column are the same
 as for a line-by-line parse.  A column counts from the start of the
-raw line, indentation included.  The writer formats each entry with
-``repr`` of a Python float, which reads back exactly, and writes the
-body one column at a time, so it never holds the whole text.
+raw line, indentation included.  The writer writes array format: it
+formats each entry with ``repr`` of a Python float, which reads back
+exactly, and writes the body one column at a time, so it never holds
+the whole text.
 
 Vector files are whitespace-separated numbers; sequence files hold one
-vector per line.  Entries may be written as plain floats or in Python
+vector per line, and a vector is written as a sequence of one-entry
+vectors.  Entries may be written as plain floats or in Python
 complex syntax (``1.5+0.25j``).
 
 Run histories persist as compact JSON with sorted keys, so identical
@@ -62,7 +64,7 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
+from .errors import ParseError
 from .extrapolate import (
     CoefficientSolve,
     ExtrapolationRecord,
@@ -168,11 +170,9 @@ def read_matrix(path) -> np.ndarray:
         _fail("empty file, expected a MatrixMarket header", path, 1)
     header = raw_lines[0].strip()
     parts = header.split()
-    if not header.startswith("%%MatrixMarket"):
+    if (len(parts) != 5 or parts[0] != "%%MatrixMarket"
+            or parts[1].lower() != "matrix"):
         _fail(f"malformed header {header!r}: expected "
-              "'%%MatrixMarket matrix <format> <field> <symmetry>'", path, 1)
-    if len(parts) != 5 or parts[1].lower() != "matrix":
-        _fail(f"malformed header {header!r}: expected 5 fields "
               "'%%MatrixMarket matrix <format> <field> <symmetry>'", path, 1)
     fmt, field, sym = (p.lower() for p in parts[2:5])
     if fmt not in _FORMATS:
@@ -273,24 +273,16 @@ def read_matrix(path) -> np.ndarray:
     return out
 
 
-def write_matrix(path, a, fmt: str = "array", comment: str | None = None
-                 ) -> None:
-    """Write a dense matrix; field is complex iff any imaginary part
-    is nonzero.  Coordinate output keeps every stored entry, zeros
-    included, scanning columns first.  The body is written one column
-    at a time."""
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
+def write_matrix(path, a) -> None:
+    """Write a dense matrix in array format; field is complex iff any
+    imaginary part is nonzero.  The body is written one column at a
+    time."""
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     field = "complex" if np.any(a.imag != 0.0) else "real"
     rows, cols = a.shape
-    lines = [f"%%MatrixMarket matrix {fmt} {field} general"]
-    if comment:
-        lines.extend(f"% {c}" for c in comment.splitlines())
-    lines.append(f"{rows} {cols}" if fmt == "array"
-                 else f"{rows} {cols} {rows * cols}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"%%MatrixMarket matrix array {field} general\n"
+                 f"{rows} {cols}\n")
         # column by column, none without rows; repr of a Python float
         # reads back exactly
         for j in range(cols if rows else 0):
@@ -298,9 +290,6 @@ def write_matrix(path, a, fmt: str = "array", comment: str | None = None
             if field == "complex":
                 values = map("{} {!r}".format, values,
                              a.imag[:, j].tolist())
-            if fmt == "coordinate":
-                values = map(f"{{}} {j + 1} {{}}".format,
-                             range(1, rows + 1), values)
             fh.write("\n".join(values) + "\n")
 
 
@@ -325,10 +314,8 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_vector(path, v) -> None:
-    v = np.asarray(v, dtype=complex)
-    with open(path, "w", encoding="utf-8") as fh:
-        for z in v:
-            fh.write(_entry_repr(z) + "\n")
+    """One entry per line: a sequence of one-entry vectors."""
+    write_sequence(path, np.reshape(v, (-1, 1)))
 
 
 def _entry_repr(z) -> str:
@@ -356,7 +343,8 @@ def write_sequence(path, vectors) -> None:
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     with open(path, "w", encoding="utf-8") as fh:
         for row in vectors:
-            fh.write(" ".join(_entry_repr(z) for z in row) + "\n")
+            # a row as Python complex: a numpy scalar per entry is slower
+            fh.write(" ".join(map(_entry_repr, row.tolist())) + "\n")
 
 
 # -- run histories ---------------------------------------------------
@@ -576,6 +564,9 @@ def _check_records(records, columns, x0, dimension, path) -> None:
     verifier."""
     if x0.shape != (dimension,):
         _fail(f"x0 of shape {x0.shape}, expected ({dimension},)", path)
+    if columns.shape[0] != dimension and columns.size:  # N x 0 or [0, 0]
+        _fail(f"difference columns of dimension {columns.shape[0]}, weight "
+              f"of dimension {dimension}", path)
     if columns.shape[1] < len(records):
         _fail(f"{len(records)} records need as many difference columns, "
               f"the file holds {columns.shape[1]}", path)
@@ -685,10 +676,6 @@ def load_history(path) -> RunHistory:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"history file structure invalid: {exc!r}",
                          path=str(path)) from None
-    if columns.shape[0] != weight.dimension and columns.size:
-        raise DimensionMismatch(
-            f"difference columns of dimension {columns.shape[0]}, weight of "
-            f"dimension {weight.dimension}")
     _check_records(records, columns, x0, weight.dimension, path)
     appended = len(records) - (1 if records and records[-1].terminal else 0)
     # the run already accepted these columns under its rank test, which
@@ -697,9 +684,8 @@ def load_history(path) -> RunHistory:
     # run's field (that of the weight, x0 and the differences).
     # With none appended the factors are N x 0, whatever the shape of
     # an empty block
-    _, frame, _ = _grow_known(
-        weight, columns if appended else np.zeros((weight.dimension, 0)),
-        appended, _field_of(weight, x0, columns), 0.0)
+    _, frame, _ = _grow_known(weight, columns, appended,
+                              _field_of(weight, x0, columns), 0.0)
     history = RunHistory(
         weight=weight,
         x0=x0,

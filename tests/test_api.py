@@ -54,6 +54,7 @@ REMOVED = [
     "check_stagnation",
     "empty_factors",
     "gs_factorize",
+    "history_rows",
     "initial_state",
     "make_mpe_failure_problem",
     "make_mpe_failure_sequence",
@@ -110,6 +111,12 @@ def test_orthogonalization_switch_is_gone():
                  ["qr", "A.mtx", "--reorth"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
+
+
+def test_write_matrix_has_one_format():
+    # array format, with no comment lines: the one form callers write
+    assert list(inspect.signature(mmio.write_matrix).parameters) == [
+        "path", "a"]
 
 
 def test_unset_knobs_are_gone():

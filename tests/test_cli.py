@@ -204,6 +204,24 @@ def test_accelerate_csv_matches_history(tmp_path):
         assert float(row[2]) == rec["rre"]["phi"]
 
 
+def test_accelerate_csv_reads_the_records(tmp_path):
+    # MPE does not exist at stage 1: its cell is empty exactly there, and
+    # every other cell is repr of the recorded phi
+    seq = tmp_path / "stag.txt"
+    write_sequence(seq, np.asarray(make_mpe_failure_sequence(3)))
+    out, csv_path = tmp_path / "h.json", tmp_path / "h.csv"
+    assert cli.main(["accelerate", "--sequence", str(seq), "--out", str(out),
+                     "--csv", str(csv_path)]) == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    records = json.loads(out.read_text())["records"]
+    assert [rec["mpe"]["exists"] for rec in records] == [True, False]
+    assert rows == [["k", "phi_mpe", "phi_rre"]] + [
+        [str(rec["k"]),
+         repr(rec["mpe"]["phi"]) if rec["mpe"]["exists"] else "",
+         repr(rec["rre"]["phi"])] for rec in records]
+
+
 # -- verify-relations -------------------------------------------------
 
 def test_verify_fresh_run_passes(tmp_path, capsys):
@@ -325,6 +343,25 @@ def test_verify_malformed_history_exits_2(tmp_path, capsys, edit):
     path.write_text(json.dumps(doc))
     assert cli.main(["verify-relations", "--history", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_history_with_an_extra_difference_row_exits_2(tmp_path,
+                                                            capsys):
+    # a difference block of N + 1 rows is a bad file, as a wrong-length
+    # x0 is: exit 2, not the dimension-mismatch code
+    fixture = Path(__file__).parent / "data" / "history_v2.json"
+    doc = json.loads(fixture.read_text())
+    block = doc["differences"]
+    u = np.frombuffer(base64.b64decode(block["b64"]), block["dtype"])
+    u = np.vstack([u.reshape(block["shape"]), np.ones((1, block["shape"][1]))])
+    block.update(shape=list(u.shape),
+                 b64=base64.b64encode(u.tobytes()).decode("ascii"))
+    path = tmp_path / "extra-row.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify-relations", "--history", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: difference columns of dimension 6, weight of "
+        "dimension 5\n")
 
 
 @pytest.mark.parametrize("rows", ["none", "n"])
@@ -671,6 +708,39 @@ def test_diag_weight_vector_and_matrix_forms_agree(tmp_path):
                             "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert json.loads(out1.read_text())["weight"]["kind"] == "diagonal"
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1)], ids=["row", "column"])
+def test_diag_weight_row_and_column_files_load(tmp_path, shape):
+    t_path, d_path = big_files(tmp_path, n=4, seed=11)
+    w = np.array([2.0, 0.5, 1.5, 3.0])
+    vec_form, mtx_form = tmp_path / "w.vec", tmp_path / "w.mtx"
+    write_vector(vec_form, w)
+    write_matrix(mtx_form, w.reshape(shape))
+    out1, out2 = tmp_path / "h1.json", tmp_path / "h2.json"
+    base = ["accelerate", "--linear", t_path, d_path, "--k-max", "2"]
+    assert cli.main(base + ["--weight", f"diag:{vec_form}",
+                            "--out", str(out1)]) == 0
+    assert cli.main(base + ["--weight", f"diag:{mtx_form}",
+                            "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_diag_weight_of_a_full_matrix_exit_2(tmp_path, capsys):
+    # a diag: weight is its file's diagonal; a full matrix is a dense:
+    # weight, never silently cut to diag(M)
+    t_path, d_path = big_files(tmp_path, n=5, seed=11)
+    m_path = tmp_path / "M.mtx"
+    write_matrix(m_path, random_pd_matrix(np.random.default_rng(14), 5,
+                                             complex_=False))
+    out = tmp_path / "h.json"
+    rc = cli.main(["accelerate", "--linear", t_path, d_path,
+                   "--weight", f"diag:{m_path}", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {m_path}: nonzero entries off the diagonal; a diag: weight "
+        "is a diagonal, use dense:<file> for a full matrix\n")
+    assert not out.exists()
 
 
 def test_complex_diag_weight_exit_2(tmp_path, capsys):

@@ -892,7 +892,7 @@ def test_exact_residual_matches_estimate_on_linear(demo_problem):
 
 
 def test_history_serialization_shape(demo_problem):
-    from wextrap import history_rows, history_to_dict
+    from wextrap import history_to_dict
 
     xs = iterate(demo_problem, 6)
     hist = run(np.asarray(xs), WeightOperator.identity(2), k_max=2)
@@ -912,6 +912,5 @@ def test_history_serialization_shape(demo_problem):
         rec[m][key] for rec in doc["records"] for m in ("mpe", "rre")
         for key in ("gamma", "s")]
     assert {b["dtype"] for b in blocks} == {"<f8"}
-    rows = history_rows(hist)
-    assert [row["k"] for row in rows] == [0, 1, 2]
-    assert rows[1]["phi_rre"] == pytest.approx(np.sqrt(9.0 / 388.0))
+    assert [rec["k"] for rec in doc["records"]] == [0, 1, 2]
+    assert rec1["rre"]["phi"] == pytest.approx(np.sqrt(9.0 / 388.0))

@@ -41,12 +41,20 @@ from conftest import (
 )
 
 
+def _write(path, a, fmt):
+    # the writer's array text, or the reference coordinate text
+    if fmt == "array":
+        write_matrix(path, a)
+    else:
+        path.write_bytes(_whole_text_matrix(a, fmt, ""))
+
+
 @pytest.mark.parametrize("fmt", ["array", "coordinate"])
 def test_real_matrix_round_trip(tmp_path, fmt):
     rng = np.random.default_rng(41)
     a = rng.standard_normal((5, 3))
     path = tmp_path / "a.mtx"
-    write_matrix(path, a, fmt=fmt)
+    _write(path, a, fmt)
     assert_array_equal(read_matrix(path), a.astype(complex))
 
 
@@ -55,7 +63,7 @@ def test_complex_matrix_round_trip(tmp_path, fmt):
     rng = np.random.default_rng(42)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     path = tmp_path / "a.mtx"
-    write_matrix(path, a, fmt=fmt)
+    _write(path, a, fmt)
     assert_array_equal(read_matrix(path), a)
 
 
@@ -63,7 +71,7 @@ def test_read_agrees_with_scipy_on_own_output(tmp_path):
     rng = np.random.default_rng(43)
     a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     path = tmp_path / "a.mtx"
-    write_matrix(path, a, fmt="coordinate")
+    _write(path, a, "coordinate")
     assert_allclose(np.asarray(scipy.io.mmread(path).todense()),
                     read_matrix(path), rtol=0, atol=0)
 
@@ -108,6 +116,59 @@ def test_malformed_header_names_line_one(tmp_path):
     assert info.value.line == 1
     assert "header" in str(info.value)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("header", [
+    "%%MatrixMarketXYZ matrix array real general",
+    "%%MatrixMarket matrix array real",
+    "%%MatrixMarket vector array real general",
+    "%%MatrixMarket matrix array real general extra",
+], ids=["banner", "four-fields", "not-matrix", "six-fields"])
+def test_malformed_banner_is_one_header_error(tmp_path, header):
+    # scipy.io.mmread rejects the corrupted banner too
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"{header}\n1 1\n2.5\n")
+    _assert_parse_error(path, f"malformed header {header!r}: expected "
+                        "'%%MatrixMarket matrix <format> <field> "
+                        "<symmetry>'", 1)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("", "empty file, expected a MatrixMarket header", 1),
+    ("%%MatrixMarket matrix dense real general\n1 1\n2.5\n",
+     "unsupported format 'dense' (supported: ('array', 'coordinate'))", 1),
+    ("%%MatrixMarket matrix array real upper\n1 1\n2.5\n",
+     "unsupported symmetry 'upper' (supported: ('general', 'symmetric', "
+     "'hermitian', 'skew-symmetric'))", 1),
+    ("%%MatrixMarket matrix array real general\n% no size\n\n",
+     "missing size line", 3),
+    ("%%MatrixMarket matrix array real general\n1 1 1\n2.5\n",
+     "size line needs 2 integers, got '1 1 1'", 2),
+    ("%%MatrixMarket matrix coordinate real general\n1 1\n1 1 2.5\n",
+     "size line needs 3 integers, got '1 1'", 2),
+    ("%%MatrixMarket matrix array real general\n% size\n1 x\n2.5\n",
+     "size line needs integers, got '1 x'", 3),
+    ("%%MatrixMarket matrix array real general\n0 2\n",
+     "matrix dimensions must be positive, got 0 x 2", 2),
+], ids=["empty", "format", "symmetry", "no-size-line", "array-size-count",
+        "coordinate-size-count", "size-not-integers", "non-positive"])
+def test_header_and_size_line_errors(tmp_path, text, message, line):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    _assert_parse_error(path, message, line)
+
+
+def test_vector_and_sequence_count_errors(tmp_path):
+    path = tmp_path / "v.vec"
+    path.write_text("% only a comment\n\n# and another\n")
+    with pytest.raises(ParseError) as info:
+        read_vector(path)
+    assert str(info.value) == f"{path}: no numbers found"
+    path.write_text("1.0 2.0\n")
+    with pytest.raises(ParseError) as info:
+        read_sequence(path)
+    assert str(info.value) == \
+        f"{path}: a sequence needs at least 2 vectors, found 1"
 
 
 def test_unsupported_field_rejected(tmp_path):
@@ -278,7 +339,7 @@ def test_array_body_errors_deep_in_file(tmp_path, edit, message, line,
 ])
 def test_coordinate_body_errors_deep_in_file(tmp_path, entry, message):
     path = tmp_path / "big.mtx"
-    write_matrix(path, np.ones((100, 100)), fmt="coordinate")
+    _write(path, np.ones((100, 100)), "coordinate")
     lines = path.read_text().splitlines()
     if entry is None:
         del lines[-1]
@@ -310,7 +371,7 @@ def test_parse_error_column_is_the_raw_offset(tmp_path, reader, text, line,
     assert f"{path}:{line}:{column}: cannot parse number" in str(info.value)
 
 
-@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+@pytest.mark.parametrize("fmt", ["array"])
 def test_write_matrix_edge_values_byte_for_byte(tmp_path, fmt):
     real = np.array([[-0.0, 5e-324, 0.1], [1e308, -1.5, 1 / 3]])
     cplx = np.array([[complex(1.5, -0.0), complex(-0.0, 2.0)],
@@ -318,16 +379,14 @@ def test_write_matrix_edge_values_byte_for_byte(tmp_path, fmt):
     for a, field in ((real, "real"), (cplx, "complex")):
         rows, cols = a.shape
         expected = [f"%%MatrixMarket matrix {fmt} {field} general",
-                    f"{rows} {cols}" + (f" {rows * cols}"
-                                        if fmt == "coordinate" else "")]
+                    f"{rows} {cols}"]
         for j, i in itertools.product(range(cols), range(rows)):
             text = repr(float(a[i, j].real))
             if field == "complex":
                 text += " " + repr(float(a[i, j].imag))
-            expected.append(text if fmt == "array"
-                            else f"{i + 1} {j + 1} {text}")
+            expected.append(text)
         path = tmp_path / f"{field}.mtx"
-        write_matrix(path, a, fmt=fmt)
+        write_matrix(path, a)
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
         assert_array_equal(read_matrix(path), a)
 
@@ -354,7 +413,7 @@ def _whole_text_matrix(a, fmt, comment):
     return ("\n".join([*lines, *values]) + "\n").encode()
 
 
-@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+@pytest.mark.parametrize("fmt", ["array"])
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_write_matrix_streams_the_whole_text_bytes(tmp_path, field, fmt):
     # one column at a time, the same bytes as the text built whole
@@ -363,12 +422,12 @@ def test_write_matrix_streams_the_whole_text_bytes(tmp_path, field, fmt):
     if field == "complex":
         a = a + 1j * rng.standard_normal(a.shape)
     path = tmp_path / "a.mtx"
-    write_matrix(path, a, fmt=fmt, comment="two\nlines")
-    assert path.read_bytes() == _whole_text_matrix(a, fmt, "two\nlines")
+    write_matrix(path, a)
+    assert path.read_bytes() == _whole_text_matrix(a, fmt, "")
     assert_array_equal(read_matrix(path), a)
 
 
-@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+@pytest.mark.parametrize("fmt", ["array"])
 def test_write_matrix_peak(tmp_path, fmt):
     # the body is written column by column: beside the complex copy of
     # the matrix, the writer holds one column's text, never the whole
@@ -377,7 +436,7 @@ def test_write_matrix_peak(tmp_path, fmt):
     path = tmp_path / "a.mtx"
     tracemalloc.start()
     try:
-        write_matrix(path, a, fmt=fmt)
+        write_matrix(path, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -595,9 +654,9 @@ def test_history_to_dict_diagonal_weight_stays_vector_sized():
 
 
 def test_history_to_dict_dense_weight_peak():
-    # the real part of a dense weight is copied once to be encoded; that
-    # copy is freed before its base64 bytes become a str, so the copy,
-    # the bytes and the str (3.67x the matrix together) never coexist
+    # a real dense weight is held as float64, so its block encodes the
+    # matrix itself, with no copy: the peak is its base64 bytes and
+    # their str, 2.67x the matrix together
     rng = np.random.default_rng(51)
     n = 2000
     b = rng.uniform(-1.0, 1.0, (n, n))
@@ -893,6 +952,55 @@ def test_history_rejects_x0_of_the_wrong_shape(tmp_path, shape):
                 re.escape(f"x0 of shape {shape}, expected (6,)"))
 
 
+@pytest.mark.parametrize("shape", [[-1], [True]], ids=["negative", "bool"])
+def test_history_block_rejects_invalid_shape(tmp_path, shape):
+    path = _tampered_v2(tmp_path, lambda doc: doc["x0"].update(shape=shape))
+    _load_fails(path, re.escape(f"invalid array shape {shape!r}"))
+
+
+def test_history_rejects_differences_of_three_dimensions(tmp_path):
+    def edit(doc):
+        doc["differences"]["shape"] += [1]
+    _load_fails(_tampered_v2(tmp_path, edit),
+                re.escape("differences of shape (6, 4, 1), expected (N, m)"))
+
+
+def test_history_rejects_differences_of_another_dimension(tmp_path):
+    # a difference block of N + 1 rows is a bad file (a ParseError, exit
+    # 2), as a wrong-length x0 is
+    doc = json.loads((Path(__file__).parent / "data"
+                      / "history_v2.json").read_text())
+    block = doc["differences"]
+    u = np.vstack([_decoded(block), _decoded(block)[:1]])
+    block.update(shape=list(u.shape),
+                 b64=base64.b64encode(u.tobytes()).decode("ascii"))
+    path = tmp_path / "hist.json"
+    path.write_text(json.dumps(doc))
+    _load_fails(path, "difference columns of dimension 6, weight of "
+                "dimension 5")
+
+
+def test_version_1_array_must_be_pairs(tmp_path):
+    doc = json.loads((Path(__file__).parent / "data"
+                      / "history_v1.json").read_text())
+    doc["x0"] = [re for re, _ in doc["x0"]]
+    path = tmp_path / "hist.json"
+    path.write_text(json.dumps(doc))
+    _load_fails(path, re.escape("expected [re, im] pairs, got shape (5,)"))
+
+
+def test_version_1_with_empty_differences_loads_as_n_by_0(tmp_path):
+    doc = json.loads((Path(__file__).parent / "data"
+                      / "history_v1.json").read_text())
+    doc.update(records=[], differences=[], detected_k0=None)
+    path = tmp_path / "hist.json"
+    path.write_text(json.dumps(doc))
+    back = load_history(path)
+    assert back.records == [] and back.differences.shape == (5, 0)
+    assert back.factors.q.shape == (5, 0)
+    assert verify_history(back, use_recorded_phi=True).ok
+
+
 def test_history_rejects_dimension_other_than_the_weights(tmp_path):
     # the committed file's dense weight is 5 x 5
     doc = json.loads((Path(__file__).parent / "data"
@@ -994,8 +1102,10 @@ def test_parse_error_location_formatting():
 
 
 def test_write_matrix_comment_survives_read(tmp_path):
+    # write_matrix writes no comment line; the reader skips them
     path = tmp_path / "c.mtx"
-    write_matrix(path, np.eye(2), comment="weighted QR factor\nsecond line")
+    path.write_bytes(_whole_text_matrix(np.eye(2), "array",
+                                        "weighted QR factor\nsecond line"))
     text = path.read_text()
     assert "% weighted QR factor" in text
     assert_array_equal(read_matrix(path), np.eye(2))
